@@ -5,6 +5,11 @@ in factored form: an orthonormal direction basis per side plus the positive
 singular values attached to those directions. Keeping the factors (rather
 than the dense covariances) lets the privacy condition, the budget math and
 the sampler all consume the same object without re-decomposing anything.
+
+A side whose directions are the standard basis stores only its singular
+values: its basis is written as ``None`` and never materialized unless a
+dense accessor asks for it. An n x n identity side then costs O(n) memory
+instead of O(n^2), and the sampler scales by it instead of multiplying.
 """
 
 from __future__ import annotations
@@ -40,72 +45,108 @@ def _check_orthonormal(w: np.ndarray, name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
+    """Validate one side's basis against its singular values.
+
+    ``None`` stands for the standard basis, which is orthonormal by
+    construction and takes its size from ``lam``; any supplied basis is
+    checked in full.
+    """
+    if basis is None:
+        if lam.shape[0] < 1:
+            raise ShapeError(f"lambda_{side} must have at least one entry")
+        return None
+    w = _as_matrix(basis, f"w_{side}")
+    _check_orthonormal(w, f"w_{side}")
+    if lam.shape[0] != w.shape[0]:
+        raise ShapeError(
+            f"lambda_{side} has length {lam.shape[0]}, expected {w.shape[0]}"
+        )
+    return w
+
+
+def _dense(basis: np.ndarray | None, lam: np.ndarray, op) -> np.ndarray:
+    """``op(W, lam) @ W.T``; for the standard basis, ``diag(op(1, lam))``,
+    which is the same matrix without the O(n^3) product."""
+    if basis is None:
+        return np.diag(op(1.0, lam))
+    return op(basis, lam) @ basis.T
+
+
+@dataclass(frozen=True, init=False)
 class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
 
+    Constructed as ``NoiseDesign(w_sigma, lambda_sigma, w_psi, lambda_psi)``.
+    Either basis may be ``None``, meaning the standard basis; that side then
+    stores only its singular values and skips the orthonormality check.
+
     Attributes:
-        w_sigma: m x m orthonormal basis of row-noise directions.
+        basis_sigma: m x m orthonormal basis of row-noise directions, or
+            ``None`` for the standard basis.
         lambda_sigma: length-m positive singular values of the row covariance
-            (the noise variance attached to each column of ``w_sigma``).
-        w_psi: n x n orthonormal basis of column-noise directions.
+            (the noise variance attached to each row-noise direction).
+        basis_psi: n x n orthonormal basis of column-noise directions, or
+            ``None`` for the standard basis.
         lambda_psi: length-n positive singular values of the column covariance.
 
-    The dense covariances are ``sigma = w_sigma @ diag(lambda_sigma) @ w_sigma.T``
-    and likewise for ``psi``.
+    ``w_sigma`` and ``w_psi`` always read as dense bases; a standard side
+    materializes its identity on each read. The dense covariances are
+    ``sigma = w_sigma @ diag(lambda_sigma) @ w_sigma.T`` and likewise for
+    ``psi``.
     """
 
-    w_sigma: np.ndarray
+    basis_sigma: np.ndarray | None
     lambda_sigma: np.ndarray
-    w_psi: np.ndarray
+    basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
 
-    def __post_init__(self):
-        w_s = _as_matrix(self.w_sigma, "w_sigma")
-        w_p = _as_matrix(self.w_psi, "w_psi")
-        lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
-        lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
-        _check_orthonormal(w_s, "w_sigma")
-        _check_orthonormal(w_p, "w_psi")
-        if lam_s.shape[0] != w_s.shape[0]:
-            raise ShapeError(
-                f"lambda_sigma has length {lam_s.shape[0]}, expected {w_s.shape[0]}"
-            )
-        if lam_p.shape[0] != w_p.shape[0]:
-            raise ShapeError(
-                f"lambda_psi has length {lam_p.shape[0]}, expected {w_p.shape[0]}"
-            )
+    def __init__(self, w_sigma, lambda_sigma, w_psi, lambda_psi):
+        lam_s = np.asarray(lambda_sigma, dtype=float).reshape(-1)
+        lam_p = np.asarray(lambda_psi, dtype=float).reshape(-1)
+        basis_s = _check_side(w_sigma, lam_s, "sigma")
+        basis_p = _check_side(w_psi, lam_p, "psi")
         for name, lam in (("lambda_sigma", lam_s), ("lambda_psi", lam_p)):
             if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
                 raise DegenerateDesignError(
                     f"{name} must be strictly positive and finite, got {lam}"
                 )
-        object.__setattr__(self, "w_sigma", w_s)
+        object.__setattr__(self, "basis_sigma", basis_s)
         object.__setattr__(self, "lambda_sigma", lam_s)
-        object.__setattr__(self, "w_psi", w_p)
+        object.__setattr__(self, "basis_psi", basis_p)
         object.__setattr__(self, "lambda_psi", lam_p)
 
     @property
     def m(self) -> int:
-        return self.w_sigma.shape[0]
+        return self.lambda_sigma.shape[0]
 
     @property
     def n(self) -> int:
-        return self.w_psi.shape[0]
+        return self.lambda_psi.shape[0]
+
+    @property
+    def w_sigma(self) -> np.ndarray:
+        """Dense m x m row basis; an identity is built on each read."""
+        return np.eye(self.m) if self.basis_sigma is None else self.basis_sigma
+
+    @property
+    def w_psi(self) -> np.ndarray:
+        """Dense n x n column basis; an identity is built on each read."""
+        return np.eye(self.n) if self.basis_psi is None else self.basis_psi
 
     def sigma(self) -> np.ndarray:
         """Dense row-wise covariance."""
-        return (self.w_sigma * self.lambda_sigma) @ self.w_sigma.T
+        return _dense(self.basis_sigma, self.lambda_sigma, np.multiply)
 
     def psi(self) -> np.ndarray:
         """Dense column-wise covariance."""
-        return (self.w_psi * self.lambda_psi) @ self.w_psi.T
+        return _dense(self.basis_psi, self.lambda_psi, np.multiply)
 
     def sigma_inv(self) -> np.ndarray:
-        return (self.w_sigma / self.lambda_sigma) @ self.w_sigma.T
+        return _dense(self.basis_sigma, self.lambda_sigma, np.divide)
 
     def psi_inv(self) -> np.ndarray:
-        return (self.w_psi / self.lambda_psi) @ self.w_psi.T
+        return _dense(self.basis_psi, self.lambda_psi, np.divide)
 
     @classmethod
     def from_covariances(cls, sigma, psi) -> "NoiseDesign":
@@ -146,6 +187,10 @@ def factor_design(design: NoiseDesign) -> tuple[np.ndarray, np.ndarray]:
     values. A Cholesky factor would serve the sampler equally well; this form
     keeps the factors expressed in the same direction bases the budget math
     uses.
+
+    Both factors are dense, so a standard side comes back as an n x n
+    diagonal matrix. The sampler does not call this; it scales a standard
+    side by the square roots directly (see :func:`mvgdp.sampling.sample_mvg`).
     """
     b_sigma = design.w_sigma * np.sqrt(design.lambda_sigma)
     b_psi = design.w_psi * np.sqrt(design.lambda_psi)

@@ -174,6 +174,10 @@ def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
     Returns:
         The perturbed value together with the noise design, the budget report
         and the stream's seed.
+
+    The column side of the design is the standard basis with unit singular
+    values, stored as its singular values only, so a release costs
+    O(m^2 n) time and O(mn) memory: nothing scales as n^2 or n^3.
     """
     value = _validate_query_value(query_value, q)
     if len(theta) != q.m:
@@ -182,7 +186,7 @@ def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
         )
     report = precision_budget_unimodal(q, p)
     lam_sigma = _directional_lambdas(theta, report.precision_budget)
-    design = NoiseDesign(w_sigma, lam_sigma, np.eye(q.n), np.ones(q.n))
+    design = NoiseDesign(w_sigma, lam_sigma, None, np.ones(q.n))
     _assert_condition(design, q, p)
     output = value + sample_mvg(stream, design)
     return PerturbResult(output=output, design=design, budget=report, seed=stream.seed)

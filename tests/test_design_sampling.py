@@ -23,19 +23,47 @@ def random_design(rng, m, n, lam_lo=0.4, lam_hi=1.2):
 
 class TestNoiseDesign:
     def test_rejects_non_orthonormal(self):
+        skewed = np.array([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DegenerateDesignError):
-            NoiseDesign(np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2),
-                        np.eye(2), np.ones(2))
+            NoiseDesign(skewed, np.ones(2), np.eye(2), np.ones(2))
+        # a supplied basis is checked even beside a standard side
+        with pytest.raises(DegenerateDesignError):
+            NoiseDesign(skewed, np.ones(2), None, np.ones(3))
+        with pytest.raises(DegenerateDesignError):
+            NoiseDesign(None, np.ones(3), skewed, np.ones(2))
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(DegenerateDesignError):
             NoiseDesign(np.eye(2), np.array([1.0, 0.0]), np.eye(2), np.ones(2))
         with pytest.raises(DegenerateDesignError):
             NoiseDesign(np.eye(2), np.array([1.0, -2.0]), np.eye(2), np.ones(2))
+        for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(DegenerateDesignError):
+                NoiseDesign(np.eye(2), np.ones(2), None, np.array(bad))
+            with pytest.raises(DegenerateDesignError):
+                NoiseDesign(None, np.array(bad), np.eye(2), np.ones(2))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             NoiseDesign(np.eye(2), np.ones(3), np.eye(2), np.ones(2))
+        # a standard side takes its size from lambda, which must not be empty
+        with pytest.raises(ShapeError):
+            NoiseDesign(np.eye(2), np.ones(2), None, np.ones(0))
+        with pytest.raises(ShapeError):
+            NoiseDesign(None, [], np.eye(2), np.ones(2))
+
+    def test_standard_side_reads_as_dense_identity(self):
+        lam_p = np.array([2.0, 0.5, 4.0])
+        implicit = NoiseDesign(np.eye(2), np.ones(2), None, lam_p)
+        explicit = NoiseDesign(np.eye(2), np.ones(2), np.eye(3), lam_p)
+        assert implicit.basis_psi is None
+        assert (implicit.m, implicit.n) == (2, 3)
+        assert np.array_equal(implicit.w_psi, np.eye(3))
+        for name in ("sigma", "psi", "sigma_inv", "psi_inv"):
+            assert np.array_equal(getattr(implicit, name)(),
+                                  getattr(explicit, name)())
+        for got, want in zip(factor_design(implicit), factor_design(explicit)):
+            assert np.array_equal(got, want)
 
     def test_from_covariances_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -131,6 +159,23 @@ class TestSampleMvg:
         z = sample_mvg(RandomStream(5), design)
         raw = sample_standard_matrix(RandomStream(5), 2, 3)
         assert np.array_equal(z, 2.0 * raw)
+
+    @pytest.mark.parametrize("row_standard, column_standard",
+                             [(True, False), (False, True), (True, True)])
+    def test_standard_side_bit_identical_to_explicit_identity(
+            self, row_standard, column_standard):
+        rng = np.random.default_rng(31)
+        m, n = 4, 7
+        lam_s = rng.uniform(0.1, 9.0, m)
+        lam_p = rng.uniform(0.1, 9.0, n)
+        w_s = np.eye(m) if row_standard else np.linalg.qr(rng.standard_normal((m, m)))[0]
+        w_p = np.eye(n) if column_standard else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        explicit = NoiseDesign(w_s, lam_s, w_p, lam_p)
+        implicit = NoiseDesign(None if row_standard else w_s, lam_s,
+                               None if column_standard else w_p, lam_p)
+        for seed in (0, 12, 2 ** 40):
+            assert np.array_equal(sample_mvg(RandomStream(seed), implicit),
+                                  sample_mvg(RandomStream(seed), explicit))
 
     def test_determinism(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ class TestUnimodal:
                               RandomStream(123))
         replay = sample_mvg(RandomStream(123), result.design)
         assert np.array_equal(result.output, replay)
+
+    def test_wide_release_memory_stays_linear_in_records(self):
+        # a dense n x n column basis would need 80 GB at this width
+        m, n = 2, 100_000
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
+        value = np.zeros((m, n))
+        theta = PrecisionAllocation.uniform(m)
+        tracemalloc.start()
+        try:
+            result = mvg_unimodal(value, q, self.p, theta, np.eye(m),
+                                  RandomStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.output.shape == (m, n)
+        assert np.all(np.isfinite(result.output))
+        assert peak <= 8 * result.output.nbytes
 
     def test_budget_exactly_spent(self):
         rng = np.random.default_rng(0)
