@@ -65,19 +65,10 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
     return w
 
 
-def _dense(basis: np.ndarray | None, lam: np.ndarray, op) -> np.ndarray:
-    """``op(W, lam) @ W.T``; for the standard basis, ``diag(op(1, lam))``,
-    which is the same matrix without the O(n^3) product."""
-    if basis is None:
-        return np.diag(op(1.0, lam))
-    return op(basis, lam) @ basis.T
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
 
-    Constructed as ``NoiseDesign(w_sigma, lambda_sigma, w_psi, lambda_psi)``.
     Either basis may be ``None``, meaning the standard basis; that side then
     stores only its singular values and skips the orthonormality check.
 
@@ -101,11 +92,11 @@ class NoiseDesign:
     basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
 
-    def __init__(self, w_sigma, lambda_sigma, w_psi, lambda_psi):
-        lam_s = np.asarray(lambda_sigma, dtype=float).reshape(-1)
-        lam_p = np.asarray(lambda_psi, dtype=float).reshape(-1)
-        basis_s = _check_side(w_sigma, lam_s, "sigma")
-        basis_p = _check_side(w_psi, lam_p, "psi")
+    def __post_init__(self):
+        lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
+        lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
+        basis_s = _check_side(self.basis_sigma, lam_s, "sigma")
+        basis_p = _check_side(self.basis_psi, lam_p, "psi")
         for name, lam in (("lambda_sigma", lam_s), ("lambda_psi", lam_p)):
             if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
                 raise DegenerateDesignError(
@@ -136,17 +127,17 @@ class NoiseDesign:
 
     def sigma(self) -> np.ndarray:
         """Dense row-wise covariance."""
-        return _dense(self.basis_sigma, self.lambda_sigma, np.multiply)
+        return (self.w_sigma * self.lambda_sigma) @ self.w_sigma.T
 
     def psi(self) -> np.ndarray:
         """Dense column-wise covariance."""
-        return _dense(self.basis_psi, self.lambda_psi, np.multiply)
+        return (self.w_psi * self.lambda_psi) @ self.w_psi.T
 
     def sigma_inv(self) -> np.ndarray:
-        return _dense(self.basis_sigma, self.lambda_sigma, np.divide)
+        return (self.w_sigma / self.lambda_sigma) @ self.w_sigma.T
 
     def psi_inv(self) -> np.ndarray:
-        return _dense(self.basis_psi, self.lambda_psi, np.divide)
+        return (self.w_psi / self.lambda_psi) @ self.w_psi.T
 
     @classmethod
     def from_covariances(cls, sigma, psi) -> "NoiseDesign":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestNoiseDesign:
                                   getattr(explicit, name)())
         for got, want in zip(factor_design(implicit), factor_design(explicit)):
             assert np.array_equal(got, want)
+
+    def test_replace_revalidates(self):
+        design = NoiseDesign(np.eye(2), np.ones(2), None, np.ones(3))
+        scaled = dataclasses.replace(design, lambda_psi=np.full(3, 2.0))
+        assert scaled.basis_psi is None
+        assert np.array_equal(scaled.lambda_psi, np.full(3, 2.0))
+        with pytest.raises(DegenerateDesignError):
+            dataclasses.replace(design, lambda_psi=np.zeros(3))
 
     def test_from_covariances_roundtrip(self):
         rng = np.random.default_rng(1)
