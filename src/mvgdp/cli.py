@@ -43,6 +43,7 @@ from .harness import (
     ExperimentConfig,
     MechanismKind,
     ReportFormat,
+    audit_bounds,
     emit_report,
     load_csv_matrix,
     load_dense_csv,
@@ -138,11 +139,7 @@ def _cmd_perturb(args) -> int:
     x, _ = load_csv_matrix(args.input, args.has_header)
     num_features, num_samples = x.shape
     bounds = DataBounds(num_features, num_samples, args.lo, args.hi)
-    if float(x.min()) < args.lo or float(x.max()) > args.hi:
-        raise ContractViolationError(
-            f"data range [{x.min():.6g}, {x.max():.6g}] escapes the declared "
-            f"bounds [{args.lo}, {args.hi}]"
-        )
+    audit_bounds(x, bounds)
     delta = args.delta if args.delta is not None else 1.0 / num_samples
     p = PrivacyParams(args.epsilon, delta)
     stream = RandomStream(args.seed)
@@ -221,7 +218,7 @@ def _cmd_bench(args) -> int:
         csv_has_header=bool(opts["has_header"]),
         ridge_reg=float(opts["ridge_reg"]),
     )
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, data=x)
     sys.stdout.buffer.write(emit_report(report, ReportFormat(opts["format"])))
     sys.stdout.buffer.flush()
     return 0

@@ -16,6 +16,13 @@ experiment archetypes are provided plus a direction-ablation sweep:
   declared favored set, its complement, and a uniform allocation), emitting
   one report per arm.
 
+A run does its fixed work once and then only draws per trial: the CSV is
+parsed in one vectorized pass (or handed in by a caller that already loaded
+it, as the CLI does), audited against the declared bounds once, and the
+mechanism dispatch, allocation and directions are fixed before the first
+trial; for ``dp:F`` directions that includes the direction data's audit and
+covariance, so a trial only perturbs and eigendecomposes it.
+
 Runs are deterministic: trial t uses the stream seeded with seed + t, so an
 identical configuration yields byte-identical reports.
 """
@@ -25,26 +32,32 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .budget import PrivacyParams, QueryKind, QuerySpec, check_condition
-from .errors import ConditionCheckError, ConfigError, ContractViolationError, FormatError
-from .mechanisms import (
+from .errors import ConditionCheckError, ConfigError, FormatError
+# derive_directions_dp is not called here (see _Perturber); the name stays
+# importable from this module because perfbench/tracing.py patches it here.
+from .mechanisms import (  # noqa: F401
     PrecisionAllocation,
     derive_directions_dp,
     gaussian_iid_baseline,
     laplace_iid_baseline,
     mvg_equimodal,
     mvg_unimodal,
+    plan_directions_dp,
 )
 from .metrics import EvalReport, delta_rho, mean_ci95, ridge_regression_rmse, rss
 from .sampling import RandomStream
 from .sensitivity import (
     DataBounds,
+    check_within_bounds,
     covariance_sensitivity,
     covariance_sensitivity_l1,
     gamma_covariance,
@@ -100,42 +113,89 @@ class ExperimentConfig:
             raise ConfigError(f"ridge_reg must be positive, got {self.ridge_reg}")
 
 
-def _parse_grid(path, has_header: bool) -> tuple[list[list[float]], list[str] | None]:
+# A line whose cells are all empty once stripped: nothing but whitespace,
+# commas and double quotes.
+_BLANK_LINE = re.compile(r'[\s,"]*')
+
+
+class _NonBlankLines:
+    """A text file's lines, skipping blank ones (see ``_BLANK_LINE``).
+
+    ``line_no`` is the file line number of the line yielded last, so a
+    parse error raised while that line is consumed can name it.
+    """
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.line_no = 0
+
+    def __iter__(self):
+        for self.line_no, line in enumerate(self._handle, start=1):
+            first = line[0]
+            # the first-character test keeps the regex off ordinary data lines
+            if (first.isspace() or first in ',"') and _BLANK_LINE.fullmatch(line):
+                continue
+            yield line
+
+
+_BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row \d+, column (\d+)")
+_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+)")
+
+
+def _parse_grid(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a numeric CSV into a C-ordered file-rows x file-columns array.
+
+    One vectorized pass streams the file: cells are parsed by numpy's float
+    reader (CPython's ``PyOS_string_to_double``, so each value has the bits
+    ``float(cell)`` gives), surrounding whitespace and double quotes are
+    stripped, and ``#`` is data, not a comment. Blank lines are skipped;
+    with ``has_header`` the first other line holds column names.
+    Errors name the file line and column.
+    """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: file not found")
     names: list[str] | None = None
-    rows: list[list[float]] = []
-    width: int | None = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for line_no, record in enumerate(reader, start=1):
-            cells = [cell.strip() for cell in record]
-            if not cells or all(cell == "" for cell in cells):
-                continue
-            if has_header and names is None and not rows:
-                names = cells
-                width = len(cells)
-                continue
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise FormatError(
-                    f"{path}: line {line_no} has {len(cells)} cells, expected {width}"
-                )
-            parsed = []
-            for col_no, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: non-numeric cell at line {line_no}, column "
-                        f"{col_no}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise FormatError(f"{path}: no data rows found")
-    return rows, names
+    with open(path, encoding="utf-8") as handle:
+        lines = _NonBlankLines(handle)
+        rows = iter(lines)
+        if has_header:
+            header = next(rows, None)
+            if header is not None:
+                names = [cell.strip() for cell in next(csv.reader([header]))]
+        first = next(rows, None)
+        if first is None:
+            raise FormatError(f"{path}: no data rows found")
+        first_line_no = lines.line_no
+        try:
+            grid = np.loadtxt(itertools.chain([first], rows), dtype=float,
+                              delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _located_error(path, lines.line_no, exc) from None
+    if names is not None and grid.shape[1] != len(names):
+        raise FormatError(
+            f"{path}: line {first_line_no} has {grid.shape[1]} cells, expected "
+            f"{len(names)}"
+        )
+    return grid, names
+
+
+def _located_error(path: Path, line_no: int, exc: ValueError) -> FormatError:
+    """Turn numpy's parse error, which counts data rows, into one naming the
+    file line it was raised on."""
+    bad_cell = _BAD_CELL.search(str(exc))
+    if bad_cell:
+        return FormatError(
+            f"{path}: non-numeric cell at line {line_no}, column "
+            f"{bad_cell.group(2)}: {bad_cell.group(1)}"
+        )
+    ragged = _RAGGED.search(str(exc))
+    if ragged:
+        return FormatError(
+            f"{path}: line {line_no} has {ragged.group(2)} cells, expected "
+            f"{ragged.group(1)}"
+        )
+    return FormatError(f"{path}: line {line_no}: {exc}")
 
 
 def load_csv_matrix(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | None]:
@@ -145,8 +205,8 @@ def load_csv_matrix(path, has_header: bool = False) -> tuple[np.ndarray, list[st
     (feature) and one column per file row (record). Decimal separator is
     always the dot regardless of locale.
     """
-    rows, names = _parse_grid(path, has_header)
-    return np.asarray(rows, dtype=float).T, names
+    grid, names = _parse_grid(path, has_header)
+    return grid.T, names
 
 
 def load_dense_csv(path) -> np.ndarray:
@@ -155,8 +215,8 @@ def load_dense_csv(path) -> np.ndarray:
     Used for covariance and direction matrices, where file rows are matrix
     rows.
     """
-    rows, _ = _parse_grid(path, has_header=False)
-    return np.asarray(rows, dtype=float)
+    grid, _ = _parse_grid(path, has_header=False)
+    return grid
 
 
 def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
@@ -168,18 +228,9 @@ def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
     text = spec.strip()
     if text == "uniform":
         return PrecisionAllocation.uniform(m)
-    if text.startswith("binary:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"binary allocation must look like binary:TAU:I,J,... got {spec!r}"
-            )
-        try:
-            tau = float(parts[1])
-            favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"could not parse binary allocation {spec!r}") from None
-        return PrecisionAllocation.binary(m, tau, favored)
+    binary = _binary_parts(text)
+    if binary is not None:
+        return PrecisionAllocation.binary(m, *binary)
     try:
         shares = [float(tok) for tok in text.split(",")]
     except ValueError:
@@ -214,16 +265,19 @@ def parse_directions_source(source: str):
     return ("file", text)
 
 
-def _binary_parts(spec: str) -> tuple[float, list[int]]:
+def _binary_parts(spec: str) -> tuple[float, list[int]] | None:
+    """Split ``binary:TAU:I,J,...`` into TAU and the favored indices.
+
+    Returns None when the spec is not a binary allocation at all.
+    """
     text = spec.strip()
     if not text.startswith("binary:"):
-        raise ConfigError(
-            "the ablation experiment needs a binary allocation "
-            f"(binary:TAU:I,J,...), got {spec!r}"
-        )
+        return None
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"malformed binary allocation {spec!r}")
+        raise ConfigError(
+            f"binary allocation must look like binary:TAU:I,J,... got {spec!r}"
+        )
     try:
         tau = float(parts[1])
         favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
@@ -232,24 +286,28 @@ def _binary_parts(spec: str) -> tuple[float, list[int]]:
     return tau, favored
 
 
-def _audit_bounds(x: np.ndarray, bounds: DataBounds) -> None:
+def audit_bounds(x: np.ndarray, bounds: DataBounds) -> None:
+    """Check a loaded dataset against its declared shape and range; a NaN
+    cell fails the range check."""
     if x.shape != (bounds.num_features, bounds.num_samples):
         raise ConfigError(
             f"declared bounds describe a {bounds.num_features}x"
             f"{bounds.num_samples} dataset but the file holds {x.shape[0]}x"
             f"{x.shape[1]}"
         )
-    lo, hi = float(x.min()), float(x.max())
-    if lo < bounds.lo or hi > bounds.hi:
-        raise ContractViolationError(
-            f"data range [{lo:.6g}, {hi:.6g}] escapes the declared bounds "
-            f"[{bounds.lo}, {bounds.hi}]; sensitivity and gamma claims would "
-            "be false"
-        )
+    check_within_bounds(x, bounds)
 
 
 class _Perturber:
-    """Per-experiment mechanism dispatch, fixed once per run."""
+    """Per-experiment mechanism dispatch, fixed once per run.
+
+    Everything a trial does not change is done here once: budget split,
+    allocation, fixed directions, and for ``dp:F`` directions the audit of
+    the direction data and its covariance (``plan_directions_dp``). Each
+    call then only draws. The harness calls the plan's draw rather than
+    ``derive_directions_dp``, which would redo that work every trial; the
+    two give the same bits.
+    """
 
     def __init__(self, cfg: ExperimentConfig, q: QuerySpec, bounds: DataBounds,
                  direction_data: np.ndarray | None,
@@ -269,21 +327,19 @@ class _Perturber:
                 f"equi-modal noise needs a square query, but this experiment's "
                 f"query is {q.m}x{q.n}"
             )
-        self.source_tag = source_tag
-        self.source_val = source_val
-        self.direction_data = direction_data
-        self.direction_bounds = bounds
         if source_tag == "dp":
-            self.p_directions = PrivacyParams(
+            p_directions = PrivacyParams(
                 cfg.privacy.epsilon * source_val, cfg.privacy.delta * source_val
             )
             self.p_mechanism = PrivacyParams(
                 cfg.privacy.epsilon * (1.0 - source_val),
                 cfg.privacy.delta * (1.0 - source_val),
             )
+            self.directions = plan_directions_dp(direction_data, p_directions, q.m,
+                                                 bounds=bounds)
         else:
-            self.p_directions = None
             self.p_mechanism = cfg.privacy
+            self.directions = None
         if is_mvg:
             self.theta = parse_theta_spec(theta_spec or cfg.theta_spec, q.m)
         else:
@@ -307,13 +363,7 @@ class _Perturber:
             return laplace_iid_baseline(
                 query_value, self.q, self.p_mechanism.epsilon, self.l1, stream
             )
-        if self.w_fixed is not None:
-            w = self.w_fixed
-        else:
-            w = derive_directions_dp(
-                self.direction_data, self.p_directions, self.q.m, stream,
-                bounds=self.direction_bounds,
-            )
+        w = self.w_fixed if self.directions is None else self.directions.draw(stream)
         if self.kind is MechanismKind.MVG_UNIMODAL:
             result = mvg_unimodal(query_value, self.q, self.p_mechanism,
                                   self.theta, w, stream)
@@ -404,7 +454,13 @@ def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
 
 def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
     num_features = x.shape[0]
-    tau, favored = _binary_parts(cfg.theta_spec)
+    binary = _binary_parts(cfg.theta_spec)
+    if binary is None:
+        raise ConfigError(
+            "the ablation experiment needs a binary allocation "
+            f"(binary:TAU:I,J,...), got {cfg.theta_spec!r}"
+        )
+    tau, favored = binary
     favored = sorted(set(favored))
     complement = [i for i in range(num_features) if i not in favored]
     if not complement:
@@ -422,16 +478,19 @@ def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
     ]
 
 
-def run_experiment(cfg: ExperimentConfig) -> EvalReport | list[EvalReport]:
+def run_experiment(cfg: ExperimentConfig,
+                   data: np.ndarray | None = None) -> EvalReport | list[EvalReport]:
     """Run one configured experiment end to end.
 
-    Loads the dataset, audits it against the declared bounds (aborting before
-    any sampling on a violation), runs the trial loop with per-trial seeds
-    seed, seed+1, ..., and aggregates the metric. The ablation experiment
-    returns one report per direction arm; the others return a single report.
+    Loads the dataset (unless ``data`` already holds it, as
+    :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), audits it
+    against the declared bounds (aborting before any sampling on a
+    violation), runs the trial loop with per-trial seeds seed, seed+1, ...,
+    and aggregates the metric. The ablation experiment returns one report per
+    direction arm; the others return a single report.
     """
-    x, _ = load_csv_matrix(cfg.dataset_path, cfg.csv_has_header)
-    _audit_bounds(x, cfg.bounds)
+    x = load_csv_matrix(cfg.dataset_path, cfg.csv_has_header)[0] if data is None else data
+    audit_bounds(x, cfg.bounds)
     if cfg.experiment is Experiment.REGRESSION:
         return _run_regression(cfg, x)
     if cfg.experiment is Experiment.FIRST_PC:

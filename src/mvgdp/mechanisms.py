@@ -40,7 +40,7 @@ from .budget import (
     precision_budget_unimodal,
     zeta,
 )
-from .design import NoiseDesign, factor_design
+from .design import NoiseDesign
 from .errors import (
     AllocationError,
     ConditionCheckError,
@@ -48,8 +48,8 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .sampling import RandomStream, sample_mvg, sample_standard_matrix
-from .sensitivity import DataBounds, covariance_sensitivity
+from .sampling import RandomStream, color_noise, sample_mvg, sample_standard_matrix
+from .sensitivity import DataBounds, check_within_bounds, covariance_sensitivity
 
 # Floor applied to allocation entries so no direction's noise variance is
 # numerically infinite.
@@ -59,6 +59,9 @@ THETA_FLOOR = 1e-6
 GAMMA_RTOL = 1e-9
 
 _SYMMETRY_TOL = 1e-8
+
+# Standard normals drawn per batch by mvg_verify_characteristic.
+_VERIFY_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,8 @@ def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
             f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
         )
     fro = float(np.linalg.norm(value))
-    if fro > q.gamma * (1.0 + GAMMA_RTOL):
+    # written so a NaN norm fails the check too
+    if not fro <= q.gamma * (1.0 + GAMMA_RTOL):
         raise ContractViolationError(
             f"query value has Frobenius norm {fro:.6g}, exceeding the declared "
             f"gamma = {q.gamma:.6g}; the gamma claim is false and clipping "
@@ -276,24 +280,41 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
     return value + stream.laplace(scale, (q.m, q.n))
 
 
-def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
-                         stream: RandomStream, *, bounds: DataBounds) -> np.ndarray:
-    """Derive noise directions privately from the data's covariance.
+@dataclass(frozen=True)
+class DirectionsPlan:
+    """The fixed part of a private direction derivation.
 
-    Spends the given budget slice on a Gaussian-mechanism perturbation of the
-    sample covariance X X^T / N, then eigendecomposes the (symmetrized)
-    result. Returns the full M x M orthonormal eigenbasis sorted by
-    descending eigenvalue; the first k columns are the principal directions.
-    Eigendecomposition is post-processing, so the slice is the whole cost.
+    Holds the data's sample covariance and the Gaussian-mechanism noise sd
+    for the budget slice; :meth:`draw` is the per-release step. Built by
+    :func:`plan_directions_dp`, so the data is audited and its covariance
+    computed once however many releases draw from it.
+    """
 
-    Args:
-        data: M x N matrix with records as columns.
-        p_fraction: the budget slice to spend, e.g. (0.2*eps, 0.2*delta).
-        k: number of leading directions the caller intends to favor; must
-            not exceed M.
-        stream: random stream for the covariance perturbation.
-        bounds: declared per-entry range; the covariance sensitivity comes
-            from here, never from the data itself.
+    covariance: np.ndarray
+    noise_sd: float
+
+    def draw(self, stream: RandomStream) -> np.ndarray:
+        """Perturb the covariance, symmetrize and eigendecompose it.
+
+        Returns the full M x M orthonormal eigenbasis sorted by descending
+        eigenvalue. Consumes exactly M*M normal draws from ``stream``.
+        """
+        m = self.covariance.shape[0]
+        noisy = self.covariance + self.noise_sd * sample_standard_matrix(stream, m, m)
+        sym = (noisy + noisy.T) / 2.0
+        eigvals, eigvecs = np.linalg.eigh(sym)
+        order = np.argsort(-eigvals, kind="stable")
+        return eigvecs[:, order]
+
+
+def plan_directions_dp(data, p_fraction: PrivacyParams, k: int, *,
+                       bounds: DataBounds) -> DirectionsPlan:
+    """Check the data and fix what every private derivation from it shares.
+
+    Takes the arguments of :func:`derive_directions_dp` except the stream,
+    runs the same checks, and returns the plan whose ``draw(stream)`` equals
+    ``derive_directions_dp(data, p_fraction, k, stream, bounds=bounds)`` bit
+    for bit.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -308,18 +329,33 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
             f"bounds declare {bounds.num_features}x{bounds.num_samples} but the "
             f"data is {num_features}x{num_samples}"
         )
-    if np.any(x < bounds.lo) or np.any(x > bounds.hi):
-        raise ContractViolationError(
-            f"data values fall outside the declared range [{bounds.lo}, {bounds.hi}]"
-        )
-    s2 = covariance_sensitivity(bounds)
-    sigma = gaussian_noise_scale(s2, p_fraction)
-    cov = x @ x.T / num_samples
-    noisy = cov + sigma * sample_standard_matrix(stream, num_features, num_features)
-    sym = (noisy + noisy.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvecs[:, order]
+    check_within_bounds(x, bounds)
+    noise_sd = gaussian_noise_scale(covariance_sensitivity(bounds), p_fraction)
+    return DirectionsPlan(x @ x.T / num_samples, noise_sd)
+
+
+def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
+                         stream: RandomStream, *, bounds: DataBounds) -> np.ndarray:
+    """Derive noise directions privately from the data's covariance.
+
+    Spends the given budget slice on a Gaussian-mechanism perturbation of the
+    sample covariance X X^T / N, then eigendecomposes the (symmetrized)
+    result. Returns the full M x M orthonormal eigenbasis sorted by
+    descending eigenvalue; the first k columns are the principal directions.
+    Eigendecomposition is post-processing, so the slice is the whole cost.
+    Repeated derivations from the same data should build the plan once with
+    :func:`plan_directions_dp` and draw from it.
+
+    Args:
+        data: M x N matrix with records as columns.
+        p_fraction: the budget slice to spend, e.g. (0.2*eps, 0.2*delta).
+        k: number of leading directions the caller intends to favor; must
+            not exceed M.
+        stream: random stream for the covariance perturbation.
+        bounds: declared per-entry range; the covariance sensitivity comes
+            from here, never from the data itself.
+    """
+    return plan_directions_dp(data, p_fraction, k, bounds=bounds).draw(stream)
 
 
 def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesign,
@@ -339,6 +375,10 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         trials (NaN if no trial lands inside the event) and the fraction of
         trials inside the event. Purely diagnostic; a design that violates
         the sufficient condition may still pass, so nothing is asserted here.
+
+    A standard side is read as its singular values and applied by scaling,
+    so a unimodal design's n x n column side is never built: memory is a
+    fixed number of m x n arrays.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
@@ -347,29 +387,26 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
             f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
         )
     m, n = q.m, q.n
-    u = design.w_sigma[:, int(np.argmin(design.lambda_sigma))]
-    v = design.w_psi[:, int(np.argmin(design.lambda_psi))]
+    u = _least_noisy_direction(design.basis_sigma, design.lambda_sigma)
+    v = _least_noisy_direction(design.basis_psi, design.lambda_psi)
     f_x1 = q.gamma * np.outer(u, v)
     delta_q = q.sensitivity * np.outer(u, v)
     f_x2 = f_x1 - delta_q
-
-    sigma_inv = design.sigma_inv()
-    psi_inv = design.psi_inv()
-    b_sigma, b_psi = factor_design(design)
     radius_sq = zeta(p.delta, m, n) ** 2
 
-    # tr[Psi^-1 Y^T Sigma^-1 D] = <Y, Sigma^-1 D Psi^-1>; the second trace
+    # tr[Psi^-1 A^T Sigma^-1 B] = <A, Sigma^-1 B Psi^-1>; the second trace
     # term equals the first by symmetry of the inverses.
-    coupling = sigma_inv @ delta_q @ psi_inv
-    const_term = float(
-        np.trace(psi_inv @ f_x2.T @ sigma_inv @ f_x2)
-        - np.trace(psi_inv @ f_x1.T @ sigma_inv @ f_x1)
-    )
+    coupling = _apply_inverses(design, delta_q)
+    const_term = float(np.vdot(f_x2, _apply_inverses(design, f_x2))
+                       - np.vdot(f_x1, _apply_inverses(design, f_x1)))
+    del delta_q, f_x2
 
     inside = 0
     passed = 0
     remaining = int(trials)
-    chunk = 4096
+    # draw at most about _VERIFY_CHUNK_ENTRIES normals at a time, so memory
+    # stays O(mn) for wide queries; the draw sequence does not depend on it
+    chunk = max(1, _VERIFY_CHUNK_ENTRIES // (m * n))
     while remaining > 0:
         batch = min(chunk, remaining)
         remaining -= batch
@@ -378,11 +415,32 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         in_event = norms_sq <= radius_sq
         if not np.any(in_event):
             continue
-        noise = np.einsum("ab,tbc,dc->tad", b_sigma, draws[in_event], b_psi)
-        outputs = f_x1 + noise
+        outputs = color_noise(design, draws[in_event])
+        outputs += f_x1
         traces = 2.0 * np.einsum("tij,ij->t", outputs, coupling) + const_term
         inside += int(in_event.sum())
         passed += int(np.sum(traces <= 2.0 * p.epsilon))
     r1_rate = inside / trials
     conditional = passed / inside if inside else float("nan")
     return conditional, r1_rate
+
+
+def _least_noisy_direction(basis, lam: np.ndarray) -> np.ndarray:
+    """The unit direction of a design side with the smallest singular value."""
+    k = int(np.argmin(lam))
+    if basis is not None:
+        return basis[:, k]
+    direction = np.zeros(lam.shape[0])
+    direction[k] = 1.0
+    return direction
+
+
+def _apply_inverses(design: NoiseDesign, a: np.ndarray) -> np.ndarray:
+    """Sigma^-1 @ a @ Psi^-1, scaling instead of multiplying on a standard side."""
+    if design.basis_sigma is None:
+        a = a / design.lambda_sigma[:, np.newaxis]
+    else:
+        a = design.sigma_inv() @ a
+    if design.basis_psi is None:
+        return a / design.lambda_psi
+    return a @ design.psi_inv()

@@ -73,7 +73,15 @@ def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:
     With a standard column side, as in a unimodal release, the draw costs
     O(m^2 n) time and O(mn) memory.
     """
-    noise = sample_standard_matrix(stream, design.m, design.n)
+    return color_noise(design, sample_standard_matrix(stream, design.m, design.n))
+
+
+def color_noise(design: NoiseDesign, noise: np.ndarray) -> np.ndarray:
+    """Map standard-normal draws to the design's noise, B_sigma @ N @ B_psi.T.
+
+    ``noise`` is one m x n matrix or a stack of them shaped (..., m, n); a
+    standard side scales it in place, so the caller hands over the array.
+    """
     root_sigma = np.sqrt(design.lambda_sigma)
     root_psi = np.sqrt(design.lambda_psi)
     if design.basis_sigma is None:

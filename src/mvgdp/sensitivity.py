@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ContractViolationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,21 @@ class DataBounds:
     def magnitude(self) -> float:
         """Largest absolute entry value admitted by the range."""
         return max(abs(self.lo), abs(self.hi))
+
+
+def check_within_bounds(x, b: DataBounds) -> None:
+    """Raise ContractViolationError unless every entry of ``x`` lies in
+    [lo, hi].
+
+    Written as ``not (min >= lo and max <= hi)`` so a NaN entry fails: it
+    compares false with both ends.
+    """
+    lo, hi = float(x.min()), float(x.max())
+    if not (lo >= b.lo and hi <= b.hi):
+        raise ContractViolationError(
+            f"data range [{lo:.6g}, {hi:.6g}] escapes the declared bounds "
+            f"[{b.lo}, {b.hi}]; sensitivity and gamma claims would be false"
+        )
 
 
 def identity_sensitivity(b: DataBounds) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvgdp import NoiseDesign, RandomStream, load_dense_csv, sample_mvg
+from mvgdp import NoiseDesign, RandomStream, cli, harness, load_dense_csv, sample_mvg
 from mvgdp.cli import main
 
 
@@ -127,6 +127,17 @@ class TestPerturbCommand:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+    def test_nan_cell_exits_3(self, tmp_path, sign_data):
+        data = np.array(sign_data)
+        data[1, 17] = np.nan
+        out = tmp_path / "o.csv"
+        for query in ("identity", "covariance"):
+            code = main(["perturb", "--input", write_dataset(tmp_path, data),
+                         "--query", query, "--epsilon", "1", "--lo", "-1",
+                         "--hi", "1", "--out", str(out)])
+            assert code == 3
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["perturb", "--input", str(tmp_path / "nope.csv"),
                      "--query", "identity", "--epsilon", "1",
@@ -190,6 +201,31 @@ class TestBenchCommand:
                      "--mechanism", "mvg-equi", "--trials", "2",
                      "--epsilon", "1", "--lo", "-0.1", "--hi", "0.1"])
         assert code == 3
+
+    def test_nan_cell_exits_3(self, tmp_path, sign_data, capfdbinary):
+        data = np.array(sign_data)
+        data[2, 0] = np.nan
+        path = write_dataset(tmp_path, data)
+        assert main(self.bench_args(path)) == 3
+        assert capfdbinary.readouterr().out == b""
+        dp_args = self.bench_args(path) + ["--directions", "dp:0.2"]
+        assert main(dp_args) == 3
+
+    def test_loads_the_dataset_once(self, tmp_path, sign_data, monkeypatch):
+        data = write_dataset(tmp_path, sign_data)
+        calls = []
+
+        def counting(original):
+            def load(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return load
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "load_csv_matrix",
+                                counting(module.load_csv_matrix))
+        assert main(self.bench_args(data) + ["--directions", "dp:0.2"]) == 0
+        assert len(calls) == 1
 
     def test_config_file_supplies_defaults(self, tmp_path, sign_data,
                                            capfdbinary):

@@ -11,16 +11,26 @@ from mvgdp import (
     FormatError,
     MechanismKind,
     PrivacyParams,
+    QueryKind,
+    QuerySpec,
+    RandomStream,
     ReportFormat,
+    covariance_sensitivity,
+    delta_rho,
+    derive_directions_dp,
     emit_report,
     format_significant,
+    gamma_covariance,
     load_csv_matrix,
     load_dense_csv,
+    mean_ci95,
+    mvg_equimodal,
     parse_directions_source,
     parse_theta_spec,
     ridge_regression_rmse,
     run_experiment,
 )
+from mvgdp import harness
 
 
 def write(tmp_path, name, text):
@@ -65,6 +75,70 @@ class TestLoadCsvMatrix:
         path = write(tmp_path, "d.csv", "1,2\n\n3,4\n")
         matrix, _ = load_csv_matrix(path)
         assert matrix.shape == (2, 2)
+
+
+class TestLoaderParity:
+    """The vectorized loader against ``float()`` and the file's own lines."""
+
+    def test_values_bit_identical_to_float(self, tmp_path):
+        cells = [["4.9e-324", "1e-320", "0.12345678901234567"],
+                 ["-0.0", "1.7976931348623157e308", "2.2250738585072014e-308"],
+                 [" 0.30000000000000004 ", '"3.25"', '" -7.5e-5 "']]
+        text = "".join(",".join(row) + "\r\n" for row in cells)
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        matrix, _ = load_csv_matrix(path)
+        expected = np.array([[float(cell.strip().strip('"')) for cell in row]
+                             for row in cells])
+        assert matrix.T.tobytes() == expected.tobytes()
+        assert np.signbit(matrix[0, 1])  # -0.0 keeps its sign
+
+    def test_result_is_transpose_of_c_ordered_records(self, tmp_path):
+        path = write(tmp_path, "d.csv", "1,2,3\n4,5,6\n")
+        matrix, _ = load_csv_matrix(path)
+        assert matrix.T.flags.c_contiguous
+        assert np.array_equal(load_dense_csv(path), matrix.T)
+
+    def test_hash_cell_is_data_not_comment(self, tmp_path):
+        path = write(tmp_path, "h.csv", "1,2\n#3,4\n")
+        with pytest.raises(FormatError, match="line 2, column 1: '#3'"):
+            load_csv_matrix(path)
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        path = write(tmp_path, "u.csv", "1,1_000\n")
+        with pytest.raises(FormatError, match="line 1, column 2"):
+            load_csv_matrix(path)
+
+    def test_bad_cell_after_header_and_blank_lines(self, tmp_path):
+        path = write(tmp_path, "b.csv", "\na,b\n\n1,2\n  \n\n3,x\n4,5\n")
+        with pytest.raises(FormatError, match="line 7, column 2: 'x'"):
+            load_csv_matrix(path, has_header=True)
+
+    def test_ragged_row_after_blank_lines(self, tmp_path):
+        path = write(tmp_path, "r.csv", "1,2\n\n \t\n3,4,5\n")
+        with pytest.raises(FormatError, match="line 4 has 3 cells, expected 2"):
+            load_csv_matrix(path)
+
+    def test_bad_cell_deep_in_file(self, tmp_path):
+        good = "".join(f"{i},{i / 7}\n" for i in range(5000))
+        path = write(tmp_path, "deep.csv", good + "1,nope\n" + good)
+        with pytest.raises(FormatError, match="line 5001, column 2"):
+            load_csv_matrix(path)
+
+    def test_header_width_mismatch(self, tmp_path):
+        path = write(tmp_path, "w.csv", "a,b,c\n\n1,2\n")
+        with pytest.raises(FormatError, match="line 3 has 2 cells, expected 3"):
+            load_csv_matrix(path, has_header=True)
+
+    def test_whitespace_and_empty_cell_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "s.csv", '  \n1,2\n \t \n,\n"", \n3,4\n\n')
+        matrix, _ = load_csv_matrix(path)
+        assert np.array_equal(matrix, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+    def test_header_only_has_no_data(self, tmp_path):
+        path = write(tmp_path, "ho.csv", "a,b\n\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            load_csv_matrix(path, has_header=True)
 
 
 class TestLoadDenseCsv:
@@ -284,6 +358,52 @@ class TestRunExperiment:
         # both runs complete on the same data without drift in sign
         assert r_short.mean >= 0 and r_long.mean >= 0
 
+    def test_dp_directions_replay_bit_for_bit(self, tmp_path):
+        # the harness plans the directions once per run; each trial must
+        # still equal a fresh derive_directions_dp on the trial's stream
+        path, _ = covariance_dataset(tmp_path, n_records=300)
+        bounds = DataBounds(3, 300, -1.0, 1.0)
+        cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
+                          Experiment.FIRST_PC, directions_source="dp:0.2",
+                          theta_spec="binary:0.9:0", trials=4)
+        report = run_experiment(cfg)
+        x, _ = load_csv_matrix(path)
+        s_bar = x @ x.T / 300
+        q = QuerySpec(3, 3, sensitivity=covariance_sensitivity(bounds),
+                      gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
+        p_dir = PrivacyParams(1.0 * 0.2, 0.01 * 0.2)
+        p_mech = PrivacyParams(1.0 * (1.0 - 0.2), 0.01 * (1.0 - 0.2))
+        theta = parse_theta_spec("binary:0.9:0", 3)
+        values = []
+        for t in range(cfg.trials):
+            stream = RandomStream(cfg.seed + t)
+            w = derive_directions_dp(x, p_dir, 3, stream, bounds=bounds)
+            noisy = mvg_equimodal(s_bar, q, p_mech, theta, w, stream).output
+            _, vecs = np.linalg.eigh((noisy + noisy.T) / 2.0)
+            values.append(delta_rho(vecs[:, -1], s_bar))
+        assert report == mean_ci95(values, "delta_rho")
+
+    def test_supplied_data_skips_the_load(self, tmp_path, monkeypatch):
+        path, data = covariance_dataset(tmp_path)
+        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
+        cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
+                          Experiment.FIRST_PC)
+        x, _ = load_csv_matrix(path)
+        expected = run_experiment(cfg)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the dataset was loaded again")
+
+        monkeypatch.setattr(harness, "load_csv_matrix", no_load)
+        assert run_experiment(cfg, data=x) == expected
+
+    def test_nan_cell_fails_the_bounds_audit(self, tmp_path):
+        path = write(tmp_path, "nan.csv", "0.5,0.1\nnan,0.2\n0.3,0.4\n")
+        cfg = base_config(path, DataBounds(2, 3, 0.0, 1.0),
+                          MechanismKind.GAUSSIAN_IID, Experiment.FIRST_PC)
+        with pytest.raises(ContractViolationError, match="nan"):
+            run_experiment(cfg)
+
     def test_bounds_audit_aborts(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -0.5, 0.5)  # data escapes this box
@@ -367,5 +487,13 @@ class TestAblation:
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
         cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
                           Experiment.DIRECTION_ABLATION, theta_spec="uniform")
-        with pytest.raises(ConfigError, match="binary"):
+        with pytest.raises(ConfigError, match="needs a binary allocation"):
+            run_experiment(cfg)
+
+    def test_malformed_binary_spec(self, tmp_path):
+        path, data = covariance_dataset(tmp_path)
+        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
+        cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
+                          Experiment.DIRECTION_ABLATION, theta_spec="binary:0.9")
+        with pytest.raises(ConfigError, match="binary:TAU:I,J"):
             run_experiment(cfg)

@@ -28,6 +28,7 @@ from mvgdp import (
     sample_mvg,
     sample_standard_matrix,
 )
+from mvgdp.mechanisms import plan_directions_dp
 
 
 class TestPrecisionAllocation:
@@ -100,6 +101,14 @@ class TestUnimodal:
                               RandomStream(123))
         replay = sample_mvg(RandomStream(123), result.design)
         assert np.array_equal(result.output, replay)
+
+    def test_nan_query_value_rejected(self):
+        value = np.zeros((3, 4))
+        value[2, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            mvg_unimodal(value, unit_query(3, 4), self.p,
+                         PrecisionAllocation.uniform(3), np.eye(3),
+                         RandomStream(0))
 
     def test_wide_release_memory_stays_linear_in_records(self):
         # a dense n x n column basis would need 80 GB at this width
@@ -203,6 +212,13 @@ class TestEquimodal:
             mvg_equimodal(np.zeros((2, 3)), q, self.p,
                           PrecisionAllocation.uniform(2), np.eye(2),
                           RandomStream(0))
+
+    def test_nan_query_value_rejected(self):
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=2.0)
+        value = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ContractViolationError):
+            mvg_equimodal(value, q, self.p, PrecisionAllocation.uniform(2),
+                          np.eye(2), RandomStream(0))
 
     def test_asymmetric_input_warns(self):
         q = QuerySpec(2, 2, sensitivity=1.0, gamma=2.0)
@@ -320,6 +336,25 @@ class TestDeriveDirectionsDp:
             derive_directions_dp(data, PrivacyParams(1.0, 0.1), 4,
                                  RandomStream(0), bounds=bounds)
 
+    def test_nan_cell_rejected(self):
+        data = np.zeros((2, 5))
+        data[1, 3] = np.nan
+        bounds = DataBounds(2, 5, -1.0, 1.0)
+        with pytest.raises(ContractViolationError):
+            derive_directions_dp(data, PrivacyParams(1.0, 0.1), 2,
+                                 RandomStream(0), bounds=bounds)
+
+    def test_plan_draw_matches_derive(self):
+        rng = np.random.default_rng(6)
+        data = rng.uniform(-1, 1, (4, 80))
+        bounds = DataBounds(4, 80, -1.0, 1.0)
+        p = PrivacyParams(0.4, 0.05)
+        plan = plan_directions_dp(data, p, 2, bounds=bounds)
+        for seed in (0, 1, 2):
+            derived = derive_directions_dp(data, p, 2, RandomStream(seed),
+                                           bounds=bounds)
+            assert np.array_equal(plan.draw(RandomStream(seed)), derived)
+
     def test_out_of_bounds_data_rejected(self):
         data = np.full((2, 5), 3.0)
         bounds = DataBounds(2, 5, -1.0, 1.0)
@@ -355,6 +390,39 @@ class TestVerifyCharacteristic:
             self.q, self.p, bad, 500, RandomStream(1))
         assert 0.0 <= conditional <= 1.0
         assert 0.0 <= r1 <= 1.0
+
+    def test_wide_standard_side_memory_stays_linear(self):
+        # reads the standard column side as its lambda only: one dense
+        # n x n inverse or factor would need 80 GB at this width
+        m, n = 2, 100_000
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
+        design = mvg_unimodal(np.zeros((m, n)), q, self.p,
+                              PrecisionAllocation.uniform(m), np.eye(m),
+                              RandomStream(3)).design
+        assert design.basis_psi is None
+        tracemalloc.start()
+        try:
+            conditional, r1 = mvg_verify_characteristic(q, self.p, design, 5,
+                                                        RandomStream(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conditional == 1.0 and r1 == 1.0
+        assert peak <= 10 * m * n * 8  # a handful of m x n arrays
+
+    def test_standard_sides_match_explicit_identities(self):
+        # off the saturating point the pass rate lies strictly inside (0, 1)
+        # and moves with every singular value
+        rng = np.random.default_rng(8)
+        lam_s, lam_p = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 4)
+        standard = NoiseDesign(None, lam_s, None, lam_p)
+        explicit = NoiseDesign(np.eye(3), lam_s, np.eye(4), lam_p)
+        for seed in (1, 2):
+            got = mvg_verify_characteristic(self.q, self.p, standard, 300,
+                                            RandomStream(seed))
+            assert got == mvg_verify_characteristic(self.q, self.p, explicit,
+                                                    300, RandomStream(seed))
+            assert 0.0 < got[0] < 1.0
 
     def test_trials_validation(self):
         with pytest.raises(DomainError):
