@@ -171,7 +171,11 @@ def alpha_beta(q: QuerySpec, p: PrivacyParams) -> tuple[float, float]:
     beta  = 2 * (mn)^(1/4) * H_r * s2 * zeta(delta)
     """
     h_r, h_r_half = harmonic_numbers(q.r)
-    z = zeta(p.delta, q.m, q.n)
+    return _alpha_beta(q, h_r, h_r_half, zeta(p.delta, q.m, q.n))
+
+
+def _alpha_beta(q: QuerySpec, h_r: float, h_r_half: float,
+                z: float) -> tuple[float, float]:
     alpha = (h_r + h_r_half) * q.gamma ** 2 + 2.0 * h_r * q.gamma * q.sensitivity
     beta = 2.0 * (q.m * q.n) ** 0.25 * h_r * q.sensitivity * z
     return alpha, beta
@@ -214,7 +218,7 @@ def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> Cond
 def _report(q: QuerySpec, p: PrivacyParams, mode: BudgetMode) -> BudgetReport:
     h_r, h_r_half = harmonic_numbers(q.r)
     z = zeta(p.delta, q.m, q.n)
-    alpha, beta = alpha_beta(q, p)
+    alpha, beta = _alpha_beta(q, h_r, h_r_half, z)
     phi = phi_bound(alpha, beta, p.epsilon)
     if mode is BudgetMode.UNIMODAL:
         budget = phi ** 4 / q.n

@@ -22,7 +22,6 @@ import numpy as np
 
 from .budget import (
     PrivacyParams,
-    QueryKind,
     QuerySpec,
     precision_budget_equimodal,
     precision_budget_unimodal,
@@ -42,24 +41,18 @@ from .harness import (
     Experiment,
     ExperimentConfig,
     MechanismKind,
+    MechanismPlan,
     ReportFormat,
     audit_bounds,
+    covariance_query,
     emit_report,
+    identity_query,
     load_csv_matrix,
     load_dense_csv,
-    parse_directions_source,
-    parse_theta_spec,
     run_experiment,
 )
-from .mechanisms import derive_directions_dp, mvg_equimodal, mvg_unimodal
 from .sampling import RandomStream, sample_mvg
-from .sensitivity import (
-    DataBounds,
-    covariance_sensitivity,
-    gamma_covariance,
-    gamma_identity,
-    identity_sensitivity,
-)
+from .sensitivity import DataBounds
 
 _CONFIG_ERRORS = (DomainError, ShapeError, AllocationError, DegenerateDesignError,
                   FormatError, ConfigError)
@@ -107,34 +100,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _perturb_once(x, query: str, p: PrivacyParams, bounds: DataBounds,
-                  theta_spec: str, directions: str, stream: RandomStream):
-    if query == "identity":
-        q = QuerySpec(bounds.num_features, bounds.num_samples,
-                      sensitivity=identity_sensitivity(bounds),
-                      gamma=gamma_identity(bounds), kind=QueryKind.IDENTITY)
-        value = x
-    else:
-        q = QuerySpec(bounds.num_features, bounds.num_features,
-                      sensitivity=covariance_sensitivity(bounds),
-                      gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
-        value = x @ x.T / bounds.num_samples
-    theta = parse_theta_spec(theta_spec, q.m)
-    tag, val = parse_directions_source(directions)
-    p_mech = p
-    if tag == "standard":
-        w = np.eye(q.m)
-    elif tag == "file":
-        w = load_dense_csv(val)
-    else:
-        p_dir = PrivacyParams(p.epsilon * val, p.delta * val)
-        p_mech = PrivacyParams(p.epsilon * (1 - val), p.delta * (1 - val))
-        w = derive_directions_dp(x, p_dir, q.m, stream, bounds=bounds)
-    if query == "identity":
-        return mvg_unimodal(value, q, p_mech, theta, w, stream)
-    return mvg_equimodal(value, q, p_mech, theta, w, stream)
-
-
 def _cmd_perturb(args) -> int:
     x, _ = load_csv_matrix(args.input, args.has_header)
     num_features, num_samples = x.shape
@@ -142,13 +107,18 @@ def _cmd_perturb(args) -> int:
     audit_bounds(x, bounds)
     delta = args.delta if args.delta is not None else 1.0 / num_samples
     p = PrivacyParams(args.epsilon, delta)
-    stream = RandomStream(args.seed)
-    result = _perturb_once(x, args.query, p, bounds, args.theta,
-                           args.directions, stream)
     if args.query == "identity":
-        _write_csv(args.out, result.output.T)  # back to rows-as-records
+        q, value, mechanism = identity_query(bounds), x, MechanismKind.MVG_UNIMODAL
     else:
-        _write_csv(args.out, result.output)
+        q, value = covariance_query(bounds), x @ x.T / num_samples
+        mechanism = MechanismKind.MVG_EQUIMODAL
+    plan = MechanismPlan(mechanism, q, value, p, args.theta, args.directions,
+                         bounds, direction_data=x)
+    output = plan.draw([RandomStream(args.seed)])[0]
+    if args.query == "identity":
+        _write_csv(args.out, output.T)  # back to rows-as-records
+    else:
+        _write_csv(args.out, output)
     return 0
 
 

@@ -31,13 +31,16 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def _check_orthonormal(w: np.ndarray, name: str) -> None:
-    if w.shape[0] != w.shape[1]:
+def check_orthonormal(w: np.ndarray, name: str) -> None:
+    """Check a square basis, or a stack of them shaped (..., m, m), for
+    orthonormal columns."""
+    if w.shape[-2] != w.shape[-1]:
         raise ShapeError(f"{name} must be square, got {w.shape}")
-    if w.shape[0] < 1:
+    if w.shape[-1] < 1:
         raise ShapeError(f"{name} must have at least one row")
-    gram = w.T @ w
-    dev = np.max(np.abs(gram - np.eye(w.shape[0])))
+    gram = np.swapaxes(w, -1, -2) @ w
+    gram -= np.eye(w.shape[-1])
+    dev = np.max(np.abs(gram, out=gram))
     if dev > ORTHONORMALITY_TOL:
         raise DegenerateDesignError(
             f"{name} is not orthonormal: max |W^T W - I| = {dev:.3e} "
@@ -57,7 +60,7 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
             raise ShapeError(f"lambda_{side} must have at least one entry")
         return None
     w = _as_matrix(basis, f"w_{side}")
-    _check_orthonormal(w, f"w_{side}")
+    check_orthonormal(w, f"w_{side}")
     if lam.shape[0] != w.shape[0]:
         raise ShapeError(
             f"lambda_{side} has length {lam.shape[0]}, expected {w.shape[0]}"
@@ -96,7 +99,12 @@ class NoiseDesign:
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
         lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
         basis_s = _check_side(self.basis_sigma, lam_s, "sigma")
-        basis_p = _check_side(self.basis_psi, lam_p, "psi")
+        if self.basis_psi is self.basis_sigma and lam_p.shape == lam_s.shape:
+            # one basis on both sides, as in an equi-modal design: the psi
+            # side's checks are the sigma side's, so they run once
+            basis_p = basis_s
+        else:
+            basis_p = _check_side(self.basis_psi, lam_p, "psi")
         for name, lam in (("lambda_sigma", lam_s), ("lambda_psi", lam_p)):
             if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
                 raise DegenerateDesignError(

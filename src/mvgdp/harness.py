@@ -16,15 +16,22 @@ experiment archetypes are provided plus a direction-ablation sweep:
   declared favored set, its complement, and a uniform allocation), emitting
   one report per arm.
 
-A run does its fixed work once and then only draws per trial: the CSV is
-parsed in one vectorized pass (or handed in by a caller that already loaded
-it, as the CLI does), audited against the declared bounds once, and the
-mechanism dispatch, allocation and directions are fixed before the first
-trial; for ``dp:F`` directions that includes the direction data's audit and
-covariance, so a trial only perturbs and eigendecomposes it.
+A run (or ablation arm) plans once and then only draws: the CSV is parsed
+in one vectorized pass (or handed in by a caller that already loaded it, as
+the CLI does) and audited against the declared bounds once, and a
+:class:`MechanismPlan` fixes the budget split, the allocation, the
+directions and, for an MVG mechanism, its :class:`ReleasePlan`: the
+validated query value, the budget and the one privacy-condition check. For
+``dp:F`` directions the plan also holds the direction data's audit and
+covariance. The trials are then drawn in chunks, each one stack of at most
+``mechanisms.CHUNK_ENTRIES`` entries per temporary: the plan draws the chunk's
+releases as one (T, m, n) stack, and the first-PC metric eigendecomposes
+the stack with one batched ``eigh`` and scores it against a top eigenvalue
+taken once per run.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t, so an
-identical configuration yields byte-identical reports.
+identical configuration yields byte-identical reports, equal bit for bit to
+a replay of the single-release library calls trial by trial.
 """
 
 from __future__ import annotations
@@ -40,20 +47,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import PrivacyParams, QueryKind, QuerySpec, check_condition
-from .errors import ConditionCheckError, ConfigError, FormatError
-# derive_directions_dp is not called here (see _Perturber); the name stays
-# importable from this module because perfbench/tracing.py patches it here.
+# check_condition, derive_directions_dp, mvg_equimodal, mvg_unimodal and
+# delta_rho are not called here (MechanismPlan plans each run once); the
+# names stay importable from this module because perfbench/tracing.py
+# patches them here.
+from .budget import (  # noqa: F401
+    PrivacyParams,
+    QueryKind,
+    QuerySpec,
+    check_condition,
+)
+from .errors import ConfigError, FormatError, ShapeError
 from .mechanisms import (  # noqa: F401
     PrecisionAllocation,
     derive_directions_dp,
-    gaussian_iid_baseline,
-    laplace_iid_baseline,
+    gaussian_noise_scale,
     mvg_equimodal,
     mvg_unimodal,
     plan_directions_dp,
+    plan_equimodal,
+    plan_unimodal,
+    standard_normal_stacks,
+    trials_per_chunk,
 )
-from .metrics import EvalReport, delta_rho, mean_ci95, ridge_regression_rmse, rss
+from .metrics import (  # noqa: F401
+    DeltaRho,
+    EvalReport,
+    delta_rho,
+    mean_ci95,
+    ridge_regression_rmse,
+    rss,
+)
 from .sampling import RandomStream
 from .sensitivity import (
     DataBounds,
@@ -298,90 +322,123 @@ def audit_bounds(x: np.ndarray, bounds: DataBounds) -> None:
     check_within_bounds(x, bounds)
 
 
-class _Perturber:
-    """Per-experiment mechanism dispatch, fixed once per run.
+def identity_query(bounds: DataBounds) -> QuerySpec:
+    """The identity query on a dataset with the given bounds."""
+    return QuerySpec(bounds.num_features, bounds.num_samples,
+                     sensitivity=identity_sensitivity(bounds),
+                     gamma=gamma_identity(bounds), kind=QueryKind.IDENTITY)
 
-    Everything a trial does not change is done here once: budget split,
-    allocation, fixed directions, and for ``dp:F`` directions the audit of
-    the direction data and its covariance (``plan_directions_dp``). Each
-    call then only draws. The harness calls the plan's draw rather than
-    ``derive_directions_dp``, which would redo that work every trial; the
-    two give the same bits.
+
+def covariance_query(bounds: DataBounds) -> QuerySpec:
+    """The covariance query X X^T / N on a dataset with the given bounds."""
+    return QuerySpec(bounds.num_features, bounds.num_features,
+                     sensitivity=covariance_sensitivity(bounds),
+                     gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
+
+
+class MechanismPlan:
+    """One mechanism releasing one fixed query value, planned once.
+
+    Everything a trial does not change is done here, once per run (or
+    ablation arm): the budget split, the allocation, the directions, and
+    for an MVG mechanism its :class:`ReleasePlan`, whose one condition
+    check covers every trial. For ``dp:F`` directions that includes the
+    direction data's audit and covariance (``plan_directions_dp``).
+    :meth:`draw` is then the only per-trial step.
+
+    Args:
+        mechanism: which mechanism releases the value.
+        q: the query spec.
+        value: the query value released by every trial.
+        privacy: the whole (epsilon, delta) budget of one release.
+        theta_spec: the allocation, as :func:`parse_theta_spec` reads it.
+        directions_source: ``standard``, ``dp:F`` or a basis CSV path.
+        bounds: the declared bounds of ``direction_data``.
+        direction_data: the records ``dp:F`` directions are derived from.
     """
 
-    def __init__(self, cfg: ExperimentConfig, q: QuerySpec, bounds: DataBounds,
-                 direction_data: np.ndarray | None,
-                 theta_spec: str | None = None):
-        self.cfg = cfg
+    def __init__(self, mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
+                 privacy: PrivacyParams, theta_spec: str, directions_source: str,
+                 bounds: DataBounds, direction_data: np.ndarray):
+        self.kind = mechanism
         self.q = q
-        self.kind = cfg.mechanism
-        source_tag, source_val = parse_directions_source(cfg.directions_source)
-        is_mvg = self.kind in (MechanismKind.MVG_UNIMODAL, MechanismKind.MVG_EQUIMODAL)
+        self.trials_per_chunk = trials_per_chunk(q.m, q.n)
+        source_tag, source_val = parse_directions_source(directions_source)
+        is_mvg = mechanism in (MechanismKind.MVG_UNIMODAL, MechanismKind.MVG_EQUIMODAL)
         if not is_mvg and source_tag != "standard":
             raise ConfigError(
-                f"directions {cfg.directions_source!r} apply only to MVG "
-                "mechanisms"
+                f"directions {directions_source!r} apply only to MVG mechanisms"
             )
-        if self.kind is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
+        if mechanism is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
             raise ConfigError(
                 f"equi-modal noise needs a square query, but this experiment's "
                 f"query is {q.m}x{q.n}"
             )
         if source_tag == "dp":
             p_directions = PrivacyParams(
-                cfg.privacy.epsilon * source_val, cfg.privacy.delta * source_val
+                privacy.epsilon * source_val, privacy.delta * source_val
             )
-            self.p_mechanism = PrivacyParams(
-                cfg.privacy.epsilon * (1.0 - source_val),
-                cfg.privacy.delta * (1.0 - source_val),
+            privacy = PrivacyParams(
+                privacy.epsilon * (1.0 - source_val),
+                privacy.delta * (1.0 - source_val),
             )
-            self.directions = plan_directions_dp(direction_data, p_directions, q.m,
-                                                 bounds=bounds)
+            w = plan_directions_dp(direction_data, p_directions, q.m, bounds=bounds)
+        elif source_tag == "file":
+            w = load_dense_csv(source_val)
         else:
-            self.p_mechanism = cfg.privacy
-            self.directions = None
-        if is_mvg:
-            self.theta = parse_theta_spec(theta_spec or cfg.theta_spec, q.m)
+            w = np.eye(q.m)
+        if mechanism is MechanismKind.MVG_UNIMODAL:
+            self.release = plan_unimodal(value, q, privacy,
+                                         parse_theta_spec(theta_spec, q.m), w)
+        elif mechanism is MechanismKind.MVG_EQUIMODAL:
+            self.release = plan_equimodal(value, q, privacy,
+                                          parse_theta_spec(theta_spec, q.m), w)
         else:
-            self.theta = None
-        if source_tag == "file":
-            self.w_fixed = load_dense_csv(source_val)
-        elif source_tag == "standard":
-            self.w_fixed = np.eye(q.m)
-        else:
-            self.w_fixed = None
-        if self.kind is MechanismKind.LAPLACE_IID:
-            if q.kind is QueryKind.COVARIANCE:
-                self.l1 = covariance_sensitivity_l1(bounds)
+            if value.shape != (q.m, q.n):
+                raise ShapeError(
+                    f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
+                )
+            self.value = value
+            if mechanism is MechanismKind.GAUSSIAN_IID:
+                self.scale = gaussian_noise_scale(q.sensitivity, privacy)
+            elif q.kind is QueryKind.COVARIANCE:
+                self.scale = covariance_sensitivity_l1(bounds) / privacy.epsilon
             else:
-                self.l1 = identity_sensitivity_l1(bounds)
+                self.scale = identity_sensitivity_l1(bounds) / privacy.epsilon
 
-    def __call__(self, query_value: np.ndarray, stream: RandomStream) -> np.ndarray:
+    def draw(self, streams) -> np.ndarray:
+        """One perturbed value per stream, stacked to (T, m, n).
+
+        Each trial has the bits of the single-release library call on its
+        stream: ``mvg_*`` (after ``derive_directions_dp`` for ``dp:F``),
+        ``gaussian_iid_baseline`` or ``laplace_iid_baseline``.
+        """
         if self.kind is MechanismKind.GAUSSIAN_IID:
-            return gaussian_iid_baseline(query_value, self.q, self.p_mechanism, stream)
-        if self.kind is MechanismKind.LAPLACE_IID:
-            return laplace_iid_baseline(
-                query_value, self.q, self.p_mechanism.epsilon, self.l1, stream
-            )
-        w = self.w_fixed if self.directions is None else self.directions.draw(stream)
-        if self.kind is MechanismKind.MVG_UNIMODAL:
-            result = mvg_unimodal(query_value, self.q, self.p_mechanism,
-                                  self.theta, w, stream)
+            (noisy,) = standard_normal_stacks(streams, [(self.q.m, self.q.n)])
+            noisy *= self.scale
+        elif self.kind is MechanismKind.LAPLACE_IID:
+            noisy = np.stack([stream.laplace(self.scale, (self.q.m, self.q.n))
+                              for stream in streams])
         else:
-            result = mvg_equimodal(query_value, self.q, self.p_mechanism,
-                                   self.theta, w, stream)
-        holds, lhs, rhs = check_condition(result.design, self.q, self.p_mechanism)
-        if not holds:
-            raise ConditionCheckError(
-                f"trial design failed the privacy condition audit "
-                f"(lhs={lhs:.12g}, rhs={rhs:.12g})"
-            )
-        return result.output
+            return self.release.draw(streams)
+        noisy += self.value
+        return noisy
 
 
-def _trial_seeds(cfg: ExperimentConfig):
-    for t in range(cfg.trials):
-        yield RandomStream((cfg.seed + t) % _SEED_MOD)
+def _plan_mechanism(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
+                    bounds: DataBounds, direction_data: np.ndarray,
+                    theta_spec: str | None = None) -> MechanismPlan:
+    return MechanismPlan(cfg.mechanism, q, value, cfg.privacy,
+                         theta_spec or cfg.theta_spec, cfg.directions_source,
+                         bounds, direction_data)
+
+
+def _trial_chunks(cfg: ExperimentConfig, plan: MechanismPlan):
+    """Trial t's stream is seeded seed + t; the streams come in chunks of
+    the plan's ``trials_per_chunk``, each stacked by one draw."""
+    for start in range(0, cfg.trials, plan.trials_per_chunk):
+        stop = min(start + plan.trials_per_chunk, cfg.trials)
+        yield [RandomStream((cfg.seed + t) % _SEED_MOD) for t in range(start, stop)]
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
@@ -398,57 +455,48 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
         )
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
-    q = QuerySpec(num_rows, n_train,
-                  sensitivity=identity_sensitivity(train_bounds),
-                  gamma=gamma_identity(train_bounds),
-                  kind=QueryKind.IDENTITY)
-    perturb = _Perturber(cfg, q, train_bounds, direction_data=train)
+    plan = _plan_mechanism(cfg, identity_query(train_bounds), train, train_bounds,
+                           direction_data=train)
     values = []
-    for stream in _trial_seeds(cfg):
-        noisy = perturb(train, stream)
-        rmse = ridge_regression_rmse(
-            (noisy[:-1], noisy[-1]), (test[:-1], test[-1]), cfg.ridge_reg
-        )
-        values.append(rmse)
+    for streams in _trial_chunks(cfg, plan):
+        for noisy in plan.draw(streams):
+            values.append(ridge_regression_rmse(
+                (noisy[:-1], noisy[-1]), (test[:-1], test[-1]), cfg.ridge_reg
+            ))
     return mean_ci95(values, "RMSE")
-
-
-def _top_direction(estimate: np.ndarray) -> np.ndarray:
-    sym = (estimate + estimate.T) / 2.0
-    _, vecs = np.linalg.eigh(sym)
-    return vecs[:, -1]
 
 
 def _run_firstpc(cfg: ExperimentConfig, x: np.ndarray,
                  theta_spec: str | None = None,
                  metric_name: str = "delta_rho") -> EvalReport:
-    num_features, num_records = x.shape
-    s_bar = x @ x.T / num_records
-    q = QuerySpec(num_features, num_features,
-                  sensitivity=covariance_sensitivity(cfg.bounds),
-                  gamma=gamma_covariance(cfg.bounds),
-                  kind=QueryKind.COVARIANCE)
-    perturb = _Perturber(cfg, q, cfg.bounds, direction_data=x, theta_spec=theta_spec)
+    s_bar = x @ x.T / x.shape[1]
+    gap = DeltaRho(s_bar)
+    plan = _plan_mechanism(cfg, covariance_query(cfg.bounds), s_bar, cfg.bounds,
+                           direction_data=x, theta_spec=theta_spec)
     values = []
-    for stream in _trial_seeds(cfg):
-        noisy = perturb(s_bar, stream)
-        values.append(delta_rho(_top_direction(noisy), s_bar))
+    for streams in _trial_chunks(cfg, plan):
+        values.extend(gap(_top_directions(plan.draw(streams))))
     return mean_ci95(values, metric_name)
 
 
+def _top_directions(noisy: np.ndarray) -> np.ndarray:
+    """The top eigenvector of each symmetrized estimate in a (T, m, m)
+    stack, as the rows of a (T, m) array; one batched ``eigh``."""
+    sym = noisy + np.swapaxes(noisy, -1, -2)
+    del noisy
+    sym /= 2.0
+    return np.linalg.eigh(sym)[1][..., -1]
+
+
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
-    num_features, num_records = x.shape
+    num_records = x.shape[1]
     s_bar = x @ x.T / num_records
-    q = QuerySpec(num_features, num_records,
-                  sensitivity=identity_sensitivity(cfg.bounds),
-                  gamma=gamma_identity(cfg.bounds),
-                  kind=QueryKind.IDENTITY)
-    perturb = _Perturber(cfg, q, cfg.bounds, direction_data=x)
+    plan = _plan_mechanism(cfg, identity_query(cfg.bounds), x, cfg.bounds,
+                           direction_data=x)
     values = []
-    for stream in _trial_seeds(cfg):
-        noisy = perturb(x, stream)
-        s_tilde = noisy @ noisy.T / num_records
-        values.append(rss(s_tilde, s_bar))
+    for streams in _trial_chunks(cfg, plan):
+        for noisy in plan.draw(streams):
+            values.append(rss(noisy @ noisy.T / num_records, s_bar))
     return mean_ci95(values, "RSS")
 
 

@@ -28,11 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .budget import (
+    BudgetMode,
     BudgetReport,
+    ConditionCheck,
     PrivacyParams,
     QuerySpec,
     check_condition,
@@ -40,7 +43,7 @@ from .budget import (
     precision_budget_unimodal,
     zeta,
 )
-from .design import NoiseDesign
+from .design import NoiseDesign, check_orthonormal
 from .errors import (
     AllocationError,
     ConditionCheckError,
@@ -48,7 +51,13 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .sampling import RandomStream, color_noise, sample_mvg, sample_standard_matrix
+# sample_mvg is not called here; perfbench/tracing.py patches the name here.
+from .sampling import (  # noqa: F401
+    RandomStream,
+    color_noise,
+    sample_mvg,
+    sample_standard_matrix,
+)
 from .sensitivity import DataBounds, check_within_bounds, covariance_sensitivity
 
 # Floor applied to allocation entries so no direction's noise variance is
@@ -62,6 +71,12 @@ _SYMMETRY_TOL = 1e-8
 
 # Standard normals drawn per batch by mvg_verify_characteristic.
 _VERIFY_CHUNK_ENTRIES = 1 << 16
+
+# Entries of the largest stack a batched draw builds: 4096 float64, 32 KiB
+# per temporary, well under glibc malloc's 128 KiB mmap threshold. Larger
+# chunks raised a long dp-directions run's peak RSS in an earlier version;
+# this size keeps a run's working memory to a few hundred KiB.
+CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -148,12 +163,10 @@ def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
     return value
 
 
-def _assert_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> None:
-    holds, lhs, rhs = check_condition(design, q, p)
-    if not holds:
-        raise ConditionCheckError(
-            f"constructed design violates the privacy condition "
-            f"(lhs={lhs:.12g} > rhs={rhs:.12g}); this is a bug"
+def _check_allocation(theta: PrecisionAllocation, q: QuerySpec) -> None:
+    if len(theta) != q.m:
+        raise AllocationError(
+            f"theta has {len(theta)} entries but the query has {q.m} rows"
         )
 
 
@@ -161,6 +174,158 @@ def _directional_lambdas(theta: PrecisionAllocation, budget: float) -> np.ndarra
     # Each direction's noise variance is the inverse square root of its
     # precision share, so the inverse-variance total spends the budget exactly.
     return 1.0 / np.sqrt(theta.theta * budget)
+
+
+def trials_per_chunk(m: int, n: int) -> int:
+    """Trials drawn together so no (T, m, m) or (T, m, n) stack of a chunk
+    exceeds ``CHUNK_ENTRIES``; at least one."""
+    return max(1, CHUNK_ENTRIES // (m * max(m, n)))
+
+
+def standard_normal_stacks(streams, shapes) -> list[np.ndarray]:
+    """Draw one standard-normal matrix of each shape from every stream.
+
+    Each stream gives its draws in the order of ``shapes``, through
+    :func:`sample_standard_matrix`, so trial t consumes exactly what a
+    single release on its stream would. Returns one (T, *shape) stack per
+    shape.
+    """
+    stacks = [np.empty((len(streams),) + tuple(shape)) for shape in shapes]
+    for t, stream in enumerate(streams):
+        for stack in stacks:
+            stack[t] = sample_standard_matrix(stream, *stack.shape[1:])
+    return stacks
+
+
+class _DrawnDesigns(NamedTuple):
+    """The designs of a chunk of trials whose row bases were drawn per
+    trial, in the form :func:`color_noise` reads."""
+
+    basis_sigma: np.ndarray
+    lambda_sigma: np.ndarray
+    basis_psi: np.ndarray | None
+    lambda_psi: np.ndarray
+
+
+@dataclass(frozen=True)
+class ReleasePlan:
+    """Everything an MVG release fixes before it draws.
+
+    Built once by :func:`plan_unimodal` or :func:`plan_equimodal`, which
+    validate the query value, compute the budget, build the design and run
+    the privacy condition. The condition reads only the singular values, q
+    and p, so its one verdict holds for every trial, including trials whose
+    directions are drawn. :meth:`draw` is the per-trial step.
+
+    Attributes:
+        value: the validated m x n query value.
+        query: the query spec.
+        budget: the precision-budget report.
+        design: the noise design. With ``directions`` set, its bases are
+            ``None`` and only its singular values are used; each trial
+            draws its own row basis (and column basis, if equi-modal).
+        condition: the privacy condition's check of the design.
+        directions: the private direction derivation the trials draw from,
+            or ``None`` when the bases are fixed.
+    """
+
+    value: np.ndarray
+    query: QuerySpec
+    budget: BudgetReport
+    design: NoiseDesign
+    condition: ConditionCheck
+    directions: DirectionsPlan | None = None
+
+    def draw(self, streams) -> np.ndarray:
+        """Release the query once per stream, stacked to (T, m, n).
+
+        Trial t's draws all come from ``streams[t]``, in the order a single
+        release makes them: the direction noise first (M*M normals, when
+        the directions are drawn), then m*n normals for the mechanism. Each
+        trial's output has the bits of a release made on its own; keep
+        ``len(streams)`` within :func:`trials_per_chunk` to bound memory.
+        """
+        m, n = self.query.m, self.query.n
+        design = self.design
+        if self.directions is None:
+            (noise,) = standard_normal_stacks(streams, [(m, n)])
+        else:
+            direction_noise, noise = standard_normal_stacks(streams, [(m, m), (m, n)])
+            bases = self.directions.bases(direction_noise)
+            del direction_noise
+            check_orthonormal(bases, "w_sigma")
+            equimodal = self.budget.mode is BudgetMode.EQUI_MODAL
+            design = _DrawnDesigns(bases, design.lambda_sigma,
+                                   bases if equimodal else None, design.lambda_psi)
+        output = color_noise(design, noise)
+        output += self.value
+        return output
+
+
+def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams, report: BudgetReport,
+          lam_sigma: np.ndarray, lam_psi: np.ndarray, w_sigma) -> ReleasePlan:
+    directions = None
+    if isinstance(w_sigma, DirectionsPlan):
+        directions, w_sigma = w_sigma, None
+        if directions.covariance.shape != (q.m, q.m):
+            raise ShapeError(
+                f"directions are drawn for {directions.covariance.shape[0]} "
+                f"features but the query has {q.m} rows"
+            )
+    equimodal = report.mode is BudgetMode.EQUI_MODAL
+    design = NoiseDesign(w_sigma, lam_sigma, w_sigma if equimodal else None, lam_psi)
+    condition = check_condition(design, q, p)
+    if not condition.holds:
+        raise ConditionCheckError(
+            f"constructed design violates the privacy condition "
+            f"(lhs={condition.lhs:.12g} > rhs={condition.rhs:.12g}); this is a bug"
+        )
+    return ReleasePlan(value, q, report, design, condition, directions)
+
+
+def plan_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
+                  theta: PrecisionAllocation, w_sigma) -> ReleasePlan:
+    """Plan row-directional, column-i.i.d. releases of one query value.
+
+    Takes :func:`mvg_unimodal`'s arguments except the stream. ``w_sigma``
+    may also be a :class:`DirectionsPlan`, from which each trial draws its
+    own row basis.
+    """
+    value = _validate_query_value(query_value, q)
+    _check_allocation(theta, q)
+    report = precision_budget_unimodal(q, p)
+    lam_sigma = _directional_lambdas(theta, report.precision_budget)
+    return _plan(value, q, p, report, lam_sigma, np.ones(q.n), w_sigma)
+
+
+def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
+                   theta: PrecisionAllocation, w_sigma) -> ReleasePlan:
+    """Plan releases of one square query value with identical row and
+    column directional noise.
+
+    Takes :func:`mvg_equimodal`'s arguments except the stream. ``w_sigma``
+    may also be a :class:`DirectionsPlan`, from which each trial draws its
+    own basis for both sides.
+    """
+    if q.m != q.n:
+        raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
+    value = _validate_query_value(query_value, q)
+    _check_allocation(theta, q)
+    asym = float(np.max(np.abs(value - value.T))) if value.size else 0.0
+    if asym > _SYMMETRY_TOL:
+        warnings.warn(
+            f"equi-modal noise is recommended for symmetric queries; the query "
+            f"value deviates from symmetry by {asym:.3e}",
+            stacklevel=2,
+        )
+    report = precision_budget_equimodal(q, p)
+    lam = _directional_lambdas(theta, report.precision_budget)
+    return _plan(value, q, p, report, lam, lam, w_sigma)
+
+
+def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
+    return PerturbResult(output=plan.draw([stream])[0], design=plan.design,
+                         budget=plan.budget, seed=stream.seed)
 
 
 def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
@@ -182,18 +347,10 @@ def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
     The column side of the design is the standard basis with unit singular
     values, stored as its singular values only, so a release costs
     O(m^2 n) time and O(mn) memory: nothing scales as n^2 or n^3.
+    Equivalent to ``plan_unimodal(...).draw([stream])``; repeated releases
+    of one value should plan once and draw per trial.
     """
-    value = _validate_query_value(query_value, q)
-    if len(theta) != q.m:
-        raise AllocationError(
-            f"theta has {len(theta)} entries but the query has {q.m} rows"
-        )
-    report = precision_budget_unimodal(q, p)
-    lam_sigma = _directional_lambdas(theta, report.precision_budget)
-    design = NoiseDesign(w_sigma, lam_sigma, None, np.ones(q.n))
-    _assert_condition(design, q, p)
-    output = value + sample_mvg(stream, design)
-    return PerturbResult(output=output, design=design, budget=report, seed=stream.seed)
+    return _release(plan_unimodal(query_value, q, p, theta, w_sigma), stream)
 
 
 def mvg_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
@@ -202,28 +359,10 @@ def mvg_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
 
     Intended for symmetric queries; a query value that is not symmetric
     within 1e-8 only triggers a warning because the guarantee does not need
-    symmetry, only the utility argument does.
+    symmetry, only the utility argument does. Equivalent to
+    ``plan_equimodal(...).draw([stream])``.
     """
-    if q.m != q.n:
-        raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
-    value = _validate_query_value(query_value, q)
-    if len(theta) != q.m:
-        raise AllocationError(
-            f"theta has {len(theta)} entries but the query has {q.m} rows"
-        )
-    asym = float(np.max(np.abs(value - value.T))) if value.size else 0.0
-    if asym > _SYMMETRY_TOL:
-        warnings.warn(
-            f"equi-modal noise is recommended for symmetric queries; the query "
-            f"value deviates from symmetry by {asym:.3e}",
-            stacklevel=2,
-        )
-    report = precision_budget_equimodal(q, p)
-    lam = _directional_lambdas(theta, report.precision_budget)
-    design = NoiseDesign(w_sigma, lam, w_sigma, lam)
-    _assert_condition(design, q, p)
-    output = value + sample_mvg(stream, design)
-    return PerturbResult(output=output, design=design, budget=report, seed=stream.seed)
+    return _release(plan_equimodal(query_value, q, p, theta, w_sigma), stream)
 
 
 def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
@@ -300,11 +439,28 @@ class DirectionsPlan:
         eigenvalue. Consumes exactly M*M normal draws from ``stream``.
         """
         m = self.covariance.shape[0]
-        noisy = self.covariance + self.noise_sd * sample_standard_matrix(stream, m, m)
-        sym = (noisy + noisy.T) / 2.0
+        return self.bases(sample_standard_matrix(stream, m, m)[np.newaxis])[0]
+
+    def bases(self, noise: np.ndarray) -> np.ndarray:
+        """The eigenbases for a stack (T, M, M) of standard-normal draws.
+
+        Scales ``noise`` in place, so the caller hands over the array. One
+        batched ``eigh`` decomposes the stack, and a stable argsort along
+        the last axis orders each basis's columns by descending eigenvalue;
+        each basis has the bits :meth:`draw` gives for its draw.
+        """
+        noise *= self.noise_sd
+        noise += self.covariance
+        sym = noise + np.swapaxes(noise, -1, -2)
+        sym /= 2.0
         eigvals, eigvecs = np.linalg.eigh(sym)
-        order = np.argsort(-eigvals, kind="stable")
-        return eigvecs[:, order]
+        del sym
+        order = np.argsort(-eigvals, axis=-1, kind="stable")
+        # one basis at a time: np.take_along_axis would build index arrays
+        # four times the stack's size
+        for vecs, columns in zip(eigvecs, order):
+            vecs[:] = vecs[:, columns]
+        return eigvecs
 
 
 def plan_directions_dp(data, p_fraction: PrivacyParams, k: int, *,

@@ -95,12 +95,40 @@ def delta_rho(v, s_bar) -> float:
     Zero exactly when v spans the top eigenspace; tiny negative values from
     floating-point roundoff clamp to zero.
     """
-    mat = _check_symmetric(s_bar, "s_bar")
-    lam1 = float(np.linalg.eigvalsh(mat)[-1])
-    gap = lam1 - captured_variance(v, mat)
-    if _NEGATIVE_DUST <= gap < 0.0:
-        return 0.0
-    return gap
+    return DeltaRho(s_bar)(np.asarray(v, dtype=float).reshape(1, -1))[0]
+
+
+class DeltaRho:
+    """:func:`delta_rho` against one fixed s_bar, for many directions.
+
+    Checks s_bar's symmetry and takes its top eigenvalue once; a call then
+    checks a stack of directions for unit norm at once and scores each
+    with the scalar ``v @ s_bar @ v``, so every value has the bits
+    ``delta_rho(v, s_bar)`` gives.
+    """
+
+    def __init__(self, s_bar):
+        self.s_bar = _check_symmetric(s_bar, "s_bar")
+        self.lam1 = float(np.linalg.eigvalsh(self.s_bar)[-1])
+
+    def __call__(self, vs: np.ndarray) -> list[float]:
+        """The gap for each row of the (T, m) array ``vs``."""
+        mat = self.s_bar
+        norms = np.linalg.norm(vs, axis=1)
+        bad = np.abs(norms - 1.0) > _UNIT_TOL
+        if np.any(bad):
+            raise ContractViolationError(
+                f"v must be a unit vector, got norm {float(norms[bad][0])!r}"
+            )
+        if vs.shape[1] != mat.shape[0]:
+            raise ShapeError(
+                f"v has length {vs.shape[1]}, s_bar is {mat.shape[0]}x{mat.shape[0]}"
+            )
+        gaps = []
+        for v in vs:
+            gap = self.lam1 - float(v @ mat @ v)
+            gaps.append(0.0 if _NEGATIVE_DUST <= gap < 0.0 else gap)
+        return gaps
 
 
 def rss(s_tilde, s_bar) -> float:

@@ -81,6 +81,10 @@ def color_noise(design: NoiseDesign, noise: np.ndarray) -> np.ndarray:
 
     ``noise`` is one m x n matrix or a stack of them shaped (..., m, n); a
     standard side scales it in place, so the caller hands over the array.
+    ``design`` is a :class:`NoiseDesign`, or any object with its four
+    fields whose bases are stacks (..., m, m) and (..., n, n) matching the
+    noise stack, one basis per matrix. A stacked product gives each matrix
+    the bits of the product taken on its own.
     """
     root_sigma = np.sqrt(design.lambda_sigma)
     root_psi = np.sqrt(design.lambda_psi)
@@ -91,4 +95,4 @@ def color_noise(design: NoiseDesign, noise: np.ndarray) -> np.ndarray:
     if design.basis_psi is None:
         noise *= root_psi
         return noise
-    return noise @ (design.basis_psi * root_psi).T
+    return noise @ np.swapaxes(design.basis_psi * root_psi, -1, -2)

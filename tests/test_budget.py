@@ -206,6 +206,27 @@ class TestPrecisionBudgets:
         assert report.precision_budget == pytest.approx(0.03464834591373208, rel=1e-10)
         assert report.mode is BudgetMode.EQUI_MODAL
 
+    @pytest.mark.parametrize("m, n, mode", [
+        (1, 1, BudgetMode.UNIMODAL), (4, 4, BudgetMode.EQUI_MODAL),
+        (21, 1531, BudgetMode.UNIMODAL), (16, 16, BudgetMode.EQUI_MODAL),
+    ])
+    def test_report_fields_equal_the_standalone_formulas(self, m, n, mode):
+        # the report computes H_r and zeta once; every field must still have
+        # the bits of the standalone functions
+        q = QuerySpec(m, n, sensitivity=0.3, gamma=2.5)
+        p = PrivacyParams(0.7, 1e-3)
+        if mode is BudgetMode.UNIMODAL:
+            report = precision_budget_unimodal(q, p)
+        else:
+            report = precision_budget_equimodal(q, p)
+        h_r, h_r_half = harmonic_numbers(min(m, n))
+        alpha, beta = alpha_beta(q, p)
+        phi = phi_bound(alpha, beta, p.epsilon)
+        budget = phi ** 4 / n if mode is BudgetMode.UNIMODAL else phi ** 2
+        assert report == BudgetReport(
+            h_r=h_r, h_r_half=h_r_half, zeta=zeta(p.delta, m, n), alpha=alpha,
+            beta=beta, phi_max=phi, precision_budget=budget, mode=mode)
+
     def test_criterion_7_budget_is_noise_dominated(self):
         bounds = DataBounds(4, 2000, -2.0, 2.0)
         q = QuerySpec(4, 4, sensitivity=covariance_sensitivity(bounds),

@@ -3,7 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from mvgdp import NoiseDesign, RandomStream, cli, harness, load_dense_csv, sample_mvg
+from mvgdp import (
+    DataBounds,
+    NoiseDesign,
+    PrivacyParams,
+    QueryKind,
+    QuerySpec,
+    RandomStream,
+    cli,
+    covariance_sensitivity,
+    derive_directions_dp,
+    gamma_covariance,
+    gamma_identity,
+    harness,
+    identity_sensitivity,
+    load_csv_matrix,
+    load_dense_csv,
+    mvg_equimodal,
+    mvg_unimodal,
+    parse_theta_spec,
+    sample_mvg,
+)
 from mvgdp.cli import main
 
 
@@ -153,6 +173,59 @@ class TestPerturbCommand:
                      "--seed", "5", "--out", str(out)])
         assert code == 0
         assert load_dense_csv(out).shape == (3, 3)
+
+
+def csv_bytes(matrix):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in matrix).encode()
+
+
+class TestPerturbReplay:
+    """``perturb`` output bytes equal a library release with the same seed."""
+
+    def replay(self, path, query, directions):
+        x, _ = load_csv_matrix(path)
+        m, n = x.shape
+        bounds = DataBounds(m, n, -1.0, 1.0)
+        p = PrivacyParams(1.0, 1.0 / n)
+        stream = RandomStream(5)
+        if query == "identity":
+            q = QuerySpec(m, n, sensitivity=identity_sensitivity(bounds),
+                          gamma=gamma_identity(bounds), kind=QueryKind.IDENTITY)
+            value, release = x, mvg_unimodal
+        else:
+            q = QuerySpec(m, m, sensitivity=covariance_sensitivity(bounds),
+                          gamma=gamma_covariance(bounds),
+                          kind=QueryKind.COVARIANCE)
+            value, release = x @ x.T / n, mvg_equimodal
+        if directions == "standard":
+            w = np.eye(m)
+        elif directions.startswith("dp:"):
+            f = float(directions[3:])
+            w = derive_directions_dp(x, PrivacyParams(f * p.epsilon, f * p.delta),
+                                     m, stream, bounds=bounds)
+            p = PrivacyParams(p.epsilon * (1 - f), p.delta * (1 - f))
+        else:
+            w = load_dense_csv(directions)
+        theta = parse_theta_spec("binary:0.9:0,1", m)
+        out = release(value, q, p, theta, w, stream).output
+        return csv_bytes(out.T if query == "identity" else out)
+
+    @pytest.mark.parametrize("query", ["covariance", "identity"])
+    @pytest.mark.parametrize("directions", ["standard", "file", "dp:0.2"])
+    def test_output_bytes_match_a_library_release(self, tmp_path, sign_data,
+                                                  query, directions):
+        data = write_dataset(tmp_path, sign_data)
+        if directions == "file":
+            basis = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+            directions = write_matrix(tmp_path, basis, "w.csv")
+        out = tmp_path / "o.csv"
+        code = main(["perturb", "--input", data, "--query", query,
+                     "--epsilon", "1", "--lo", "-1", "--hi", "1",
+                     "--theta", "binary:0.9:0,1", "--directions", directions,
+                     "--seed", "5", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == self.replay(data, query, directions)
 
 
 class TestBenchCommand:

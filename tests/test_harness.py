@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,21 +19,27 @@ from mvgdp import (
     RandomStream,
     ReportFormat,
     covariance_sensitivity,
+    covariance_sensitivity_l1,
     delta_rho,
     derive_directions_dp,
     emit_report,
     format_significant,
     gamma_covariance,
+    gaussian_iid_baseline,
+    laplace_iid_baseline,
     load_csv_matrix,
     load_dense_csv,
     mean_ci95,
     mvg_equimodal,
+    mvg_unimodal,
     parse_directions_source,
     parse_theta_spec,
     ridge_regression_rmse,
+    rss,
     run_experiment,
 )
-from mvgdp import harness
+from mvgdp import harness, mechanisms
+from mvgdp.mechanisms import trials_per_chunk
 
 
 def write(tmp_path, name, text):
@@ -497,3 +506,176 @@ class TestAblation:
                           Experiment.DIRECTION_ABLATION, theta_spec="binary:0.9")
         with pytest.raises(ConfigError, match="binary:TAU:I,J"):
             run_experiment(cfg)
+
+
+def spread_dataset(tmp_path, m=16, n_records=300, seed=3):
+    # a decaying spectrum in [-1, 1], so the top direction is well defined
+    rng = np.random.default_rng(seed)
+    data = np.linspace(1.0, 0.2, m)[:, None] * rng.uniform(-1.0, 1.0, (m, n_records))
+    path = tmp_path / "spread.csv"
+    np.savetxt(path, data.T, delimiter=",")
+    x, _ = load_csv_matrix(path)
+    return path, x
+
+
+class TestBatchedTrials:
+    """Runs draw their trials in chunks of stacked releases; every report
+    must equal a per-trial replay through the single-release library calls,
+    across chunk boundaries."""
+
+    P = PrivacyParams(1.0, 0.01)
+
+    def firstpc_replay(self, x, bounds, release):
+        s_bar = x @ x.T / x.shape[1]
+        values = []
+        for t in range(40):
+            noisy = release(s_bar, RandomStream(11 + t))
+            _, vecs = np.linalg.eigh((noisy + noisy.T) / 2.0)
+            values.append(delta_rho(vecs[:, -1], s_bar))
+        return mean_ci95(values, "delta_rho")
+
+    @pytest.mark.parametrize("source", ["standard", "file", "dp:0.2", "gauss",
+                                        "laplace"])
+    def test_firstpc_equals_per_trial_replay(self, tmp_path, source):
+        path, x = spread_dataset(tmp_path)
+        bounds = DataBounds(16, 300, -1.0, 1.0)
+        q = harness.covariance_query(bounds)
+        theta = parse_theta_spec("binary:0.9:0,1", 16)
+        # 40 trials of 16 x 16 stacks span three chunks: 16, 16 and 8
+        assert trials_per_chunk(16, 16) == 16
+        mechanism = MechanismKind.MVG_EQUIMODAL
+        directions = "standard"
+        if source == "standard":
+            def release(s_bar, stream):
+                return mvg_equimodal(s_bar, q, self.P, theta, np.eye(16), stream).output
+        elif source == "file":
+            basis = np.linalg.qr(np.random.default_rng(8).standard_normal((16, 16)))[0]
+            directions = str(tmp_path / "w.csv")
+            np.savetxt(directions, basis, delimiter=",")
+            w = load_dense_csv(directions)
+
+            def release(s_bar, stream):
+                return mvg_equimodal(s_bar, q, self.P, theta, w, stream).output
+        elif source == "dp:0.2":
+            directions = source
+            p_dir = PrivacyParams(0.2, 0.01 * 0.2)
+            p_mech = PrivacyParams(1.0 * (1.0 - 0.2), 0.01 * (1.0 - 0.2))
+
+            def release(s_bar, stream):
+                w = derive_directions_dp(x, p_dir, 16, stream, bounds=bounds)
+                return mvg_equimodal(s_bar, q, p_mech, theta, w, stream).output
+        elif source == "gauss":
+            mechanism = MechanismKind.GAUSSIAN_IID
+
+            def release(s_bar, stream):
+                return gaussian_iid_baseline(s_bar, q, self.P, stream)
+        else:
+            mechanism = MechanismKind.LAPLACE_IID
+            l1 = covariance_sensitivity_l1(bounds)
+
+            def release(s_bar, stream):
+                return laplace_iid_baseline(s_bar, q, 1.0, l1, stream)
+        cfg = base_config(path, bounds, mechanism, Experiment.FIRST_PC,
+                          theta_spec="binary:0.9:0,1", directions_source=directions,
+                          trials=40)
+        assert run_experiment(cfg) == self.firstpc_replay(x, bounds, release)
+
+    def test_covest_equals_per_trial_replay(self, tmp_path):
+        path, x = spread_dataset(tmp_path, m=3, n_records=100)
+        bounds = DataBounds(3, 100, -1.0, 1.0)
+        assert trials_per_chunk(3, 100) == 13  # 30 trials span three chunks
+        cfg = base_config(path, bounds, MechanismKind.MVG_UNIMODAL,
+                          Experiment.COVARIANCE_ESTIMATION,
+                          theta_spec="binary:0.9:0", trials=30)
+        q = harness.identity_query(bounds)
+        theta = parse_theta_spec("binary:0.9:0", 3)
+        s_bar = x @ x.T / 100
+        values = []
+        for t in range(30):
+            out = mvg_unimodal(x, q, self.P, theta, np.eye(3),
+                               RandomStream(11 + t)).output
+            values.append(rss(out @ out.T / 100, s_bar))
+        assert run_experiment(cfg) == mean_ci95(values, "RSS")
+
+    def test_regression_equals_per_trial_replay(self, tmp_path):
+        path, x = regression_dataset(tmp_path)
+        n_train = int(round(0.72 * x.shape[1]))
+        train, test = x[:, :n_train], x[:, n_train:]
+        train_bounds = DataBounds(4, n_train, 0.0, 1.0)
+        assert trials_per_chunk(4, n_train) == 28  # 60 trials span three chunks
+        cfg = base_config(path, DataBounds(4, x.shape[1], 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION,
+                          theta_spec="binary:0.9:0,3", directions_source="dp:0.2",
+                          trials=60)
+        q = harness.identity_query(train_bounds)
+        theta = parse_theta_spec("binary:0.9:0,3", 4)
+        p_dir = PrivacyParams(0.2, 0.01 * 0.2)
+        p_mech = PrivacyParams(1.0 * (1.0 - 0.2), 0.01 * (1.0 - 0.2))
+        values = []
+        for t in range(60):
+            stream = RandomStream(11 + t)
+            w = derive_directions_dp(train, p_dir, 4, stream, bounds=train_bounds)
+            out = mvg_unimodal(train, q, p_mech, theta, w, stream).output
+            values.append(ridge_regression_rmse((out[:-1], out[-1]),
+                                                (test[:-1], test[-1]), 1.0))
+        assert run_experiment(cfg) == mean_ci95(values, "RMSE")
+
+    def test_ablation_plans_once_per_arm(self, tmp_path, monkeypatch):
+        path, data = covariance_dataset(tmp_path)
+        calls = {"check": 0, "budget": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mechanisms, "check_condition",
+                            counted("check", mechanisms.check_condition))
+        monkeypatch.setattr(mechanisms, "precision_budget_equimodal",
+                            counted("budget", mechanisms.precision_budget_equimodal))
+        # 1000 trials of 3 x 3 stacks span three chunks per arm
+        assert trials_per_chunk(3, 3) == 455
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.DIRECTION_ABLATION,
+                          theta_spec="binary:0.9:0", trials=1000)
+        assert len(run_experiment(cfg)) == 3
+        assert calls == {"check": 3, "budget": 3}
+
+    @pytest.mark.parametrize("directions, roles", [("standard", 1), ("dp:0.2", 2)])
+    def test_each_stream_draws_once_per_role(self, tmp_path, monkeypatch,
+                                             directions, roles):
+        path, data = covariance_dataset(tmp_path)
+        seeds = []
+        original = mechanisms.sample_standard_matrix
+
+        def counted(stream, m, n):
+            seeds.append(stream.seed)
+            return original(stream, m, n)
+
+        monkeypatch.setattr(mechanisms, "sample_standard_matrix", counted)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
+                          directions_source=directions, trials=700)
+        run_experiment(cfg)
+        assert len(seeds) == roles * 700
+        assert sorted(seeds) == sorted(list(range(11, 711)) * roles)
+
+    def test_dp_run_memory_stays_within_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = np.linspace(1.0, 0.25, 16)[:, None] * rng.uniform(-1.0, 1.0, (16, 2000))
+        cfg = base_config(tmp_path / "unused.csv", DataBounds(16, 2000, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
+                          theta_spec="binary:0.9:0,1", directions_source="dp:0.2",
+                          trials=250)
+        run_experiment(dataclasses.replace(cfg, trials=2), data=x)  # warm caches
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report = run_experiment(cfg, data=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 250
+        # one stack of 250 trials would hold 500 KiB per temporary
+        assert peak - before <= 256 * 1024

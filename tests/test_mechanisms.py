@@ -8,6 +8,7 @@ from mvgdp import (
     AllocationError,
     ContractViolationError,
     DataBounds,
+    DegenerateDesignError,
     DomainError,
     NoiseDesign,
     PrecisionAllocation,
@@ -25,10 +26,12 @@ from mvgdp import (
     mvg_unimodal,
     mvg_verify_characteristic,
     phi_bound,
+    plan_equimodal,
+    plan_unimodal,
     sample_mvg,
     sample_standard_matrix,
 )
-from mvgdp.mechanisms import plan_directions_dp
+from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp
 
 
 class TestPrecisionAllocation:
@@ -238,6 +241,84 @@ class TestEquimodal:
         assert holds
         assert lhs / rhs == pytest.approx(1.0, abs=1e-9)
         assert lhs == pytest.approx(result.budget.precision_budget, rel=1e-9)
+
+
+class TestReleasePlan:
+    """A plan draws a stack of trials; each equals its single release."""
+
+    def setup_method(self):
+        self.p = PrivacyParams(1.0, 0.05)
+        rng = np.random.default_rng(12)
+        self.w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        self.theta = PrecisionAllocation(np.array([0.6, 0.3, 0.1]))
+        self.streams = lambda: [RandomStream(40 + t) for t in range(5)]
+
+    def test_unimodal_stack_equals_single_releases(self):
+        q = unit_query(3, 4)
+        value = np.full((3, 4), 0.25)
+        plan = plan_unimodal(value, q, self.p, self.theta, self.w)
+        stack = plan.draw(self.streams())
+        assert stack.shape == (5, 3, 4)
+        for t, stream in enumerate(self.streams()):
+            single = mvg_unimodal(value, q, self.p, self.theta, self.w, stream)
+            assert np.array_equal(stack[t], single.output)
+            assert single.budget == plan.budget
+
+    def test_equimodal_stack_equals_single_releases(self):
+        q = unit_query(3, 3)
+        value = np.diag([0.5, 0.3, 0.1])
+        plan = plan_equimodal(value, q, self.p, self.theta, self.w)
+        assert plan.condition.holds
+        assert plan.condition == check_condition(plan.design, q, self.p)
+        stack = plan.draw(self.streams())
+        for t, stream in enumerate(self.streams()):
+            single = mvg_equimodal(value, q, self.p, self.theta, self.w, stream)
+            assert np.array_equal(stack[t], single.output)
+
+    def test_drawn_directions_equal_derive_then_release(self):
+        rng = np.random.default_rng(13)
+        data = rng.uniform(-1, 1, (3, 60))
+        bounds = DataBounds(3, 60, -1.0, 1.0)
+        p_dir = PrivacyParams(0.3, 0.01)
+        directions = plan_directions_dp(data, p_dir, 3, bounds=bounds)
+        q = unit_query(3, 3)
+        value = np.diag([0.5, 0.3, 0.1])
+        stack = plan_equimodal(value, q, self.p, self.theta, directions).draw(
+            self.streams())
+        for t, stream in enumerate(self.streams()):
+            w = derive_directions_dp(data, p_dir, 3, stream, bounds=bounds)
+            single = mvg_equimodal(value, q, self.p, self.theta, w, stream)
+            assert np.array_equal(stack[t], single.output)
+
+    def test_drawn_bases_are_checked_for_orthonormality(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        data = rng.uniform(-1, 1, (3, 60))
+        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
+                                        bounds=DataBounds(3, 60, -1.0, 1.0))
+        plan = plan_unimodal(np.zeros((3, 4)), unit_query(3, 4), self.p,
+                             self.theta, directions)
+        monkeypatch.setattr(DirectionsPlan, "bases",
+                            lambda self, noise: noise * 1.5)
+        with pytest.raises(DegenerateDesignError, match="orthonormal"):
+            plan.draw(self.streams())
+
+    def test_directions_must_match_the_query(self):
+        data = np.zeros((4, 10))
+        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 4,
+                                        bounds=DataBounds(4, 10, -1.0, 1.0))
+        with pytest.raises(ShapeError, match="4 features"):
+            plan_equimodal(np.zeros((3, 3)), unit_query(3, 3), self.p,
+                           self.theta, directions)
+
+    def test_batched_bases_equal_single_draws(self):
+        rng = np.random.default_rng(15)
+        data = rng.uniform(-1, 1, (5, 40))
+        plan = plan_directions_dp(data, PrivacyParams(0.5, 0.05), 5,
+                                  bounds=DataBounds(5, 40, -1.0, 1.0))
+        noise = np.stack([RandomStream(s).standard_normal((5, 5)) for s in range(7)])
+        bases = plan.bases(noise)
+        for s in range(7):
+            assert np.array_equal(bases[s], plan.draw(RandomStream(s)))
 
 
 class TestGaussianBaseline:
