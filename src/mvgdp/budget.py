@@ -1,7 +1,7 @@
 """Privacy-budget formulas for the matrix-variate Gaussian mechanism.
 
 Everything here is closed form: generalized harmonic numbers, the
-concentration radius zeta(delta), the (alpha, beta) coefficients of the
+concentration bound zeta(delta), the (alpha, beta) coefficients of the
 quadratic privacy condition, the bound on the combined inverse-singular-value
 norm phi, and the two precision budgets (directional rows with i.i.d.
 columns, and identical row/column covariances).
@@ -148,11 +148,11 @@ def harmonic_numbers(r: int) -> tuple[float, float]:
 
 
 def zeta(delta: float, m: int, n: int) -> float:
-    """Concentration radius 2*sqrt(-mn*ln(delta)) - 2*ln(delta) + mn.
+    """Concentration bound 2*sqrt(-mn*ln(delta)) - 2*ln(delta) + mn.
 
-    The squared Frobenius norm of an m x n standard-normal matrix stays below
-    zeta(delta)^2 with probability at least 1 - delta. Natural logarithms
-    throughout.
+    The squared Frobenius norm of an m x n standard-normal matrix stays at or
+    below zeta(delta) itself, not its square, with probability at least
+    1 - delta (Laurent and Massart, 2000). Natural logarithms throughout.
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")

@@ -130,6 +130,23 @@ _BENCH_DEFAULTS = {
 }
 
 
+def _file_value(path: str, action: argparse.Action, value):
+    """Check a config-file value as argparse checks its flag's text."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        try:  # from its text, as a flag's: "trials": 2.5 is no int
+            value = (action.type or str)(str(value))
+        except ValueError:
+            ok = False
+        ok = ok and (action.choices is None or value in action.choices)
+    if not ok:
+        choices = f" (choose from {', '.join(action.choices)})" if action.choices else ""
+        raise ConfigError(f"{path}: invalid value for {action.dest}: {value!r}{choices}")
+    return value
+
+
 def _resolve_bench_options(args) -> dict:
     """Merge CLI flags over an optional JSON config file over the defaults."""
     from_file: dict = {}
@@ -141,6 +158,11 @@ def _resolve_bench_options(args) -> dict:
             raise ConfigError(f"could not read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
+        if not isinstance(from_file, dict):
+            raise ConfigError(
+                f"{args.config}: config must be a JSON object, "
+                f"got {type(from_file).__name__}"
+            )
         unknown = set(from_file) - set(_BENCH_DEFAULTS)
         if unknown:
             raise ConfigError(
@@ -152,7 +174,8 @@ def _resolve_bench_options(args) -> dict:
         if cli_value is not None:
             options[key] = cli_value
         elif key in from_file and from_file[key] is not None:
-            options[key] = from_file[key]
+            options[key] = _file_value(args.config, args.bench_flags[key],
+                                       from_file[key])
         else:
             options[key] = default
     for key in ("experiment", "input", "mechanism", "epsilon"):
@@ -165,11 +188,13 @@ def _resolve_bench_options(args) -> dict:
 
 def _cmd_bench(args) -> int:
     opts = _resolve_bench_options(args)
-    x, _ = load_csv_matrix(opts["input"], bool(opts["has_header"]))
+    # every option already has its flag's type, from argparse, the file
+    # check or the defaults
+    x, _ = load_csv_matrix(opts["input"], opts["has_header"])
     num_features, num_samples = x.shape
     delta = opts["delta"] if opts["delta"] is not None else 1.0 / num_samples
     if opts["theta"] is not None:
-        theta_spec = str(opts["theta"])
+        theta_spec = opts["theta"]
     elif opts["favored"] is not None:
         theta_spec = f"binary:{opts['tau']}:{opts['favored']}"
     else:
@@ -177,16 +202,15 @@ def _cmd_bench(args) -> int:
     cfg = ExperimentConfig(
         experiment=Experiment(opts["experiment"]),
         dataset_path=opts["input"],
-        bounds=DataBounds(num_features, num_samples,
-                          float(opts["lo"]), float(opts["hi"])),
-        privacy=PrivacyParams(float(opts["epsilon"]), float(delta)),
+        bounds=DataBounds(num_features, num_samples, opts["lo"], opts["hi"]),
+        privacy=PrivacyParams(opts["epsilon"], delta),
         mechanism=MechanismKind(opts["mechanism"]),
         theta_spec=theta_spec,
-        directions_source=str(opts["directions"]),
-        trials=int(opts["trials"]),
-        seed=int(opts["seed"]),
-        csv_has_header=bool(opts["has_header"]),
-        ridge_reg=float(opts["ridge_reg"]),
+        directions_source=opts["directions"],
+        trials=opts["trials"],
+        seed=opts["seed"],
+        csv_has_header=opts["has_header"],
+        ridge_reg=opts["ridge_reg"],
     )
     report = run_experiment(cfg, data=x)
     sys.stdout.buffer.write(emit_report(report, ReportFormat(opts["format"])))
@@ -266,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--format", choices=["text", "csv"])
     bn.add_argument("--has-header", action=argparse.BooleanOptionalAction,
                     default=None)
-    bn.set_defaults(func=_cmd_bench)
+    bn.set_defaults(func=_cmd_bench,
+                    bench_flags={action.dest: action for action in bn._actions})
     return parser
 
 

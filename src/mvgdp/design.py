@@ -7,9 +7,9 @@ than the dense covariances) lets the privacy condition, the budget math and
 the sampler all consume the same object without re-decomposing anything.
 
 A side whose directions are the standard basis stores only its singular
-values: its basis is written as ``None`` and never materialized unless a
-dense accessor asks for it. An n x n identity side then costs O(n) memory
-instead of O(n^2), and the sampler scales by it instead of multiplying.
+values: its basis is written as ``None``. An n x n identity side then costs
+O(n) memory instead of O(n^2), and the sampler scales by it instead of
+multiplying. No dense covariance is ever formed.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ class NoiseDesign:
             ``None`` for the standard basis.
         lambda_psi: length-n positive singular values of the column covariance.
 
-    ``w_sigma`` and ``w_psi`` always read as dense bases; a standard side
-    materializes its identity on each read. The dense covariances are
-    ``sigma = w_sigma @ diag(lambda_sigma) @ w_sigma.T`` and likewise for
-    ``psi``.
+    The privacy condition reads the singular values and the sampler colors
+    with ``basis * sqrt(lambda)`` per side. A side's covariance is
+    ``(W * lam) @ W.T``, with ``W = np.eye(n)`` for a standard side.
     """
 
     basis_sigma: np.ndarray | None
@@ -125,27 +124,16 @@ class NoiseDesign:
 
     @property
     def w_sigma(self) -> np.ndarray:
-        """Dense m x m row basis; an identity is built on each read."""
+        """Dense m x m row basis; an identity is built on each read.
+
+        Read only by the benchmark's tracer; goes with ROADMAP open item 1.
+        """
         return np.eye(self.m) if self.basis_sigma is None else self.basis_sigma
 
     @property
     def w_psi(self) -> np.ndarray:
-        """Dense n x n column basis; an identity is built on each read."""
+        """Dense n x n column basis; kept for the tracer like ``w_sigma``."""
         return np.eye(self.n) if self.basis_psi is None else self.basis_psi
-
-    def sigma(self) -> np.ndarray:
-        """Dense row-wise covariance."""
-        return (self.w_sigma * self.lambda_sigma) @ self.w_sigma.T
-
-    def psi(self) -> np.ndarray:
-        """Dense column-wise covariance."""
-        return (self.w_psi * self.lambda_psi) @ self.w_psi.T
-
-    def sigma_inv(self) -> np.ndarray:
-        return (self.w_sigma / self.lambda_sigma) @ self.w_sigma.T
-
-    def psi_inv(self) -> np.ndarray:
-        return (self.w_psi / self.lambda_psi) @ self.w_psi.T
 
     @classmethod
     def from_covariances(cls, sigma, psi) -> "NoiseDesign":
@@ -178,19 +166,3 @@ def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-eigvals, kind="stable")
     return eigvecs[:, order], eigvals[order]
 
-
-def factor_design(design: NoiseDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Square-root factors (B_sigma, B_psi) with B @ B.T equal to each covariance.
-
-    Uses the direction bases scaled by the square roots of the singular
-    values. A Cholesky factor would serve the sampler equally well; this form
-    keeps the factors expressed in the same direction bases the budget math
-    uses.
-
-    Both factors are dense, so a standard side comes back as an n x n
-    diagonal matrix. The sampler does not call this; it scales a standard
-    side by the square roots directly (see :func:`mvgdp.sampling.sample_mvg`).
-    """
-    b_sigma = design.w_sigma * np.sqrt(design.lambda_sigma)
-    b_psi = design.w_psi * np.sqrt(design.lambda_psi)
-    return b_sigma, b_psi

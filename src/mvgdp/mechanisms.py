@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +67,6 @@ THETA_FLOOR = 1e-6
 GAMMA_RTOL = 1e-9
 
 _SYMMETRY_TOL = 1e-8
-
-# Standard normals drawn per batch by mvg_verify_characteristic.
-_VERIFY_CHUNK_ENTRIES = 1 << 16
 
 # Entries of the largest stack a batched draw builds: 4096 float64, 32 KiB
 # per temporary, well under glibc malloc's 128 KiB mmap threshold. Larger
@@ -197,16 +193,6 @@ def standard_normal_stacks(streams, shapes) -> list[np.ndarray]:
     return stacks
 
 
-class _DrawnDesigns(NamedTuple):
-    """The designs of a chunk of trials whose row bases were drawn per
-    trial, in the form :func:`color_noise` reads."""
-
-    basis_sigma: np.ndarray
-    lambda_sigma: np.ndarray
-    basis_psi: np.ndarray | None
-    lambda_psi: np.ndarray
-
-
 @dataclass(frozen=True)
 class ReleasePlan:
     """Everything an MVG release fixes before it draws.
@@ -246,18 +232,18 @@ class ReleasePlan:
         ``len(streams)`` within :func:`trials_per_chunk` to bound memory.
         """
         m, n = self.query.m, self.query.n
-        design = self.design
+        basis_sigma, basis_psi = self.design.basis_sigma, self.design.basis_psi
         if self.directions is None:
             (noise,) = standard_normal_stacks(streams, [(m, n)])
         else:
             direction_noise, noise = standard_normal_stacks(streams, [(m, m), (m, n)])
-            bases = self.directions.bases(direction_noise)
+            basis_sigma = self.directions.bases(direction_noise)
             del direction_noise
-            check_orthonormal(bases, "w_sigma")
-            equimodal = self.budget.mode is BudgetMode.EQUI_MODAL
-            design = _DrawnDesigns(bases, design.lambda_sigma,
-                                   bases if equimodal else None, design.lambda_psi)
-        output = color_noise(design, noise)
+            check_orthonormal(basis_sigma, "w_sigma")
+            if self.budget.mode is BudgetMode.EQUI_MODAL:
+                basis_psi = basis_sigma
+        output = color_noise(noise, basis_sigma, self.design.lambda_sigma,
+                             basis_psi, self.design.lambda_psi)
         output += self.value
         return output
 
@@ -522,9 +508,9 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     difference are rank-one, with Frobenius norms gamma and s2 respectively,
     aligned with the most precise (least noisy) direction on each side. For
     each trial a standard-normal matrix is drawn; trials whose squared
-    Frobenius norm stays within zeta(delta)^2 form the conditioning event,
-    and within it the four-term trace expression is compared against
-    2*epsilon.
+    Frobenius norm stays within zeta(delta) form the conditioning event,
+    which holds with probability at least 1 - delta, and within it the
+    four-term trace expression is compared against 2*epsilon.
 
     Returns:
         (conditional_pass_rate, r1_rate): the pass fraction among conditioned
@@ -548,7 +534,7 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     f_x1 = q.gamma * np.outer(u, v)
     delta_q = q.sensitivity * np.outer(u, v)
     f_x2 = f_x1 - delta_q
-    radius_sq = zeta(p.delta, m, n) ** 2
+    radius_sq = zeta(p.delta, m, n)
 
     # tr[Psi^-1 A^T Sigma^-1 B] = <A, Sigma^-1 B Psi^-1>; the second trace
     # term equals the first by symmetry of the inverses.
@@ -560,9 +546,10 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     inside = 0
     passed = 0
     remaining = int(trials)
-    # draw at most about _VERIFY_CHUNK_ENTRIES normals at a time, so memory
-    # stays O(mn) for wide queries; the draw sequence does not depend on it
-    chunk = max(1, _VERIFY_CHUNK_ENTRIES // (m * n))
+    # draw at most about CHUNK_ENTRIES normals at a time, so memory stays
+    # O(mn) for wide queries; batched draws concatenate to the single draw
+    # bit for bit, so the rates do not depend on the chunk size
+    chunk = max(1, CHUNK_ENTRIES // (m * n))
     while remaining > 0:
         batch = min(chunk, remaining)
         remaining -= batch
@@ -571,7 +558,9 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         in_event = norms_sq <= radius_sq
         if not np.any(in_event):
             continue
-        outputs = color_noise(design, draws[in_event])
+        outputs = color_noise(draws[in_event], design.basis_sigma,
+                              design.lambda_sigma, design.basis_psi,
+                              design.lambda_psi)
         outputs += f_x1
         traces = 2.0 * np.einsum("tij,ij->t", outputs, coupling) + const_term
         inside += int(in_event.sum())
@@ -593,10 +582,12 @@ def _least_noisy_direction(basis, lam: np.ndarray) -> np.ndarray:
 
 def _apply_inverses(design: NoiseDesign, a: np.ndarray) -> np.ndarray:
     """Sigma^-1 @ a @ Psi^-1, scaling instead of multiplying on a standard side."""
-    if design.basis_sigma is None:
-        a = a / design.lambda_sigma[:, np.newaxis]
+    w_s, lam_s = design.basis_sigma, design.lambda_sigma
+    w_p, lam_p = design.basis_psi, design.lambda_psi
+    if w_s is None:
+        a = a / lam_s[:, np.newaxis]
     else:
-        a = design.sigma_inv() @ a
-    if design.basis_psi is None:
-        return a / design.lambda_psi
-    return a @ design.psi_inv()
+        a = ((w_s / lam_s) @ w_s.T) @ a
+    if w_p is None:
+        return a / lam_p
+    return a @ ((w_p / lam_p) @ w_p.T)

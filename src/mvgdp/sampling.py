@@ -3,11 +3,12 @@
 A sample from the zero-mean matrix Gaussian with row covariance Sigma and
 column covariance Psi is produced by the affine transform
 ``Z = B_sigma @ N @ B_psi.T`` of an i.i.d. standard-normal matrix N, where
-B_sigma and B_psi are square roots of the covariances (see
-:func:`mvgdp.design.factor_design`). The vectorized covariance of Z is the
-Kronecker product of Psi and Sigma. A side stored as the standard basis has
-the diagonal square root ``diag(sqrt(lambda))``, so it is applied by scaling
-rows or columns: O(mn) instead of a dense matrix product.
+each factor is a side's basis scaled by the square roots of its singular
+values, ``B = W diag(sqrt(lambda))``, so that ``B @ B.T`` is that side's
+covariance. The vectorized covariance of Z is the Kronecker product of Psi
+and Sigma. A side stored as the standard basis has the diagonal factor
+``diag(sqrt(lambda))``, so it is applied by scaling rows or columns: O(mn)
+instead of a dense matrix product.
 
 The generator is NumPy's PCG64 with its standard-normal transform; a given
 seed reproduces the same sample sequence bit for bit within one NumPy
@@ -73,26 +74,28 @@ def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:
     With a standard column side, as in a unimodal release, the draw costs
     O(m^2 n) time and O(mn) memory.
     """
-    return color_noise(design, sample_standard_matrix(stream, design.m, design.n))
+    return color_noise(sample_standard_matrix(stream, design.m, design.n),
+                       design.basis_sigma, design.lambda_sigma,
+                       design.basis_psi, design.lambda_psi)
 
 
-def color_noise(design: NoiseDesign, noise: np.ndarray) -> np.ndarray:
-    """Map standard-normal draws to the design's noise, B_sigma @ N @ B_psi.T.
+def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
+                basis_psi, lambda_psi: np.ndarray) -> np.ndarray:
+    """Map standard-normal draws to design noise, B_sigma @ N @ B_psi.T.
 
-    ``noise`` is one m x n matrix or a stack of them shaped (..., m, n); a
-    standard side scales it in place, so the caller hands over the array.
-    ``design`` is a :class:`NoiseDesign`, or any object with its four
-    fields whose bases are stacks (..., m, m) and (..., n, n) matching the
-    noise stack, one basis per matrix. A stacked product gives each matrix
-    the bits of the product taken on its own.
+    Each side is its basis, or ``None`` for the standard basis, and its
+    singular values, as :class:`NoiseDesign` stores them. ``noise`` is one
+    m x n matrix or a stack (..., m, n); a standard side scales it in place,
+    so the caller hands over the array. A basis may be a stack matching the
+    noise stack, one per matrix; each matrix gets the bits of its own product.
     """
-    root_sigma = np.sqrt(design.lambda_sigma)
-    root_psi = np.sqrt(design.lambda_psi)
-    if design.basis_sigma is None:
+    root_sigma = np.sqrt(lambda_sigma)
+    root_psi = np.sqrt(lambda_psi)
+    if basis_sigma is None:
         noise *= root_sigma[:, np.newaxis]
     else:
-        noise = (design.basis_sigma * root_sigma) @ noise
-    if design.basis_psi is None:
+        noise = (basis_sigma * root_sigma) @ noise
+    if basis_psi is None:
         noise *= root_psi
         return noise
-    return noise @ np.swapaxes(design.basis_psi * root_psi, -1, -2)
+    return noise @ np.swapaxes(basis_psi * root_psi, -1, -2)

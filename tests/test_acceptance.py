@@ -25,7 +25,6 @@ from mvgdp import (
     check_condition,
     covariance_sensitivity,
     delta_rho,
-    factor_design,
     gamma_covariance,
     gaussian_iid_baseline,
     gaussian_noise_scale,
@@ -45,6 +44,8 @@ from mvgdp import (
     zeta,
 )
 from mvgdp.cli import main
+from mvgdp.sampling import color_noise
+from oracles import dense_covariances
 
 
 def record(number, name, ok, detail=""):
@@ -123,11 +124,12 @@ def test_criterion_03_sampler_distribution():
         design = NoiseDesign(w_s, rng.uniform(0.4, 1.2, m),
                              w_p, rng.uniform(0.4, 1.2, n))
         draws = RandomStream(1000 + i).standard_normal((trials, m, n))
-        b_s, b_p = factor_design(design)
-        z = np.einsum("ab,tbc,dc->tad", b_s, draws, b_p)
+        z = color_noise(draws, design.basis_sigma, design.lambda_sigma,
+                        design.basis_psi, design.lambda_psi)
         vecs = z.transpose(0, 2, 1).reshape(trials, m * n)
         empirical = vecs.T @ vecs / trials
-        oracle = np.kron(design.psi(), design.sigma())
+        sigma, psi = dense_covariances(design)
+        oracle = np.kron(psi, sigma)
         mask = np.abs(oracle) >= 0.1
         rel = np.abs(empirical - oracle)[mask] / np.abs(oracle)[mask]
         worst = max(worst, float(rel.max()))
@@ -148,7 +150,7 @@ def test_criterion_04_concentration():
             draws = RandomStream(seed).standard_normal((trials, m, n))
             seed += 1
             norms_sq = np.einsum("tij,tij->t", draws, draws)
-            rate = float(np.mean(norms_sq <= zeta(delta, m, n) ** 2))
+            rate = float(np.mean(norms_sq <= zeta(delta, m, n)))
             floor = 1 - delta - 3 * math.sqrt(delta * (1 - delta) / trials)
             ok = ok and rate >= floor
             details.append(f"{m}x{n}@{delta}:{rate:.4f}>={floor:.4f}")

@@ -338,6 +338,29 @@ class TestBenchCommand:
         config.write_text(json.dumps({"input": data, "banana": 1}))
         assert main(["bench", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("bad, named", [
+        (5, "JSON object"),
+        ({"trials": "abc"}, "trials"),
+        ({"experiment": "bogus"}, "experiment"),
+        ({"format": "xml"}, "format"),
+    ])
+    def test_config_bad_value_exits_2_before_the_run(self, tmp_path, sign_data,
+                                                     capfdbinary, bad, named):
+        # file values get the type and choice checks flags get from argparse
+        import json
+
+        data = write_dataset(tmp_path, sign_data)
+        if isinstance(bad, dict):
+            bad = {"experiment": "firstpc", "input": data, "mechanism": "mvg-equi",
+                   "trials": 2, "epsilon": 1.0, "lo": -1.0, "hi": 1.0, **bad}
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps(bad))
+        assert main(["bench", "--config", str(config)]) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        err = captured.err.decode()
+        assert err.startswith("mvgdp: error: ") and named in err
+
     def test_missing_required_option_exits_2(self, tmp_path, sign_data):
         data = write_dataset(tmp_path, sign_data)
         assert main(["bench", "--input", data, "--mechanism", "mvg-equi",

@@ -9,11 +9,12 @@ from mvgdp import (
     NoiseDesign,
     RandomStream,
     ShapeError,
-    factor_design,
     sample_mvg,
     sample_standard_matrix,
     zeta,
 )
+from mvgdp.sampling import color_noise
+from oracles import dense_covariances
 
 
 def random_design(rng, m, n, lam_lo=0.4, lam_hi=1.2):
@@ -57,15 +58,9 @@ class TestNoiseDesign:
     def test_standard_side_reads_as_dense_identity(self):
         lam_p = np.array([2.0, 0.5, 4.0])
         implicit = NoiseDesign(np.eye(2), np.ones(2), None, lam_p)
-        explicit = NoiseDesign(np.eye(2), np.ones(2), np.eye(3), lam_p)
         assert implicit.basis_psi is None
         assert (implicit.m, implicit.n) == (2, 3)
         assert np.array_equal(implicit.w_psi, np.eye(3))
-        for name in ("sigma", "psi", "sigma_inv", "psi_inv"):
-            assert np.array_equal(getattr(implicit, name)(),
-                                  getattr(explicit, name)())
-        for got, want in zip(factor_design(implicit), factor_design(explicit)):
-            assert np.array_equal(got, want)
 
     def test_replace_revalidates(self):
         design = NoiseDesign(np.eye(2), np.ones(2), None, np.ones(3))
@@ -80,7 +75,7 @@ class TestNoiseDesign:
         a = rng.standard_normal((3, 3))
         sigma = a @ a.T + 0.5 * np.eye(3)
         design = NoiseDesign.from_covariances(sigma, np.eye(2))
-        assert np.allclose(design.sigma(), sigma, atol=1e-10)
+        assert np.allclose(dense_covariances(design)[0], sigma, atol=1e-10)
         assert np.all(np.diff(design.lambda_sigma) <= 0)  # descending
 
     def test_from_covariances_rejects_degenerate(self):
@@ -94,34 +89,16 @@ class TestNoiseDesign:
                                          np.eye(2))
 
     def test_reconstruction_symmetry(self):
+        # a design's covariances are symmetric, and decomposing them gives
+        # back its singular values in descending order
         rng = np.random.default_rng(2)
         for _ in range(50):
             design = random_design(rng, 4, 3, lam_lo=0.1, lam_hi=10.0)
-            sigma = design.sigma()
+            sigma, psi = dense_covariances(design)
             assert np.max(np.abs(sigma - sigma.T)) < 1e-10
-
-
-class TestFactorDesign:
-    def test_identity(self):
-        design = NoiseDesign(np.eye(3), np.ones(3), np.eye(2), np.ones(2))
-        b_s, b_p = factor_design(design)
-        assert np.array_equal(b_s, np.eye(3))
-        assert np.array_equal(b_p, np.eye(2))
-
-    def test_diagonal_sqrt(self):
-        design = NoiseDesign(np.eye(2), np.array([4.0, 1.0]), np.eye(2), np.ones(2))
-        b_s, _ = factor_design(design)
-        assert np.allclose(b_s, np.diag([2.0, 1.0]))
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            design = random_design(rng, 3, 4, lam_lo=0.05, lam_hi=20.0)
-            b_s, b_p = factor_design(design)
-            sigma = design.sigma()
-            psi = design.psi()
-            assert np.linalg.norm(b_s @ b_s.T - sigma) / np.linalg.norm(sigma) < 1e-8
-            assert np.linalg.norm(b_p @ b_p.T - psi) / np.linalg.norm(psi) < 1e-8
+            again = NoiseDesign.from_covariances(sigma, psi)
+            assert np.allclose(again.lambda_sigma,
+                               np.sort(design.lambda_sigma)[::-1], rtol=1e-10)
 
 
 class TestRandomStream:
@@ -212,12 +189,13 @@ class TestSampleMvg:
         stream = RandomStream(1000)
         trials = 100_000
         draws = stream.standard_normal((trials, 2, 2))
-        b_s, b_p = factor_design(design)
-        z = np.einsum("ab,tbc,dc->tad", b_s, draws, b_p)
+        z = color_noise(draws, design.basis_sigma, design.lambda_sigma,
+                        design.basis_psi, design.lambda_psi)
         vecs = z.transpose(0, 2, 1).reshape(trials, 4)  # column-stacking vec
         assert np.max(np.abs(vecs.mean(axis=0))) < 0.02  # zero mean
         empirical = vecs.T @ vecs / trials
-        oracle = np.kron(design.psi(), design.sigma())
+        sigma, psi = dense_covariances(design)
+        oracle = np.kron(psi, sigma)
         mask = np.abs(oracle) >= 0.1
         rel = np.abs(empirical - oracle)[mask] / np.abs(oracle)[mask]
         assert rel.max() < 0.05
@@ -228,23 +206,24 @@ class TestSampleMvg:
             for m, n in ((2, 2), (4, 4)):
                 draws = RandomStream(321).standard_normal((trials, m, n))
                 norms_sq = np.einsum("tij,tij->t", draws, draws)
-                rate = float(np.mean(norms_sq <= zeta(delta, m, n) ** 2))
+                rate = float(np.mean(norms_sq <= zeta(delta, m, n)))
                 margin = 3 * np.sqrt(delta * (1 - delta) / trials)
                 assert rate >= 1 - delta - margin
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(13)
         design = random_design(rng, 2, 3)
-        flipped = NoiseDesign(design.w_psi, design.lambda_psi,
-                              design.w_sigma, design.lambda_sigma)
+        flipped = NoiseDesign(design.basis_psi, design.lambda_psi,
+                              design.basis_sigma, design.lambda_sigma)
         trials = 60_000
-        oracle = np.kron(design.sigma(), design.psi())
+        sigma, psi = dense_covariances(design)
+        oracle = np.kron(sigma, psi)
 
         def empirical_cov(dsn, transpose, seed):
             stream = RandomStream(seed)
-            b_s, b_p = factor_design(dsn)
             draws = stream.standard_normal((trials, dsn.m, dsn.n))
-            z = np.einsum("ab,tbc,dc->tad", b_s, draws, b_p)
+            z = color_noise(draws, dsn.basis_sigma, dsn.lambda_sigma,
+                            dsn.basis_psi, dsn.lambda_psi)
             if transpose:
                 z = z.transpose(0, 2, 1)
             flat = z.transpose(0, 2, 1).reshape(trials, -1)

@@ -18,7 +18,6 @@ from mvgdp import (
     ShapeError,
     check_condition,
     derive_directions_dp,
-    factor_design,
     gaussian_iid_baseline,
     gaussian_noise_scale,
     laplace_iid_baseline,
@@ -31,7 +30,10 @@ from mvgdp import (
     sample_mvg,
     sample_standard_matrix,
 )
+from mvgdp import mechanisms
 from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp
+from mvgdp.sampling import color_noise
+from oracles import dense_covariances
 
 
 class TestPrecisionAllocation:
@@ -184,8 +186,9 @@ class TestUnimodal:
         assert np.allclose(result.design.lambda_sigma ** 2, 2 / budget, rtol=1e-12)
         trials = 20_000
         draws = RandomStream(99).standard_normal((trials, 2, 3))
-        b_s, b_p = factor_design(result.design)
-        noise = np.einsum("ab,tbc,dc->tad", b_s, draws, b_p)
+        design = result.design
+        noise = color_noise(draws, design.basis_sigma, design.lambda_sigma,
+                            design.basis_psi, design.lambda_psi)
         empirical = noise.reshape(trials, -1).var(axis=0)
         assert np.allclose(empirical, per_direction, rtol=0.06)
 
@@ -207,7 +210,7 @@ class TestEquimodal:
         assert np.allclose(result.design.lambda_sigma, expected, rtol=1e-12)
         assert np.array_equal(result.design.lambda_psi,
                               result.design.lambda_sigma)
-        assert np.array_equal(result.design.w_psi, result.design.w_sigma)
+        assert result.design.basis_psi is result.design.basis_sigma
 
     def test_requires_square(self):
         q = QuerySpec(2, 3, sensitivity=1.0, gamma=2.0)
@@ -463,8 +466,8 @@ class TestVerifyCharacteristic:
     def test_violating_design_reports_without_raising(self):
         # shrink every direction variance 100x: the condition's left side
         # inflates 100x past the bound, but the check stays diagnostic
-        bad = NoiseDesign(self.design.w_sigma, self.design.lambda_sigma / 100.0,
-                          self.design.w_psi, self.design.lambda_psi)
+        bad = NoiseDesign(self.design.basis_sigma, self.design.lambda_sigma / 100.0,
+                          self.design.basis_psi, self.design.lambda_psi)
         holds, _, _ = check_condition(bad, self.q, self.p)
         assert not holds
         conditional, r1 = mvg_verify_characteristic(
@@ -491,7 +494,7 @@ class TestVerifyCharacteristic:
         assert conditional == 1.0 and r1 == 1.0
         assert peak <= 10 * m * n * 8  # a handful of m x n arrays
 
-    def test_standard_sides_match_explicit_identities(self):
+    def test_standard_sides_match_explicit_identities(self, monkeypatch):
         # off the saturating point the pass rate lies strictly inside (0, 1)
         # and moves with every singular value
         rng = np.random.default_rng(8)
@@ -504,6 +507,11 @@ class TestVerifyCharacteristic:
             assert got == mvg_verify_characteristic(self.q, self.p, explicit,
                                                     300, RandomStream(seed))
             assert 0.0 < got[0] < 1.0
+            # one trial per batch draws the same normals in the same order
+            with monkeypatch.context() as patch:
+                patch.setattr(mechanisms, "CHUNK_ENTRIES", 1)
+                assert mvg_verify_characteristic(self.q, self.p, standard, 300,
+                                                 RandomStream(seed)) == got
 
     def test_trials_validation(self):
         with pytest.raises(DomainError):
@@ -517,17 +525,18 @@ class TestVerifyCharacteristic:
         trials = 400
         conditional, r1 = mvg_verify_characteristic(q, p, design, trials,
                                                     RandomStream(5))
-        u = design.w_sigma[:, int(np.argmin(design.lambda_sigma))]
-        v = design.w_psi[:, int(np.argmin(design.lambda_psi))]
+        assert design.basis_psi is None
+        u = design.basis_sigma[:, int(np.argmin(design.lambda_sigma))]
+        v = np.eye(q.n)[:, int(np.argmin(design.lambda_psi))]
         f_x1 = q.gamma * np.outer(u, v)
         delta_q = q.sensitivity * np.outer(u, v)
         f_x2 = f_x1 - delta_q
-        s_inv = design.sigma_inv()
-        p_inv = design.psi_inv()
-        b_s, b_p = factor_design(design)
+        s_inv, p_inv = (np.linalg.inv(c) for c in dense_covariances(design))
+        b_s = design.basis_sigma * np.sqrt(design.lambda_sigma)
+        b_p = np.diag(np.sqrt(design.lambda_psi))
         from mvgdp import zeta as zeta_fn
 
-        radius_sq = zeta_fn(p.delta, q.m, q.n) ** 2
+        radius_sq = zeta_fn(p.delta, q.m, q.n)
         stream = RandomStream(5)
         inside = passed = 0
         for _ in range(trials):
