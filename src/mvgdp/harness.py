@@ -29,9 +29,12 @@ releases as one (T, m, n) stack, and the first-PC metric eigendecomposes
 the stack with one batched ``eigh`` and scores it against a top eigenvalue
 taken once per run.
 
-Runs are deterministic: trial t uses the stream seeded with seed + t, so an
-identical configuration yields byte-identical reports, equal bit for bit to
-a replay of the single-release library calls trial by trial.
+Runs are deterministic: trial t uses the stream seeded with seed + t
+(wrapping past 2^64 - 1 to 0), so an identical configuration yields
+byte-identical reports, equal bit for bit to a replay of the single-release
+library calls trial by trial. A run hashes its trials' seeds in one
+vectorized ``SeedSequence`` pass (``sampling.seed_state_words``), which gives
+each stream the state ``RandomStream(seed + t)`` would have.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .budget import (  # noqa: F401
 )
 from .errors import ConfigError, FormatError, ShapeError
 from .mechanisms import (  # noqa: F401
+    CHUNK_ENTRIES,
     PrecisionAllocation,
     derive_directions_dp,
     gaussian_noise_scale,
@@ -78,7 +82,7 @@ from .metrics import (  # noqa: F401
     ridge_regression_rmse,
     rss,
 )
-from .sampling import RandomStream
+from .sampling import RandomStream, seed_state_words
 from .sensitivity import (
     DataBounds,
     check_within_bounds,
@@ -127,8 +131,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MOD:
+            raise ConfigError(
+                f"seed must be an integer in [0, 2^64), got {self.seed!r}"
+            )
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
@@ -433,12 +439,29 @@ def _plan_mechanism(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
                          bounds, direction_data)
 
 
+def _trial_streams(cfg: ExperimentConfig):
+    """Trial t's stream, seeded (seed + t) mod 2^64, in trial order.
+
+    The seeds' state words are hashed in one vectorized pass per block of
+    ``CHUNK_ENTRIES // 4`` trials (one (T, 4) temporary); each stream is
+    built from its words only when it is consumed.
+    """
+    block = CHUNK_ENTRIES // 4
+    for start in range(0, cfg.trials, block):
+        count = min(block, cfg.trials - start)
+        # uint64 arithmetic wraps seed + t past 2^64 - 1 to 0
+        seeds = np.uint64((cfg.seed + start) % _SEED_MOD) + np.arange(count,
+                                                                      dtype=np.uint64)
+        for seed, words in zip(seeds.tolist(), seed_state_words(seeds)):
+            yield RandomStream.from_state_words(seed, words)
+
+
 def _trial_chunks(cfg: ExperimentConfig, plan: MechanismPlan):
-    """Trial t's stream is seeded seed + t; the streams come in chunks of
-    the plan's ``trials_per_chunk``, each stacked by one draw."""
-    for start in range(0, cfg.trials, plan.trials_per_chunk):
-        stop = min(start + plan.trials_per_chunk, cfg.trials)
-        yield [RandomStream((cfg.seed + t) % _SEED_MOD) for t in range(start, stop)]
+    """The trials' streams in chunks of the plan's ``trials_per_chunk``,
+    each stacked by one draw."""
+    streams = _trial_streams(cfg)
+    for _ in range(0, cfg.trials, plan.trials_per_chunk):
+        yield list(itertools.islice(streams, plan.trials_per_chunk))
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
@@ -560,7 +583,9 @@ def format_significant(x: float, digits: int = 6) -> str:
         return "0"
     if not math.isfinite(x):
         return repr(x)
-    exponent = math.floor(math.log10(abs(x)))
+    # the exponent after rounding, so a carry (9.9999996 -> 10.0000) does
+    # not add a digit
+    exponent = int(f"{x:.{digits - 1}e}".rpartition("e")[2])
     decimals = max(0, digits - 1 - exponent)
     return f"{x:.{decimals}f}"
 

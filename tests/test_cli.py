@@ -260,6 +260,16 @@ class TestBenchCommand:
         lines = capfdbinary.readouterr().out.decode().strip().splitlines()
         assert len(lines) == 4
 
+    def test_seed_past_64_bits_exits_2(self, tmp_path, sign_data, capfdbinary):
+        # 2^64 + 5 must not run as seed 5; perturb rejects it too
+        data = write_dataset(tmp_path, sign_data)
+        args = self.bench_args(data)
+        args[args.index("--seed") + 1] = str(2 ** 64 + 5)
+        assert main(args) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert b"seed" in captured.err
+
     def test_equimodal_on_regression_exits_2(self, tmp_path, sign_data):
         rng = np.random.default_rng(3)
         data = write_dataset(tmp_path, rng.uniform(0, 1, (4, 40)))

@@ -13,7 +13,7 @@ from mvgdp import (
     sample_standard_matrix,
     zeta,
 )
-from mvgdp.sampling import color_noise
+from mvgdp.sampling import color_noise, seed_state_words
 from oracles import dense_covariances
 
 
@@ -114,6 +114,31 @@ class TestRandomStream:
         a = sample_standard_matrix(RandomStream(42), 2, 2)
         b = sample_standard_matrix(RandomStream(42), 2, 2)
         assert np.array_equal(a, b)
+
+    def test_state_words_equal_seed_sequence(self):
+        # the vectorized hash must reproduce numpy's SeedSequence for seeds
+        # of one and two 32-bit words, and the streams built from its words
+        # must draw what RandomStream(seed) draws
+        edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        rng = np.random.default_rng(2024)
+        seeds = edges + rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).tolist()
+        words = seed_state_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected), seed
+            built = RandomStream.from_state_words(seed, row)
+            assert built.seed == seed
+            assert np.array_equal(built.standard_normal((5, 5)),
+                                  RandomStream(seed).standard_normal((5, 5))), seed
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64),
+                                                (2, np.uint64)])
+    def test_state_words_serve_only_pcg64(self, n_words, dtype):
+        stream = RandomStream.from_state_words(7, seed_state_words([7])[0])
+        seed_seq = stream._generator.bit_generator.seed_seq
+        with pytest.raises(ValueError, match="4 uint64"):
+            seed_seq.generate_state(n_words, dtype)
 
 
 class TestSampleStandardMatrix:
