@@ -6,9 +6,9 @@ Subcommands:
     perturb  privately release a dataset or its covariance
     bench    run a benchmark experiment and print the metric report
 
-Exit codes: 0 success, 2 configuration or format error, 3 contract violation
-(data escaping declared bounds or a false gamma claim), 4 internal assertion
-failure (a constructed design failed the privacy condition).
+Exit codes: 0 success, 2 configuration, format or file (OSError) error, 3
+contract violation (data escaping declared bounds or a false gamma claim), 4
+internal assertion failure (a constructed design failed the privacy condition).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .harness import (
     Experiment,
     ExperimentConfig,
     MechanismKind,
-    MechanismPlan,
     ReportFormat,
     audit_bounds,
     covariance_query,
@@ -49,13 +48,14 @@ from .harness import (
     identity_query,
     load_csv_matrix,
     load_dense_csv,
+    plan_release,
     run_experiment,
 )
 from .sampling import RandomStream, sample_mvg
 from .sensitivity import DataBounds
 
 _CONFIG_ERRORS = (DomainError, ShapeError, AllocationError, DegenerateDesignError,
-                  FormatError, ConfigError)
+                  FormatError, ConfigError, OSError)
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:
@@ -112,8 +112,8 @@ def _cmd_perturb(args) -> int:
     else:
         q, value = covariance_query(bounds), x @ x.T / num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
-    plan = MechanismPlan(mechanism, q, value, p, args.theta, args.directions,
-                         bounds, direction_data=x)
+    plan = plan_release(mechanism, q, value, p, args.theta, args.directions,
+                        bounds, direction_data=x)
     output = plan.draw([RandomStream(args.seed)])[0]
     if args.query == "identity":
         _write_csv(args.out, output.T)  # back to rows-as-records
@@ -154,8 +154,6 @@ def _resolve_bench_options(args) -> dict:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 from_file = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"could not read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(from_file, dict):

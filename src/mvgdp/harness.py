@@ -18,16 +18,16 @@ experiment archetypes are provided plus a direction-ablation sweep:
 
 A run (or ablation arm) plans once and then only draws: the CSV is parsed
 in one vectorized pass (or handed in by a caller that already loaded it, as
-the CLI does) and audited against the declared bounds once, and a
-:class:`MechanismPlan` fixes the budget split, the allocation, the
-directions and, for an MVG mechanism, its :class:`ReleasePlan`: the
-validated query value, the budget and the one privacy-condition check. For
-``dp:F`` directions the plan also holds the direction data's audit and
-covariance. The trials are then drawn in chunks, each one stack of at most
-``mechanisms.CHUNK_ENTRIES`` entries per temporary: the plan draws the chunk's
-releases as one (T, m, n) stack, and the first-PC metric eigendecomposes
-the stack with one batched ``eigh`` and scores it against a top eigenvalue
-taken once per run.
+the CLI does) and audited against the declared bounds once, and
+:func:`plan_release` returns the mechanism's own plan from
+:mod:`mechanisms`: the validated query value with, for a baseline, its noise
+scale, or for MVG a :class:`ReleasePlan` (the budget, the allocation, the
+directions and the one privacy-condition check; for ``dp:F`` directions also
+the direction data's audit and covariance). The trials are then drawn in
+chunks, each one stack of at most ``mechanisms.CHUNK_ENTRIES`` entries per
+temporary: the plan draws the chunk's releases as one (T, m, n) stack, and
+the first-PC metric eigendecomposes the stack with one batched ``eigh`` and
+scores it against a top eigenvalue taken once per run.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t
 (wrapping past 2^64 - 1 to 0), so an identical configuration yields
@@ -51,27 +51,27 @@ from pathlib import Path
 import numpy as np
 
 # check_condition, derive_directions_dp, mvg_equimodal, mvg_unimodal and
-# delta_rho are not called here (MechanismPlan plans each run once); the
-# names stay importable from this module because perfbench/tracing.py
-# patches them here.
+# delta_rho are not called here (plan_release plans each run once, through
+# the mechanisms' own plans); the names stay importable from this module
+# because perfbench/tracing.py patches them here.
 from .budget import (  # noqa: F401
     PrivacyParams,
     QueryKind,
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
     derive_directions_dp,
-    gaussian_noise_scale,
     mvg_equimodal,
     mvg_unimodal,
     plan_directions_dp,
     plan_equimodal,
+    plan_gaussian,
+    plan_laplace,
     plan_unimodal,
-    standard_normal_stacks,
     trials_per_chunk,
 )
 from .metrics import (  # noqa: F401
@@ -342,15 +342,15 @@ def covariance_query(bounds: DataBounds) -> QuerySpec:
                      gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
 
 
-class MechanismPlan:
-    """One mechanism releasing one fixed query value, planned once.
+def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
+                 privacy: PrivacyParams, theta_spec: str, directions_source: str,
+                 bounds: DataBounds, direction_data: np.ndarray):
+    """Plan one mechanism's releases of one fixed query value.
 
     Everything a trial does not change is done here, once per run (or
-    ablation arm): the budget split, the allocation, the directions, and
-    for an MVG mechanism its :class:`ReleasePlan`, whose one condition
-    check covers every trial. For ``dp:F`` directions that includes the
-    direction data's audit and covariance (``plan_directions_dp``).
-    :meth:`draw` is then the only per-trial step.
+    ablation arm): ``dp:F`` splits the budget and plans the direction data's
+    audit and covariance, and the mechanism's own plan from :mod:`mechanisms`
+    is built, whose ``draw(streams)`` is the only per-trial step.
 
     Args:
         mechanism: which mechanism releases the value.
@@ -362,81 +362,34 @@ class MechanismPlan:
         bounds: the declared bounds of ``direction_data``.
         direction_data: the records ``dp:F`` directions are derived from.
     """
-
-    def __init__(self, mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
-                 privacy: PrivacyParams, theta_spec: str, directions_source: str,
-                 bounds: DataBounds, direction_data: np.ndarray):
-        self.kind = mechanism
-        self.q = q
-        self.trials_per_chunk = trials_per_chunk(q.m, q.n)
-        source_tag, source_val = parse_directions_source(directions_source)
-        is_mvg = mechanism in (MechanismKind.MVG_UNIMODAL, MechanismKind.MVG_EQUIMODAL)
-        if not is_mvg and source_tag != "standard":
+    source_tag, source_val = parse_directions_source(directions_source)
+    if mechanism in (MechanismKind.GAUSSIAN_IID, MechanismKind.LAPLACE_IID):
+        if source_tag != "standard":
             raise ConfigError(
                 f"directions {directions_source!r} apply only to MVG mechanisms"
             )
-        if mechanism is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
-            raise ConfigError(
-                f"equi-modal noise needs a square query, but this experiment's "
-                f"query is {q.m}x{q.n}"
-            )
-        if source_tag == "dp":
-            p_directions = PrivacyParams(
-                privacy.epsilon * source_val, privacy.delta * source_val
-            )
-            privacy = PrivacyParams(
-                privacy.epsilon * (1.0 - source_val),
-                privacy.delta * (1.0 - source_val),
-            )
-            w = plan_directions_dp(direction_data, p_directions, q.m, bounds=bounds)
-        elif source_tag == "file":
-            w = load_dense_csv(source_val)
-        else:
-            w = np.eye(q.m)
-        if mechanism is MechanismKind.MVG_UNIMODAL:
-            self.release = plan_unimodal(value, q, privacy,
-                                         parse_theta_spec(theta_spec, q.m), w)
-        elif mechanism is MechanismKind.MVG_EQUIMODAL:
-            self.release = plan_equimodal(value, q, privacy,
-                                          parse_theta_spec(theta_spec, q.m), w)
-        else:
-            if value.shape != (q.m, q.n):
-                raise ShapeError(
-                    f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
-                )
-            self.value = value
-            if mechanism is MechanismKind.GAUSSIAN_IID:
-                self.scale = gaussian_noise_scale(q.sensitivity, privacy)
-            elif q.kind is QueryKind.COVARIANCE:
-                self.scale = covariance_sensitivity_l1(bounds) / privacy.epsilon
-            else:
-                self.scale = identity_sensitivity_l1(bounds) / privacy.epsilon
-
-    def draw(self, streams) -> np.ndarray:
-        """One perturbed value per stream, stacked to (T, m, n).
-
-        Each trial has the bits of the single-release library call on its
-        stream: ``mvg_*`` (after ``derive_directions_dp`` for ``dp:F``),
-        ``gaussian_iid_baseline`` or ``laplace_iid_baseline``.
-        """
-        if self.kind is MechanismKind.GAUSSIAN_IID:
-            (noisy,) = standard_normal_stacks(streams, [(self.q.m, self.q.n)])
-            noisy *= self.scale
-        elif self.kind is MechanismKind.LAPLACE_IID:
-            noisy = np.stack([stream.laplace(self.scale, (self.q.m, self.q.n))
-                              for stream in streams])
-        else:
-            return self.release.draw(streams)
-        noisy += self.value
-        return noisy
-
-
-def _plan_mechanism(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
-                    bounds: DataBounds, direction_data: np.ndarray,
-                    theta_spec: str | None = None) -> MechanismPlan:
-    return MechanismPlan(cfg.mechanism, q, value, cfg.privacy,
-                         theta_spec or cfg.theta_spec, cfg.directions_source,
-                         bounds, direction_data)
+        if mechanism is MechanismKind.GAUSSIAN_IID:
+            return plan_gaussian(value, q, privacy)
+        l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
+              else identity_sensitivity_l1)(bounds)
+        return plan_laplace(value, q, privacy.epsilon, l1)
+    if mechanism is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
+        raise ConfigError(
+            f"equi-modal noise needs a square query, but this experiment's "
+            f"query is {q.m}x{q.n}"
+        )
+    if source_tag == "dp":
+        p_directions = PrivacyParams(privacy.epsilon * source_val,
+                                     privacy.delta * source_val)
+        privacy = PrivacyParams(privacy.epsilon * (1.0 - source_val),
+                                privacy.delta * (1.0 - source_val))
+        w = plan_directions_dp(direction_data, p_directions, q.m, bounds=bounds)
+    elif source_tag == "file":
+        w = load_dense_csv(source_val)
+    else:
+        w = np.eye(q.m)
+    planner = plan_unimodal if mechanism is MechanismKind.MVG_UNIMODAL else plan_equimodal
+    return planner(value, q, privacy, parse_theta_spec(theta_spec, q.m), w)
 
 
 def _trial_streams(cfg: ExperimentConfig):
@@ -456,12 +409,13 @@ def _trial_streams(cfg: ExperimentConfig):
             yield RandomStream.from_state_words(seed, words)
 
 
-def _trial_chunks(cfg: ExperimentConfig, plan: MechanismPlan):
-    """The trials' streams in chunks of the plan's ``trials_per_chunk``,
-    each stacked by one draw."""
+def _trial_chunks(cfg: ExperimentConfig, plan):
+    """The run's releases in trial order, as (T, m, n) stacks: each is one
+    ``plan.draw`` over the next ``trials_per_chunk`` trials' streams."""
+    per_chunk = trials_per_chunk(*plan.value.shape)
     streams = _trial_streams(cfg)
-    for _ in range(0, cfg.trials, plan.trials_per_chunk):
-        yield list(itertools.islice(streams, plan.trials_per_chunk))
+    for _ in range(0, cfg.trials, per_chunk):
+        yield plan.draw(list(itertools.islice(streams, per_chunk)))
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
@@ -478,11 +432,12 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
         )
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
-    plan = _plan_mechanism(cfg, identity_query(train_bounds), train, train_bounds,
-                           direction_data=train)
+    plan = plan_release(cfg.mechanism, identity_query(train_bounds), train,
+                        cfg.privacy, cfg.theta_spec, cfg.directions_source,
+                        train_bounds, train)
     values = []
-    for streams in _trial_chunks(cfg, plan):
-        for noisy in plan.draw(streams):
+    for chunk in _trial_chunks(cfg, plan):
+        for noisy in chunk:
             values.append(ridge_regression_rmse(
                 (noisy[:-1], noisy[-1]), (test[:-1], test[-1]), cfg.ridge_reg
             ))
@@ -494,11 +449,12 @@ def _run_firstpc(cfg: ExperimentConfig, x: np.ndarray,
                  metric_name: str = "delta_rho") -> EvalReport:
     s_bar = x @ x.T / x.shape[1]
     gap = DeltaRho(s_bar)
-    plan = _plan_mechanism(cfg, covariance_query(cfg.bounds), s_bar, cfg.bounds,
-                           direction_data=x, theta_spec=theta_spec)
+    plan = plan_release(cfg.mechanism, covariance_query(cfg.bounds), s_bar,
+                        cfg.privacy, theta_spec or cfg.theta_spec,
+                        cfg.directions_source, cfg.bounds, x)
     values = []
-    for streams in _trial_chunks(cfg, plan):
-        values.extend(gap(_top_directions(plan.draw(streams))))
+    for chunk in _trial_chunks(cfg, plan):
+        values.extend(gap(_top_directions(chunk)))
     return mean_ci95(values, metric_name)
 
 
@@ -514,11 +470,11 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     num_records = x.shape[1]
     s_bar = x @ x.T / num_records
-    plan = _plan_mechanism(cfg, identity_query(cfg.bounds), x, cfg.bounds,
-                           direction_data=x)
+    plan = plan_release(cfg.mechanism, identity_query(cfg.bounds), x, cfg.privacy,
+                        cfg.theta_spec, cfg.directions_source, cfg.bounds, x)
     values = []
-    for streams in _trial_chunks(cfg, plan):
-        for noisy in plan.draw(streams):
+    for chunk in _trial_chunks(cfg, plan):
+        for noisy in chunk:
             values.append(rss(noisy @ noisy.T / num_records, s_bar))
     return mean_ci95(values, "RSS")
 

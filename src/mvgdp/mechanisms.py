@@ -15,9 +15,9 @@ distributed unevenly across a caller-chosen orthonormal set of directions:
 
 Both spend the full precision budget: the produced design always saturates
 the privacy condition, and a post-construction check enforces that. I.i.d.
-Gaussian and Laplace baselines, a differentially private direction-derivation
-helper, and a Monte Carlo diagnostic for the underlying trace inequality
-round out the module.
+Gaussian and Laplace baselines, planned and drawn the same way, a
+differentially private direction-derivation helper, and a Monte Carlo
+diagnostic for the underlying trace inequality round out the module.
 
 Every function is pure given its inputs and the random stream; concurrent
 calls need distinct streams.
@@ -142,12 +142,18 @@ class PerturbResult:
     seed: int
 
 
-def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
+def _check_shape(query_value, q: QuerySpec) -> np.ndarray:
+    """The query value as a float array, if it has the query's m x n shape."""
     value = np.asarray(query_value, dtype=float)
     if value.shape != (q.m, q.n):
         raise ShapeError(
             f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
         )
+    return value
+
+
+def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
+    value = _check_shape(query_value, q)
     fro = float(np.linalg.norm(value))
     # written so a NaN norm fails the check too
     if not fro <= q.gamma * (1.0 + GAMMA_RTOL):
@@ -358,7 +364,7 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
     assumes epsilon <= 1; larger values are accepted with a warning since
     they only appear in vanishing-noise sanity checks.
     """
-    if sensitivity <= 0:
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
     if p.epsilon > 1.0:
         warnings.warn(
@@ -369,20 +375,68 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / p.delta)) / p.epsilon
 
 
+@dataclass(frozen=True)
+class GaussianPlan:
+    """Classic Gaussian releases of one validated query value: i.i.d. noise
+    of sd ``scale`` on every entry. Built by :func:`plan_gaussian`."""
+
+    value: np.ndarray
+    scale: float
+
+    def draw(self, streams) -> np.ndarray:
+        """Release the value once per stream, stacked to (T, m, n); trial t
+        draws its m*n normals from ``streams[t]`` alone."""
+        (noisy,) = standard_normal_stacks(streams, [self.value.shape])
+        noisy *= self.scale
+        noisy += self.value
+        return noisy
+
+
+@dataclass(frozen=True)
+class LaplacePlan:
+    """Classic Laplace releases of one validated query value: i.i.d. noise
+    of scale ``scale`` on every entry. Built by :func:`plan_laplace`."""
+
+    value: np.ndarray
+    scale: float
+
+    def draw(self, streams) -> np.ndarray:
+        """Release the value once per stream, stacked to (T, m, n); trial t
+        draws its m*n Laplace variates from ``streams[t]`` alone."""
+        noisy = np.stack([stream.laplace(self.scale, self.value.shape)
+                          for stream in streams])
+        noisy += self.value
+        return noisy
+
+
+def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> GaussianPlan:
+    """Plan classic Gaussian releases; takes :func:`gaussian_iid_baseline`'s
+    arguments except the stream."""
+    return GaussianPlan(_check_shape(query_value, q),
+                        gaussian_noise_scale(q.sensitivity, p))
+
+
+def plan_laplace(query_value, q: QuerySpec, epsilon: float,
+                 l1_sensitivity: float) -> LaplacePlan:
+    """Plan classic Laplace releases; takes :func:`laplace_iid_baseline`'s
+    arguments except the stream."""
+    value = _check_shape(query_value, q)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(l1_sensitivity) and l1_sensitivity > 0):
+        raise DomainError(f"l1_sensitivity must be positive, got {l1_sensitivity}")
+    return LaplacePlan(value, l1_sensitivity / epsilon)
+
+
 def gaussian_iid_baseline(query_value, q: QuerySpec, p: PrivacyParams,
                           stream: RandomStream) -> np.ndarray:
     """Classic Gaussian mechanism: i.i.d. noise scaled to the L2 sensitivity.
 
     Equals the matrix-Gaussian sampler with Sigma = sigma^2 * I and Psi = I
-    under shared draws, entry for entry.
+    under shared draws, entry for entry. Equivalent to
+    ``plan_gaussian(...).draw([stream])[0]``.
     """
-    value = np.asarray(query_value, dtype=float)
-    if value.shape != (q.m, q.n):
-        raise ShapeError(
-            f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
-        )
-    sigma = gaussian_noise_scale(q.sensitivity, p)
-    return value + sigma * sample_standard_matrix(stream, q.m, q.n)
+    return plan_gaussian(query_value, q, p).draw([stream])[0]
 
 
 def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
@@ -390,19 +444,10 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
     """Classic Laplace mechanism: i.i.d. noise with scale l1_sensitivity / epsilon.
 
     The L1 sensitivity is a separate input because it is a different quantity
-    from the Frobenius sensitivity carried by the query spec.
+    from the Frobenius sensitivity carried by the query spec. Equivalent to
+    ``plan_laplace(...).draw([stream])[0]``.
     """
-    value = np.asarray(query_value, dtype=float)
-    if value.shape != (q.m, q.n):
-        raise ShapeError(
-            f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
-        )
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if not (math.isfinite(l1_sensitivity) and l1_sensitivity > 0):
-        raise DomainError(f"l1_sensitivity must be positive, got {l1_sensitivity}")
-    scale = l1_sensitivity / epsilon
-    return value + stream.laplace(scale, (q.m, q.n))
+    return plan_laplace(query_value, q, epsilon, l1_sensitivity).draw([stream])[0]
 
 
 @dataclass(frozen=True)

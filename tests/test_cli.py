@@ -164,6 +164,21 @@ class TestPerturbCommand:
                      "--lo", "0", "--hi", "1", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_unwritable_out_exits_2(self, tmp_path, sign_data, capsys):
+        data = write_dataset(tmp_path, sign_data)
+        code = main(["perturb", "--input", data, "--query", "identity",
+                     "--epsilon", "1", "--lo", "-1", "--hi", "1",
+                     "--out", str(tmp_path / "missing" / "o.csv")])
+        assert code == 2
+        assert "mvgdp: error:" in capsys.readouterr().err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        code = main(["perturb", "--input", str(tmp_path), "--query", "identity",
+                     "--epsilon", "1", "--lo", "0", "--hi", "1",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "mvgdp: error:" in capsys.readouterr().err
+
     def test_dp_directions(self, tmp_path, sign_data):
         data = write_dataset(tmp_path, sign_data)
         out = tmp_path / "o.csv"
@@ -269,6 +284,10 @@ class TestBenchCommand:
         captured = capfdbinary.readouterr()
         assert captured.out == b""
         assert b"seed" in captured.err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        assert main(self.bench_args(str(tmp_path))) == 2
+        assert "mvgdp: error:" in capsys.readouterr().err
 
     def test_equimodal_on_regression_exits_2(self, tmp_path, sign_data):
         rng = np.random.default_rng(3)

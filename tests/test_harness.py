@@ -13,11 +13,13 @@ from mvgdp import (
     ExperimentConfig,
     FormatError,
     MechanismKind,
+    PrecisionAllocation,
     PrivacyParams,
     QueryKind,
     QuerySpec,
     RandomStream,
     ReportFormat,
+    ShapeError,
     covariance_sensitivity,
     covariance_sensitivity_l1,
     delta_rho,
@@ -26,6 +28,7 @@ from mvgdp import (
     format_significant,
     gamma_covariance,
     gaussian_iid_baseline,
+    identity_sensitivity_l1,
     laplace_iid_baseline,
     load_csv_matrix,
     load_dense_csv,
@@ -469,6 +472,32 @@ class TestRunExperiment:
                         trials=0)
 
 
+@pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda kind: kind.value)
+def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
+    # a kind added without a library entry here fails on the lookup
+    bounds = DataBounds(3, 100, -1.0, 1.0)
+    q = harness.covariance_query(bounds)
+    p = PrivacyParams(1.0, 0.01)
+    theta = PrecisionAllocation.uniform(3)
+    bad = np.zeros((3, 4))
+    library = {
+        MechanismKind.MVG_UNIMODAL: lambda: mvg_unimodal(bad, q, p, theta, np.eye(3),
+                                                         RandomStream(0)),
+        MechanismKind.MVG_EQUIMODAL: lambda: mvg_equimodal(bad, q, p, theta, np.eye(3),
+                                                           RandomStream(0)),
+        MechanismKind.GAUSSIAN_IID: lambda: gaussian_iid_baseline(bad, q, p,
+                                                                  RandomStream(0)),
+        MechanismKind.LAPLACE_IID: lambda: laplace_iid_baseline(bad, q, 1.0, 1.0,
+                                                                RandomStream(0)),
+    }[kind]
+    message = r"query value has shape \(3, 4\), expected \(3, 3\)"
+    with pytest.raises(ShapeError, match=message):
+        library()
+    with pytest.raises(ShapeError, match=message):
+        harness.plan_release(kind, q, bad, p, "uniform", "standard", bounds,
+                             np.zeros((3, 100)))
+
+
 class TestAblation:
     def test_ordering_in_low_noise_regime(self, tmp_path):
         # With noise small against the spectral gaps, favoring the truly
@@ -596,20 +625,27 @@ class TestBatchedTrials:
                           trials=40)
         assert run_experiment(cfg) == self.firstpc_replay(x, bounds, release)
 
-    def test_covest_equals_per_trial_replay(self, tmp_path):
+    @pytest.mark.parametrize("mechanism", ["mvg-uni", "gauss", "laplace"])
+    def test_covest_equals_per_trial_replay(self, tmp_path, mechanism):
         path, x = spread_dataset(tmp_path, m=3, n_records=100)
         bounds = DataBounds(3, 100, -1.0, 1.0)
         assert trials_per_chunk(3, 100) == 13  # 30 trials span three chunks
-        cfg = base_config(path, bounds, MechanismKind.MVG_UNIMODAL,
+        cfg = base_config(path, bounds, MechanismKind(mechanism),
                           Experiment.COVARIANCE_ESTIMATION,
                           theta_spec="binary:0.9:0", trials=30)
         q = harness.identity_query(bounds)
         theta = parse_theta_spec("binary:0.9:0", 3)
+        l1 = identity_sensitivity_l1(bounds)
+        release = {
+            "mvg-uni": lambda stream: mvg_unimodal(x, q, self.P, theta, np.eye(3),
+                                                   stream).output,
+            "gauss": lambda stream: gaussian_iid_baseline(x, q, self.P, stream),
+            "laplace": lambda stream: laplace_iid_baseline(x, q, 1.0, l1, stream),
+        }[mechanism]
         s_bar = x @ x.T / 100
         values = []
         for t in range(30):
-            out = mvg_unimodal(x, q, self.P, theta, np.eye(3),
-                               RandomStream(11 + t)).output
+            out = release(RandomStream(11 + t))
             values.append(rss(out @ out.T / 100, s_bar))
         assert run_experiment(cfg) == mean_ci95(values, "RSS")
 

@@ -334,6 +334,11 @@ class TestGaussianBaseline:
         with pytest.warns(UserWarning, match="epsilon"):
             gaussian_noise_scale(1.0, PrivacyParams(5.0, 0.05))
 
+    @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_sensitivity(self, sensitivity):
+        with pytest.raises(DomainError, match="sensitivity must be positive"):
+            gaussian_noise_scale(sensitivity, PrivacyParams(1.0, 0.01))
+
     def test_empirical_variance(self):
         q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
         p = PrivacyParams(1.0, 0.05)
