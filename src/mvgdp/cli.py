@@ -6,7 +6,7 @@ Subcommands:
     perturb  privately release a dataset or its covariance
     bench    run a benchmark experiment and print the metric report
 
-Exit codes: 0 success, 2 configuration, format or file (OSError) error, 3
+Exit codes: 0 success, 2 flag, configuration, format or file (OSError) error, 3
 contract violation (data escaping declared bounds or a false gamma claim), 4
 internal assertion failure (a constructed design failed the privacy condition).
 """
@@ -28,14 +28,10 @@ from .budget import (
 )
 from .design import NoiseDesign
 from .errors import (
-    AllocationError,
     ConditionCheckError,
     ConfigError,
     ContractViolationError,
-    DegenerateDesignError,
-    DomainError,
-    FormatError,
-    ShapeError,
+    MvgdpError,
 )
 from .harness import (
     Experiment,
@@ -53,9 +49,6 @@ from .harness import (
 )
 from .sampling import RandomStream, sample_mvg
 from .sensitivity import DataBounds
-
-_CONFIG_ERRORS = (DomainError, ShapeError, AllocationError, DegenerateDesignError,
-                  FormatError, ConfigError, OSError)
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:
@@ -100,17 +93,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_perturb(args) -> int:
+def _load_dataset(args):
+    """The dataset CSV at ``--input``, its bounds and the privacy target,
+    with ``--delta`` defaulting to 1/N."""
     x, _ = load_csv_matrix(args.input, args.has_header)
     num_features, num_samples = x.shape
     bounds = DataBounds(num_features, num_samples, args.lo, args.hi)
-    audit_bounds(x, bounds)
     delta = args.delta if args.delta is not None else 1.0 / num_samples
-    p = PrivacyParams(args.epsilon, delta)
+    return x, bounds, PrivacyParams(args.epsilon, delta)
+
+
+def _cmd_perturb(args) -> int:
+    x, bounds, p = _load_dataset(args)
+    audit_bounds(x, bounds)
     if args.query == "identity":
         q, value, mechanism = identity_query(bounds), x, MechanismKind.MVG_UNIMODAL
     else:
-        q, value = covariance_query(bounds), x @ x.T / num_samples
+        q, value = covariance_query(bounds), x @ x.T / bounds.num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
     plan = plan_release(mechanism, q, value, p, args.theta, args.directions,
                         bounds, direction_data=x)
@@ -122,102 +121,79 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-_BENCH_DEFAULTS = {
-    "experiment": None, "input": None, "mechanism": None, "epsilon": None,
-    "delta": None, "lo": 0.0, "hi": 1.0, "tau": 0.9, "favored": None,
-    "theta": None, "directions": "standard", "trials": 100, "ridge_reg": 1.0,
-    "seed": 0, "format": "text", "has_header": False,
-}
-
-
-def _file_value(path: str, action: argparse.Action, value):
-    """Check a config-file value as argparse checks its flag's text."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
-        try:  # from its text, as a flag's: "trials": 2.5 is no int
-            value = (action.type or str)(str(value))
-        except ValueError:
-            ok = False
-        ok = ok and (action.choices is None or value in action.choices)
-    if not ok:
-        choices = f" (choose from {', '.join(action.choices)})" if action.choices else ""
-        raise ConfigError(f"{path}: invalid value for {action.dest}: {value!r}{choices}")
-    return value
-
-
-def _resolve_bench_options(args) -> dict:
-    """Merge CLI flags over an optional JSON config file over the defaults."""
-    from_file: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                from_file = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
-        if not isinstance(from_file, dict):
-            raise ConfigError(
-                f"{args.config}: config must be a JSON object, "
-                f"got {type(from_file).__name__}"
-            )
-        unknown = set(from_file) - set(_BENCH_DEFAULTS)
-        if unknown:
-            raise ConfigError(
-                f"{args.config}: unknown config keys {sorted(unknown)}"
-            )
-    options = {}
-    for key, default in _BENCH_DEFAULTS.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            options[key] = cli_value
-        elif key in from_file and from_file[key] is not None:
-            options[key] = _file_value(args.config, args.bench_flags[key],
-                                       from_file[key])
-        else:
-            options[key] = default
+def _cmd_bench(args) -> int:
     for key in ("experiment", "input", "mechanism", "epsilon"):
-        if options[key] is None:
+        if getattr(args, key) is None:
             raise ConfigError(
                 f"missing required option --{key} (flag or config file)"
             )
-    return options
-
-
-def _cmd_bench(args) -> int:
-    opts = _resolve_bench_options(args)
-    # every option already has its flag's type, from argparse, the file
-    # check or the defaults
-    x, _ = load_csv_matrix(opts["input"], opts["has_header"])
-    num_features, num_samples = x.shape
-    delta = opts["delta"] if opts["delta"] is not None else 1.0 / num_samples
-    if opts["theta"] is not None:
-        theta_spec = opts["theta"]
-    elif opts["favored"] is not None:
-        theta_spec = f"binary:{opts['tau']}:{opts['favored']}"
+    x, bounds, privacy = _load_dataset(args)
+    if args.theta is not None:
+        theta_spec = args.theta
+    elif args.favored is not None:
+        theta_spec = f"binary:{args.tau}:{args.favored}"
     else:
         theta_spec = "uniform"
     cfg = ExperimentConfig(
-        experiment=Experiment(opts["experiment"]),
-        dataset_path=opts["input"],
-        bounds=DataBounds(num_features, num_samples, opts["lo"], opts["hi"]),
-        privacy=PrivacyParams(opts["epsilon"], delta),
-        mechanism=MechanismKind(opts["mechanism"]),
+        experiment=Experiment(args.experiment),
+        dataset_path=args.input,
+        bounds=bounds,
+        privacy=privacy,
+        mechanism=MechanismKind(args.mechanism),
         theta_spec=theta_spec,
-        directions_source=opts["directions"],
-        trials=opts["trials"],
-        seed=opts["seed"],
-        csv_has_header=opts["has_header"],
-        ridge_reg=opts["ridge_reg"],
+        directions_source=args.directions,
+        trials=args.trials,
+        seed=args.seed,
+        csv_has_header=args.has_header,
+        ridge_reg=args.ridge_reg,
     )
     report = run_experiment(cfg, data=x)
-    sys.stdout.buffer.write(emit_report(report, ReportFormat(opts["format"])))
+    sys.stdout.buffer.write(emit_report(report, ReportFormat(args.format)))
     sys.stdout.buffer.flush()
     return 0
 
 
+def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """A bench JSON config file's entries as the flags' text.
+
+    A key is a bench option's dest, as the parse of the command line set it
+    in ``args``. A scalar becomes ``--key=value``, a boolean ``--key`` or
+    ``--no-key``, and ``null`` leaves the option unset.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            entries = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(entries, dict):
+        raise ConfigError(
+            f"{path}: config must be a JSON object, got {type(entries).__name__}"
+        )
+    unknown = set(entries) - (set(vars(args)) - {"command", "func", "config"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    flags = []
+    for key, value in entries.items():
+        name = key.replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(f"--{name}" if value else f"--no-{name}")
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"--{name}={value}")
+        elif value is not None:
+            raise ConfigError(f"{path}: invalid value for {key}: {value!r}")
+    return flags
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a :class:`ConfigError`, so it takes the one
+    error path of :func:`main`."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvgdp",
         description="Matrix-variate Gaussian mechanism for differentially "
                     "private matrix-valued queries.",
@@ -262,41 +238,47 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--has-header", action="store_true")
     pt.set_defaults(func=_cmd_perturb)
 
-    # bench flags default to None so an optional JSON config file can fill
-    # anything not given explicitly; flags always win over the file
     bn = sub.add_parser("bench", help="run a benchmark experiment")
-    bn.add_argument("--config", default=None,
-                    help="JSON file supplying defaults for any bench option")
+    bn.add_argument("--config",
+                    help="JSON object of bench options, keyed like the flags' "
+                         "dests; flags on the command line win")
     bn.add_argument("--experiment", choices=[e.value for e in Experiment])
     bn.add_argument("--input")
     bn.add_argument("--mechanism", choices=[k.value for k in MechanismKind])
-    bn.add_argument("--trials", type=int)
+    bn.add_argument("--trials", type=int, default=100)
     bn.add_argument("--epsilon", type=float)
     bn.add_argument("--delta", type=float,
                     help="defaults to 1/N for the loaded dataset")
-    bn.add_argument("--lo", type=float)
-    bn.add_argument("--hi", type=float)
-    bn.add_argument("--tau", type=float,
+    bn.add_argument("--lo", type=float, default=0.0)
+    bn.add_argument("--hi", type=float, default=1.0)
+    bn.add_argument("--tau", type=float, default=0.9,
                     help="budget share for the favored directions (default 0.9)")
     bn.add_argument("--favored",
                     help="comma-separated favored direction indices")
     bn.add_argument("--theta",
                     help="full allocation spec; overrides --tau/--favored")
-    bn.add_argument("--directions", help="standard | PATH | dp:FRACTION")
-    bn.add_argument("--ridge-reg", type=float, dest="ridge_reg")
-    bn.add_argument("--seed", type=int)
-    bn.add_argument("--format", choices=["text", "csv"])
+    bn.add_argument("--directions", default="standard",
+                    help="standard | PATH | dp:FRACTION")
+    bn.add_argument("--ridge-reg", type=float, default=1.0)
+    bn.add_argument("--seed", type=int, default=0)
+    bn.add_argument("--format", choices=["text", "csv"], default="text")
     bn.add_argument("--has-header", action=argparse.BooleanOptionalAction,
-                    default=None)
-    bn.set_defaults(func=_cmd_bench,
-                    bench_flags={action.dest: action for action in bn._actions})
+                    default=False)
+    bn.set_defaults(func=_cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            file_flags = _config_flags(args.config, args)
+            try:  # the command line parsed alone, so an error is the file's
+                args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
         return args.func(args)
     except ContractViolationError as exc:
         print(f"mvgdp: contract violation: {exc}", file=sys.stderr)
@@ -304,7 +286,7 @@ def main(argv=None) -> int:
     except ConditionCheckError as exc:
         print(f"mvgdp: internal assertion failed: {exc}", file=sys.stderr)
         return 4
-    except _CONFIG_ERRORS as exc:
+    except (MvgdpError, OSError) as exc:
         print(f"mvgdp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,6 +46,7 @@ from .design import NoiseDesign, check_orthonormal
 from .errors import (
     AllocationError,
     ConditionCheckError,
+    ConfigError,
     ContractViolationError,
     DomainError,
     ShapeError,
@@ -316,6 +317,13 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
 
 
 def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
+    if plan.directions is not None:
+        # the result's design could not name the basis the draw used
+        raise ConfigError(
+            "a single release takes a fixed w_sigma, not a DirectionsPlan: draw "
+            "one with derive_directions_dp, or draw per trial from "
+            "plan_unimodal/plan_equimodal"
+        )
     return PerturbResult(output=plan.draw([stream])[0], design=plan.design,
                          budget=plan.budget, seed=stream.seed)
 

@@ -1,10 +1,16 @@
+import argparse
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mvgdp import (
+    ConfigError,
     DataBounds,
+    Experiment,
+    ExperimentConfig,
+    MechanismKind,
     NoiseDesign,
     PrivacyParams,
     QueryKind,
@@ -394,3 +400,111 @@ class TestBenchCommand:
         data = write_dataset(tmp_path, sign_data)
         assert main(["bench", "--input", data, "--mechanism", "mvg-equi",
                      "--epsilon", "1"]) == 2
+
+    @pytest.mark.parametrize("mechanism", ["gauss", "laplace"])
+    def test_ablation_with_a_baseline_exits_2(self, tmp_path, sign_data,
+                                              capfdbinary, mechanism):
+        # a baseline ignores the allocation, so its three arms would be one
+        data = write_dataset(tmp_path, sign_data)
+        cfg = ExperimentConfig(
+            experiment=Experiment.DIRECTION_ABLATION, dataset_path=data,
+            bounds=DataBounds(3, 200, -1.0, 1.0), privacy=PrivacyParams(1.0, 0.005),
+            mechanism=MechanismKind(mechanism), theta_spec="binary:0.9:0,1",
+            trials=3)
+        with pytest.raises(ConfigError, match="allocation"):
+            harness.run_experiment(cfg)
+        code = main(["bench", "--experiment", "ablation", "--input", data,
+                     "--mechanism", mechanism, "--trials", "3", "--epsilon", "1",
+                     "--lo", "-1", "--hi", "1", "--favored", "0,1"])
+        assert code == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"mvgdp: error: ")
+
+
+def bench_options():
+    """The bench parser's options but --help and --config; argparse has no
+    public accessor, so this reads its action lists."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in commands.choices["bench"]._actions
+            if a.dest not in ("help", "config")]
+
+
+class TestBenchConfigFile:
+    """A config file is parsed as bench flags by the bench parser itself."""
+
+    def parsed(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_bench", lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+        (args,) = seen
+        return {k: v for k, v in vars(args).items() if k not in ("config", "func")}
+
+    def write_config(self, tmp_path, entries):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(entries))
+        return str(path)
+
+    def test_every_option_parses_as_its_flag(self, tmp_path, monkeypatch):
+        options = bench_options()
+        assert {"experiment", "ridge_reg", "has_header"} <= {a.dest for a in options}
+        for action in options:
+            if isinstance(action, argparse.BooleanOptionalAction):
+                value, flags = True, [action.option_strings[0]]
+            else:
+                value = (action.choices[-1] if action.choices
+                         else {int: 7, float: 0.25, None: "x"}[action.type])
+                flags = [action.option_strings[0], str(value)]
+            config = self.write_config(tmp_path, {action.dest: value})
+            from_file = self.parsed(monkeypatch, ["bench", "--config", config])
+            assert from_file == self.parsed(monkeypatch, ["bench", *flags])
+            assert from_file[action.dest] == value != action.default
+
+    def test_null_entries_leave_the_defaults(self, tmp_path, monkeypatch):
+        config = self.write_config(tmp_path, {a.dest: None for a in bench_options()})
+        assert (self.parsed(monkeypatch, ["bench", "--config", config])
+                == self.parsed(monkeypatch, ["bench"]))
+
+    def test_command_line_wins(self, tmp_path, monkeypatch):
+        config = self.write_config(tmp_path, {"seed": 3, "has_header": True})
+        args = self.parsed(monkeypatch, ["bench", "--seed", "4", "--config", config,
+                                         "--no-has-header"])
+        assert (args["seed"], args["has_header"]) == (4, False)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["bench", "--trials", "abc"],
+        ["bench", "--banana"],
+        ["perturb", "--input", "data.csv"],
+    ], ids=["no-command", "unknown-command", "bad-int", "unknown-flag",
+            "missing-required"])
+    def test_bad_flag_exits_2_without_usage(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mvgdp: error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("entries, named", [
+        ({"exp": "firstpc"}, "exp"),
+        ({"config": "other.json"}, "config"),
+        ({"help": True}, "help"),
+        ({"help": None}, "help"),
+        ({"ridge-reg": 2.0}, "ridge-reg"),
+        ({"seed": 1e3}, "seed"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"input": False}, "input"),
+        ({"input": ["data.csv"]}, "input"),
+        ({"has_header": "yes"}, "has-header"),
+    ])
+    def test_bad_entry_exits_2_naming_the_file(self, tmp_path, capsys,
+                                               entries, named):
+        config = self.write_config(tmp_path, entries)
+        assert main(["bench", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mvgdp: error: {config}: ")
+        assert named in err

@@ -294,8 +294,24 @@ class TestRunExperiment:
                                       (test[:-1], test[-1]), reg=1.0)
         assert report.mean == pytest.approx(clean, abs=1e-3)
 
-    def test_regression_split_matches_paper_proportions(self):
-        assert int(round(0.72 * 345)) == 248
+    def test_regression_split_matches_paper_proportions(self, tmp_path,
+                                                        monkeypatch):
+        # the paper trains on 248 of Liver's 345 records
+        x = np.random.default_rng(6).uniform(0.0, 1.0, (4, 345))
+        planned = []
+        original = harness.plan_release
+
+        def recording(mechanism, q, value, *args):
+            planned.append((q.n, value))
+            return original(mechanism, q, value, *args)
+
+        monkeypatch.setattr(harness, "plan_release", recording)
+        cfg = base_config(tmp_path / "unused.csv", DataBounds(4, 345, 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION)
+        run_experiment(cfg, data=x)
+        [(n, value)] = planned
+        assert n == 248
+        assert np.array_equal(value, x[:, :248])
 
     def test_regression_with_mvg_runs(self, tmp_path):
         path, x = regression_dataset(tmp_path)
@@ -496,6 +512,16 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
     with pytest.raises(ShapeError, match=message):
         harness.plan_release(kind, q, bad, p, "uniform", "standard", bounds,
                              np.zeros((3, 100)))
+
+
+def test_standard_directions_plan_the_standard_side():
+    bounds = DataBounds(3, 100, -1.0, 1.0)
+    plan = harness.plan_release(MechanismKind.MVG_EQUIMODAL,
+                                harness.covariance_query(bounds), np.eye(3) / 4,
+                                PrivacyParams(1.0, 0.01), "binary:0.9:0",
+                                "standard", bounds, np.zeros((3, 100)))
+    assert plan.design.basis_sigma is None
+    assert plan.design.basis_psi is None
 
 
 class TestAblation:

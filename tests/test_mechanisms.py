@@ -6,6 +6,7 @@ import pytest
 
 from mvgdp import (
     AllocationError,
+    ConfigError,
     ContractViolationError,
     DataBounds,
     DegenerateDesignError,
@@ -304,6 +305,16 @@ class TestReleasePlan:
                             lambda self, noise: noise * 1.5)
         with pytest.raises(DegenerateDesignError, match="orthonormal"):
             plan.draw(self.streams())
+
+    @pytest.mark.parametrize("release", [mvg_unimodal, mvg_equimodal])
+    def test_single_release_rejects_drawn_directions(self, release):
+        # its result's design would name the standard basis, not the one drawn
+        data = np.random.default_rng(16).uniform(-1, 1, (3, 60))
+        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
+                                        bounds=DataBounds(3, 60, -1.0, 1.0))
+        with pytest.raises(ConfigError, match="derive_directions_dp"):
+            release(np.diag([0.5, 0.3, 0.1]), unit_query(3, 3), self.p, self.theta,
+                    directions, RandomStream(0))
 
     def test_directions_must_match_the_query(self):
         data = np.zeros((4, 10))
