@@ -127,11 +127,14 @@ def _cmd_bench(args) -> int:
             raise ConfigError(
                 f"missing required option --{key} (flag or config file)"
             )
+    if args.tau is not None and args.favored is None:
+        raise ConfigError("--tau sets the favored directions' share; it needs --favored")
     x, bounds, privacy = _load_dataset(args)
     if args.theta is not None:
         theta_spec = args.theta
     elif args.favored is not None:
-        theta_spec = f"binary:{args.tau}:{args.favored}"
+        tau = 0.9 if args.tau is None else args.tau
+        theta_spec = f"binary:{tau}:{args.favored}"
     else:
         theta_spec = "uniform"
     cfg = ExperimentConfig(
@@ -251,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="defaults to 1/N for the loaded dataset")
     bn.add_argument("--lo", type=float, default=0.0)
     bn.add_argument("--hi", type=float, default=1.0)
-    bn.add_argument("--tau", type=float, default=0.9,
-                    help="budget share for the favored directions (default 0.9)")
+    bn.add_argument("--tau", type=float,
+                    help="budget share for the --favored directions (default 0.9)")
     bn.add_argument("--favored",
                     help="comma-separated favored direction indices")
     bn.add_argument("--theta",

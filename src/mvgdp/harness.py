@@ -12,22 +12,31 @@ experiment archetypes are provided plus a direction-ablation sweep:
 * covest: identity query on the whole dataset (input perturbation),
   covariance recomputed from the perturbed data and scored by the residual
   sum of squares over all principal directions.
-* ablation: the firstpc experiment swept over three direction sets (the
+* ablation: the firstpc experiment swept over three allocations (the
   declared favored set, its complement, and a uniform allocation), emitting
   one report per arm.
 
-A run (or ablation arm) plans once and then only draws: the CSV is parsed
-in one vectorized pass (or handed in by a caller that already loaded it, as
-the CLI does) and audited against the declared bounds once, and
-:func:`plan_release` returns the mechanism's own plan from
-:mod:`mechanisms`: the validated query value with, for a baseline, its noise
-scale, or for MVG a :class:`ReleasePlan` (the budget, the allocation, the
-directions and the one privacy-condition check; for ``dp:F`` directions also
-the direction data's audit and covariance). The trials are then drawn in
-chunks, each one stack of at most ``mechanisms.CHUNK_ENTRIES`` entries per
-temporary: the plan draws the chunk's releases as one (T, m, n) stack, and
-the first-PC metric eigendecomposes the stack with one batched ``eigh`` and
-scores it against a top eigenvalue taken once per run.
+A run plans once and then only draws: the CSV is parsed in one vectorized
+pass (or handed in by a caller that already loaded it, as the CLI does) and
+audited against the declared bounds once, and :func:`plan_release` returns
+the mechanism's own plan from :mod:`mechanisms`: the validated query value
+with, for a baseline, its noise scale, or for MVG a :class:`ReleasePlan`
+(the budget, the allocation, the directions and the one privacy-condition
+check; for ``dp:F`` directions also the direction data's audit and
+covariance). A baseline takes no allocation but ``uniform``. The trials are
+then drawn in chunks, each one stack of at most ``mechanisms.CHUNK_ENTRIES``
+entries per temporary: the plan draws the chunk's releases as one (T, m, n)
+stack, and the first-PC metric eigendecomposes the stack with one batched
+``eigh`` and scores it with one batched product against a top eigenvalue
+taken once per run.
+
+A first-PC run takes a list of arms, one per allocation: the ablation
+passes three and firstpc one. :func:`plan_releases` plans every arm over
+one shared directions plan, so the run draws each chunk's noise once
+(``draw_noise``: streams, normals, and ``dp:F`` bases) and every arm colors
+its own copy of it (``color``). Trial t of every arm thus releases from the
+draws of stream seed + t, and each arm's report equals a one-arm run with
+its allocation bit for bit.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t
 (wrapping past 2^64 - 1 to 0), so an identical configuration yields
@@ -349,20 +358,34 @@ def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
                  bounds: DataBounds, direction_data: np.ndarray):
     """Plan one mechanism's releases of one fixed query value.
 
-    Everything a trial does not change is done here, once per run (or
-    ablation arm): ``dp:F`` splits the budget and plans the direction data's
-    audit and covariance, and the mechanism's own plan from :mod:`mechanisms`
-    is built, whose ``draw(streams)`` is the only per-trial step.
+    Everything a trial does not change is done here, once per run: ``dp:F``
+    splits the budget and plans the direction data's audit and covariance,
+    and the mechanism's own plan from :mod:`mechanisms` is built, whose
+    ``draw(streams)`` is the only per-trial step.
 
     Args:
         mechanism: which mechanism releases the value.
         q: the query spec.
         value: the query value released by every trial.
         privacy: the whole (epsilon, delta) budget of one release.
-        theta_spec: the allocation, as :func:`parse_theta_spec` reads it.
+        theta_spec: the allocation, as :func:`parse_theta_spec` reads it;
+            a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
         bounds: the declared bounds of ``direction_data``.
         direction_data: the records ``dp:F`` directions are derived from.
+    """
+    return plan_releases(mechanism, q, value, privacy, [theta_spec],
+                         directions_source, bounds, direction_data)[0]
+
+
+def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
+                  privacy: PrivacyParams, theta_specs, directions_source: str,
+                  bounds: DataBounds, direction_data: np.ndarray) -> list:
+    """:func:`plan_release` for each allocation in ``theta_specs``.
+
+    The directions (and with ``dp:F`` the data's audit and covariance) are
+    planned once and shared, so every plan's ``draw_noise`` draws the same
+    from the same streams, and the plans differ only in how they color it.
     """
     source_tag, source_val = parse_directions_source(directions_source)
     if mechanism in _IID_BASELINES:
@@ -370,11 +393,19 @@ def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
             raise ConfigError(
                 f"directions {directions_source!r} apply only to MVG mechanisms"
             )
+        for spec in theta_specs:
+            if spec.strip() != "uniform":
+                raise ConfigError(
+                    f"allocation {spec!r} applies only to MVG mechanisms; the "
+                    f"{mechanism.value} baseline adds i.i.d. noise"
+                )
         if mechanism is MechanismKind.GAUSSIAN_IID:
-            return plan_gaussian(value, q, privacy)
-        l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
-              else identity_sensitivity_l1)(bounds)
-        return plan_laplace(value, q, privacy.epsilon, l1)
+            plan = plan_gaussian(value, q, privacy)
+        else:
+            l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
+                  else identity_sensitivity_l1)(bounds)
+            plan = plan_laplace(value, q, privacy.epsilon, l1)
+        return [plan] * len(theta_specs)
     if mechanism is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
         raise ConfigError(
             f"equi-modal noise needs a square query, but this experiment's "
@@ -391,7 +422,8 @@ def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
     else:
         w = None  # the design's standard side
     planner = plan_unimodal if mechanism is MechanismKind.MVG_UNIMODAL else plan_equimodal
-    return planner(value, q, privacy, parse_theta_spec(theta_spec, q.m), w)
+    return [planner(value, q, privacy, parse_theta_spec(spec, q.m), w)
+            for spec in theta_specs]
 
 
 def _trial_streams(cfg: ExperimentConfig):
@@ -411,13 +443,20 @@ def _trial_streams(cfg: ExperimentConfig):
             yield RandomStream.from_state_words(seed, words)
 
 
-def _trial_chunks(cfg: ExperimentConfig, plan):
-    """The run's releases in trial order, as (T, m, n) stacks: each is one
-    ``plan.draw`` over the next ``trials_per_chunk`` trials' streams."""
+def _trial_noise(cfg: ExperimentConfig, plan):
+    """The run's draws in trial order: each is one ``plan.draw_noise`` over
+    the next ``trials_per_chunk`` trials' streams."""
     per_chunk = trials_per_chunk(*plan.value.shape)
     streams = _trial_streams(cfg)
     for _ in range(0, cfg.trials, per_chunk):
-        yield plan.draw(list(itertools.islice(streams, per_chunk)))
+        yield plan.draw_noise(list(itertools.islice(streams, per_chunk)))
+
+
+def _trial_chunks(cfg: ExperimentConfig, plan):
+    """The run's releases in trial order, as (T, m, n) stacks: each is one
+    ``plan.draw`` over the next ``trials_per_chunk`` trials' streams."""
+    for noise in _trial_noise(cfg, plan):
+        yield plan.color(*noise)
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
@@ -447,17 +486,25 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
 
 
 def _run_firstpc(cfg: ExperimentConfig, x: np.ndarray,
-                 theta_spec: str | None = None,
-                 metric_name: str = "delta_rho") -> EvalReport:
+                 arms: list[tuple[str, str]]) -> list[EvalReport]:
+    """One report per arm, a (metric name, allocation spec) pair.
+
+    Each chunk's noise is drawn once, and every arm colors its own copy of
+    it, so trial t of every arm releases from the draws of stream seed + t.
+    """
     s_bar = x @ x.T / x.shape[1]
     gap = DeltaRho(s_bar)
-    plan = plan_release(cfg.mechanism, covariance_query(cfg.bounds), s_bar,
-                        cfg.privacy, theta_spec or cfg.theta_spec,
-                        cfg.directions_source, cfg.bounds, x)
-    values = []
-    for chunk in _trial_chunks(cfg, plan):
-        values.extend(gap(_top_directions(chunk)))
-    return mean_ci95(values, metric_name)
+    plans = plan_releases(cfg.mechanism, covariance_query(cfg.bounds), s_bar,
+                          cfg.privacy, [spec for _, spec in arms],
+                          cfg.directions_source, cfg.bounds, x)
+    values = [[] for _ in arms]
+    for noise, *rest in _trial_noise(cfg, plans[0]):
+        for plan, arm_values in zip(plans, values):
+            # coloring may scale the noise in place; the last arm takes it over
+            own = noise if plan is plans[-1] else noise.copy()
+            arm_values.append(gap(_top_directions(plan.color(own, *rest))))
+    return [mean_ci95(np.concatenate(arm_values), name)
+            for (name, _), arm_values in zip(arms, values)]
 
 
 def _top_directions(noisy: np.ndarray) -> np.ndarray:
@@ -482,11 +529,6 @@ def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
 
 
 def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
-    if cfg.mechanism in _IID_BASELINES:
-        raise ConfigError(
-            f"the ablation experiment varies the MVG allocation, which the "
-            f"{cfg.mechanism.value} baseline does not use"
-        )
     num_features = x.shape[0]
     binary = _binary_parts(cfg.theta_spec)
     if binary is None:
@@ -499,17 +541,13 @@ def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
     complement = [i for i in range(num_features) if i not in favored]
     if not complement:
         raise ConfigError("favored set covers every direction; nothing to ablate")
-    arms = [
+    return _run_firstpc(cfg, x, [
         (f"delta_rho[favored={'+'.join(map(str, favored))}]",
          f"binary:{tau}:{','.join(map(str, favored))}"),
         (f"delta_rho[complement={'+'.join(map(str, complement))}]",
          f"binary:{tau}:{','.join(map(str, complement))}"),
         ("delta_rho[uniform]", "uniform"),
-    ]
-    return [
-        _run_firstpc(cfg, x, theta_spec=spec, metric_name=name)
-        for name, spec in arms
-    ]
+    ])
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -528,7 +566,8 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.experiment is Experiment.REGRESSION:
         return _run_regression(cfg, x)
     if cfg.experiment is Experiment.FIRST_PC:
-        return _run_firstpc(cfg, x)
+        (report,) = _run_firstpc(cfg, x, [("delta_rho", cfg.theta_spec)])
+        return report
     if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
         return _run_covest(cfg, x)
     if cfg.experiment is Experiment.DIRECTION_ABLATION:

@@ -200,8 +200,23 @@ def standard_normal_stacks(streams, shapes) -> list[np.ndarray]:
     return stacks
 
 
+class _TwoStepPlan:
+    """A plan whose :meth:`draw` is two steps: ``draw_noise(streams)``,
+    the only step that consumes the streams, then ``color(*noise)``, which
+    takes over the noise stack and returns the releases."""
+
+    def draw(self, streams) -> np.ndarray:
+        """Release the value once per stream, stacked to (T, m, n).
+
+        Trial t draws from ``streams[t]`` alone, so each trial's output has
+        the bits of a release made on its own stream; keep
+        ``len(streams)`` within :func:`trials_per_chunk` to bound memory.
+        """
+        return self.color(*self.draw_noise(streams))
+
+
 @dataclass(frozen=True)
-class ReleasePlan:
+class ReleasePlan(_TwoStepPlan):
     """Everything an MVG release fixes before it draws.
 
     Built once by :func:`plan_unimodal` or :func:`plan_equimodal`, which
@@ -229,26 +244,40 @@ class ReleasePlan:
     condition: ConditionCheck
     directions: DirectionsPlan | None = None
 
-    def draw(self, streams) -> np.ndarray:
-        """Release the query once per stream, stacked to (T, m, n).
+    def draw_noise(self, streams) -> tuple[np.ndarray, np.ndarray | None]:
+        """Trial t's draws from ``streams[t]``, in the order a single release
+        makes them: the direction noise first (M*M normals, when the
+        directions are drawn), then m*n normals for the mechanism.
 
-        Trial t's draws all come from ``streams[t]``, in the order a single
-        release makes them: the direction noise first (M*M normals, when
-        the directions are drawn), then m*n normals for the mechanism. Each
-        trial's output has the bits of a release made on its own; keep
-        ``len(streams)`` within :func:`trials_per_chunk` to bound memory.
+        Returns the (T, m, n) standard-normal stack and, when the directions
+        are drawn, the (T, m, m) stack of each trial's row basis (checked
+        orthonormal), else ``None``. Every plan over the same query and
+        :class:`DirectionsPlan` draws the same, so plans that differ only in
+        their allocation can color one draw each.
         """
         m, n = self.query.m, self.query.n
-        basis_sigma, basis_psi = self.design.basis_sigma, self.design.basis_psi
         if self.directions is None:
             (noise,) = standard_normal_stacks(streams, [(m, n)])
-        else:
-            direction_noise, noise = standard_normal_stacks(streams, [(m, m), (m, n)])
-            basis_sigma = self.directions.bases(direction_noise)
-            del direction_noise
-            check_orthonormal(basis_sigma, "w_sigma")
+            return noise, None
+        direction_noise, noise = standard_normal_stacks(streams, [(m, m), (m, n)])
+        bases = self.directions.bases(direction_noise)
+        del direction_noise
+        check_orthonormal(bases, "w_sigma")
+        return noise, bases
+
+    def color(self, noise: np.ndarray, bases: np.ndarray | None) -> np.ndarray:
+        """The releases for a :meth:`draw_noise` result: the noise colored
+        by this plan's design, plus the value.
+
+        ``bases`` replaces the design's row basis (and column basis, if
+        equi-modal) when it is not ``None``. A standard side scales
+        ``noise`` in place, so the caller hands over the array.
+        """
+        basis_sigma, basis_psi = self.design.basis_sigma, self.design.basis_psi
+        if bases is not None:
+            basis_sigma = bases
             if self.budget.mode is BudgetMode.EQUI_MODAL:
-                basis_psi = basis_sigma
+                basis_psi = bases
         output = color_noise(noise, basis_sigma, self.design.lambda_sigma,
                              basis_psi, self.design.lambda_psi)
         output += self.value
@@ -384,37 +413,43 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
 
 
 @dataclass(frozen=True)
-class GaussianPlan:
+class GaussianPlan(_TwoStepPlan):
     """Classic Gaussian releases of one validated query value: i.i.d. noise
     of sd ``scale`` on every entry. Built by :func:`plan_gaussian`."""
 
     value: np.ndarray
     scale: float
 
-    def draw(self, streams) -> np.ndarray:
-        """Release the value once per stream, stacked to (T, m, n); trial t
-        draws its m*n normals from ``streams[t]`` alone."""
-        (noisy,) = standard_normal_stacks(streams, [self.value.shape])
-        noisy *= self.scale
-        noisy += self.value
-        return noisy
+    def draw_noise(self, streams) -> tuple[np.ndarray]:
+        """Trial t's m*n standard normals from ``streams[t]`` alone, as one
+        (T, m, n) stack."""
+        return tuple(standard_normal_stacks(streams, [self.value.shape]))
+
+    def color(self, noise: np.ndarray) -> np.ndarray:
+        """Scale ``noise`` in place to sd ``scale`` and add the value."""
+        noise *= self.scale
+        noise += self.value
+        return noise
 
 
 @dataclass(frozen=True)
-class LaplacePlan:
+class LaplacePlan(_TwoStepPlan):
     """Classic Laplace releases of one validated query value: i.i.d. noise
     of scale ``scale`` on every entry. Built by :func:`plan_laplace`."""
 
     value: np.ndarray
     scale: float
 
-    def draw(self, streams) -> np.ndarray:
-        """Release the value once per stream, stacked to (T, m, n); trial t
-        draws its m*n Laplace variates from ``streams[t]`` alone."""
-        noisy = np.stack([stream.laplace(self.scale, self.value.shape)
-                          for stream in streams])
-        noisy += self.value
-        return noisy
+    def draw_noise(self, streams) -> tuple[np.ndarray]:
+        """Trial t's m*n Laplace variates from ``streams[t]`` alone, as one
+        (T, m, n) stack."""
+        return (np.stack([stream.laplace(self.scale, self.value.shape)
+                          for stream in streams]),)
+
+    def color(self, noise: np.ndarray) -> np.ndarray:
+        """Add the value to ``noise`` in place."""
+        noise += self.value
+        return noise
 
 
 def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> GaussianPlan:

@@ -95,24 +95,27 @@ def delta_rho(v, s_bar) -> float:
     Zero exactly when v spans the top eigenspace; tiny negative values from
     floating-point roundoff clamp to zero.
     """
-    return DeltaRho(s_bar)(np.asarray(v, dtype=float).reshape(1, -1))[0]
+    return float(DeltaRho(s_bar)(np.asarray(v, dtype=float).reshape(1, -1))[0])
 
 
 class DeltaRho:
     """:func:`delta_rho` against one fixed s_bar, for many directions.
 
     Checks s_bar's symmetry and takes its top eigenvalue once; a call then
-    checks a stack of directions for unit norm at once and scores each
-    with the scalar ``v @ s_bar @ v``, so every value has the bits
-    ``delta_rho(v, s_bar)`` gives.
+    checks a stack of directions for unit norm at once and scores them all
+    with two stacked products, (T, 1, m) @ (m, m) and then
+    (T, 1, m) @ (T, m, 1). numpy runs those as one matrix-vector and one dot
+    product per row, so each gap has the bits of the scalar
+    ``lam1 - float(v @ s_bar @ v)``; a single ``vs @ s_bar`` or ``einsum``
+    does not.
     """
 
     def __init__(self, s_bar):
         self.s_bar = _check_symmetric(s_bar, "s_bar")
         self.lam1 = float(np.linalg.eigvalsh(self.s_bar)[-1])
 
-    def __call__(self, vs: np.ndarray) -> list[float]:
-        """The gap for each row of the (T, m) array ``vs``."""
+    def __call__(self, vs: np.ndarray) -> np.ndarray:
+        """The gap for each row of the (T, m) array ``vs``, as a (T,) array."""
         mat = self.s_bar
         norms = np.linalg.norm(vs, axis=1)
         bad = np.abs(norms - 1.0) > _UNIT_TOL
@@ -124,10 +127,10 @@ class DeltaRho:
             raise ShapeError(
                 f"v has length {vs.shape[1]}, s_bar is {mat.shape[0]}x{mat.shape[0]}"
             )
-        gaps = []
-        for v in vs:
-            gap = self.lam1 - float(v @ mat @ v)
-            gaps.append(0.0 if _NEGATIVE_DUST <= gap < 0.0 else gap)
+        rows = vs[:, np.newaxis, :]
+        captured = np.matmul(np.matmul(rows, mat), vs[:, :, np.newaxis])[:, 0, 0]
+        gaps = self.lam1 - captured
+        gaps[(gaps >= _NEGATIVE_DUST) & (gaps < 0.0)] = 0.0
         return gaps
 
 

@@ -396,6 +396,43 @@ class TestBenchCommand:
         err = captured.err.decode()
         assert err.startswith("mvgdp: error: ") and named in err
 
+    def test_allocation_with_a_baseline_exits_2(self, tmp_path, sign_data,
+                                                capfdbinary):
+        data = write_dataset(tmp_path, sign_data)
+        code = main(["bench", "--experiment", "firstpc", "--input", data,
+                     "--mechanism", "gauss", "--trials", "3", "--epsilon", "1",
+                     "--lo", "-1", "--hi", "1", "--favored", "0"])
+        assert code == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"mvgdp: error: allocation")
+
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_tau_without_favored_exits_2(self, tmp_path, sign_data, capfdbinary,
+                                         in_config):
+        # a tau with no favored set would run as uniform without a word
+        data = write_dataset(tmp_path, sign_data)
+        args = self.bench_args(data)
+        del args[args.index("--favored"):args.index("--favored") + 2]
+        if in_config:
+            del args[args.index("--tau"):args.index("--tau") + 2]
+            config = tmp_path / "bench.json"
+            config.write_text(json.dumps({"tau": 0.5}))
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert b"--tau" in captured.err and b"--favored" in captured.err
+
+    def test_favored_without_tau_gives_0_9(self, tmp_path, sign_data, capfdbinary):
+        data = write_dataset(tmp_path, sign_data)
+        args = self.bench_args(data)
+        del args[args.index("--tau"):args.index("--tau") + 2]
+        assert main(args) == 0
+        default = capfdbinary.readouterr().out
+        assert main(self.bench_args(data)) == 0
+        assert default == capfdbinary.readouterr().out
+
     def test_missing_required_option_exits_2(self, tmp_path, sign_data):
         data = write_dataset(tmp_path, sign_data)
         assert main(["bench", "--input", data, "--mechanism", "mvg-equi",

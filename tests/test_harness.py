@@ -472,6 +472,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="square"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("kind", [MechanismKind.GAUSSIAN_IID,
+                                      MechanismKind.LAPLACE_IID],
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("experiment", [Experiment.FIRST_PC,
+                                            Experiment.COVARIANCE_ESTIMATION],
+                             ids=lambda experiment: experiment.value)
+    @pytest.mark.parametrize("theta_spec", ["binary:0.9:0", "0.5,0.3,0.2"])
+    def test_allocation_with_baseline_rejected(self, tmp_path, kind, experiment,
+                                               theta_spec):
+        # a baseline adds i.i.d. noise, so an allocation would be ignored
+        path, data = covariance_dataset(tmp_path)
+        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
+        cfg = base_config(path, bounds, kind, experiment, theta_spec=theta_spec)
+        with pytest.raises(ConfigError, match="allocation"):
+            run_experiment(cfg)
+
     def test_directions_with_baseline_rejected(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
@@ -616,6 +632,7 @@ class TestBatchedTrials:
         assert trials_per_chunk(16, 16) == 16
         mechanism = MechanismKind.MVG_EQUIMODAL
         directions = "standard"
+        theta_spec = "binary:0.9:0,1"
         if source == "standard":
             def release(s_bar, stream):
                 return mvg_equimodal(s_bar, q, self.P, theta, np.eye(16), stream).output
@@ -637,17 +654,19 @@ class TestBatchedTrials:
                 return mvg_equimodal(s_bar, q, p_mech, theta, w, stream).output
         elif source == "gauss":
             mechanism = MechanismKind.GAUSSIAN_IID
+            theta_spec = "uniform"  # a baseline takes no allocation
 
             def release(s_bar, stream):
                 return gaussian_iid_baseline(s_bar, q, self.P, stream)
         else:
             mechanism = MechanismKind.LAPLACE_IID
+            theta_spec = "uniform"
             l1 = covariance_sensitivity_l1(bounds)
 
             def release(s_bar, stream):
                 return laplace_iid_baseline(s_bar, q, 1.0, l1, stream)
         cfg = base_config(path, bounds, mechanism, Experiment.FIRST_PC,
-                          theta_spec="binary:0.9:0,1", directions_source=directions,
+                          theta_spec=theta_spec, directions_source=directions,
                           trials=40)
         assert run_experiment(cfg) == self.firstpc_replay(x, bounds, release)
 
@@ -656,9 +675,11 @@ class TestBatchedTrials:
         path, x = spread_dataset(tmp_path, m=3, n_records=100)
         bounds = DataBounds(3, 100, -1.0, 1.0)
         assert trials_per_chunk(3, 100) == 13  # 30 trials span three chunks
+        # a baseline takes no allocation
+        theta_spec = "binary:0.9:0" if mechanism == "mvg-uni" else "uniform"
         cfg = base_config(path, bounds, MechanismKind(mechanism),
                           Experiment.COVARIANCE_ESTIMATION,
-                          theta_spec="binary:0.9:0", trials=30)
+                          theta_spec=theta_spec, trials=30)
         q = harness.identity_query(bounds)
         theta = parse_theta_spec("binary:0.9:0", 3)
         l1 = identity_sensitivity_l1(bounds)
@@ -720,9 +741,17 @@ class TestBatchedTrials:
         assert len(run_experiment(cfg)) == 3
         assert calls == {"check": 3, "budget": 3}
 
-    @pytest.mark.parametrize("directions, roles", [("standard", 1), ("dp:0.2", 2)])
+    @pytest.mark.parametrize("directions, roles, experiment", [
+        pytest.param("standard", 1, Experiment.FIRST_PC, id="standard-1"),
+        pytest.param("dp:0.2", 2, Experiment.FIRST_PC, id="dp:0.2-2"),
+        pytest.param("standard", 1, Experiment.DIRECTION_ABLATION,
+                     id="standard-1-ablation"),
+        pytest.param("dp:0.2", 2, Experiment.DIRECTION_ABLATION,
+                     id="dp:0.2-2-ablation"),
+    ])
     def test_each_stream_draws_once_per_role(self, tmp_path, monkeypatch,
-                                             directions, roles):
+                                             directions, roles, experiment):
+        # the ablation's three arms share each trial's draws
         path, data = covariance_dataset(tmp_path)
         seeds = []
         original = mechanisms.sample_standard_matrix
@@ -733,11 +762,45 @@ class TestBatchedTrials:
 
         monkeypatch.setattr(mechanisms, "sample_standard_matrix", counted)
         cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
-                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
-                          directions_source=directions, trials=700)
+                          MechanismKind.MVG_EQUIMODAL, experiment,
+                          theta_spec="binary:0.9:0", directions_source=directions,
+                          trials=700)
         run_experiment(cfg)
         assert len(seeds) == roles * 700
         assert sorted(seeds) == sorted(list(range(11, 711)) * roles)
+
+    def test_ablation_plans_the_directions_once(self, tmp_path, monkeypatch):
+        path, data = covariance_dataset(tmp_path)
+        calls = []
+        original = harness.plan_directions_dp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "plan_directions_dp", counted)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.DIRECTION_ABLATION,
+                          theta_spec="binary:0.9:0", directions_source="dp:0.2",
+                          trials=20)
+        assert len(run_experiment(cfg)) == 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("directions", ["standard", "dp:0.2"])
+    def test_ablation_arms_equal_one_arm_runs(self, tmp_path, directions):
+        path, x = spread_dataset(tmp_path)
+        # 40 trials of 16 x 16 stacks span three chunks
+        cfg = base_config(path, DataBounds(16, 300, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.DIRECTION_ABLATION,
+                          theta_spec="binary:0.9:0,1", directions_source=directions,
+                          trials=40)
+        arms = ["binary:0.9:0,1", "binary:0.9:" + ",".join(map(str, range(2, 16))),
+                "uniform"]
+        for report, spec in zip(run_experiment(cfg), arms, strict=True):
+            one_arm = run_experiment(dataclasses.replace(
+                cfg, experiment=Experiment.FIRST_PC, theta_spec=spec))
+            assert report == dataclasses.replace(one_arm,
+                                                 metric_name=report.metric_name)
 
     def test_dp_run_memory_stays_within_chunks(self, tmp_path):
         rng = np.random.default_rng(5)

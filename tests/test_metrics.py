@@ -14,6 +14,7 @@ from mvgdp import (
     ridge_regression_rmse,
     rss,
 )
+from mvgdp.metrics import DeltaRho
 
 
 def random_psd(rng, m, scale=1.0):
@@ -76,6 +77,32 @@ class TestDeltaRho:
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             assert delta_rho(v, s) >= 0.0
+
+
+class TestBatchedDeltaRho:
+    @pytest.mark.parametrize("m", [3, 4, 16])
+    @pytest.mark.parametrize("trials", [1, 2, 200])
+    def test_rows_equal_the_scalar_product(self, m, trials):
+        # the harness scores the strided top-eigenvector views of one eigh
+        rng = np.random.default_rng(100 * m + trials)
+        s_bar = random_psd(rng, m)
+        noisy = s_bar + 0.3 * rng.standard_normal((trials, m, m))
+        vs = np.linalg.eigh((noisy + np.swapaxes(noisy, -1, -2)) / 2.0)[1][..., -1]
+        assert not vs.flags.c_contiguous
+        gap = DeltaRho(s_bar)
+        expected = [gap.lam1 - float(v @ s_bar @ v) for v in vs]
+        expected = [0.0 if -1e-10 <= g < 0.0 else g for g in expected]
+        gaps = gap(vs)
+        assert gaps.shape == (trials,)
+        assert gaps.tolist() == expected
+
+    def test_dust_clamps_to_zero_and_larger_negatives_stay(self):
+        dust, beyond = 1.0 + 2e-11, 1.0 + 4e-9  # both unit within 1e-8
+        assert -1e-10 <= 1.0 - dust * dust < 0.0
+        assert 1.0 - beyond * beyond < -1e-10
+        gaps = DeltaRho(np.diag([1.0, 0.5]))(
+            np.array([[dust, 0.0], [beyond, 0.0], [0.0, 1.0]]))
+        assert gaps.tolist() == [0.0, 1.0 - beyond * beyond, 0.5]
 
 
 class TestRss:
