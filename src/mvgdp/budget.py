@@ -7,12 +7,16 @@ norm phi, and the two precision budgets (directional rows with i.i.d.
 columns, and identical row/column covariances).
 
 All functions are pure; they can be called concurrently without restriction.
+The terms of one (QuerySpec, PrivacyParams) pair are computed once and
+memoized in a bounded cache (:func:`budget_terms`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +32,19 @@ CONDITION_RTOL = 1e-9
 
 # Relative slack on sensitivity <= 2*gamma (exact in real arithmetic).
 _TRIANGLE_RTOL = 1e-12
+
+# (QuerySpec, PrivacyParams) pairs whose budget terms stay memoized; a run
+# uses one or two, so this only bounds a long-lived caller's memory.
+TERMS_CACHE_SIZE = 256
+
+
+def _is_real(value) -> bool:
+    # a bool is an int to isinstance, and True would alias 1 as a cache key
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class QueryKind(enum.Enum):
@@ -53,11 +70,11 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)):
+        if not (_is_real(self.epsilon) and math.isfinite(self.epsilon)):
             raise DomainError(f"epsilon must be a finite number, got {self.epsilon!r}")
         if self.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta)):
+        if not (_is_real(self.delta) and math.isfinite(self.delta)):
             raise DomainError(f"delta must be a finite number, got {self.delta!r}")
         if not 0 < self.delta < 1:
             raise DomainError(
@@ -88,8 +105,15 @@ class QuerySpec:
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("n", self.n)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_count(value) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("sensitivity", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            # as float64, since a float32 would share a float64's cache key
+            # (it compares equal) but compute other bits
+            object.__setattr__(self, name, float(value))
         if not self.sensitivity > 0:
             raise DomainError(f"sensitivity must be positive, got {self.sensitivity}")
         if not self.gamma > 0:
@@ -141,7 +165,7 @@ def harmonic_numbers(r: int) -> tuple[float, float]:
     Computed by direct summation; exact enough for any realistic r and keeps
     the values independently checkable.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
+    if not _is_count(r) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
     idx = np.arange(1, int(r) + 1, dtype=float)
     return float(np.sum(1.0 / idx)), float(np.sum(1.0 / np.sqrt(idx)))
@@ -157,7 +181,7 @@ def zeta(delta: float, m: int, n: int) -> float:
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     for name, value in (("m", m), ("n", n)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if not _is_count(value) or value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value!r}")
     mn = float(m * n)
     log_delta = math.log(delta)
@@ -208,18 +232,31 @@ def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> Cond
         raise ShapeError(
             f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
         )
-    lhs = math.sqrt(float(np.sum(design.lambda_sigma ** -2.0))) * \
-        math.sqrt(float(np.sum(design.lambda_psi ** -2.0)))
-    alpha, beta = alpha_beta(q, p)
-    rhs = phi_bound(alpha, beta, p.epsilon) ** 2
+    lhs = math.sqrt(float((design.lambda_sigma ** -2.0).sum())) * \
+        math.sqrt(float((design.lambda_psi ** -2.0).sum()))
+    *_, phi_max = budget_terms(q, p)
+    rhs = phi_max ** 2
     return ConditionCheck(lhs <= rhs * (1.0 + CONDITION_RTOL), lhs, rhs)
 
 
-def _report(q: QuerySpec, p: PrivacyParams, mode: BudgetMode) -> BudgetReport:
+@functools.lru_cache(maxsize=TERMS_CACHE_SIZE)
+def budget_terms(q: QuerySpec,
+                 p: PrivacyParams) -> tuple[float, float, float, float, float, float]:
+    """(H_r, H_{r,1/2}, zeta(delta), alpha, beta, phi_max) for one query and
+    privacy target.
+
+    Memoized on the frozen (q, p) pair: the budget reports and the condition
+    check of every release over that pair read one computation, so a
+    condition's rhs is its report's ``phi_max ** 2`` bit for bit.
+    """
     h_r, h_r_half = harmonic_numbers(q.r)
     z = zeta(p.delta, q.m, q.n)
     alpha, beta = _alpha_beta(q, h_r, h_r_half, z)
-    phi = phi_bound(alpha, beta, p.epsilon)
+    return h_r, h_r_half, z, alpha, beta, phi_bound(alpha, beta, p.epsilon)
+
+
+def _report(q: QuerySpec, p: PrivacyParams, mode: BudgetMode) -> BudgetReport:
+    h_r, h_r_half, z, alpha, beta, phi = budget_terms(q, p)
     if mode is BudgetMode.UNIMODAL:
         budget = phi ** 4 / q.n
     else:

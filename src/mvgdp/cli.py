@@ -127,6 +127,9 @@ def _cmd_bench(args) -> int:
             raise ConfigError(
                 f"missing required option --{key} (flag or config file)"
             )
+    if args.theta is not None and (args.favored is not None or args.tau is not None):
+        raise ConfigError("--theta is a full allocation; it cannot be combined "
+                          "with --favored or --tau")
     if args.tau is not None and args.favored is None:
         raise ConfigError("--tau sets the favored directions' share; it needs --favored")
     x, bounds, privacy = _load_dataset(args)
@@ -259,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--favored",
                     help="comma-separated favored direction indices")
     bn.add_argument("--theta",
-                    help="full allocation spec; overrides --tau/--favored")
+                    help="full allocation spec; cannot be combined with "
+                         "--tau/--favored")
     bn.add_argument("--directions", default="standard",
                     help="standard | PATH | dp:FRACTION")
     bn.add_argument("--ridge-reg", type=float, default=1.0)

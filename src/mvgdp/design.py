@@ -40,7 +40,7 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must have at least one row")
     gram = np.swapaxes(w, -1, -2) @ w
     gram -= np.eye(w.shape[-1])
-    dev = np.max(np.abs(gram, out=gram))
+    dev = np.abs(gram, out=gram).max()
     if dev > ORTHONORMALITY_TOL:
         raise DegenerateDesignError(
             f"{name} is not orthonormal: max |W^T W - I| = {dev:.3e} "
@@ -105,7 +105,9 @@ class NoiseDesign:
         else:
             basis_p = _check_side(self.basis_psi, lam_p, "psi")
         for name, lam in (("lambda_sigma", lam_s), ("lambda_psi", lam_p)):
-            if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
+            # min and max propagate NaN, so a NaN fails the first test and
+            # -inf or +inf fails one of the two
+            if not (lam.min() > 0 and lam.max() < np.inf):
                 raise DegenerateDesignError(
                     f"{name} must be strictly positive and finite, got {lam}"
                 )

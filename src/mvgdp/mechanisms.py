@@ -333,7 +333,7 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
         raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
     value = _validate_query_value(query_value, q)
     _check_allocation(theta, q)
-    asym = float(np.max(np.abs(value - value.T))) if value.size else 0.0
+    asym = float(np.abs(value - value.T).max()) if value.size else 0.0
     if asym > _SYMMETRY_TOL:
         warnings.warn(
             f"equi-modal noise is recommended for symmetric queries; the query "

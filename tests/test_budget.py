@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from mvgdp import (
     precision_budget_unimodal,
     zeta,
 )
+from mvgdp import budget
 
 
 def harmonic_oracle(r):
@@ -273,6 +275,63 @@ class TestPrecisionBudgets:
             assert equi == pytest.approx(math.sqrt(m * uni), rel=1e-12)
 
 
+def bits(report):
+    return [getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name != "mode"]
+
+
+class TestBudgetTermsMemo:
+    CASES = [
+        pytest.param(QuerySpec(1, 1, sensitivity=1.0, gamma=1.0),
+                     PrivacyParams(1.0, math.exp(-1)), BudgetMode.UNIMODAL, id="uni-1x1"),
+        pytest.param(QuerySpec(21, 1531, sensitivity=0.3, gamma=2.5),
+                     PrivacyParams(0.7, 1e-3), BudgetMode.UNIMODAL, id="uni-21x1531"),
+        pytest.param(QuerySpec(4, 4, sensitivity=0.3, gamma=2.5),
+                     PrivacyParams(1.0, 1 / 2000), BudgetMode.EQUI_MODAL, id="equi-4"),
+        pytest.param(QuerySpec(16, 16, sensitivity=1.0, gamma=4.0),
+                     PrivacyParams(0.8, 0.8 / 50000), BudgetMode.EQUI_MODAL, id="equi-16"),
+    ]
+
+    @staticmethod
+    def release_terms(q, p, mode):
+        if mode is BudgetMode.UNIMODAL:
+            report = precision_budget_unimodal(q, p)
+        else:
+            report = precision_budget_equimodal(q, p)
+        design = NoiseDesign(None, np.ones(q.m), None, np.ones(q.n))
+        return report, check_condition(design, q, p).rhs
+
+    @pytest.mark.parametrize("q, p, mode", CASES)
+    def test_warm_calls_have_the_bits_of_cold_ones(self, q, p, mode):
+        budget.budget_terms.cache_clear()
+        cold_report = self.release_terms(q, p, mode)[0]
+        budget.budget_terms.cache_clear()
+        cold_rhs = self.release_terms(q, p, mode)[1]
+        warm_report, warm_rhs = self.release_terms(q, p, mode)
+        assert budget.budget_terms.cache_info().hits >= 1
+        assert [x.hex() for x in bits(warm_report)] == \
+            [x.hex() for x in bits(cold_report)]
+        assert warm_rhs.hex() == cold_rhs.hex()
+        assert warm_rhs.hex() == (warm_report.phi_max ** 2).hex()
+
+    @pytest.mark.parametrize("q, p, mode", CASES)
+    def test_each_key_field_moves_the_rhs(self, q, p, mode):
+        # a cache keyed on part of (q, p) would hand back the base pair's rhs
+        budget.budget_terms.cache_clear()
+        base = self.release_terms(q, p, mode)[1]
+        variants = [
+            (q, PrivacyParams(p.epsilon * 1.5, p.delta)),
+            (q, PrivacyParams(p.epsilon, p.delta / 3)),
+            (dataclasses.replace(q, gamma=q.gamma * 2), p),
+        ]
+        for vq, vp in variants:
+            warm = self.release_terms(vq, vp, mode)[1]
+            budget.budget_terms.cache_clear()
+            assert self.release_terms(vq, vp, mode)[1] == warm != base
+            budget.budget_terms.cache_clear()
+            assert self.release_terms(q, p, mode)[1] == base
+
+
 class TestDomainTypes:
     def test_privacy_params_validation(self):
         with pytest.raises(DomainError):
@@ -296,6 +355,45 @@ class TestDomainTypes:
             QuerySpec(1, 1, sensitivity=3.0, gamma=1.0)  # s2 > 2*gamma
         q = QuerySpec(2, 5, sensitivity=1.0, gamma=1.0)
         assert q.r == 2
+
+    def test_bools_are_not_numbers(self):
+        # bool is an int subclass, so True would alias 1 as a budget cache key
+        with pytest.raises(DomainError):
+            PrivacyParams(True, 0.5)
+        with pytest.raises(DomainError):
+            PrivacyParams(1.0, True)
+        with pytest.raises(DomainError):
+            QuerySpec(True, 3, sensitivity=1.0, gamma=1.0)
+        with pytest.raises(DomainError):
+            QuerySpec(3, True, sensitivity=1.0, gamma=1.0)
+        with pytest.raises(DomainError):
+            QuerySpec(1, 1, sensitivity=True, gamma=1.0)
+        with pytest.raises(DomainError):
+            QuerySpec(1, 1, sensitivity=1.0, gamma=True)
+        with pytest.raises(DomainError):
+            QuerySpec(1, 1, sensitivity="1", gamma=1.0)
+        with pytest.raises(DomainError):
+            harmonic_numbers(True)
+        with pytest.raises(DomainError):
+            zeta(0.5, True, 2)
+        with pytest.raises(DomainError):
+            zeta(0.5, 2, True)
+        # plain and numpy integers stay valid
+        assert QuerySpec(np.int64(3), 3, sensitivity=1, gamma=1.0).r == 3
+        assert harmonic_numbers(np.int64(1)) == (1.0, 1.0)
+
+    def test_query_scale_is_stored_as_float64(self):
+        # a float32 compares equal to its float64 key; a report computed in
+        # float32 would hand its bits to every float64 caller with that key
+        q32 = QuerySpec(4, 4, sensitivity=np.float32(0.5), gamma=np.float32(2.0))
+        q64 = QuerySpec(4, 4, sensitivity=0.5, gamma=2.0)
+        assert type(q32.sensitivity) is float and type(q32.gamma) is float
+        p = PrivacyParams(1.0, 1e-3)
+        budget.budget_terms.cache_clear()
+        from_32 = precision_budget_equimodal(q32, p)
+        budget.budget_terms.cache_clear()
+        assert from_32 == precision_budget_equimodal(q64, p)
+        assert all(type(x) is float for x in bits(from_32))
 
     def test_budget_report_positivity(self):
         with pytest.raises(DomainError):

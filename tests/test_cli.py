@@ -424,6 +424,29 @@ class TestBenchCommand:
         assert captured.out == b""
         assert b"--tau" in captured.err and b"--favored" in captured.err
 
+    @pytest.mark.parametrize("drop", ["--tau", "--favored", None],
+                             ids=["favored", "tau", "both"])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_theta_with_favored_or_tau_exits_2(self, tmp_path, sign_data,
+                                               capfdbinary, drop, in_config):
+        # a full allocation would silently replace the binary one
+        data = write_dataset(tmp_path, sign_data)
+        args = self.bench_args(data)
+        if drop is not None:
+            del args[args.index(drop):args.index(drop) + 2]
+        if in_config:
+            config = tmp_path / "bench.json"
+            config.write_text(json.dumps({"theta": "uniform"}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--theta", "uniform"]
+        assert main(args) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        err = captured.err.decode()
+        assert err.startswith("mvgdp: error: ") and err.count("\n") == 1
+        assert "--theta" in err
+
     def test_favored_without_tau_gives_0_9(self, tmp_path, sign_data, capfdbinary):
         data = write_dataset(tmp_path, sign_data)
         args = self.bench_args(data)

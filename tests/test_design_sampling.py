@@ -40,7 +40,8 @@ class TestNoiseDesign:
             NoiseDesign(np.eye(2), np.array([1.0, 0.0]), np.eye(2), np.ones(2))
         with pytest.raises(DegenerateDesignError):
             NoiseDesign(np.eye(2), np.array([1.0, -2.0]), np.eye(2), np.ones(2))
-        for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]):
+        for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [1.0, -np.inf],
+                    [np.nan, 1.0], [1.0, np.nan]):
             with pytest.raises(DegenerateDesignError):
                 NoiseDesign(np.eye(2), np.ones(2), None, np.array(bad))
             with pytest.raises(DegenerateDesignError):

@@ -41,7 +41,7 @@ from mvgdp import (
     rss,
     run_experiment,
 )
-from mvgdp import harness, mechanisms
+from mvgdp import budget, harness, mechanisms
 from mvgdp.mechanisms import trials_per_chunk
 
 
@@ -820,3 +820,45 @@ class TestBatchedTrials:
         assert report.trials == 250
         # one stack of 250 trials would hold 500 KiB per temporary
         assert peak - before <= 256 * 1024
+
+
+class TestBudgetTermsComputedOnce:
+    """The budget terms of one (QuerySpec, PrivacyParams) are computed once,
+    however many releases, arms and condition checks read them."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = {"harmonic_numbers": 0, "zeta": 0}
+
+        def counted(name):
+            fn = getattr(budget, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        budget.budget_terms.cache_clear()
+        for name in calls:
+            monkeypatch.setattr(budget, name, counted(name))
+        yield calls
+        budget.budget_terms.cache_clear()
+
+    def test_two_releases_compute_the_terms_once(self, computed):
+        rng = np.random.default_rng(4)
+        x = rng.choice([-1.0, 1.0], size=(3, 200))
+        bounds = DataBounds(3, 200, -1.0, 1.0)
+        q = harness.covariance_query(bounds)
+        p = PrivacyParams(1.0, 1 / 200)
+        theta = PrecisionAllocation.uniform(3)
+        for seed in (1, 2):
+            mvg_equimodal(x @ x.T / 200, q, p, theta, np.eye(3), RandomStream(seed))
+        assert computed == {"harmonic_numbers": 1, "zeta": 1}
+
+    def test_ablation_computes_the_terms_once(self, tmp_path, computed):
+        path, data = covariance_dataset(tmp_path)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.DIRECTION_ABLATION,
+                          theta_spec="binary:0.9:0", trials=5)
+        assert len(run_experiment(cfg)) == 3
+        assert computed == {"harmonic_numbers": 1, "zeta": 1}
