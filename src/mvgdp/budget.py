@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import NoiseDesign
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, is_count
 
 # Relative slack when comparing the condition's two sides, absorbing
 # floating-point error from eigendecompositions. Saturating designs count
@@ -33,18 +33,15 @@ CONDITION_RTOL = 1e-9
 # Relative slack on sensitivity <= 2*gamma (exact in real arithmetic).
 _TRIANGLE_RTOL = 1e-12
 
-# (QuerySpec, PrivacyParams) pairs whose budget terms stay memoized; a run
-# uses one or two, so this only bounds a long-lived caller's memory.
+# Keys each memo keeps: (QuerySpec, PrivacyParams) pairs here, and the
+# (query, privacy, allocation, mode) keys of mechanisms.release_spectrum. A
+# run uses a few, so this only bounds a long-lived caller's memory.
 TERMS_CACHE_SIZE = 256
 
 
 def _is_real(value) -> bool:
     # a bool is an int to isinstance, and True would alias 1 as a cache key
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class QueryKind(enum.Enum):
@@ -105,7 +102,7 @@ class QuerySpec:
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("n", self.n)):
-            if not _is_count(value) or value < 1:
+            if not is_count(value) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
         for name in ("sensitivity", "gamma"):
             value = getattr(self, name)
@@ -165,7 +162,7 @@ def harmonic_numbers(r: int) -> tuple[float, float]:
     Computed by direct summation; exact enough for any realistic r and keeps
     the values independently checkable.
     """
-    if not _is_count(r) or r < 1:
+    if not is_count(r) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
     idx = np.arange(1, int(r) + 1, dtype=float)
     return float(np.sum(1.0 / idx)), float(np.sum(1.0 / np.sqrt(idx)))
@@ -181,7 +178,7 @@ def zeta(delta: float, m: int, n: int) -> float:
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     for name, value in (("m", m), ("n", n)):
-        if not _is_count(value) or value < 1:
+        if not is_count(value) or value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value!r}")
     mn = float(m * n)
     log_delta = math.log(delta)

@@ -68,6 +68,26 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
     return w
 
 
+def _check_lambda(lam: np.ndarray, name: str) -> None:
+    # min and max propagate NaN, so a NaN fails the first test and -inf or
+    # +inf fails one of the two
+    if not (lam.min() > 0 and lam.max() < np.inf):
+        raise DegenerateDesignError(
+            f"{name} must be strictly positive and finite, got {lam}"
+        )
+
+
+def _check_bases(basis_sigma, lam_s: np.ndarray, basis_psi,
+                 lam_p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Both sides' bases, validated by :func:`_check_side`."""
+    basis_s = _check_side(basis_sigma, lam_s, "sigma")
+    if basis_psi is basis_sigma and lam_p.shape == lam_s.shape:
+        # one basis on both sides, as in an equi-modal design: the psi
+        # side's checks are the sigma side's, so they run once
+        return basis_s, basis_s
+    return basis_s, _check_side(basis_psi, lam_p, "psi")
+
+
 @dataclass(frozen=True)
 class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
@@ -96,25 +116,36 @@ class NoiseDesign:
 
     def __post_init__(self):
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
-        lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
-        basis_s = _check_side(self.basis_sigma, lam_s, "sigma")
-        if self.basis_psi is self.basis_sigma and lam_p.shape == lam_s.shape:
-            # one basis on both sides, as in an equi-modal design: the psi
-            # side's checks are the sigma side's, so they run once
-            basis_p = basis_s
+        if self.lambda_psi is self.lambda_sigma:
+            # one object on both sides stays one, so the sampler can tell
+            lam_p = lam_s
         else:
-            basis_p = _check_side(self.basis_psi, lam_p, "psi")
-        for name, lam in (("lambda_sigma", lam_s), ("lambda_psi", lam_p)):
-            # min and max propagate NaN, so a NaN fails the first test and
-            # -inf or +inf fails one of the two
-            if not (lam.min() > 0 and lam.max() < np.inf):
-                raise DegenerateDesignError(
-                    f"{name} must be strictly positive and finite, got {lam}"
-                )
+            lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
+        basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
+        _check_lambda(lam_s, "lambda_sigma")
+        if lam_p is not lam_s:
+            _check_lambda(lam_p, "lambda_psi")
+        self._set(basis_s, lam_s, basis_p, lam_p)
+
+    def _set(self, basis_s, lam_s, basis_p, lam_p) -> None:
         object.__setattr__(self, "basis_sigma", basis_s)
         object.__setattr__(self, "lambda_sigma", lam_s)
         object.__setattr__(self, "basis_psi", basis_p)
         object.__setattr__(self, "lambda_psi", lam_p)
+
+    def with_bases(self, basis_sigma, basis_psi) -> "NoiseDesign":
+        """This design's singular values on the given bases, each ``None``
+        for the standard basis.
+
+        The bases are checked as the constructor checks them. The singular
+        values were checked when this design was built, so they are shared
+        as they are, neither copied nor checked again.
+        """
+        basis_s, basis_p = _check_bases(basis_sigma, self.lambda_sigma,
+                                        basis_psi, self.lambda_psi)
+        design = object.__new__(type(self))
+        design._set(basis_s, self.lambda_sigma, basis_p, self.lambda_psi)
+        return design
 
     @property
     def m(self) -> int:

@@ -1,9 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one test every
+count argument passes.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
 with 2, data-contract violations with 3, and internal consistency failures
 (a privacy condition that should hold by construction but does not) with 4.
 """
+
+import numpy as np
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is a plain or numpy integer, and not a bool.
+
+    A bool is an int to isinstance, so without the second test ``True``
+    would pass as the count 1 (and share its cache keys).
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class MvgdpError(Exception):

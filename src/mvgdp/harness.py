@@ -69,7 +69,7 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, is_count
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -144,12 +144,15 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not is_count(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MOD:
+        if not is_count(self.seed) or not 0 <= self.seed < _SEED_MOD:
             raise ConfigError(
                 f"seed must be an integer in [0, 2^64), got {self.seed!r}"
             )
+        # as Python ints, so seed + t cannot overflow a numpy integer
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
         if not self.ridge_reg > 0:
             raise ConfigError(f"ridge_reg must be positive, got {self.ridge_reg}")
 

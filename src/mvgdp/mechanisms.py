@@ -14,7 +14,11 @@ distributed unevenly across a caller-chosen orthonormal set of directions:
   symmetry, so a non-symmetric input only triggers a warning.
 
 Both spend the full precision budget: the produced design always saturates
-the privacy condition, and a post-construction check enforces that. I.i.d.
+the privacy condition, and a post-construction check enforces that. The
+check reads only the singular values, which depend on the query spec, the
+privacy target, the allocation and the mode alone, so it runs once per such
+key: :func:`release_spectrum` memoizes the budget, the singular values and
+the verdict, and each plan checks only its value and its basis. I.i.d.
 Gaussian and Laplace baselines, planned and drawn the same way, a
 differentially private direction-derivation helper, and a Monte Carlo
 diagnostic for the underlying trace inequality round out the module.
@@ -25,13 +29,16 @@ calls need distinct streams.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .budget import (
+    TERMS_CACHE_SIZE,
     BudgetMode,
     BudgetReport,
     ConditionCheck,
@@ -50,6 +57,7 @@ from .errors import (
     ContractViolationError,
     DomainError,
     ShapeError,
+    is_count,
 )
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
 from .sampling import (  # noqa: F401
@@ -76,16 +84,19 @@ _SYMMETRY_TOL = 1e-8
 CHUNK_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecisionAllocation:
     """Normalized shares of the precision budget, one per noise direction.
 
     Entries are floored at 1e-6 and rescaled to sum to exactly 1 on
     construction; a zero or negative share is rejected because every
-    direction must receive some noise.
+    direction must receive some noise. ``theta`` is read-only. Two
+    allocations are equal, and hash alike, when their normalized shares
+    are, so an allocation can key a cache.
     """
 
     theta: np.ndarray
+    _shares: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float).reshape(-1)
@@ -100,14 +111,25 @@ class PrecisionAllocation:
             )
         t = np.maximum(t, THETA_FLOOR)
         t = t / t.sum()
+        t.flags.writeable = False
         object.__setattr__(self, "theta", t)
+        # every share is positive and finite, so equal bytes are equal values
+        object.__setattr__(self, "_shares", t.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrecisionAllocation):
+            return NotImplemented
+        return self._shares == other._shares
+
+    def __hash__(self) -> int:
+        return hash(self._shares)
 
     def __len__(self) -> int:
         return self.theta.size
 
     @classmethod
     def uniform(cls, m: int) -> "PrecisionAllocation":
-        if not isinstance(m, (int, np.integer)) or m < 1:
+        if not is_count(m) or m < 1:
             raise AllocationError(f"m must be a positive integer, got {m!r}")
         return cls(np.full(int(m), 1.0 / m))
 
@@ -115,7 +137,7 @@ class PrecisionAllocation:
     def binary(cls, m: int, tau: float, favored) -> "PrecisionAllocation":
         """Give a fraction tau of the budget equally to the favored direction
         indices and the remainder equally to the rest."""
-        if not isinstance(m, (int, np.integer)) or m < 2:
+        if not is_count(m) or m < 2:
             raise AllocationError(
                 f"binary allocation needs at least two directions, got m={m!r}"
             )
@@ -189,14 +211,14 @@ def standard_normal_stacks(streams, shapes) -> list[np.ndarray]:
     """Draw one standard-normal matrix of each shape from every stream.
 
     Each stream gives its draws in the order of ``shapes``, through
-    :func:`sample_standard_matrix`, so trial t consumes exactly what a
-    single release on its stream would. Returns one (T, *shape) stack per
-    shape.
+    :func:`sample_standard_matrix` straight into its row of the stack, so
+    trial t consumes exactly what a single release on its stream would.
+    Returns one (T, *shape) stack per shape.
     """
     stacks = [np.empty((len(streams),) + tuple(shape)) for shape in shapes]
     for t, stream in enumerate(streams):
         for stack in stacks:
-            stack[t] = sample_standard_matrix(stream, *stack.shape[1:])
+            sample_standard_matrix(stream, *stack.shape[1:], out=stack[t])
     return stacks
 
 
@@ -220,10 +242,11 @@ class ReleasePlan(_TwoStepPlan):
     """Everything an MVG release fixes before it draws.
 
     Built once by :func:`plan_unimodal` or :func:`plan_equimodal`, which
-    validate the query value, compute the budget, build the design and run
-    the privacy condition. The condition reads only the singular values, q
-    and p, so its one verdict holds for every trial, including trials whose
-    directions are drawn. :meth:`draw` is the per-trial step.
+    validate the query value and the basis and take the budget, the
+    singular values and the privacy condition's verdict from
+    :func:`release_spectrum`. The condition reads only the singular values,
+    q and p, so its one verdict holds for every trial, including trials
+    whose directions are drawn. :meth:`draw` is the per-trial step.
 
     Attributes:
         value: the validated m x n query value.
@@ -284,8 +307,56 @@ class ReleasePlan(_TwoStepPlan):
         return output
 
 
-def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams, report: BudgetReport,
-          lam_sigma: np.ndarray, lam_psi: np.ndarray, w_sigma) -> ReleasePlan:
+class ReleaseSpectrum(NamedTuple):
+    """What an MVG release fixes from its query spec, privacy target,
+    allocation and mode alone: the budget, the singular values and the
+    privacy condition's verdict on them.
+
+    ``design`` has standard bases on both sides and read-only singular
+    values; a plan attaches its own bases with :meth:`NoiseDesign.with_bases`.
+    """
+
+    budget: BudgetReport
+    design: NoiseDesign
+    condition: ConditionCheck
+
+
+@functools.lru_cache(maxsize=TERMS_CACHE_SIZE)
+def release_spectrum(q: QuerySpec, p: PrivacyParams, theta: PrecisionAllocation,
+                     mode: BudgetMode) -> ReleaseSpectrum:
+    """The budget, singular values and condition check of every MVG release
+    over one (q, p, theta, mode).
+
+    Memoized on that frozen key, so the singular values are validated and
+    the condition checked once per key. A violated condition raises on
+    every call, since an exception is never cached. An entry holds O(m)
+    floats: a unimodal design's unit column side is one read-only 1.0
+    broadcast to n entries.
+    """
+    _check_allocation(theta, q)
+    if mode is BudgetMode.UNIMODAL:
+        report = precision_budget_unimodal(q, p)
+    else:
+        report = precision_budget_equimodal(q, p)
+    lam_sigma = _directional_lambdas(theta, report.precision_budget)
+    # read-only, so no caller can change what later releases draw with
+    lam_sigma.flags.writeable = False
+    if mode is BudgetMode.UNIMODAL:
+        lam_psi = np.broadcast_to(1.0, q.n)
+    else:
+        lam_psi = lam_sigma
+    design = NoiseDesign(None, lam_sigma, None, lam_psi)
+    condition = check_condition(design, q, p)
+    if not condition.holds:
+        raise ConditionCheckError(
+            f"constructed design violates the privacy condition "
+            f"(lhs={condition.lhs:.12g} > rhs={condition.rhs:.12g}); this is a bug"
+        )
+    return ReleaseSpectrum(report, design, condition)
+
+
+def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
+          theta: PrecisionAllocation, mode: BudgetMode, w_sigma) -> ReleasePlan:
     directions = None
     if isinstance(w_sigma, DirectionsPlan):
         directions, w_sigma = w_sigma, None
@@ -294,14 +365,10 @@ def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams, report: BudgetRepor
                 f"directions are drawn for {directions.covariance.shape[0]} "
                 f"features but the query has {q.m} rows"
             )
-    equimodal = report.mode is BudgetMode.EQUI_MODAL
-    design = NoiseDesign(w_sigma, lam_sigma, w_sigma if equimodal else None, lam_psi)
-    condition = check_condition(design, q, p)
-    if not condition.holds:
-        raise ConditionCheckError(
-            f"constructed design violates the privacy condition "
-            f"(lhs={condition.lhs:.12g} > rhs={condition.rhs:.12g}); this is a bug"
-        )
+    report, design, condition = release_spectrum(q, p, theta, mode)
+    if w_sigma is not None:
+        design = design.with_bases(
+            w_sigma, w_sigma if mode is BudgetMode.EQUI_MODAL else None)
     return ReleasePlan(value, q, report, design, condition, directions)
 
 
@@ -314,10 +381,7 @@ def plan_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
     own row basis.
     """
     value = _validate_query_value(query_value, q)
-    _check_allocation(theta, q)
-    report = precision_budget_unimodal(q, p)
-    lam_sigma = _directional_lambdas(theta, report.precision_budget)
-    return _plan(value, q, p, report, lam_sigma, np.ones(q.n), w_sigma)
+    return _plan(value, q, p, theta, BudgetMode.UNIMODAL, w_sigma)
 
 
 def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
@@ -332,7 +396,6 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
     if q.m != q.n:
         raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
     value = _validate_query_value(query_value, q)
-    _check_allocation(theta, q)
     asym = float(np.abs(value - value.T).max()) if value.size else 0.0
     if asym > _SYMMETRY_TOL:
         warnings.warn(
@@ -340,9 +403,7 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
             f"value deviates from symmetry by {asym:.3e}",
             stacklevel=2,
         )
-    report = precision_budget_equimodal(q, p)
-    lam = _directional_lambdas(theta, report.precision_budget)
-    return _plan(value, q, p, report, lam, lam, w_sigma)
+    return _plan(value, q, p, theta, BudgetMode.EQUI_MODAL, w_sigma)
 
 
 def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
@@ -550,7 +611,7 @@ def plan_directions_dp(data, p_fraction: PrivacyParams, k: int, *,
     if x.ndim != 2:
         raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
     num_features, num_samples = x.shape
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_count(k) or k < 1:
         raise ShapeError(f"k must be a positive integer, got {k!r}")
     if k > num_features:
         raise ShapeError(f"k = {k} exceeds the number of features {num_features}")
@@ -610,7 +671,7 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     so a unimodal design's n x n column side is never built: memory is a
     fixed number of m x n arrays.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not is_count(trials) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if design.m != q.m or design.n != q.n:
         raise ShapeError(

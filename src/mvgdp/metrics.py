@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, ShapeError
+from .errors import ContractViolationError, DomainError, ShapeError, is_count
 
 _UNIT_TOL = 1e-8
 _SYMMETRY_TOL = 1e-8
@@ -38,7 +38,7 @@ class EvalReport:
             raise DomainError(
                 f"ci95_half_width must be nonnegative, got {self.ci95_half_width}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not is_count(self.trials) or self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
 
 

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from .design import NoiseDesign
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, is_count
 
 _SEED_MAX = 2 ** 64
 
@@ -140,7 +140,7 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)):
+        if not is_count(seed):
             raise DomainError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < _SEED_MAX:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
@@ -161,8 +161,10 @@ class RandomStream:
             np.random.PCG64(_state_words_type()(words)))
         return stream
 
-    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self._generator.standard_normal(shape)
+    def standard_normal(self, shape: tuple[int, ...], out=None) -> np.ndarray:
+        """Standard normals of ``shape``, written into ``out`` when given
+        (a C-contiguous float64 array of that shape), which is returned."""
+        return self._generator.standard_normal(shape, out=out)
 
     def laplace(self, scale: float, shape: tuple[int, ...]) -> np.ndarray:
         return self._generator.laplace(loc=0.0, scale=scale, size=shape)
@@ -171,12 +173,17 @@ class RandomStream:
         return f"RandomStream(seed={self.seed})"
 
 
-def sample_standard_matrix(stream: RandomStream, m: int, n: int) -> np.ndarray:
-    """Draw an m x n matrix of i.i.d. standard-normal entries."""
+def sample_standard_matrix(stream: RandomStream, m: int, n: int,
+                           out=None) -> np.ndarray:
+    """Draw an m x n matrix of i.i.d. standard-normal entries.
+
+    With ``out`` (a C-contiguous m x n float64 array) the draws fill it in
+    place and it is returned; they have the bits of a fresh draw.
+    """
     for name, value in (("m", m), ("n", n)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if not is_count(value) or value < 1:
             raise ShapeError(f"{name} must be a positive integer, got {value!r}")
-    return stream.standard_normal((int(m), int(n)))
+    return stream.standard_normal((int(m), int(n)), out=out)
 
 
 def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:
@@ -208,14 +215,19 @@ def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
     m x n matrix or a stack (..., m, n); a standard side scales it in place,
     so the caller hands over the array. A basis may be a stack matching the
     noise stack, one per matrix; each matrix gets the bits of its own product.
+    When both sides are the same basis and singular-value objects, as in an
+    equi-modal design, the factor ``basis * sqrt(lambda)`` is computed once.
     """
+    shared = basis_psi is basis_sigma and lambda_psi is lambda_sigma
     root_sigma = np.sqrt(lambda_sigma)
-    root_psi = np.sqrt(lambda_psi)
     if basis_sigma is None:
         noise *= root_sigma[:, np.newaxis]
     else:
-        noise = (basis_sigma * root_sigma) @ noise
+        factor_sigma = basis_sigma * root_sigma
+        noise = factor_sigma @ noise
+    root_psi = root_sigma if shared else np.sqrt(lambda_psi)
     if basis_psi is None:
         noise *= root_psi
         return noise
-    return noise @ np.swapaxes(basis_psi * root_psi, -1, -2)
+    factor_psi = factor_sigma if shared else basis_psi * root_psi
+    return noise @ np.swapaxes(factor_psi, -1, -2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, DomainError
+from .errors import ContractViolationError, DomainError, is_count
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,9 @@ class DataBounds:
     def __post_init__(self):
         for name, value in (("num_features", self.num_features),
                             ("num_samples", self.num_samples)):
-            if not isinstance(value, int) or value < 1:
+            if not is_count(value) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:

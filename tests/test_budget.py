@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 
 from mvgdp import (
+    AllocationError,
     BudgetMode,
     BudgetReport,
+    ConfigError,
     DataBounds,
     DomainError,
+    EvalReport,
+    Experiment,
+    ExperimentConfig,
+    MechanismKind,
+    PrecisionAllocation,
     NoiseDesign,
     PrivacyParams,
     QuerySpec,
+    RandomStream,
     ShapeError,
     alpha_beta,
     check_condition,
@@ -21,9 +29,11 @@ from mvgdp import (
     phi_bound,
     precision_budget_equimodal,
     precision_budget_unimodal,
+    sample_standard_matrix,
     zeta,
 )
 from mvgdp import budget
+from mvgdp.mechanisms import plan_directions_dp
 
 
 def harmonic_oracle(r):
@@ -381,6 +391,45 @@ class TestDomainTypes:
         # plain and numpy integers stay valid
         assert QuerySpec(np.int64(3), 3, sensitivity=1, gamma=1.0).r == 3
         assert harmonic_numbers(np.int64(1)) == (1.0, 1.0)
+
+    @staticmethod
+    def config(**kwargs):
+        return ExperimentConfig(
+            experiment=Experiment.FIRST_PC, dataset_path="unused.csv",
+            bounds=DataBounds(2, 3, -1.0, 1.0), privacy=PrivacyParams(1.0, 0.1),
+            mechanism=MechanismKind.MVG_EQUIMODAL, **kwargs)
+
+    @pytest.mark.parametrize("build, error", [
+        pytest.param(lambda: DataBounds(True, 5, 0.0, 1.0), DomainError,
+                     id="DataBounds.num_features"),
+        pytest.param(lambda: DataBounds(5, True, 0.0, 1.0), DomainError,
+                     id="DataBounds.num_samples"),
+        pytest.param(lambda: TestDomainTypes.config(trials=True), ConfigError,
+                     id="ExperimentConfig.trials"),
+        pytest.param(lambda: TestDomainTypes.config(seed=False), ConfigError,
+                     id="ExperimentConfig.seed"),
+        pytest.param(lambda: PrecisionAllocation.uniform(True), AllocationError,
+                     id="PrecisionAllocation.uniform"),
+        pytest.param(lambda: RandomStream(True), DomainError, id="RandomStream"),
+        pytest.param(lambda: EvalReport("rss", 0.0, 0.0, True), DomainError,
+                     id="EvalReport.trials"),
+        pytest.param(lambda: sample_standard_matrix(RandomStream(0), True, 2),
+                     ShapeError, id="sample_standard_matrix"),
+        pytest.param(lambda: plan_directions_dp(np.zeros((2, 3)),
+                                                PrivacyParams(1.0, 0.1), True,
+                                                bounds=DataBounds(2, 3, -1.0, 1.0)),
+                     ShapeError, id="plan_directions_dp.k"),
+    ])
+    def test_counts_reject_bools(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_numpy_counts_are_stored_as_ints(self):
+        bounds = DataBounds(np.int64(2), np.uint32(3), -1.0, 1.0)
+        cfg = self.config(trials=np.int32(4), seed=np.uint64(2 ** 64 - 1))
+        values = (bounds.num_features, bounds.num_samples, cfg.trials, cfg.seed)
+        assert values == (2, 3, 4, 2 ** 64 - 1)
+        assert all(type(v) is int for v in values)
 
     def test_query_scale_is_stored_as_float64(self):
         # a float32 compares equal to its float64 key; a report computed in

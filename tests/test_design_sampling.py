@@ -102,6 +102,25 @@ class TestNoiseDesign:
                                np.sort(design.lambda_sigma)[::-1], rtol=1e-10)
 
 
+class TestWithBases:
+    def test_checks_the_bases_and_shares_the_singular_values(self):
+        lam = np.array([3.0, 2.0])
+        spectrum = NoiseDesign(None, lam, None, lam)
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        design = spectrum.with_bases(w, w)
+        assert design.basis_sigma is design.basis_psi
+        assert design.lambda_sigma is spectrum.lambda_sigma
+        assert design.lambda_psi is spectrum.lambda_psi
+        assert spectrum.basis_sigma is None
+        skewed = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DegenerateDesignError):
+            spectrum.with_bases(skewed, None)
+        with pytest.raises(DegenerateDesignError):
+            spectrum.with_bases(None, skewed)
+        with pytest.raises(ShapeError):
+            spectrum.with_bases(np.eye(3), None)
+
+
 class TestRandomStream:
     def test_seed_validation(self):
         with pytest.raises(DomainError):
@@ -154,10 +173,37 @@ class TestSampleStandardMatrix:
         with pytest.raises(ShapeError):
             sample_standard_matrix(RandomStream(0), 2, 0)
 
+    def test_out_gets_the_bits_of_a_fresh_draw(self):
+        fresh_stream = RandomStream(4)
+        fresh = sample_standard_matrix(fresh_stream, 3, 5)
+        stack = np.zeros((2, 3, 5))
+        row = stack[1]
+        stream = RandomStream(4)
+        assert sample_standard_matrix(stream, 3, 5, out=row) is row
+        assert stack[1].tobytes() == fresh.tobytes()
+        assert not stack[0].any()
+        # the stream goes on as it does after a fresh draw
+        assert stream.standard_normal((4,)).tobytes() == \
+            fresh_stream.standard_normal((4,)).tobytes()
+
     def test_moments(self):
         draws = sample_standard_matrix(RandomStream(9), 1000, 1000).ravel()
         assert abs(draws.mean()) < 4e-3
         assert abs(draws.var() - 1.0) < 1e-2
+
+
+class TestColorNoise:
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_one_side_for_both_gives_the_bits_of_two(self, standard):
+        # an equi-modal design colors with one factor computed once
+        rng = np.random.default_rng(6)
+        w = None if standard else np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        lam = rng.uniform(0.4, 1.2, 4)
+        noise = rng.standard_normal((3, 4, 4))
+        shared = color_noise(noise.copy(), w, lam, w, lam)
+        apart = color_noise(noise.copy(), w, lam, None if standard else w.copy(),
+                            lam.copy())
+        assert shared.tobytes() == apart.tobytes()
 
 
 class TestSampleMvg:

@@ -729,6 +729,8 @@ class TestBatchedTrials:
                 return fn(*args, **kwargs)
             return wrapper
 
+        # a cold memo, so each arm's spectrum is computed here
+        mechanisms.release_spectrum.cache_clear()
         monkeypatch.setattr(mechanisms, "check_condition",
                             counted("check", mechanisms.check_condition))
         monkeypatch.setattr(mechanisms, "precision_budget_equimodal",
@@ -756,9 +758,9 @@ class TestBatchedTrials:
         seeds = []
         original = mechanisms.sample_standard_matrix
 
-        def counted(stream, m, n):
+        def counted(stream, m, n, **kwargs):
             seeds.append(stream.seed)
-            return original(stream, m, n)
+            return original(stream, m, n, **kwargs)
 
         monkeypatch.setattr(mechanisms, "sample_standard_matrix", counted)
         cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
@@ -839,10 +841,12 @@ class TestBudgetTermsComputedOnce:
             return wrapper
 
         budget.budget_terms.cache_clear()
+        mechanisms.release_spectrum.cache_clear()
         for name in calls:
             monkeypatch.setattr(budget, name, counted(name))
         yield calls
         budget.budget_terms.cache_clear()
+        mechanisms.release_spectrum.cache_clear()
 
     def test_two_releases_compute_the_terms_once(self, computed):
         rng = np.random.default_rng(4)

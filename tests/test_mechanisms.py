@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mvgdp import (
     AllocationError,
+    BudgetMode,
+    ConditionCheckError,
     ConfigError,
     ContractViolationError,
     DataBounds,
@@ -31,8 +35,10 @@ from mvgdp import (
     sample_mvg,
     sample_standard_matrix,
 )
+from mvgdp import design as design_module
 from mvgdp import mechanisms
-from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp
+from mvgdp.budget import ConditionCheck
+from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
 from mvgdp.sampling import color_noise
 from oracles import dense_covariances
 
@@ -72,6 +78,23 @@ class TestPrecisionAllocation:
             PrecisionAllocation.binary(4, 0.9, [0, 1, 2, 3])
         with pytest.raises(AllocationError):
             PrecisionAllocation.binary(1, 0.9, [0])
+
+    def test_equal_shares_are_equal_and_hash_alike(self):
+        a, b = PrecisionAllocation.uniform(4), PrecisionAllocation.uniform(4)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "key"}[b] == "key"
+        # equality is on the normalized shares
+        assert PrecisionAllocation(np.array([2.0, 2.0])) == PrecisionAllocation.uniform(2)
+        assert a != PrecisionAllocation.binary(4, 0.9, [0])
+        assert a != PrecisionAllocation.uniform(3)
+        assert a != a.theta.tolist()
+
+    def test_theta_is_read_only(self):
+        theta = PrecisionAllocation.binary(4, 0.9, [0])
+        shares = theta.theta.copy()
+        with pytest.raises(ValueError):
+            theta.theta[0] = -1.0
+        assert theta.theta.tobytes() == shares.tobytes()
 
 
 def unit_query(m, n):
@@ -569,3 +592,145 @@ class TestVerifyCharacteristic:
                 passed += 1
         assert r1 == inside / trials
         assert conditional == passed / inside
+
+
+class TestReleaseSpectrumMemo:
+    """An MVG release's budget, singular values and condition check are
+    computed once per (query, privacy, allocation, mode)."""
+
+    P = PrivacyParams(1.0, 1e-3)
+    MODES = [
+        pytest.param(plan_unimodal, mvg_unimodal, (3, 40), id="unimodal"),
+        pytest.param(plan_equimodal, mvg_equimodal, (4, 4), id="equimodal"),
+    ]
+
+    @staticmethod
+    def inputs(m, n):
+        rng = np.random.default_rng(8)
+        value = rng.uniform(-0.2, 0.2, (m, n))
+        if m == n:
+            value = (value + value.T) / 2.0
+        w = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        return value, unit_query(m, n), PrecisionAllocation.binary(m, 0.9, [0]), w
+
+    def snapshot(self, plan_fn, release_fn, value, q, theta, w):
+        """Every bit a release and its plan report."""
+        plan = plan_fn(value, q, self.P, theta, w)
+        result = release_fn(value, q, self.P, theta, w, RandomStream(5))
+        arrays = (plan.draw([RandomStream(5)])[0], result.output,
+                  plan.design.lambda_sigma, plan.design.lambda_psi,
+                  result.design.lambda_sigma, result.design.lambda_psi)
+        return ([np.ascontiguousarray(a).tobytes() for a in arrays],
+                plan.budget, result.budget,
+                plan.condition.lhs.hex(), plan.condition.rhs.hex())
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_warm_releases_have_the_bits_of_cold_ones(self, plan_fn, release_fn,
+                                                      shape):
+        args = self.inputs(*shape)
+        release_spectrum.cache_clear()
+        cold = self.snapshot(plan_fn, release_fn, *args)
+        hits = release_spectrum.cache_info().hits
+        warm = self.snapshot(plan_fn, release_fn, *args)
+        assert release_spectrum.cache_info().hits == hits + 2
+        assert warm == cold
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_each_key_field_misses(self, plan_fn, release_fn, shape):
+        value, q, theta, w = self.inputs(*shape)
+        release_spectrum.cache_clear()
+        base = plan_fn(value, q, self.P, theta, w)
+        variants = [
+            (dataclasses.replace(q, gamma=3.0), self.P, theta),
+            (q, PrivacyParams(2.0, self.P.delta), theta),
+            (q, self.P, PrecisionAllocation.uniform(q.m)),
+        ]
+        for vq, vp, vtheta in variants:
+            misses = release_spectrum.cache_info().misses
+            plan = plan_fn(value, vq, vp, vtheta, w)
+            assert release_spectrum.cache_info().misses == misses + 1
+            assert (plan.condition.rhs, plan.design.lambda_sigma.tobytes()) != \
+                (base.condition.rhs, base.design.lambda_sigma.tobytes())
+
+    def test_the_mode_is_part_of_the_key(self):
+        value, q, theta, w = self.inputs(4, 4)
+        release_spectrum.cache_clear()
+        equi = plan_equimodal(value, q, self.P, theta, w)
+        uni = plan_unimodal(value, q, self.P, theta, w)
+        assert release_spectrum.cache_info().misses == 2
+        assert uni.budget.mode is BudgetMode.UNIMODAL
+        assert equi.budget.mode is BudgetMode.EQUI_MODAL
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_a_result_cannot_change_the_cached_spectrum(self, plan_fn, release_fn,
+                                                        shape):
+        value, q, theta, w = self.inputs(*shape)
+        first = release_fn(value, q, self.P, theta, w, RandomStream(2))
+        lam_sigma = first.design.lambda_sigma.copy()
+        for lam in (first.design.lambda_sigma, first.design.lambda_psi):
+            with pytest.raises(ValueError):
+                lam[0] = 1e-9
+        again = release_fn(value, q, self.P, theta, w, RandomStream(2))
+        assert again.output.tobytes() == first.output.tobytes()
+        assert again.design.lambda_sigma.tobytes() == lam_sigma.tobytes()
+
+    def test_a_failing_condition_raises_every_time(self, monkeypatch):
+        value, q, theta, w = self.inputs(4, 4)
+        release_spectrum.cache_clear()
+        checks = []
+
+        def failing(design, q, p):
+            checks.append(q)
+            return ConditionCheck(False, 2.0, 1.0)
+
+        monkeypatch.setattr(mechanisms, "check_condition", failing)
+        for _ in range(2):
+            with pytest.raises(ConditionCheckError):
+                plan_equimodal(value, q, self.P, theta, w)
+        assert len(checks) == 2
+        assert release_spectrum.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_second_release_skips_budget_condition_and_lambda_checks(
+            self, monkeypatch, plan_fn, release_fn, shape):
+        value, q, theta, w = self.inputs(*shape)
+        release_spectrum.cache_clear()
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("check_condition", "precision_budget_unimodal",
+                     "precision_budget_equimodal"):
+            counted(mechanisms, name)
+        for name in ("_check_lambda", "check_orthonormal"):
+            counted(design_module, name)
+        release_fn(value, q, self.P, theta, w, RandomStream(1))
+        assert calls["check_condition"] == 1
+        calls.clear()
+        release_fn(value, q, self.P, theta, w, RandomStream(2))
+        # only the basis is checked again
+        assert calls == Counter(check_orthonormal=1)
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_every_plan_checks_its_own_basis(self, plan_fn, release_fn, shape):
+        value, q, theta, w = self.inputs(*shape)
+        plan_fn(value, q, self.P, theta, w)
+        skewed = np.eye(q.m)
+        skewed[1, 0] = 1.0
+        with pytest.raises(DegenerateDesignError):
+            plan_fn(value, q, self.P, theta, skewed)
+
+    def test_a_unimodal_entry_stores_no_column_array(self):
+        n = 100_000
+        spectrum = release_spectrum(unit_query(2, n), self.P,
+                                    PrecisionAllocation.uniform(2), BudgetMode.UNIMODAL)
+        lam_psi = spectrum.design.lambda_psi
+        assert lam_psi.shape == (n,) and lam_psi.strides == (0,)
+        assert np.all(lam_psi == 1.0)
+        assert spectrum.design.basis_sigma is None and spectrum.design.basis_psi is None
