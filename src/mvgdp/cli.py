@@ -78,6 +78,10 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # the flags first, so a bad one is reported before any file is read
+    if args.count < 1:
+        raise ConfigError(f"count must be positive, got {args.count}")
+    stream = RandomStream(args.seed)
     sigma = load_dense_csv(args.sigma)
     psi = load_dense_csv(args.psi)
     if sigma.shape != (args.m, args.m):
@@ -85,9 +89,6 @@ def _cmd_sample(args) -> int:
     if psi.shape != (args.n, args.n):
         raise ConfigError(f"psi is {psi.shape}, expected ({args.n}, {args.n})")
     design = NoiseDesign.from_covariances(sigma, psi)
-    stream = RandomStream(args.seed)
-    if args.count < 1:
-        raise ConfigError(f"count must be positive, got {args.count}")
     samples = [sample_mvg(stream, design).reshape(-1) for _ in range(args.count)]
     _write_csv(args.out, np.asarray(samples))
     return 0

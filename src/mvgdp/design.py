@@ -9,12 +9,14 @@ the sampler all consume the same object without re-decomposing anything.
 A side whose directions are the standard basis stores only its singular
 values: its basis is written as ``None``. An n x n identity side then costs
 O(n) memory instead of O(n^2), and the sampler scales by it instead of
-multiplying. No dense covariance is ever formed.
+multiplying. A basis given as exactly the identity is kept as given, but it
+is orthonormal by inspection and the sampler scales by it too, with the
+bits of the product. No dense covariance is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,31 +43,50 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
     gram = np.swapaxes(w, -1, -2) @ w
     gram -= np.eye(w.shape[-1])
     dev = np.abs(gram, out=gram).max()
-    if dev > ORTHONORMALITY_TOL:
+    # written so a NaN deviation fails the check too
+    if not dev <= ORTHONORMALITY_TOL:
         raise DegenerateDesignError(
             f"{name} is not orthonormal: max |W^T W - I| = {dev:.3e} "
             f"exceeds {ORTHONORMALITY_TOL:.0e}"
         )
 
 
-def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
+def _is_identity(w: np.ndarray) -> bool:
+    """Whether a 2-D matrix is exactly an m x m identity, m >= 1.
+
+    It is when it is square, its only nonzeros are its m diagonal entries
+    and each is exactly 1.0. A NaN counts as nonzero and equals nothing, so
+    a matrix holding one never passes.
+    """
+    m = w.shape[0]
+    return (w.shape[1] == m >= 1 and np.count_nonzero(w) == m
+            and bool((w.diagonal() == 1.0).all()))
+
+
+def _check_side(basis, lam: np.ndarray,
+                side: str) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Validate one side's basis against its singular values.
 
     ``None`` stands for the standard basis, which is orthonormal by
-    construction and takes its size from ``lam``; any supplied basis is
-    checked in full.
+    construction and takes its size from ``lam``. A supplied basis is
+    checked in full, unless it is exactly the identity, which is orthonormal
+    by inspection. Returns the basis and the basis the sampler multiplies
+    by: ``None`` for a standard side or an exact identity, which it scales
+    instead, and the basis itself otherwise.
     """
     if basis is None:
         if lam.shape[0] < 1:
             raise ShapeError(f"lambda_{side} must have at least one entry")
-        return None
+        return None, None
     w = _as_matrix(basis, f"w_{side}")
-    check_orthonormal(w, f"w_{side}")
+    identity = _is_identity(w)
+    if not identity:
+        check_orthonormal(w, f"w_{side}")
     if lam.shape[0] != w.shape[0]:
         raise ShapeError(
             f"lambda_{side} has length {lam.shape[0]}, expected {w.shape[0]}"
         )
-    return w
+    return w, None if identity else w
 
 
 def _check_lambda(lam: np.ndarray, name: str) -> None:
@@ -78,14 +99,14 @@ def _check_lambda(lam: np.ndarray, name: str) -> None:
 
 
 def _check_bases(basis_sigma, lam_s: np.ndarray, basis_psi,
-                 lam_p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Both sides' bases, validated by :func:`_check_side`."""
-    basis_s = _check_side(basis_sigma, lam_s, "sigma")
+                 lam_p: np.ndarray) -> tuple[tuple, tuple]:
+    """Both sides' (basis, color basis) pairs, from :func:`_check_side`."""
+    side_s = _check_side(basis_sigma, lam_s, "sigma")
     if basis_psi is basis_sigma and lam_p.shape == lam_s.shape:
         # one basis on both sides, as in an equi-modal design: the psi
         # side's checks are the sigma side's, so they run once
-        return basis_s, basis_s
-    return basis_s, _check_side(basis_psi, lam_p, "psi")
+        return side_s, side_s
+    return side_s, _check_side(basis_psi, lam_p, "psi")
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,9 @@ class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
 
     Either basis may be ``None``, meaning the standard basis; that side then
-    stores only its singular values and skips the orthonormality check.
+    stores only its singular values and skips the orthonormality check. A
+    basis that is exactly the identity is kept as given, but it too skips
+    the check and is applied by scaling.
 
     Attributes:
         basis_sigma: m x m orthonormal basis of row-noise directions, or
@@ -103,6 +126,10 @@ class NoiseDesign:
         basis_psi: n x n orthonormal basis of column-noise directions, or
             ``None`` for the standard basis.
         lambda_psi: length-n positive singular values of the column covariance.
+        color_bases: the (row, column) bases the sampler multiplies by, set
+            when the bases are checked: each side's basis, or ``None`` where
+            it is ``None`` or exactly the identity, which the sampler scales
+            instead of multiplying, with the same bits.
 
     The privacy condition reads the singular values and the sampler colors
     with ``basis * sqrt(lambda)`` per side. A side's covariance is
@@ -113,6 +140,7 @@ class NoiseDesign:
     lambda_sigma: np.ndarray
     basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
+    color_bases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
@@ -121,17 +149,18 @@ class NoiseDesign:
             lam_p = lam_s
         else:
             lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
-        basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
+        side_s, side_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
         _check_lambda(lam_s, "lambda_sigma")
         if lam_p is not lam_s:
             _check_lambda(lam_p, "lambda_psi")
-        self._set(basis_s, lam_s, basis_p, lam_p)
+        self._set(side_s, lam_s, side_p, lam_p)
 
-    def _set(self, basis_s, lam_s, basis_p, lam_p) -> None:
-        object.__setattr__(self, "basis_sigma", basis_s)
+    def _set(self, side_s, lam_s, side_p, lam_p) -> None:
+        object.__setattr__(self, "basis_sigma", side_s[0])
         object.__setattr__(self, "lambda_sigma", lam_s)
-        object.__setattr__(self, "basis_psi", basis_p)
+        object.__setattr__(self, "basis_psi", side_p[0])
         object.__setattr__(self, "lambda_psi", lam_p)
+        object.__setattr__(self, "color_bases", (side_s[1], side_p[1]))
 
     def with_bases(self, basis_sigma, basis_psi) -> "NoiseDesign":
         """This design's singular values on the given bases, each ``None``
@@ -141,10 +170,10 @@ class NoiseDesign:
         values were checked when this design was built, so they are shared
         as they are, neither copied nor checked again.
         """
-        basis_s, basis_p = _check_bases(basis_sigma, self.lambda_sigma,
-                                        basis_psi, self.lambda_psi)
+        side_s, side_p = _check_bases(basis_sigma, self.lambda_sigma,
+                                      basis_psi, self.lambda_psi)
         design = object.__new__(type(self))
-        design._set(basis_s, self.lambda_sigma, basis_p, self.lambda_psi)
+        design._set(side_s, self.lambda_sigma, side_p, self.lambda_psi)
         return design
 
     @property

@@ -293,16 +293,21 @@ class ReleasePlan(_TwoStepPlan):
         by this plan's design, plus the value.
 
         ``bases`` replaces the design's row basis (and column basis, if
-        equi-modal) when it is not ``None``. A standard side scales
-        ``noise`` in place, so the caller hands over the array.
+        equi-modal) when it is not ``None``. A standard side, or a fixed
+        basis that is exactly the identity, scales ``noise`` in place, so
+        the caller hands over the array. A unimodal column side has unit
+        singular values on the standard basis (:func:`release_spectrum`
+        builds it so), so its columns are left as drawn.
         """
-        basis_sigma, basis_psi = self.design.basis_sigma, self.design.basis_psi
+        # the basis check decided which fixed bases are exact identities
+        basis_sigma, basis_psi = self.design.color_bases
+        unimodal = self.budget.mode is BudgetMode.UNIMODAL
         if bases is not None:
             basis_sigma = bases
-            if self.budget.mode is BudgetMode.EQUI_MODAL:
+            if not unimodal:
                 basis_psi = bases
         output = color_noise(noise, basis_sigma, self.design.lambda_sigma,
-                             basis_psi, self.design.lambda_psi)
+                             basis_psi, None if unimodal else self.design.lambda_psi)
         output += self.value
         return output
 
@@ -435,8 +440,11 @@ def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
         and the stream's seed.
 
     The column side of the design is the standard basis with unit singular
-    values, stored as its singular values only, so a release costs
-    O(m^2 n) time and O(mn) memory: nothing scales as n^2 or n^3.
+    values, stored as its singular values only and never applied. With
+    identity or standard rows (``np.eye(m)`` is recognized exactly) a
+    release costs O(mn) time and allocates only its m x n output; any other
+    basis adds an O(m^2) check, an O(m^2 n) product and one more m x n
+    array. Nothing scales as n^2 or n^3.
     Equivalent to ``plan_unimodal(...).draw([stream])``; repeated releases
     of one value should plan once and draw per trial.
     """

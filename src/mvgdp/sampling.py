@@ -194,29 +194,35 @@ def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:
     standard-normal matrix for the same seed.
 
     A side with a supplied basis W costs a dense product with
-    ``W diag(sqrt(lambda))``; a standard side scales the rows (or columns) by
-    ``sqrt(lambda)`` in place. The scaling gives the same bits as the product
-    with the diagonal factor, whose other terms are exact zeros, so a design
-    sampled with a standard side equals the one given ``np.eye`` explicitly.
-    With a standard column side, as in a unimodal release, the draw costs
-    O(m^2 n) time and O(mn) memory.
+    ``W diag(sqrt(lambda))``; a standard side, or a basis that is exactly
+    the identity, scales the rows (or columns) by ``sqrt(lambda)`` in place.
+    The scaling gives the same bits as the product with the diagonal factor,
+    whose other terms are exact zeros. With identity or standard rows the
+    draw costs O(mn) time and memory; a dense row basis adds O(m^2 n) time
+    and one more m x n array.
     """
+    basis_sigma, basis_psi = design.color_bases
     return color_noise(sample_standard_matrix(stream, design.m, design.n),
-                       design.basis_sigma, design.lambda_sigma,
-                       design.basis_psi, design.lambda_psi)
+                       basis_sigma, design.lambda_sigma,
+                       basis_psi, design.lambda_psi)
 
 
 def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
-                basis_psi, lambda_psi: np.ndarray) -> np.ndarray:
+                basis_psi, lambda_psi: np.ndarray | None) -> np.ndarray:
     """Map standard-normal draws to design noise, B_sigma @ N @ B_psi.T.
 
     Each side is its basis, or ``None`` for the standard basis, and its
-    singular values, as :class:`NoiseDesign` stores them. ``noise`` is one
-    m x n matrix or a stack (..., m, n); a standard side scales it in place,
-    so the caller hands over the array. A basis may be a stack matching the
-    noise stack, one per matrix; each matrix gets the bits of its own product.
-    When both sides are the same basis and singular-value objects, as in an
-    equi-modal design, the factor ``basis * sqrt(lambda)`` is computed once.
+    singular values, as :class:`NoiseDesign` stores them. ``lambda_psi`` may
+    also be ``None``, with ``basis_psi`` ``None``, for a unit column side,
+    which leaves the columns as they are. ``noise`` is one m x n matrix or a
+    stack (..., m, n); a standard side scales it in place, so the caller
+    hands over the array. A basis may be a stack matching the noise stack,
+    one per matrix; each matrix gets the bits of its own product. When both
+    sides are the same basis and singular-value objects, as in an equi-modal
+    design, the factor ``basis * sqrt(lambda)`` is computed once.
+
+    With standard rows the coloring costs O(mn) time and writes only into
+    ``noise``; a dense row basis adds O(m^2 n) time and a new m x n array.
     """
     shared = basis_psi is basis_sigma and lambda_psi is lambda_sigma
     root_sigma = np.sqrt(lambda_sigma)
@@ -225,6 +231,8 @@ def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
     else:
         factor_sigma = basis_sigma * root_sigma
         noise = factor_sigma @ noise
+    if lambda_psi is None:
+        return noise
     root_psi = root_sigma if shared else np.sqrt(lambda_psi)
     if basis_psi is None:
         noise *= root_psi

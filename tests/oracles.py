@@ -3,6 +3,10 @@
 import numpy as np
 
 
+def _dense_basis(basis, lam):
+    return np.eye(lam.shape[0]) if basis is None else basis
+
+
 def dense_covariances(design):
     """The design's row and column covariances as dense matrices.
 
@@ -10,8 +14,22 @@ def dense_covariances(design):
     a standard (``None``) basis.
     """
     def side(basis, lam):
-        w = np.eye(lam.shape[0]) if basis is None else basis
+        w = _dense_basis(basis, lam)
         return (w * lam) @ w.T
 
     return (side(design.basis_sigma, design.lambda_sigma),
             side(design.basis_psi, design.lambda_psi))
+
+
+def dense_release(value, design, noise):
+    """``value + B_sigma @ noise @ B_psi^T`` by explicit dense products.
+
+    Each factor is ``W diag(sqrt(lambda))``, with ``np.eye`` for a standard
+    side, so an identity basis is multiplied, never scaled.
+    """
+    def factor(basis, lam):
+        return _dense_basis(basis, lam) * np.sqrt(lam)
+
+    f_sigma = factor(design.basis_sigma, design.lambda_sigma)
+    f_psi = factor(design.basis_psi, design.lambda_psi)
+    return f_sigma @ noise @ f_psi.T + value

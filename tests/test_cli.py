@@ -107,6 +107,19 @@ class TestSampleCommand:
         assert np.allclose(got, sample_mvg(RandomStream(4), design),
                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--count", "0", "count must be positive"),
+        ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+    ])
+    def test_a_bad_flag_is_reported_before_the_files_are_read(
+            self, tmp_path, capsys, flag, value, message):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["sample", "--m", "2", "--n", "2", "--sigma", missing,
+                     "--psi", missing, flag, value,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "missing.csv" not in err
+
     def test_shape_mismatch_exits_2(self, tmp_path):
         sigma = write_matrix(tmp_path, np.eye(3), "sigma.csv")
         psi = write_matrix(tmp_path, np.eye(2), "psi.csv")

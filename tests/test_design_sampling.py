@@ -14,7 +14,7 @@ from mvgdp import (
     zeta,
 )
 from mvgdp.sampling import color_noise, seed_state_words
-from oracles import dense_covariances
+from oracles import dense_covariances, dense_release
 
 
 def random_design(rng, m, n, lam_lo=0.4, lam_hi=1.2):
@@ -193,6 +193,16 @@ class TestSampleStandardMatrix:
 
 
 class TestColorNoise:
+    def test_a_unit_column_side_leaves_the_columns_as_drawn(self):
+        rng = np.random.default_rng(9)
+        w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        lam = rng.uniform(0.4, 1.2, 3)
+        noise = rng.standard_normal((2, 3, 5))
+        for basis in (None, w):
+            unit = color_noise(noise.copy(), basis, lam, None, None)
+            ones = color_noise(noise.copy(), basis, lam, None, np.ones(5))
+            assert unit.tobytes() == ones.tobytes()
+
     @pytest.mark.parametrize("standard", [False, True])
     def test_one_side_for_both_gives_the_bits_of_two(self, standard):
         # an equi-modal design colors with one factor computed once
@@ -207,6 +217,17 @@ class TestColorNoise:
 
 
 class TestSampleMvg:
+    def test_identity_bases_have_the_bits_of_the_product(self):
+        rng = np.random.default_rng(7)
+        lam_s, lam_p = rng.uniform(0.4, 1.2, 3), rng.uniform(0.4, 1.2, 5)
+        explicit = NoiseDesign(np.eye(3), lam_s, np.eye(5), lam_p)
+        assert explicit.color_bases == (None, None)
+        standard = NoiseDesign(None, lam_s, None, lam_p)
+        z = sample_mvg(RandomStream(8), explicit)
+        oracle = dense_release(0.0, explicit, RandomStream(8).standard_normal((3, 5)))
+        assert z.tobytes() == oracle.tobytes()
+        assert sample_mvg(RandomStream(8), standard).tobytes() == oracle.tobytes()
+
     def test_identity_passthrough(self):
         design = NoiseDesign(np.eye(2), np.ones(2), np.eye(3), np.ones(3))
         z = sample_mvg(RandomStream(5), design)

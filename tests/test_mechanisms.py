@@ -40,7 +40,7 @@ from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
 from mvgdp.sampling import color_noise
-from oracles import dense_covariances
+from oracles import dense_covariances, dense_release
 
 
 class TestPrecisionAllocation:
@@ -356,6 +356,130 @@ class TestReleasePlan:
         bases = plan.bases(noise)
         for s in range(7):
             assert np.array_equal(bases[s], plan.draw(RandomStream(s)))
+
+
+def signed_permutation(m):
+    w = np.eye(m)[np.roll(np.arange(m), 1)]
+    w[0] = -w[0]
+    return w
+
+
+class TestIdentityBasis:
+    """A basis that is exactly the identity is applied by scaling, with the
+    bits of the dense product; any other basis is checked and multiplied."""
+
+    P = PrivacyParams(1.0, 0.05)
+    MODES = [(plan_unimodal, mvg_unimodal, (4, 6)),
+             (plan_equimodal, mvg_equimodal, (4, 4))]
+
+    @staticmethod
+    def inputs(m, n):
+        rng = np.random.default_rng(21)
+        value = rng.uniform(-0.2, 0.2, (m, n))
+        if m == n:
+            value = (value + value.T) / 2.0
+        return value, unit_query(m, n), PrecisionAllocation.binary(m, 0.9, [0])
+
+    @staticmethod
+    def count_gram_checks(monkeypatch):
+        calls = []
+        check = design_module.check_orthonormal
+
+        def counted(w, name):
+            calls.append(name)
+            return check(w, name)
+        monkeypatch.setattr(design_module, "check_orthonormal", counted)
+        return calls
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_identity_has_the_bits_of_the_product_and_the_standard_side(
+            self, monkeypatch, plan_fn, release_fn, shape):
+        value, q, theta = self.inputs(*shape)
+        w = np.eye(q.m)
+        checks = self.count_gram_checks(monkeypatch)
+        plan = plan_fn(value, q, self.P, theta, w)
+        assert checks == [] and plan.design.color_bases == (None, None)
+        standard = plan_fn(value, q, self.P, theta, None)
+        seeds = range(30, 35)
+        stack = plan.draw([RandomStream(seed) for seed in seeds])
+        for t, seed in enumerate(seeds):
+            result = release_fn(value, q, self.P, theta, w, RandomStream(seed))
+            # the result reports the caller's basis, which the oracle multiplies by
+            assert result.design.basis_sigma is w
+            assert result.design.basis_psi is (w if q.m == q.n else None)
+            oracle = dense_release(value, result.design,
+                                   RandomStream(seed).standard_normal(shape))
+            assert result.output.tobytes() == oracle.tobytes()
+            assert stack[t].tobytes() == oracle.tobytes()
+            assert standard.draw([RandomStream(seed)])[0].tobytes() == \
+                oracle.tobytes()
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    @pytest.mark.parametrize("near_miss", ["minus identity", "signed permutation",
+                                           "tiny off-diagonal", "one ulp below 1"])
+    def test_near_misses_are_checked_and_multiplied(
+            self, monkeypatch, plan_fn, release_fn, shape, near_miss):
+        value, q, theta = self.inputs(*shape)
+        w = {"minus identity": -np.eye(q.m),
+             "signed permutation": signed_permutation(q.m),
+             "tiny off-diagonal": np.eye(q.m),
+             "one ulp below 1": np.eye(q.m)}[near_miss]
+        if near_miss == "tiny off-diagonal":
+            w[0, 1] = 1e-300
+        elif near_miss == "one ulp below 1":
+            w[2, 2] = 1.0 - 2.0 ** -53
+        checks = self.count_gram_checks(monkeypatch)
+        plan = plan_fn(value, q, self.P, theta, w)
+        assert checks == ["w_sigma"]
+        assert plan.design.color_bases[0] is w
+        result = release_fn(value, q, self.P, theta, w, RandomStream(3))
+        oracle = dense_release(value, result.design,
+                               RandomStream(3).standard_normal(shape))
+        assert result.output.tobytes() == oracle.tobytes()
+        assert plan.draw([RandomStream(3)])[0].tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    def test_an_integer_identity_is_read_as_floats(self, plan_fn, release_fn,
+                                                   shape):
+        value, q, theta = self.inputs(*shape)
+        w = np.eye(q.m, dtype=int)
+        result = release_fn(value, q, self.P, theta, w, RandomStream(3))
+        basis = result.design.basis_sigma
+        assert basis.dtype == np.float64 and np.array_equal(basis, np.eye(q.m))
+        oracle = dense_release(value, result.design,
+                               RandomStream(3).standard_normal(shape))
+        assert result.output.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 1)])
+    def test_a_nan_basis_is_rejected(self, plan_fn, release_fn, shape, cell):
+        value, q, theta = self.inputs(*shape)
+        w = np.eye(q.m)
+        w[cell] = np.nan
+        with pytest.raises(DegenerateDesignError, match="orthonormal"):
+            plan_fn(value, q, self.P, theta, w)
+
+    def test_identity_release_allocates_only_its_output(self):
+        m, n = 21, 2000
+        value = np.random.default_rng(22).uniform(0.0, 1.0, (m, n))
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=math.sqrt(m * n))
+        theta = PrecisionAllocation.binary(m, 0.9, [0, 1])
+        w = np.eye(m)
+        plan = plan_unimodal(value, q, self.P, theta, None)
+        releases = {
+            "identity basis": lambda: mvg_unimodal(value, q, self.P, theta, w,
+                                                   RandomStream(1)),
+            "standard plan": lambda: plan.draw([RandomStream(1)]),
+        }
+        for name, release in releases.items():
+            release()  # fills the spectrum memo and numpy's lazy state
+            tracemalloc.start()
+            try:
+                release()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * m * n * 8, (name, peak / (m * n * 8))
 
 
 class TestGaussianBaseline:
