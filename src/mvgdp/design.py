@@ -59,8 +59,9 @@ def _is_identity(w: np.ndarray) -> bool:
     a matrix holding one never passes.
     """
     m = w.shape[0]
+    # a list compare, cheaper at small m than a numpy reduction
     return (w.shape[1] == m >= 1 and np.count_nonzero(w) == m
-            and bool((w.diagonal() == 1.0).all()))
+            and w.diagonal().tolist() == [1.0] * m)
 
 
 def _check_side(basis, lam: np.ndarray,
@@ -130,6 +131,8 @@ class NoiseDesign:
             when the bases are checked: each side's basis, or ``None`` where
             it is ``None`` or exactly the identity, which the sampler scales
             instead of multiplying, with the same bits.
+        root_sigma: ``sqrt(lambda_sigma)``, the row scales the sampler
+            colors with, computed once when the design is built.
 
     The privacy condition reads the singular values and the sampler colors
     with ``basis * sqrt(lambda)`` per side. A side's covariance is
@@ -141,6 +144,7 @@ class NoiseDesign:
     basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
     color_bases: tuple = field(init=False, repr=False, compare=False)
+    root_sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
@@ -153,27 +157,29 @@ class NoiseDesign:
         _check_lambda(lam_s, "lambda_sigma")
         if lam_p is not lam_s:
             _check_lambda(lam_p, "lambda_psi")
-        self._set(side_s, lam_s, side_p, lam_p)
+        root = np.sqrt(lam_s)
+        # read-only like a cached design's lambda, which it is shared with
+        root.flags.writeable = False
+        self._set(side_s, side_p, {"lambda_sigma": lam_s, "lambda_psi": lam_p,
+                                   "root_sigma": root})
 
-    def _set(self, side_s, lam_s, side_p, lam_p) -> None:
-        object.__setattr__(self, "basis_sigma", side_s[0])
-        object.__setattr__(self, "lambda_sigma", lam_s)
-        object.__setattr__(self, "basis_psi", side_p[0])
-        object.__setattr__(self, "lambda_psi", lam_p)
-        object.__setattr__(self, "color_bases", (side_s[1], side_p[1]))
+    def _set(self, side_s, side_p, fields) -> None:
+        # a frozen dataclass's fields, in one write instead of one per field
+        vars(self).update(fields, basis_sigma=side_s[0], basis_psi=side_p[0],
+                          color_bases=(side_s[1], side_p[1]))
 
     def with_bases(self, basis_sigma, basis_psi) -> "NoiseDesign":
         """This design's singular values on the given bases, each ``None``
         for the standard basis.
 
         The bases are checked as the constructor checks them. The singular
-        values were checked when this design was built, so they are shared
-        as they are, neither copied nor checked again.
+        values and their roots were checked when this design was built, so
+        they are shared as they are, neither copied nor checked again.
         """
         side_s, side_p = _check_bases(basis_sigma, self.lambda_sigma,
                                       basis_psi, self.lambda_psi)
         design = object.__new__(type(self))
-        design._set(side_s, self.lambda_sigma, side_p, self.lambda_psi)
+        design._set(side_s, side_p, vars(self))
         return design
 
     @property

@@ -200,7 +200,8 @@ def _parse_grid(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
     if not path.exists():
         raise FormatError(f"{path}: file not found")
     names: list[str] | None = None
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+    with open(path, encoding="utf-8-sig") as handle:
         lines = _NonBlankLines(handle)
         rows = iter(lines)
         if has_header:

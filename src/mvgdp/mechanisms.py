@@ -63,6 +63,7 @@ from .errors import (
 from .sampling import (  # noqa: F401
     RandomStream,
     color_noise,
+    color_with_roots,
     sample_mvg,
     sample_standard_matrix,
 )
@@ -177,7 +178,9 @@ def _check_shape(query_value, q: QuerySpec) -> np.ndarray:
 
 def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
     value = _check_shape(query_value, q)
-    fro = float(np.linalg.norm(value))
+    # np.linalg.norm's own Frobenius formula, without its dispatch
+    flat = value.ravel("K")
+    fro = math.sqrt(flat @ flat)
     # written so a NaN norm fails the check too
     if not fro <= q.gamma * (1.0 + GAMMA_RTOL):
         raise ContractViolationError(
@@ -300,14 +303,21 @@ class ReleasePlan(_TwoStepPlan):
         builds it so), so its columns are left as drawn.
         """
         # the basis check decided which fixed bases are exact identities
-        basis_sigma, basis_psi = self.design.color_bases
+        design = self.design
+        basis_sigma, basis_psi = design.color_bases
         unimodal = self.budget.mode is BudgetMode.UNIMODAL
         if bases is not None:
             basis_sigma = bases
             if not unimodal:
                 basis_psi = bases
-        output = color_noise(noise, basis_sigma, self.design.lambda_sigma,
-                             basis_psi, None if unimodal else self.design.lambda_psi)
+        root = design.root_sigma
+        if unimodal:
+            root_psi = None
+        elif design.lambda_psi is design.lambda_sigma:
+            root_psi = root  # one lambda on both sides, as release_spectrum builds it
+        else:
+            root_psi = np.sqrt(design.lambda_psi)
+        output = color_with_roots(noise, basis_sigma, root, basis_psi, root_psi)
         output += self.value
         return output
 
@@ -401,13 +411,16 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
     if q.m != q.n:
         raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
     value = _validate_query_value(query_value, q)
-    asym = float(np.abs(value - value.T).max()) if value.size else 0.0
-    if asym > _SYMMETRY_TOL:
-        warnings.warn(
-            f"equi-modal noise is recommended for symmetric queries; the query "
-            f"value deviates from symmetry by {asym:.3e}",
-            stacklevel=2,
-        )
+    # equal bytes, as in a computed covariance, tell exact symmetry at once;
+    # a - b is exactly -(b - a), so the largest entry is the largest deviation
+    if value.tobytes() != value.T.tobytes():
+        asym = float((value - value.T).max())
+        if asym > _SYMMETRY_TOL:
+            warnings.warn(
+                f"equi-modal noise is recommended for symmetric queries; the "
+                f"query value deviates from symmetry by {asym:.3e}",
+                stacklevel=2,
+            )
     return _plan(value, q, p, theta, BudgetMode.EQUI_MODAL, w_sigma)
 
 

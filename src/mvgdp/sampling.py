@@ -180,9 +180,10 @@ def sample_standard_matrix(stream: RandomStream, m: int, n: int,
     With ``out`` (a C-contiguous m x n float64 array) the draws fill it in
     place and it is returned; they have the bits of a fresh draw.
     """
-    for name, value in (("m", m), ("n", n)):
-        if not is_count(value) or value < 1:
-            raise ShapeError(f"{name} must be a positive integer, got {value!r}")
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
+        for name, value in (("m", m), ("n", n)):
+            if not is_count(value) or value < 1:
+                raise ShapeError(f"{name} must be a positive integer, got {value!r}")
     return stream.standard_normal((int(m), int(n)), out=out)
 
 
@@ -224,16 +225,24 @@ def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
     With standard rows the coloring costs O(mn) time and writes only into
     ``noise``; a dense row basis adds O(m^2 n) time and a new m x n array.
     """
-    shared = basis_psi is basis_sigma and lambda_psi is lambda_sigma
-    root_sigma = np.sqrt(lambda_sigma)
+    root_sigma = root_psi = np.sqrt(lambda_sigma)
+    if lambda_psi is not lambda_sigma:
+        root_psi = None if lambda_psi is None else np.sqrt(lambda_psi)
+    return color_with_roots(noise, basis_sigma, root_sigma, basis_psi, root_psi)
+
+
+def color_with_roots(noise: np.ndarray, basis_sigma, root_sigma: np.ndarray,
+                     basis_psi, root_psi: np.ndarray | None) -> np.ndarray:
+    """:func:`color_noise` given each side's ``sqrt(lambda)`` instead of its
+    singular values, for a caller that holds the roots already."""
+    shared = basis_psi is basis_sigma and root_psi is root_sigma
     if basis_sigma is None:
         noise *= root_sigma[:, np.newaxis]
     else:
         factor_sigma = basis_sigma * root_sigma
         noise = factor_sigma @ noise
-    if lambda_psi is None:
+    if root_psi is None:
         return noise
-    root_psi = root_sigma if shared else np.sqrt(lambda_psi)
     if basis_psi is None:
         noise *= root_psi
         return noise

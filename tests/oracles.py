@@ -33,3 +33,15 @@ def dense_release(value, design, noise):
     f_sigma = factor(design.basis_sigma, design.lambda_sigma)
     f_psi = factor(design.basis_psi, design.lambda_psi)
     return f_sigma @ noise @ f_psi.T + value
+
+
+def scaled_release(value, design, noise):
+    """``value + noise`` scaled by each side's ``sqrt(lambda)``, written out.
+
+    The rows are scaled first, then the columns, then the value is added:
+    ``(N[i, j] * r_sigma[i]) * r_psi[j] + value[i, j]``, the arithmetic of a
+    release on standard or identity bases.
+    """
+    rows = np.sqrt(design.lambda_sigma)[:, np.newaxis]
+    cols = np.sqrt(design.lambda_psi)
+    return noise * rows * cols + value

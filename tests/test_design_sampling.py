@@ -120,6 +120,15 @@ class TestWithBases:
         with pytest.raises(ShapeError):
             spectrum.with_bases(np.eye(3), None)
 
+    def test_shares_the_row_roots(self):
+        lam = np.array([3.0, 2.0])
+        spectrum = NoiseDesign(None, lam, None, np.ones(3))
+        assert spectrum.root_sigma.tobytes() == np.sqrt(lam).tobytes()
+        design = spectrum.with_bases(np.eye(2), None)
+        assert design.root_sigma is spectrum.root_sigma
+        assert design.color_bases == (None, None)
+        assert spectrum.basis_sigma is None and design.basis_sigma is not None
+
 
 class TestRandomStream:
     def test_seed_validation(self):
@@ -172,6 +181,17 @@ class TestSampleStandardMatrix:
             sample_standard_matrix(RandomStream(0), 0, 2)
         with pytest.raises(ShapeError):
             sample_standard_matrix(RandomStream(0), 2, 0)
+
+    @pytest.mark.parametrize("bad", [True, 0, 4.0])
+    def test_rejects_what_is_not_a_positive_count(self, bad):
+        for m, n in ((bad, 4), (4, bad)):
+            with pytest.raises(ShapeError, match="positive integer"):
+                sample_standard_matrix(RandomStream(0), m, n)
+
+    def test_numpy_counts_draw_as_ints(self):
+        drawn = sample_standard_matrix(RandomStream(3), np.int64(4), np.int32(2))
+        assert drawn.tobytes() == \
+            sample_standard_matrix(RandomStream(3), 4, 2).tobytes()
 
     def test_out_gets_the_bits_of_a_fresh_draw(self):
         fresh_stream = RandomStream(4)

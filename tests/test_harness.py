@@ -88,6 +88,21 @@ class TestLoadCsvMatrix:
         matrix, _ = load_csv_matrix(path)
         assert matrix.shape == (2, 2)
 
+    # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2\n3,4\n")
+        matrix, names = load_csv_matrix(path)
+        assert names is None
+        assert np.array_equal(matrix, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        matrix, names = load_csv_matrix(path, has_header=True)
+        assert names == ["a", "b"]
+        assert np.array_equal(matrix, np.array([[1.0], [2.0]]))
+
 
 class TestLoaderParity:
     """The vectorized loader against ``float()`` and the file's own lines."""

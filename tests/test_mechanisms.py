@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -40,7 +41,7 @@ from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
 from mvgdp.sampling import color_noise
-from oracles import dense_covariances, dense_release
+from oracles import dense_covariances, dense_release, scaled_release
 
 
 class TestPrecisionAllocation:
@@ -482,6 +483,61 @@ class TestIdentityBasis:
             assert peak < 1.5 * m * n * 8, (name, peak / (m * n * 8))
 
 
+class TestReleaseChecks:
+    """A release keeps every value check and the bits of its arithmetic
+    written out: the rows scaled, then the columns, then the value added."""
+
+    P = PrivacyParams(1.0, 0.05)
+    RELEASES = [(mvg_unimodal, (4, 6)), (mvg_equimodal, (4, 4))]
+
+    @pytest.mark.parametrize("release_fn, shape", RELEASES)
+    @pytest.mark.parametrize("basis", ["standard", "identity"])
+    def test_outputs_replay_from_explicit_draws(self, release_fn, shape, basis):
+        value, q, theta = TestIdentityBasis.inputs(*shape)
+        w = None if basis == "standard" else np.eye(q.m)
+        for seed in range(10):
+            result = release_fn(value, q, self.P, theta, w, RandomStream(seed))
+            noise = np.random.default_rng(seed).standard_normal(shape)
+            replay = scaled_release(value, result.design, noise)
+            assert result.output.tobytes() == replay.tobytes(), seed
+
+    @pytest.mark.parametrize("gap, warns", [(2e-8, True), (5e-9, False),
+                                            (0.0, False), ("signed zero", False)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_symmetry_warning_fires_above_1e_8(self, gap, warns, order):
+        value, q, theta = TestIdentityBasis.inputs(4, 4)
+        if gap == "signed zero":
+            # equal values with unequal bits
+            value[0, 1], value[1, 0] = 0.0, -0.0
+        else:
+            value[0, 1] = value[1, 0] + gap
+        value = np.asarray(value, order=order)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mvg_equimodal(value, q, self.P, theta, np.eye(4), RandomStream(0))
+        messages = [str(w.message) for w in caught]
+        if warns:
+            assert len(messages) == 1 and "by 2.000e-08" in messages[0]
+        else:
+            assert messages == []
+
+    @pytest.mark.parametrize("release_fn, shape", RELEASES)
+    @pytest.mark.parametrize("value", ["nan", "1e-6 over", "strided 1e-6 over"])
+    def test_gamma_check_rejects_nan_and_a_small_excess(self, release_fn, shape,
+                                                        value):
+        m, n = shape
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=math.sqrt(m * n))
+        theta = PrecisionAllocation.uniform(m)
+        # every entry 1 puts the norm exactly at gamma, which passes
+        release_fn(np.ones(shape), q, self.P, theta, np.eye(m), RandomStream(0))
+        over = 1.0 + 1e-6
+        bad = {"nan": np.where(np.eye(m, n) == 1.0, np.nan, 0.0),
+               "1e-6 over": np.full(shape, over),
+               "strided 1e-6 over": np.full((2 * m, 2 * n), over)[::2, ::2]}[value]
+        with pytest.raises(ContractViolationError, match="exceeding"):
+            release_fn(bad, q, self.P, theta, np.eye(m), RandomStream(0))
+
+
 class TestGaussianBaseline:
     def test_noise_scale_formula(self):
         p = PrivacyParams(1.0, 0.05)
@@ -791,7 +847,8 @@ class TestReleaseSpectrumMemo:
         value, q, theta, w = self.inputs(*shape)
         first = release_fn(value, q, self.P, theta, w, RandomStream(2))
         lam_sigma = first.design.lambda_sigma.copy()
-        for lam in (first.design.lambda_sigma, first.design.lambda_psi):
+        for lam in (first.design.lambda_sigma, first.design.lambda_psi,
+                    first.design.root_sigma):
             with pytest.raises(ValueError):
                 lam[0] = 1e-9
         again = release_fn(value, q, self.P, theta, w, RandomStream(2))

@@ -15,6 +15,7 @@ import numpy as np
 
 import mvgdp
 from mvgdp import DataBounds, Experiment, ExperimentConfig, MechanismKind, PrivacyParams
+from mvgdp import budget, mechanisms
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,6 +34,10 @@ def test_every_patched_name_resolves():
 
 
 def test_traced_firstpc_run_counts_design_bytes(tmp_path):
+    # an earlier release of the same (q, p, theta) would leave the memos warm
+    # and the traced run with nothing to build
+    mechanisms.release_spectrum.cache_clear()
+    budget.budget_terms.cache_clear()
     tracing = load_tracing()
     data = np.random.default_rng(2).choice([-1.0, 1.0], size=(4, 200))
     path = tmp_path / "data.csv"
