@@ -34,21 +34,25 @@ from .errors import (
     MvgdpError,
 )
 from .harness import (
+    GRAM_EXPERIMENTS,
     Experiment,
     ExperimentConfig,
     MechanismKind,
     ReportFormat,
     audit_bounds,
+    check_run_options,
     covariance_query,
     emit_report,
     identity_query,
     load_csv_matrix,
     load_dense_csv,
+    parse_directions_source,
     plan_release,
+    read_csv_gram,
     run_experiment,
 )
 from .sampling import RandomStream, sample_mvg
-from .sensitivity import DataBounds
+from .sensitivity import DataBounds, check_range
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:
@@ -94,27 +98,47 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _load_dataset(args):
+def _check_dataset_flags(args) -> None:
+    """Check the flags of ``perturb`` and ``bench`` that do not depend on the
+    dataset, so a bad one is reported before ``--input`` is read."""
+    # a defaulted delta, 1/N, is checked once the dataset fixes N
+    PrivacyParams(args.epsilon, 0.5 if args.delta is None else args.delta)
+    check_range(args.lo, args.hi)
+    parse_directions_source(args.directions)
+
+
+def _read_dataset(args, records: bool):
     """The dataset CSV at ``--input``, its bounds and the privacy target,
-    with ``--delta`` defaulting to 1/N."""
-    x, _ = load_csv_matrix(args.input, args.has_header)
-    num_features, num_samples = x.shape
+    with ``--delta`` defaulting to 1/N.
+
+    With ``records`` the dataset is the M x N matrix X, not yet audited;
+    without, it is read in blocks into its :class:`AuditedGram`, audited
+    against ``--lo``/``--hi``, and X is never held.
+    """
+    if records:
+        data, _ = load_csv_matrix(args.input, args.has_header)
+        num_features, num_samples = data.shape
+    else:
+        data = read_csv_gram(args.input, args.lo, args.hi, args.has_header)
+        num_features, num_samples = data.num_features, data.num_samples
     bounds = DataBounds(num_features, num_samples, args.lo, args.hi)
     delta = args.delta if args.delta is not None else 1.0 / num_samples
-    return x, bounds, PrivacyParams(args.epsilon, delta)
+    return data, bounds, PrivacyParams(args.epsilon, delta)
 
 
 def _cmd_perturb(args) -> int:
-    x, bounds, p = _load_dataset(args)
-    audit_bounds(x, bounds)
+    _check_dataset_flags(args)
+    stream = RandomStream(args.seed)
+    data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
-        q, value, mechanism = identity_query(bounds), x, MechanismKind.MVG_UNIMODAL
+        audit_bounds(data, bounds)
+        q, value, mechanism = identity_query(bounds), data, MechanismKind.MVG_UNIMODAL
     else:
-        q, value = covariance_query(bounds), x @ x.T / bounds.num_samples
+        q, value = covariance_query(bounds), data.gram / bounds.num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
     plan = plan_release(mechanism, q, value, p, args.theta, args.directions,
-                        bounds, direction_data=x)
-    output = plan.draw([RandomStream(args.seed)])[0]
+                        bounds, direction_data=data)
+    output = plan.draw([stream])[0]
     if args.query == "identity":
         _write_csv(args.out, output.T)  # back to rows-as-records
     else:
@@ -133,7 +157,11 @@ def _cmd_bench(args) -> int:
                           "with --favored or --tau")
     if args.tau is not None and args.favored is None:
         raise ConfigError("--tau sets the favored directions' share; it needs --favored")
-    x, bounds, privacy = _load_dataset(args)
+    _check_dataset_flags(args)
+    check_run_options(args.trials, args.seed, args.ridge_reg)
+    experiment = Experiment(args.experiment)
+    data, bounds, privacy = _read_dataset(args,
+                                          records=experiment not in GRAM_EXPERIMENTS)
     if args.theta is not None:
         theta_spec = args.theta
     elif args.favored is not None:
@@ -142,7 +170,7 @@ def _cmd_bench(args) -> int:
     else:
         theta_spec = "uniform"
     cfg = ExperimentConfig(
-        experiment=Experiment(args.experiment),
+        experiment=experiment,
         dataset_path=args.input,
         bounds=bounds,
         privacy=privacy,
@@ -154,7 +182,7 @@ def _cmd_bench(args) -> int:
         csv_has_header=args.has_header,
         ridge_reg=args.ridge_reg,
     )
-    report = run_experiment(cfg, data=x)
+    report = run_experiment(cfg, data=data)
     sys.stdout.buffer.write(emit_report(report, ReportFormat(args.format)))
     sys.stdout.buffer.flush()
     return 0

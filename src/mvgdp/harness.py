@@ -16,9 +16,8 @@ experiment archetypes are provided plus a direction-ablation sweep:
   declared favored set, its complement, and a uniform allocation), emitting
   one report per arm.
 
-A run plans once and then only draws: the CSV is parsed in one vectorized
-pass (or handed in by a caller that already loaded it, as the CLI does) and
-audited against the declared bounds once, and :func:`plan_release` returns
+A run plans once and then only draws: the dataset is audited against the
+declared bounds once, and :func:`plan_release` returns
 the mechanism's own plan from :mod:`mechanisms`: the validated query value
 with, for a baseline, its noise scale, or for MVG a :class:`ReleasePlan`
 (the budget, the allocation, the directions and the one privacy-condition
@@ -37,6 +36,14 @@ one shared directions plan, so the run draws each chunk's noise once
 its own copy of it (``color``). Trial t of every arm thus releases from the
 draws of stream seed + t, and each arm's report equals a one-arm run with
 its allocation bit for bit.
+
+First-PC runs and ablations release the covariance query and derive
+``dp:F`` directions, and both need only the Gram matrix X X^T. They read
+the CSV in blocks of ``GRAM_BLOCK_CELLS`` cells, auditing each block and
+adding its product to an :class:`AuditedGram`, so their memory does not
+grow with N. Regression and covariance estimation release X itself and
+parse the CSV in one vectorized pass. Either is skipped when the caller
+hands in what it already read, as the CLI does.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t
 (wrapping past 2^64 - 1 to 0), so an identical configuration yields
@@ -69,7 +76,7 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, FormatError, is_count
+from .errors import ConfigError, ContractViolationError, FormatError, is_count
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -93,6 +100,7 @@ from .metrics import (  # noqa: F401
 )
 from .sampling import RandomStream, seed_state_words
 from .sensitivity import (
+    AuditedGram,
     DataBounds,
     check_within_bounds,
     covariance_sensitivity,
@@ -115,6 +123,11 @@ class Experiment(enum.Enum):
     FIRST_PC = "firstpc"
     COVARIANCE_ESTIMATION = "covest"
     DIRECTION_ABLATION = "ablation"
+
+
+# The experiments that release the covariance query: they need only the
+# records' audited Gram matrix, so a run reads the file in blocks.
+GRAM_EXPERIMENTS = frozenset({Experiment.FIRST_PC, Experiment.DIRECTION_ABLATION})
 
 
 class MechanismKind(enum.Enum):
@@ -144,17 +157,21 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
-        if not is_count(self.trials) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not is_count(self.seed) or not 0 <= self.seed < _SEED_MOD:
-            raise ConfigError(
-                f"seed must be an integer in [0, 2^64), got {self.seed!r}"
-            )
+        check_run_options(self.trials, self.seed, self.ridge_reg)
         # as Python ints, so seed + t cannot overflow a numpy integer
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
-        if not self.ridge_reg > 0:
-            raise ConfigError(f"ridge_reg must be positive, got {self.ridge_reg}")
+
+
+def check_run_options(trials, seed, ridge_reg) -> None:
+    """The checks :class:`ExperimentConfig` makes of its trial count, seed
+    and ridge penalty, for a caller that has them before the dataset."""
+    if not is_count(trials) or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if not is_count(seed) or not 0 <= seed < _SEED_MOD:
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if not ridge_reg > 0:
+        raise ConfigError(f"ridge_reg must be positive, got {ridge_reg}")
 
 
 # A line whose cells are all empty once stripped: nothing but whitespace,
@@ -185,44 +202,97 @@ class _NonBlankLines:
 _BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row \d+, column (\d+)")
 _RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+)")
 
+# Cells per block when a dataset is read for its Gram matrix: 512 KiB of
+# float64, 4096 records at 16 features.
+GRAM_BLOCK_CELLS = 65536
 
-def _parse_grid(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
-    """Parse a numeric CSV into a C-ordered file-rows x file-columns array.
 
-    One vectorized pass streams the file: cells are parsed by numpy's float
-    reader (CPython's ``PyOS_string_to_double``, so each value has the bits
-    ``float(cell)`` gives), surrounding whitespace and double quotes are
-    stripped, and ``#`` is data, not a comment. Blank lines are skipped;
-    with ``has_header`` the first other line holds column names.
-    Errors name the file line and column.
+class _GridBlocks:
+    """A numeric CSV's data rows, parsed into C-ordered rows x columns blocks.
+
+    The one CSV parser: every reader iterates one of these. Cells are parsed
+    by numpy's float reader (CPython's ``PyOS_string_to_double``, so each
+    value has the bits ``float(cell)`` gives), surrounding whitespace and
+    double quotes are stripped, and ``#`` is data, not a comment. Blank lines
+    are skipped; with ``has_header`` the first other line holds column
+    names, which ``names`` holds once iteration has started. Errors name the
+    file line and column.
+
+    With ``block_cells`` None the file is one block. Otherwise a block holds
+    about ``block_cells`` cells (at least one row) and the file is streamed:
+    each later block is parsed after a copy of the first data row, which is
+    then dropped, so a row whose width differs from the first row's is
+    reported at its own line, as in one pass over the file. ``block`` and
+    ``block_line`` are the block yielded last and the file line of its first
+    row.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"{path}: file not found")
-    names: list[str] | None = None
-    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
-    with open(path, encoding="utf-8-sig") as handle:
-        lines = _NonBlankLines(handle)
-        rows = iter(lines)
-        if has_header:
-            header = next(rows, None)
-            if header is not None:
-                names = [cell.strip() for cell in next(csv.reader([header]))]
-        first = next(rows, None)
-        if first is None:
-            raise FormatError(f"{path}: no data rows found")
-        first_line_no = lines.line_no
+
+    def __init__(self, path, has_header: bool, block_cells: int | None = None):
+        self.path = Path(path)
+        self.names: list[str] | None = None
+        self.block: np.ndarray | None = None
+        self.block_line = 0
+        self._has_header = has_header
+        self._block_cells = block_cells
+
+    def __iter__(self):
+        path = self.path
+        if not path.exists():
+            raise FormatError(f"{path}: file not found")
+        # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = _NonBlankLines(handle)
+            rows = iter(lines)
+            if self._has_header:
+                header = next(rows, None)
+                if header is not None:
+                    self.names = [cell.strip() for cell in next(csv.reader([header]))]
+            head = next(rows, None)
+            if head is None:
+                raise FormatError(f"{path}: no data rows found")
+            self.block_line = lines.line_no
+            if self._block_cells is None:
+                per_block = None
+            else:  # sized from the first row's cells; the parse checks them
+                per_block = max(1, self._block_cells // (head.count(",") + 1))
+            self.block = self._parse(lines, [head], per_block, rows)
+            width = self.block.shape[1]
+            if self.names is not None and width != len(self.names):
+                raise FormatError(
+                    f"{path}: line {self.block_line} has {width} cells, expected "
+                    f"{len(self.names)}"
+                )
+            yield self.block
+            while per_block is not None:
+                first = next(rows, None)
+                if first is None:
+                    return
+                self.block_line = lines.line_no
+                self.block = self._parse(lines, [head, first], per_block, rows)[1:]
+                yield self.block
+
+    def _parse(self, lines: _NonBlankLines, leading: list[str],
+               per_block: int | None, rows) -> np.ndarray:
+        """One ``np.loadtxt`` over ``leading`` and the rows that fill the
+        block (all of them when ``per_block`` is None)."""
+        more = None if per_block is None else per_block - 1
         try:
-            grid = np.loadtxt(itertools.chain([first], rows), dtype=float,
-                              delimiter=",", quotechar='"', comments=None, ndmin=2)
+            return np.loadtxt(itertools.chain(leading, itertools.islice(rows, more)),
+                              dtype=float, delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)
         except ValueError as exc:
-            raise _located_error(path, lines.line_no, exc) from None
-    if names is not None and grid.shape[1] != len(names):
-        raise FormatError(
-            f"{path}: line {first_line_no} has {grid.shape[1]} cells, expected "
-            f"{len(names)}"
-        )
-    return grid, names
+            raise _located_error(self.path, lines.line_no, exc) from None
+
+    def escaping_line(self, lo: float, hi: float) -> int:
+        """The file line of the first row of ``block`` with an entry outside
+        [lo, hi] (NaN included), found by reading the file again."""
+        inside = ((self.block >= lo) & (self.block <= hi)).all(axis=1)
+        row = int(np.argmin(inside))
+        with open(self.path, encoding="utf-8-sig") as handle:
+            lines = _NonBlankLines(handle)
+            block_rows = (line for line in lines if lines.line_no >= self.block_line)
+            next(itertools.islice(block_rows, row, None))
+            return lines.line_no
 
 
 def _located_error(path: Path, line_no: int, exc: ValueError) -> FormatError:
@@ -248,10 +318,13 @@ def load_csv_matrix(path, has_header: bool = False) -> tuple[np.ndarray, list[st
 
     File rows are records; the returned matrix has one row per file column
     (feature) and one column per file row (record). Decimal separator is
-    always the dot regardless of locale.
+    always the dot regardless of locale. The file is parsed as one block
+    (see :class:`_GridBlocks`); a caller that needs only X X^T reads it with
+    :func:`read_csv_gram` instead, which never holds X.
     """
-    grid, names = _parse_grid(path, has_header)
-    return grid.T, names
+    blocks = _GridBlocks(path, has_header)
+    (grid,) = blocks
+    return grid.T, blocks.names
 
 
 def load_dense_csv(path) -> np.ndarray:
@@ -260,8 +333,26 @@ def load_dense_csv(path) -> np.ndarray:
     Used for covariance and direction matrices, where file rows are matrix
     rows.
     """
-    grid, _ = _parse_grid(path, has_header=False)
+    (grid,) = _GridBlocks(path, has_header=False)
     return grid
+
+
+def read_csv_gram(path, lo: float, hi: float, has_header: bool = False) -> AuditedGram:
+    """Read a dataset CSV (rows are records) for its :class:`AuditedGram`.
+
+    The file is parsed in blocks of ``GRAM_BLOCK_CELLS`` cells, each audited
+    against [lo, hi] and added to X X^T before the next is read, so memory is
+    O(M^2 + block) whatever N is. Parse errors are those of
+    :func:`load_csv_matrix`; an entry outside [lo, hi] raises
+    ContractViolationError naming its file line.
+    """
+    blocks = _GridBlocks(path, has_header, GRAM_BLOCK_CELLS)
+    try:
+        return AuditedGram(blocks, lo, hi)
+    except ContractViolationError as exc:
+        raise ContractViolationError(
+            f"{blocks.path}: line {blocks.escaping_line(lo, hi)}: {exc}"
+        ) from None
 
 
 def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
@@ -331,16 +422,38 @@ def _binary_parts(spec: str) -> tuple[float, list[int]] | None:
     return tau, favored
 
 
+def _check_shape(bounds: DataBounds, shape: tuple[int, int]) -> None:
+    if shape != (bounds.num_features, bounds.num_samples):
+        raise ConfigError(
+            f"declared bounds describe a {bounds.num_features}x"
+            f"{bounds.num_samples} dataset but the file holds {shape[0]}x"
+            f"{shape[1]}"
+        )
+
+
 def audit_bounds(x: np.ndarray, bounds: DataBounds) -> None:
     """Check a loaded dataset against its declared shape and range; a NaN
     cell fails the range check."""
-    if x.shape != (bounds.num_features, bounds.num_samples):
-        raise ConfigError(
-            f"declared bounds describe a {bounds.num_features}x"
-            f"{bounds.num_samples} dataset but the file holds {x.shape[0]}x"
-            f"{x.shape[1]}"
-        )
-    check_within_bounds(x, bounds)
+    _check_shape(bounds, x.shape)
+    check_within_bounds(x, bounds.lo, bounds.hi)
+
+
+def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
+    """The Gram matrix of ``cfg``'s dataset, audited once: ``data`` if it is
+    one (its box must be the declared one), built from ``data`` if it holds
+    the records, and otherwise read from ``cfg.dataset_path`` in blocks."""
+    bounds = cfg.bounds
+    if data is None:
+        gram = read_csv_gram(cfg.dataset_path, bounds.lo, bounds.hi,
+                             cfg.csv_has_header)
+    elif isinstance(data, AuditedGram):
+        gram = data
+    else:
+        _check_shape(bounds, data.shape)  # before the audit, as audit_bounds does
+        gram = AuditedGram.of(data, bounds.lo, bounds.hi)
+    _check_shape(bounds, (gram.num_features, gram.num_samples))
+    gram.check_box(bounds.lo, bounds.hi)
+    return gram
 
 
 def identity_query(bounds: DataBounds) -> QuerySpec:
@@ -376,7 +489,8 @@ def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
             a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
         bounds: the declared bounds of ``direction_data``.
-        direction_data: the records ``dp:F`` directions are derived from.
+        direction_data: the records ``dp:F`` directions are derived from,
+            or their :class:`AuditedGram`.
     """
     return plan_releases(mechanism, q, value, privacy, [theta_spec],
                          directions_source, bounds, direction_data)[0]
@@ -489,18 +603,18 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     return mean_ci95(values, "RMSE")
 
 
-def _run_firstpc(cfg: ExperimentConfig, x: np.ndarray,
+def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
                  arms: list[tuple[str, str]]) -> list[EvalReport]:
     """One report per arm, a (metric name, allocation spec) pair.
 
     Each chunk's noise is drawn once, and every arm colors its own copy of
     it, so trial t of every arm releases from the draws of stream seed + t.
     """
-    s_bar = x @ x.T / x.shape[1]
+    s_bar = gram.gram / gram.num_samples
     gap = DeltaRho(s_bar)
     plans = plan_releases(cfg.mechanism, covariance_query(cfg.bounds), s_bar,
                           cfg.privacy, [spec for _, spec in arms],
-                          cfg.directions_source, cfg.bounds, x)
+                          cfg.directions_source, cfg.bounds, gram)
     values = [[] for _ in arms]
     for noise, *rest in _trial_noise(cfg, plans[0]):
         for plan, arm_values in zip(plans, values):
@@ -520,11 +634,11 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(sym)[1][..., -1]
 
 
-def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
+def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> EvalReport:
     num_records = x.shape[1]
-    s_bar = x @ x.T / num_records
+    s_bar = gram.gram / num_records
     plan = plan_release(cfg.mechanism, identity_query(cfg.bounds), x, cfg.privacy,
-                        cfg.theta_spec, cfg.directions_source, cfg.bounds, x)
+                        cfg.theta_spec, cfg.directions_source, cfg.bounds, gram)
     values = []
     for chunk in _trial_chunks(cfg, plan):
         for noisy in chunk:
@@ -532,8 +646,8 @@ def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     return mean_ci95(values, "RSS")
 
 
-def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
-    num_features = x.shape[0]
+def _run_ablation(cfg: ExperimentConfig, gram: AuditedGram) -> list[EvalReport]:
+    num_features = gram.num_features
     binary = _binary_parts(cfg.theta_spec)
     if binary is None:
         raise ConfigError(
@@ -545,7 +659,7 @@ def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
     complement = [i for i in range(num_features) if i not in favored]
     if not complement:
         raise ConfigError("favored set covers every direction; nothing to ablate")
-    return _run_firstpc(cfg, x, [
+    return _run_firstpc(cfg, gram, [
         (f"delta_rho[favored={'+'.join(map(str, favored))}]",
          f"binary:{tau}:{','.join(map(str, favored))}"),
         (f"delta_rho[complement={'+'.join(map(str, complement))}]",
@@ -555,27 +669,40 @@ def _run_ablation(cfg: ExperimentConfig, x: np.ndarray) -> list[EvalReport]:
 
 
 def run_experiment(cfg: ExperimentConfig,
-                   data: np.ndarray | None = None) -> EvalReport | list[EvalReport]:
+                   data: np.ndarray | AuditedGram | None = None
+                   ) -> EvalReport | list[EvalReport]:
     """Run one configured experiment end to end.
 
     Loads the dataset (unless ``data`` already holds it, as
     :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), audits it
-    against the declared bounds (aborting before any sampling on a
+    once against the declared bounds (aborting before any sampling on a
     violation), runs the trial loop with per-trial seeds seed, seed+1, ...,
     and aggregates the metric. The ablation experiment returns one report per
     direction arm; the others return a single report.
+
+    The experiments in ``GRAM_EXPERIMENTS`` use only X X^T: they read the
+    file with :func:`read_csv_gram` and never hold X, and ``data`` may also
+    be the :class:`AuditedGram` that returns. Regression and covariance
+    estimation release X itself and need the records.
     """
+    if cfg.experiment in GRAM_EXPERIMENTS:
+        gram = _audited_gram(cfg, data)
+        if cfg.experiment is Experiment.FIRST_PC:
+            (report,) = _run_firstpc(cfg, gram, [("delta_rho", cfg.theta_spec)])
+            return report
+        return _run_ablation(cfg, gram)
+    if isinstance(data, AuditedGram):
+        raise ConfigError(
+            f"the {cfg.experiment.value} experiment releases the records; a Gram "
+            "matrix does not hold them"
+        )
     x = load_csv_matrix(cfg.dataset_path, cfg.csv_has_header)[0] if data is None else data
+    if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
+        # the Gram matrix is both the audit and the reference covariance
+        return _run_covest(cfg, x, _audited_gram(cfg, x))
     audit_bounds(x, cfg.bounds)
     if cfg.experiment is Experiment.REGRESSION:
         return _run_regression(cfg, x)
-    if cfg.experiment is Experiment.FIRST_PC:
-        (report,) = _run_firstpc(cfg, x, [("delta_rho", cfg.theta_spec)])
-        return report
-    if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
-        return _run_covest(cfg, x)
-    if cfg.experiment is Experiment.DIRECTION_ABLATION:
-        return _run_ablation(cfg, x)
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
 
 

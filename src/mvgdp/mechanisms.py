@@ -67,7 +67,7 @@ from .sampling import (  # noqa: F401
     sample_mvg,
     sample_standard_matrix,
 )
-from .sensitivity import DataBounds, check_within_bounds, covariance_sensitivity
+from .sensitivity import AuditedGram, DataBounds, covariance_sensitivity
 
 # Floor applied to allocation entries so no direction's noise variance is
 # numerically infinite.
@@ -626,24 +626,33 @@ def plan_directions_dp(data, p_fraction: PrivacyParams, k: int, *,
     Takes the arguments of :func:`derive_directions_dp` except the stream,
     runs the same checks, and returns the plan whose ``draw(stream)`` equals
     ``derive_directions_dp(data, p_fraction, k, stream, bounds=bounds)`` bit
-    for bit.
+    for bit. ``data`` may also be an :class:`AuditedGram` of the records,
+    audited against ``bounds``' own range; it is neither audited nor
+    multiplied again.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
-    num_features, num_samples = x.shape
+    if isinstance(data, AuditedGram):
+        gram, shape = data, (data.num_features, data.num_samples)
+    else:
+        x = np.asarray(data, dtype=float)
+        if x.ndim != 2:
+            raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
+        gram, shape = None, x.shape
+    num_features, num_samples = shape
     if not is_count(k) or k < 1:
         raise ShapeError(f"k must be a positive integer, got {k!r}")
     if k > num_features:
         raise ShapeError(f"k = {k} exceeds the number of features {num_features}")
-    if (bounds.num_features, bounds.num_samples) != (num_features, num_samples):
+    if (bounds.num_features, bounds.num_samples) != shape:
         raise ShapeError(
             f"bounds declare {bounds.num_features}x{bounds.num_samples} but the "
             f"data is {num_features}x{num_samples}"
         )
-    check_within_bounds(x, bounds)
+    if gram is None:
+        gram = AuditedGram.of(x, bounds.lo, bounds.hi)
+    else:
+        gram.check_box(bounds.lo, bounds.hi)
     noise_sd = gaussian_noise_scale(covariance_sensitivity(bounds), p_fraction)
-    return DirectionsPlan(x @ x.T / num_samples, noise_sd)
+    return DirectionsPlan(gram.gram / num_samples, noise_sd)
 
 
 def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,

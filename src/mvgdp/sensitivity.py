@@ -3,7 +3,9 @@
 Datasets are M x N matrices whose columns are the records; two datasets are
 neighbors when they differ in exactly one column. Every entry is assumed to
 lie in a declared interval [lo, hi]. All bounds here are worst case over that
-box and never look at the actual private values.
+box and never look at the actual private values; only the audit
+(:func:`check_within_bounds` and :class:`AuditedGram`) reads the data, to
+check that it lies in the box.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, DomainError, is_count
+import numpy as np
+
+from .errors import ConfigError, ContractViolationError, DomainError, ShapeError, is_count
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,7 @@ class DataBounds:
             if not is_count(value) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise DomainError(f"lo must be less than hi, got [{self.lo}, {self.hi}]")
+        check_range(self.lo, self.hi)
 
     @property
     def magnitude(self) -> float:
@@ -46,19 +47,89 @@ class DataBounds:
         return max(abs(self.lo), abs(self.hi))
 
 
-def check_within_bounds(x, b: DataBounds) -> None:
+def check_range(lo: float, hi: float) -> None:
+    """Raise DomainError unless [lo, hi] is a finite range with lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bounds must be finite, got [{lo}, {hi}]")
+    if not lo < hi:
+        raise DomainError(f"lo must be less than hi, got [{lo}, {hi}]")
+
+
+def check_within_bounds(x, lo: float, hi: float) -> None:
     """Raise ContractViolationError unless every entry of ``x`` lies in
     [lo, hi].
 
     Written as ``not (min >= lo and max <= hi)`` so a NaN entry fails: it
     compares false with both ends.
     """
-    lo, hi = float(x.min()), float(x.max())
-    if not (lo >= b.lo and hi <= b.hi):
+    x_lo, x_hi = float(x.min()), float(x.max())
+    if not (x_lo >= lo and x_hi <= hi):
         raise ContractViolationError(
-            f"data range [{lo:.6g}, {hi:.6g}] escapes the declared bounds "
-            f"[{b.lo}, {b.hi}]; sensitivity and gamma claims would be false"
+            f"data range [{x_lo:.6g}, {x_hi:.6g}] escapes the declared bounds "
+            f"[{lo}, {hi}]; sensitivity and gamma claims would be false"
         )
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class AuditedGram:
+    """The Gram matrix X X^T of a dataset whose every entry was checked to
+    lie in [lo, hi].
+
+    Building one is the audit: the constructor checks each block of records
+    with :func:`check_within_bounds` as it sums the block's Gram matrix, so
+    an instance cannot exist for data that escapes its box. The covariance
+    query and private directions need only this m x m matrix, so a dataset
+    read in blocks is never held whole.
+
+    Attributes:
+        gram: X X^T, unnormalized and read-only.
+        num_features, num_samples: M and N of the dataset.
+        lo, hi: the range every entry was checked against.
+    """
+
+    gram: np.ndarray
+    num_features: int
+    num_samples: int
+    lo: float
+    hi: float
+
+    def __init__(self, record_blocks, lo: float, hi: float):
+        """Audit and sum ``record_blocks``, an iterable of (records, M)
+        arrays (rows are records), against [lo, hi].
+
+        One block gives ``block.T @ block`` bit for bit; more blocks give the
+        sum of their products, which can differ from one product over all
+        records in the last bits.
+        """
+        check_range(lo, hi)
+        gram, num_samples = None, 0
+        for block in record_blocks:
+            check_within_bounds(block, lo, hi)
+            if gram is None:
+                gram = block.T @ block
+            else:
+                gram += block.T @ block
+            num_samples += block.shape[0]
+        if gram is None:
+            raise ShapeError("a Gram matrix needs at least one block of records")
+        gram.flags.writeable = False
+        for name, value in (("gram", gram), ("num_features", gram.shape[0]),
+                            ("num_samples", num_samples), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, x, lo: float, hi: float) -> "AuditedGram":
+        """The audited Gram matrix of an M x N dataset held in memory, records
+        as columns; its ``gram`` is ``x @ x.T`` bit for bit."""
+        return cls([x.T], lo, hi)
+
+    def check_box(self, lo: float, hi: float) -> None:
+        """Raise ConfigError unless this matrix was audited against [lo, hi]."""
+        if (self.lo, self.hi) != (lo, hi):
+            raise ConfigError(
+                f"the Gram matrix was audited against [{self.lo}, {self.hi}] but "
+                f"the bounds declare [{lo}, {hi}]"
+            )
 
 
 def identity_sensitivity(b: DataBounds) -> float:

@@ -29,8 +29,10 @@ from mvgdp import (
     mvg_unimodal,
     parse_theta_spec,
     sample_mvg,
+    sensitivity,
 )
 from mvgdp.cli import main
+from mvgdp.sensitivity import check_within_bounds
 
 
 def write_dataset(tmp_path, data, name="data.csv"):
@@ -208,6 +210,15 @@ class TestPerturbCommand:
         assert code == 0
         assert load_dense_csv(out).shape == (3, 3)
 
+    def test_a_bad_seed_is_reported_before_the_input_is_read(self, tmp_path,
+                                                              capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["perturb", "--input", missing, "--query", "covariance",
+                     "--epsilon", "1", "--lo", "-1", "--hi", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must fit in 64 unsigned bits" in err and "missing.csv" not in err
+
 
 def csv_bytes(matrix):
     return "".join(",".join(repr(float(v)) for v in row) + "\n"
@@ -332,21 +343,99 @@ class TestBenchCommand:
         dp_args = self.bench_args(path) + ["--directions", "dp:0.2"]
         assert main(dp_args) == 3
 
-    def test_loads_the_dataset_once(self, tmp_path, sign_data, monkeypatch):
+    @pytest.mark.parametrize("flag, message", [
+        ("--trials=0", "trials must be a positive integer"),
+        ("--seed=-1", "seed must be an integer in [0, 2^64)"),
+        ("--ridge-reg=0", "ridge_reg must be positive"),
+        ("--epsilon=-1", "epsilon must be positive"),
+        ("--delta=0", "delta must lie in the open interval"),
+        ("--directions=dp:half", "could not parse direction budget"),
+        ("--directions=dp:1.5", "direction budget fraction must lie in (0, 1)"),
+        ("--lo=2", "lo must be less than hi"),
+    ])
+    def test_a_bad_flag_is_reported_before_the_input_is_read(
+            self, tmp_path, capfdbinary, flag, message):
+        missing = str(tmp_path / "missing.csv")
+        for experiment in ("firstpc", "covest"):
+            args = self.bench_args(missing) + [f"--experiment={experiment}", flag]
+            assert main(args) == 2
+            err = capfdbinary.readouterr().err.decode()
+            assert message in err and "missing.csv" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
+         "--trials", "3", "--directions", "dp:0.2"],
+        ["bench", "--experiment", "ablation", "--mechanism", "mvg-equi",
+         "--trials", "3", "--directions", "dp:0.2", "--favored", "0"],
+        ["bench", "--experiment", "covest", "--mechanism", "mvg-uni",
+         "--trials", "3", "--directions", "dp:0.2"],
+        ["perturb", "--query", "covariance", "--directions", "dp:0.2",
+         "--theta", "binary:0.9:0"],
+    ], ids=["firstpc", "ablation", "covest", "perturb"])
+    def test_audits_and_multiplies_the_dataset_once(self, tmp_path, sign_data,
+                                                    monkeypatch, args):
         data = write_dataset(tmp_path, sign_data)
-        calls = []
+        audits, grams = [], []
 
-        def counting(original):
-            def load(*args, **kwargs):
-                calls.append(args)
-                return original(*args, **kwargs)
-            return load
+        def counting_audit(x, lo, hi):
+            audits.append(x.shape)
+            return check_within_bounds(x, lo, hi)
 
-        for module in (cli, harness):
-            monkeypatch.setattr(module, "load_csv_matrix",
-                                counting(module.load_csv_matrix))
+        def counting_init(self, *args, **kwargs):
+            grams.append(args)
+            return gram_init(self, *args, **kwargs)
+
+        gram_init = sensitivity.AuditedGram.__init__
+        for module in (sensitivity, harness):
+            monkeypatch.setattr(module, "check_within_bounds", counting_audit)
+        monkeypatch.setattr(sensitivity.AuditedGram, "__init__", counting_init)
+        out = ["--out", str(tmp_path / "o.csv")] if args[0] == "perturb" else []
+        assert main(args + ["--input", data, "--epsilon", "1", "--lo", "-1",
+                            "--hi", "1", *out]) == 0
+        assert audits == [(200, 3)]
+        assert len(grams) == 1
+
+    @pytest.mark.parametrize("experiment", ["firstpc", "ablation"])
+    @pytest.mark.parametrize("line, cell, code, message", [
+        (9, "1,2,x", 2, "non-numeric cell at line 9, column 3: 'x'"),
+        (9, "1,2", 2, "line 9 has 2 cells, expected 3"),
+        (9, "1,2,nan", 3, "line 9: data range [nan, nan]"),
+    ])
+    def test_a_fault_in_a_later_block_names_its_line(
+            self, tmp_path, sign_data, monkeypatch, capfdbinary, experiment,
+            line, cell, code, message):
+        monkeypatch.setattr(harness, "GRAM_BLOCK_CELLS", 9)  # 3-record blocks
+        data = write_dataset(tmp_path, sign_data)
+        with open(data) as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[line - 1] = cell + "\n"
+        with open(data, "w") as handle:
+            handle.write("".join(lines))
+        args = self.bench_args(data) + [f"--experiment={experiment}"]
+        assert main(args) == code
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert message in captured.err.decode()
+
+    def test_loads_the_dataset_once(self, tmp_path, sign_data, monkeypatch):
+        # every CSV reader parses through harness._GridBlocks: a first-PC run
+        # reads the file for its Gram matrix, a covest run for its records
+        data = write_dataset(tmp_path, sign_data)
+        reads = []
+        original = harness._GridBlocks
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_GridBlocks", counting)
         assert main(self.bench_args(data) + ["--directions", "dp:0.2"]) == 0
-        assert len(calls) == 1
+        assert reads == [data]
+        reads.clear()
+        assert main(["bench", "--experiment", "covest", "--input", data,
+                     "--mechanism", "mvg-uni", "--trials", "2", "--epsilon", "1",
+                     "--lo", "-1", "--hi", "1", "--directions", "dp:0.2"]) == 0
+        assert reads == [data]
 
     def test_config_file_supplies_defaults(self, tmp_path, sign_data,
                                            capfdbinary):

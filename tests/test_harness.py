@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ from mvgdp import (
     run_experiment,
 )
 from mvgdp import budget, harness, mechanisms
-from mvgdp.mechanisms import trials_per_chunk
+from mvgdp.harness import read_csv_gram
+from mvgdp.mechanisms import plan_directions_dp, trials_per_chunk
+from mvgdp.sensitivity import AuditedGram
 
 
 def write(tmp_path, name, text):
@@ -166,6 +169,208 @@ class TestLoaderParity:
         path = write(tmp_path, "ho.csv", "a,b\n\n")
         with pytest.raises(FormatError, match="no data rows"):
             load_csv_matrix(path, has_header=True)
+
+
+def integer_rows(n_rows, width=2):
+    # small integers: every Gram sum is exact, however it is blocked
+    return [[(3 * i + j) % 7 - 3 for j in range(width)] for i in range(n_rows)]
+
+
+def csv_text(rows):
+    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+
+
+class TestGramReader:
+    """``read_csv_gram`` streams the file in blocks through the parser
+    ``load_csv_matrix`` uses; these tests shrink the block so small files
+    span several."""
+
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        # 2-cell rows, so blocks of 3 rows: lines 1-3, 4-6, 7-9, ...
+        monkeypatch.setattr(harness, "GRAM_BLOCK_CELLS", 6)
+
+    def test_gram_of_many_blocks_is_exact_on_integers(self, tmp_path,
+                                                      three_row_blocks):
+        rows = integer_rows(10)
+        path = write(tmp_path, "d.csv", csv_text(rows))
+        gram = read_csv_gram(path, -3.0, 3.0)
+        x = np.array(rows, dtype=float).T
+        assert np.array_equal(gram.gram, x @ x.T)
+        assert (gram.num_features, gram.num_samples, gram.lo, gram.hi) == (2, 10, -3.0, 3.0)
+        assert not gram.gram.flags.writeable
+
+    @pytest.mark.parametrize("line", [2, 4, 8])
+    def test_bad_cell_names_its_line(self, tmp_path, three_row_blocks, line):
+        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
+        lines[line - 1] = "1,oops\n"
+        path = write(tmp_path, "d.csv", "".join(lines))
+        with pytest.raises(FormatError, match=f"line {line}, column 2: 'oops'"):
+            read_csv_gram(path, -3.0, 3.0)
+
+    # line 4 opens the second block, line 5 is inside it
+    @pytest.mark.parametrize("line", [4, 5, 10])
+    def test_ragged_row_names_its_line(self, tmp_path, three_row_blocks, line):
+        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
+        lines[line - 1] = "1,2,3\n"
+        path = write(tmp_path, "d.csv", "".join(lines))
+        with pytest.raises(FormatError, match=f"line {line} has 3 cells, expected 2"):
+            read_csv_gram(path, -3.0, 3.0)
+
+    def test_a_whole_block_of_wider_rows_names_its_first_line(self, tmp_path,
+                                                              three_row_blocks):
+        path = write(tmp_path, "d.csv", csv_text(integer_rows(3))
+                     + csv_text(integer_rows(3, width=3)))
+        with pytest.raises(FormatError, match="line 4 has 3 cells, expected 2"):
+            read_csv_gram(path, -3.0, 3.0)
+
+    def test_nan_in_a_later_block_names_its_line(self, tmp_path, three_row_blocks):
+        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
+        lines[7] = "1,nan\n"
+        # blank lines before and inside the block shift every file line
+        text = "\n,,\n" + "".join(lines[:6]) + " \n" + "".join(lines[6:])
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(ContractViolationError, match="line 11: data range"):
+            read_csv_gram(path, -3.0, 3.0)
+
+    def test_value_outside_the_box_names_its_line(self, tmp_path, three_row_blocks):
+        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
+        lines[4] = "1,3.5\n"
+        path = write(tmp_path, "d.csv", "".join(lines))
+        with pytest.raises(ContractViolationError, match="line 5: data range"):
+            read_csv_gram(path, -3.0, 3.0)
+
+    def test_blank_lines_across_a_block_boundary_are_skipped(self, tmp_path,
+                                                             three_row_blocks):
+        rows = integer_rows(7)
+        lines = csv_text(rows).splitlines(keepends=True)
+        text = ("".join(lines[:3]) + "\n,,\n \t\n" + "".join(lines[3:6])
+                + '"",\n\n' + lines[6])
+        path = write(tmp_path, "d.csv", text)
+        gram = read_csv_gram(path, -3.0, 3.0)
+        x = np.array(rows, dtype=float).T
+        assert gram.num_samples == 7
+        assert np.array_equal(gram.gram, x @ x.T)
+
+    def test_byte_order_mark_and_header(self, tmp_path, three_row_blocks):
+        rows = integer_rows(8)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n" + csv_text(rows).encode())
+        gram = read_csv_gram(path, -3.0, 3.0, has_header=True)
+        x = np.array(rows, dtype=float).T
+        assert np.array_equal(gram.gram, x @ x.T)
+        path.write_bytes(b"\xef\xbb\xbf" + csv_text(rows).encode())
+        assert np.array_equal(read_csv_gram(path, -3.0, 3.0).gram, x @ x.T)
+
+    def test_header_width_mismatch(self, tmp_path, three_row_blocks):
+        path = write(tmp_path, "w.csv", "a,b,c\n\n" + csv_text(integer_rows(5)))
+        with pytest.raises(FormatError, match="line 3 has 2 cells, expected 3"):
+            read_csv_gram(path, -3.0, 3.0, has_header=True)
+
+    @pytest.mark.parametrize("text", ["", "\n,,\n"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = write(tmp_path, "e.csv", text)
+        with pytest.raises(FormatError, match="no data rows"):
+            read_csv_gram(path, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tail", ["", "\n\n,\n"])
+    def test_an_empty_tail_block_parses_nothing(self, tmp_path, three_row_blocks,
+                                                tail):
+        # 9 rows fill three blocks exactly; no fourth loadtxt may run on
+        # nothing, which would warn "input contained no data"
+        path = write(tmp_path, "d.csv", csv_text(integer_rows(9)) + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_csv_gram(path, -3.0, 3.0).num_samples == 9
+
+    def test_one_block_is_one_product_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, (16, 4000))  # under one 4096-row block
+        path = tmp_path / "d.csv"
+        np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+        gram = read_csv_gram(path, -1.0, 1.0)
+        x, _ = load_csv_matrix(path)
+        assert gram.gram.tobytes() == (x @ x.T).tobytes()
+        assert AuditedGram.of(x, -1.0, 1.0).gram.tobytes() == (x @ x.T).tobytes()
+
+    def test_many_blocks_are_one_product_to_rounding(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, (16, 10000))  # three 4096-row blocks
+        path = tmp_path / "d.csv"
+        np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+        gram = read_csv_gram(path, -1.0, 1.0).gram
+        x, _ = load_csv_matrix(path)
+        product = x @ x.T
+        assert np.max(np.abs(gram - product)) <= 1e-12 * np.max(np.abs(product))
+
+    def test_audited_gram_needs_an_audit(self):
+        with pytest.raises(TypeError):
+            AuditedGram(np.eye(2), 2, 5, 0.0, 1.0)
+        with pytest.raises(ContractViolationError):
+            AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0)
+
+    def test_plan_directions_dp_takes_the_gram_or_the_records(self, tmp_path):
+        _, data = covariance_dataset(tmp_path)
+        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
+        p = PrivacyParams(0.2, 0.002)
+        from_x = plan_directions_dp(data, p, 3, bounds=bounds)
+        gram = AuditedGram.of(data, -1.0, 1.0)
+        from_gram = plan_directions_dp(gram, p, 3, bounds=bounds)
+        assert from_x.covariance.tobytes() == from_gram.covariance.tobytes()
+        assert from_x.noise_sd == from_gram.noise_sd
+        with pytest.raises(ConfigError, match="audited against"):
+            plan_directions_dp(AuditedGram.of(data, -2.0, 2.0), p, 3, bounds=bounds)
+        with pytest.raises(ShapeError):
+            plan_directions_dp(gram, p, 3, bounds=DataBounds(3, 7, -1.0, 1.0))
+
+    @pytest.mark.parametrize("experiment", [Experiment.FIRST_PC,
+                                            Experiment.DIRECTION_ABLATION])
+    def test_run_from_the_file_equals_run_from_the_records(self, tmp_path,
+                                                           experiment):
+        path, data = covariance_dataset(tmp_path)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, experiment,
+                          theta_spec="binary:0.9:0", directions_source="dp:0.2",
+                          trials=5)
+        x, _ = load_csv_matrix(path)
+        gram = read_csv_gram(path, -1.0, 1.0)
+        assert run_experiment(cfg) == run_experiment(cfg, data=x)
+        assert run_experiment(cfg) == run_experiment(cfg, data=gram)
+
+    def test_records_experiments_reject_a_gram(self, tmp_path):
+        path, data = covariance_dataset(tmp_path)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.COVARIANCE_ESTIMATION)
+        with pytest.raises(ConfigError, match="releases the records"):
+            run_experiment(cfg, data=read_csv_gram(path, -1.0, 1.0))
+
+    def test_a_gram_of_another_box_is_rejected(self, tmp_path):
+        path, data = covariance_dataset(tmp_path)
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC)
+        with pytest.raises(ConfigError, match="audited against"):
+            run_experiment(cfg, data=read_csv_gram(path, -2.0, 2.0))
+
+    def test_firstpc_run_memory_stays_within_blocks(self, tmp_path):
+        # at 16 features a 16 x 40 000 dataset spans ten 4096-row blocks;
+        # holding X would take 40 000 * 16 * 8 B = 5.1 MB
+        rng = np.random.default_rng(6)
+        x = np.linspace(1.0, 0.25, 16)[:, None] * rng.uniform(-1.0, 1.0, (16, 40000))
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+        cfg = base_config(path, DataBounds(16, 40000, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
+                          theta_spec="binary:0.9:0,1", directions_source="dp:0.2",
+                          trials=5)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 5
+        assert peak - before < 4 * harness.GRAM_BLOCK_CELLS * 8
 
 
 class TestLoadDenseCsv:
@@ -454,6 +659,7 @@ class TestRunExperiment:
             raise AssertionError("the dataset was loaded again")
 
         monkeypatch.setattr(harness, "load_csv_matrix", no_load)
+        monkeypatch.setattr(harness, "read_csv_gram", no_load)
         assert run_experiment(cfg, data=x) == expected
 
     def test_nan_cell_fails_the_bounds_audit(self, tmp_path):
