@@ -40,6 +40,7 @@ from .harness import (
     MechanismKind,
     ReportFormat,
     audit_bounds,
+    check_mechanism_options,
     check_run_options,
     covariance_query,
     emit_report,
@@ -47,7 +48,7 @@ from .harness import (
     load_csv_matrix,
     load_dense_csv,
     parse_directions_source,
-    plan_release,
+    plan_releases,
     read_csv_gram,
     run_experiment,
 )
@@ -136,8 +137,8 @@ def _cmd_perturb(args) -> int:
     else:
         q, value = covariance_query(bounds), data.gram / bounds.num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
-    plan = plan_release(mechanism, q, value, p, args.theta, args.directions,
-                        bounds, direction_data=data)
+    (plan,) = plan_releases(mechanism, q, value, p, [args.theta], args.directions,
+                            bounds, direction_data=data)
     output = plan.draw([stream])[0]
     if args.query == "identity":
         _write_csv(args.out, output.T)  # back to rows-as-records
@@ -159,9 +160,6 @@ def _cmd_bench(args) -> int:
         raise ConfigError("--tau sets the favored directions' share; it needs --favored")
     _check_dataset_flags(args)
     check_run_options(args.trials, args.seed, args.ridge_reg)
-    experiment = Experiment(args.experiment)
-    data, bounds, privacy = _read_dataset(args,
-                                          records=experiment not in GRAM_EXPERIMENTS)
     if args.theta is not None:
         theta_spec = args.theta
     elif args.favored is not None:
@@ -169,12 +167,17 @@ def _cmd_bench(args) -> int:
         theta_spec = f"binary:{tau}:{args.favored}"
     else:
         theta_spec = "uniform"
+    mechanism = MechanismKind(args.mechanism)
+    check_mechanism_options(mechanism, [theta_spec], args.directions)
+    experiment = Experiment(args.experiment)
+    data, bounds, privacy = _read_dataset(args,
+                                          records=experiment not in GRAM_EXPERIMENTS)
     cfg = ExperimentConfig(
         experiment=experiment,
         dataset_path=args.input,
         bounds=bounds,
         privacy=privacy,
-        mechanism=MechanismKind(args.mechanism),
+        mechanism=mechanism,
         theta_spec=theta_spec,
         directions_source=args.directions,
         trials=args.trials,

@@ -17,7 +17,7 @@ experiment archetypes are provided plus a direction-ablation sweep:
   one report per arm.
 
 A run plans once and then only draws: the dataset is audited against the
-declared bounds once, and :func:`plan_release` returns
+declared bounds once, and :func:`plan_releases` returns
 the mechanism's own plan from :mod:`mechanisms`: the validated query value
 with, for a baseline, its noise scale, or for MVG a :class:`ReleasePlan`
 (the budget, the allocation, the directions and the one privacy-condition
@@ -61,13 +61,14 @@ import io
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 # check_condition, derive_directions_dp, mvg_equimodal, mvg_unimodal and
-# delta_rho are not called here (plan_release plans each run once, through
+# delta_rho are not called here (plan_releases plans each run once, through
 # the mechanisms' own plans); the names stay importable from this module
 # because perfbench/tracing.py patches them here.
 from .budget import (  # noqa: F401
@@ -135,9 +136,6 @@ class MechanismKind(enum.Enum):
     MVG_EQUIMODAL = "mvg-equi"
     GAUSSIAN_IID = "gauss"
     LAPLACE_IID = "laplace"
-
-
-_IID_BASELINES = (MechanismKind.GAUSSIAN_IID, MechanismKind.LAPLACE_IID)
 
 
 @dataclass(frozen=True)
@@ -470,63 +468,77 @@ def covariance_query(bounds: DataBounds) -> QuerySpec:
                      gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
 
 
-def plan_release(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
-                 privacy: PrivacyParams, theta_spec: str, directions_source: str,
-                 bounds: DataBounds, direction_data: np.ndarray):
-    """Plan one mechanism's releases of one fixed query value.
+def _plan_laplace(value, q: QuerySpec, privacy: PrivacyParams, bounds: DataBounds):
+    # Laplace noise is calibrated to the L1 sensitivity, a pure-epsilon bound
+    l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
+          else identity_sensitivity_l1)(bounds)
+    return plan_laplace(value, q, privacy.epsilon, l1)
+
+
+# One row per MechanismKind: a new kind is one planner plus one row. An mvg
+# kind takes an allocation and directions, planned as plan(value, q, privacy,
+# theta, w); a baseline adds i.i.d. noise, planned as plan(value, q, privacy,
+# bounds). ``square`` names the noise that needs a square query.
+_Mechanism = namedtuple("_Mechanism", ["plan", "mvg", "square"], defaults=[None])
+_MECHANISMS = {
+    MechanismKind.MVG_UNIMODAL: _Mechanism(plan_unimodal, mvg=True),
+    MechanismKind.MVG_EQUIMODAL: _Mechanism(plan_equimodal, mvg=True,
+                                            square="equi-modal noise"),
+    MechanismKind.GAUSSIAN_IID: _Mechanism(
+        lambda value, q, privacy, bounds: plan_gaussian(value, q, privacy), mvg=False),
+    MechanismKind.LAPLACE_IID: _Mechanism(_plan_laplace, mvg=False),
+}
+
+
+def check_mechanism_options(mechanism: MechanismKind, theta_specs,
+                            directions_source: str) -> None:
+    """Reject the allocations and directions an i.i.d. baseline would ignore."""
+    if _MECHANISMS[mechanism].mvg:
+        return
+    if parse_directions_source(directions_source)[0] != "standard":
+        raise ConfigError(
+            f"directions {directions_source!r} apply only to MVG mechanisms"
+        )
+    for spec in theta_specs:
+        if spec.strip() != "uniform":
+            raise ConfigError(
+                f"allocation {spec!r} applies only to MVG mechanisms; the "
+                f"{mechanism.value} baseline adds i.i.d. noise"
+            )
+
+
+def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
+                  privacy: PrivacyParams, theta_specs, directions_source: str,
+                  bounds: DataBounds, direction_data: np.ndarray | AuditedGram) -> list:
+    """Plan one mechanism's releases of a query value, one plan per allocation.
 
     Everything a trial does not change is done here, once per run: ``dp:F``
-    splits the budget and plans the direction data's audit and covariance,
-    and the mechanism's own plan from :mod:`mechanisms` is built, whose
-    ``draw(streams)`` is the only per-trial step.
+    splits the budget, and the directions (with ``dp:F`` the direction
+    data's audit and covariance) are planned once and shared, so every plan's
+    ``draw_noise`` draws the same from the same streams and the plans differ
+    only in how they color it. Each is the mechanism's own plan from
+    :mod:`mechanisms`, whose ``draw(streams)`` is the only per-trial step.
 
     Args:
         mechanism: which mechanism releases the value.
         q: the query spec.
         value: the query value released by every trial.
         privacy: the whole (epsilon, delta) budget of one release.
-        theta_spec: the allocation, as :func:`parse_theta_spec` reads it;
-            a baseline takes only ``uniform``.
+        theta_specs: the allocations, as :func:`parse_theta_spec` reads
+            them; a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
         bounds: the declared bounds of ``direction_data``.
         direction_data: the records ``dp:F`` directions are derived from,
             or their :class:`AuditedGram`.
     """
-    return plan_releases(mechanism, q, value, privacy, [theta_spec],
-                         directions_source, bounds, direction_data)[0]
-
-
-def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
-                  privacy: PrivacyParams, theta_specs, directions_source: str,
-                  bounds: DataBounds, direction_data: np.ndarray) -> list:
-    """:func:`plan_release` for each allocation in ``theta_specs``.
-
-    The directions (and with ``dp:F`` the data's audit and covariance) are
-    planned once and shared, so every plan's ``draw_noise`` draws the same
-    from the same streams, and the plans differ only in how they color it.
-    """
+    row = _MECHANISMS[mechanism]
+    check_mechanism_options(mechanism, theta_specs, directions_source)
+    if not row.mvg:
+        return [row.plan(value, q, privacy, bounds)] * len(theta_specs)
     source_tag, source_val = parse_directions_source(directions_source)
-    if mechanism in _IID_BASELINES:
-        if source_tag != "standard":
-            raise ConfigError(
-                f"directions {directions_source!r} apply only to MVG mechanisms"
-            )
-        for spec in theta_specs:
-            if spec.strip() != "uniform":
-                raise ConfigError(
-                    f"allocation {spec!r} applies only to MVG mechanisms; the "
-                    f"{mechanism.value} baseline adds i.i.d. noise"
-                )
-        if mechanism is MechanismKind.GAUSSIAN_IID:
-            plan = plan_gaussian(value, q, privacy)
-        else:
-            l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
-                  else identity_sensitivity_l1)(bounds)
-            plan = plan_laplace(value, q, privacy.epsilon, l1)
-        return [plan] * len(theta_specs)
-    if mechanism is MechanismKind.MVG_EQUIMODAL and q.m != q.n:
+    if row.square and q.m != q.n:
         raise ConfigError(
-            f"equi-modal noise needs a square query, but this experiment's "
+            f"{row.square} needs a square query, but this experiment's "
             f"query is {q.m}x{q.n}"
         )
     if source_tag == "dp":
@@ -539,8 +551,7 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
         w = load_dense_csv(source_val)
     else:
         w = None  # the design's standard side
-    planner = plan_unimodal if mechanism is MechanismKind.MVG_UNIMODAL else plan_equimodal
-    return [planner(value, q, privacy, parse_theta_spec(spec, q.m), w)
+    return [row.plan(value, q, privacy, parse_theta_spec(spec, q.m), w)
             for spec in theta_specs]
 
 
@@ -591,9 +602,9 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
         )
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
-    plan = plan_release(cfg.mechanism, identity_query(train_bounds), train,
-                        cfg.privacy, cfg.theta_spec, cfg.directions_source,
-                        train_bounds, train)
+    (plan,) = plan_releases(cfg.mechanism, identity_query(train_bounds), train,
+                            cfg.privacy, [cfg.theta_spec], cfg.directions_source,
+                            train_bounds, train)
     values = []
     for chunk in _trial_chunks(cfg, plan):
         for noisy in chunk:
@@ -617,9 +628,9 @@ def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
                           cfg.directions_source, cfg.bounds, gram)
     values = [[] for _ in arms]
     for noise, *rest in _trial_noise(cfg, plans[0]):
-        for plan, arm_values in zip(plans, values):
+        for arm, (plan, arm_values) in enumerate(zip(plans, values)):
             # coloring may scale the noise in place; the last arm takes it over
-            own = noise if plan is plans[-1] else noise.copy()
+            own = noise if arm == len(plans) - 1 else noise.copy()
             arm_values.append(gap(_top_directions(plan.color(own, *rest))))
     return [mean_ci95(np.concatenate(arm_values), name)
             for (name, _), arm_values in zip(arms, values)]
@@ -637,8 +648,8 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> EvalReport:
     num_records = x.shape[1]
     s_bar = gram.gram / num_records
-    plan = plan_release(cfg.mechanism, identity_query(cfg.bounds), x, cfg.privacy,
-                        cfg.theta_spec, cfg.directions_source, cfg.bounds, gram)
+    (plan,) = plan_releases(cfg.mechanism, identity_query(cfg.bounds), x, cfg.privacy,
+                            [cfg.theta_spec], cfg.directions_source, cfg.bounds, gram)
     values = []
     for chunk in _trial_chunks(cfg, plan):
         for noisy in chunk:

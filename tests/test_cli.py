@@ -362,6 +362,23 @@ class TestBenchCommand:
             err = capfdbinary.readouterr().err.decode()
             assert message in err and "missing.csv" not in err
 
+    @pytest.mark.parametrize("mechanism", [kind.value for kind, row
+                                           in harness._MECHANISMS.items()
+                                           if not row.mvg])
+    @pytest.mark.parametrize("flags, message", [
+        (["--theta", "0.5,0.3,0.2"], "allocation '0.5,0.3,0.2' applies only to MVG"),
+        (["--favored", "0"], "allocation 'binary:0.9:0' applies only to MVG"),
+        (["--directions", "dp:0.2"], "directions 'dp:0.2' apply only to MVG"),
+    ], ids=["theta", "favored", "directions"])
+    def test_a_baseline_conflict_is_reported_before_the_input_is_read(
+            self, tmp_path, capfdbinary, mechanism, flags, message):
+        missing = str(tmp_path / "missing.csv")
+        args = ["bench", "--experiment", "firstpc", "--input", missing,
+                "--mechanism", mechanism, "--epsilon", "1", *flags]
+        assert main(args) == 2
+        err = capfdbinary.readouterr().err.decode()
+        assert message in err and "missing.csv" not in err
+
     @pytest.mark.parametrize("args", [
         ["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
          "--trials", "3", "--directions", "dp:0.2"],
@@ -592,6 +609,12 @@ def bench_options():
                    if isinstance(a, argparse._SubParsersAction)]
     return [a for a in commands.choices["bench"]._actions
             if a.dest not in ("help", "config")]
+
+
+def test_the_mechanism_table_has_one_row_per_bench_choice():
+    (option,) = [a for a in bench_options() if a.dest == "mechanism"]
+    assert set(harness._MECHANISMS) == set(MechanismKind)
+    assert sorted(option.choices) == sorted(kind.value for kind in harness._MECHANISMS)
 
 
 class TestBenchConfigFile:

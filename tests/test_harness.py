@@ -484,6 +484,10 @@ def covariance_dataset(tmp_path, n_records=400, seed=1):
     return path, data
 
 
+# the mechanism table's i.i.d. baselines, which take no allocation or directions
+BASELINES = [kind for kind, row in harness._MECHANISMS.items() if not row.mvg]
+
+
 def base_config(path, bounds, mechanism, experiment, **kw):
     defaults = dict(
         experiment=experiment,
@@ -519,13 +523,13 @@ class TestRunExperiment:
         # the paper trains on 248 of Liver's 345 records
         x = np.random.default_rng(6).uniform(0.0, 1.0, (4, 345))
         planned = []
-        original = harness.plan_release
+        original = harness.plan_releases
 
         def recording(mechanism, q, value, *args):
             planned.append((q.n, value))
             return original(mechanism, q, value, *args)
 
-        monkeypatch.setattr(harness, "plan_release", recording)
+        monkeypatch.setattr(harness, "plan_releases", recording)
         cfg = base_config(tmp_path / "unused.csv", DataBounds(4, 345, 0.0, 1.0),
                           MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION)
         run_experiment(cfg, data=x)
@@ -693,9 +697,7 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="square"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("kind", [MechanismKind.GAUSSIAN_IID,
-                                      MechanismKind.LAPLACE_IID],
-                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("kind", BASELINES, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("experiment", [Experiment.FIRST_PC,
                                             Experiment.COVARIANCE_ESTIMATION],
                              ids=lambda experiment: experiment.value)
@@ -709,11 +711,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="allocation"):
             run_experiment(cfg)
 
-    def test_directions_with_baseline_rejected(self, tmp_path):
+    @pytest.mark.parametrize("kind", BASELINES, ids=lambda kind: kind.value)
+    def test_directions_with_baseline_rejected(self, tmp_path, kind):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
-        cfg = base_config(path, bounds, MechanismKind.GAUSSIAN_IID,
-                          Experiment.FIRST_PC, directions_source="dp:0.2")
+        cfg = base_config(path, bounds, kind, Experiment.FIRST_PC,
+                          directions_source="dp:0.2")
         with pytest.raises(ConfigError, match="MVG"):
             run_experiment(cfg)
 
@@ -747,18 +750,30 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
     with pytest.raises(ShapeError, match=message):
         library()
     with pytest.raises(ShapeError, match=message):
-        harness.plan_release(kind, q, bad, p, "uniform", "standard", bounds,
-                             np.zeros((3, 100)))
+        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", bounds,
+                              np.zeros((3, 100)))
 
 
 def test_standard_directions_plan_the_standard_side():
     bounds = DataBounds(3, 100, -1.0, 1.0)
-    plan = harness.plan_release(MechanismKind.MVG_EQUIMODAL,
-                                harness.covariance_query(bounds), np.eye(3) / 4,
-                                PrivacyParams(1.0, 0.01), "binary:0.9:0",
-                                "standard", bounds, np.zeros((3, 100)))
+    (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
+                                    harness.covariance_query(bounds), np.eye(3) / 4,
+                                    PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
+                                    "standard", bounds, np.zeros((3, 100)))
     assert plan.design.basis_sigma is None
     assert plan.design.basis_psi is None
+
+
+@pytest.mark.parametrize("kind", list(harness._MECHANISMS), ids=lambda kind: kind.value)
+def test_arms_with_one_allocation_report_alike(tmp_path, kind):
+    # a baseline plans every arm as one plan object; each arm but the last
+    # must still color its own copy of the shared noise
+    path, data = covariance_dataset(tmp_path)
+    bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
+    cfg = base_config(path, bounds, kind, Experiment.FIRST_PC)
+    gram = read_csv_gram(path, -1.0, 1.0)
+    first, second = harness._run_firstpc(cfg, gram, [("delta_rho", "uniform")] * 2)
+    assert first == second == run_experiment(cfg)
 
 
 class TestAblation:
