@@ -39,7 +39,7 @@ from .harness import (
     ExperimentConfig,
     MechanismKind,
     ReportFormat,
-    audit_bounds,
+    audit_records,
     check_mechanism_options,
     check_run_options,
     covariance_query,
@@ -48,6 +48,7 @@ from .harness import (
     load_csv_matrix,
     load_dense_csv,
     parse_directions_source,
+    parse_theta_grammar,
     plan_releases,
     read_csv_gram,
     run_experiment,
@@ -99,13 +100,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _check_dataset_flags(args) -> None:
+def _check_dataset_flags(args, theta_spec: str) -> None:
     """Check the flags of ``perturb`` and ``bench`` that do not depend on the
-    dataset, so a bad one is reported before ``--input`` is read."""
+    dataset, so a bad one is reported before ``--input`` is read; the
+    allocation's length and indices wait for the dataset's m."""
     # a defaulted delta, 1/N, is checked once the dataset fixes N
     PrivacyParams(args.epsilon, 0.5 if args.delta is None else args.delta)
     check_range(args.lo, args.hi)
     parse_directions_source(args.directions)
+    parse_theta_grammar(theta_spec)
 
 
 def _read_dataset(args, records: bool):
@@ -128,12 +131,12 @@ def _read_dataset(args, records: bool):
 
 
 def _cmd_perturb(args) -> int:
-    _check_dataset_flags(args)
+    _check_dataset_flags(args, args.theta)
     stream = RandomStream(args.seed)
     data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
-        audit_bounds(data, bounds)
         q, value, mechanism = identity_query(bounds), data, MechanismKind.MVG_UNIMODAL
+        data = audit_records(data, bounds, args.directions)
     else:
         q, value = covariance_query(bounds), data.gram / bounds.num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
@@ -158,8 +161,6 @@ def _cmd_bench(args) -> int:
                           "with --favored or --tau")
     if args.tau is not None and args.favored is None:
         raise ConfigError("--tau sets the favored directions' share; it needs --favored")
-    _check_dataset_flags(args)
-    check_run_options(args.trials, args.seed, args.ridge_reg)
     if args.theta is not None:
         theta_spec = args.theta
     elif args.favored is not None:
@@ -167,6 +168,8 @@ def _cmd_bench(args) -> int:
         theta_spec = f"binary:{tau}:{args.favored}"
     else:
         theta_spec = "uniform"
+    _check_dataset_flags(args, theta_spec)
+    check_run_options(args.trials, args.seed, args.ridge_reg)
     mechanism = MechanismKind(args.mechanism)
     check_mechanism_options(mechanism, [theta_spec], args.directions)
     experiment = Experiment(args.experiment)

@@ -6,12 +6,22 @@ singular values attached to those directions. Keeping the factors (rather
 than the dense covariances) lets the privacy condition, the budget math and
 the sampler all consume the same object without re-decomposing anything.
 
+A design also colors its own noise. A sample from the zero-mean matrix
+Gaussian with row covariance Sigma and column covariance Psi is the affine
+transform ``Z = B_sigma @ N @ B_psi.T`` of an i.i.d. standard-normal matrix
+N, where each factor is a side's basis scaled by the square roots of its
+singular values, ``B = W diag(sqrt(lambda))``, so that ``B @ B.T`` is that
+side's covariance; the vectorized covariance of Z is the Kronecker product
+of Psi and Sigma. :meth:`NoiseDesign.color` is that transform.
+
 A side whose directions are the standard basis stores only its singular
 values: its basis is written as ``None``. An n x n identity side then costs
-O(n) memory instead of O(n^2), and the sampler scales by it instead of
-multiplying. A basis given as exactly the identity is kept as given, but it
-is orthonormal by inspection and the sampler scales by it too, with the
-bits of the product. No dense covariance is ever formed.
+O(n) memory instead of O(n^2), and its diagonal factor is applied by scaling
+rows or columns, O(mn) instead of a dense matrix product. A standard column
+side whose singular values are all exactly 1.0 is left as drawn. A basis
+given as exactly the identity is kept as given, but it is orthonormal by
+inspection and is applied by scaling too, with the bits of the product,
+whose other terms are exact zeros. No dense covariance is ever formed.
 """
 
 from __future__ import annotations
@@ -127,15 +137,17 @@ class NoiseDesign:
         basis_psi: n x n orthonormal basis of column-noise directions, or
             ``None`` for the standard basis.
         lambda_psi: length-n positive singular values of the column covariance.
-        color_bases: the (row, column) bases the sampler multiplies by, set
-            when the bases are checked: each side's basis, or ``None`` where
-            it is ``None`` or exactly the identity, which the sampler scales
+        color_bases: the (row, column) bases :meth:`color` multiplies by,
+            set when the bases are checked: each side's basis, or ``None``
+            where it is ``None`` or exactly the identity, which it scales
             instead of multiplying, with the same bits.
-        root_sigma: ``sqrt(lambda_sigma)``, the row scales the sampler
-            colors with, computed once when the design is built.
+        root_sigma, root_psi: each side's ``sqrt(lambda)``, computed once
+            when the design is built. ``root_psi`` is ``root_sigma`` when
+            ``lambda_psi`` is ``lambda_sigma``, and ``None`` when every entry
+            of ``lambda_psi`` is exactly 1.0, as on a unimodal column side.
 
-    The privacy condition reads the singular values and the sampler colors
-    with ``basis * sqrt(lambda)`` per side. A side's covariance is
+    The privacy condition reads the singular values and :meth:`color`
+    colors with ``basis * sqrt(lambda)`` per side. A side's covariance is
     ``(W * lam) @ W.T``, with ``W = np.eye(n)`` for a standard side.
     """
 
@@ -145,23 +157,32 @@ class NoiseDesign:
     lambda_psi: np.ndarray
     color_bases: tuple = field(init=False, repr=False, compare=False)
     root_sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    root_psi: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
         if self.lambda_psi is self.lambda_sigma:
-            # one object on both sides stays one, so the sampler can tell
+            # one object on both sides stays one, so both share one root
             lam_p = lam_s
         else:
             lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
         side_s, side_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
         _check_lambda(lam_s, "lambda_sigma")
-        if lam_p is not lam_s:
+        root_s = np.sqrt(lam_s)
+        # read-only like a cached design's lambda, which it is shared with; a
+        # cached design's root_psi is this array or None
+        root_s.flags.writeable = False
+        if lam_p is lam_s:
+            root_p = root_s
+        elif (lam_p == 1.0).all():
+            # sqrt(1.0) is exactly 1.0, so leaving the side as drawn gives
+            # the bits of scaling or multiplying by it
+            root_p = None
+        else:
             _check_lambda(lam_p, "lambda_psi")
-        root = np.sqrt(lam_s)
-        # read-only like a cached design's lambda, which it is shared with
-        root.flags.writeable = False
+            root_p = np.sqrt(lam_p)
         self._set(side_s, side_p, {"lambda_sigma": lam_s, "lambda_psi": lam_p,
-                                   "root_sigma": root})
+                                   "root_sigma": root_s, "root_psi": root_p})
 
     def _set(self, side_s, side_p, fields) -> None:
         # a frozen dataclass's fields, in one write instead of one per field
@@ -181,6 +202,43 @@ class NoiseDesign:
         design = object.__new__(type(self))
         design._set(side_s, side_p, vars(self))
         return design
+
+    def color(self, noise: np.ndarray, basis_sigma=None,
+              basis_psi=None) -> np.ndarray:
+        """Map standard normals, one m x n matrix or a (T, m, n) stack, to
+        this design's noise B_sigma @ N @ B_psi.T.
+
+        A side uses its ``color_bases`` entry unless a (T, m, m) stack of
+        drawn bases, checked orthonormal, is given in its place; each matrix
+        gets the bits of its own product. A side without a basis is scaled
+        in place, so the caller hands over the array, and a column side
+        without a root is left as drawn. One basis and root on both sides,
+        as in an equi-modal design, forms the factor ``basis * root`` once.
+        With standard rows the coloring costs O(mn) time and writes only
+        into ``noise``; a dense row basis adds O(m^2 n) time and an array.
+        """
+        color_sigma, color_psi = self.color_bases
+        if basis_sigma is None:
+            basis_sigma = color_sigma
+        if basis_psi is None:
+            basis_psi = color_psi
+        root_sigma, root_psi = self.root_sigma, self.root_psi
+        if basis_sigma is None:
+            noise *= root_sigma[:, np.newaxis]
+        else:
+            factor_sigma = basis_sigma * root_sigma
+            noise = factor_sigma @ noise
+        if basis_psi is None:
+            if root_psi is not None:
+                noise *= root_psi
+            return noise
+        if root_psi is None:
+            factor_psi = basis_psi
+        elif basis_psi is basis_sigma and root_psi is root_sigma:
+            factor_psi = factor_sigma
+        else:
+            factor_psi = basis_psi * root_psi
+        return noise @ np.swapaxes(factor_psi, -1, -2)
 
     @property
     def m(self) -> int:

@@ -353,22 +353,42 @@ def read_csv_gram(path, lo: float, hi: float, has_header: bool = False) -> Audit
         ) from None
 
 
-def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
-    """Parse an allocation descriptor.
+def parse_theta_grammar(spec: str):
+    """Parse an allocation descriptor as far as it goes without m.
 
     Grammar: ``uniform`` | ``binary:TAU:I,J,...`` | explicit comma-separated
-    shares such as ``0.4,0.4,0.1,0.1``.
+    shares such as ``0.4,0.4,0.1,0.1``. Returns ``None`` for ``uniform``, a
+    binary allocation's (TAU, favored indices), or the list of shares.
     """
     text = spec.strip()
     if text == "uniform":
-        return PrecisionAllocation.uniform(m)
-    binary = _binary_parts(text)
-    if binary is not None:
-        return PrecisionAllocation.binary(m, *binary)
+        return None
+    if text.startswith("binary:"):
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(
+                f"binary allocation must look like binary:TAU:I,J,... got {text!r}"
+            )
+        try:
+            tau = float(parts[1])
+            favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
+        except ValueError:
+            raise ConfigError(f"could not parse binary allocation {text!r}") from None
+        return tau, favored
     try:
-        shares = [float(tok) for tok in text.split(",")]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"could not parse allocation {spec!r}") from None
+
+
+def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
+    """Parse an allocation descriptor (see :func:`parse_theta_grammar`) for
+    m directions, checking its length and indices against m."""
+    shares = parse_theta_grammar(spec)
+    if shares is None:
+        return PrecisionAllocation.uniform(m)
+    if isinstance(shares, tuple):
+        return PrecisionAllocation.binary(m, *shares)
     if len(shares) != m:
         raise ConfigError(
             f"allocation {spec!r} has {len(shares)} entries, expected {m}"
@@ -399,27 +419,6 @@ def parse_directions_source(source: str):
     return ("file", text)
 
 
-def _binary_parts(spec: str) -> tuple[float, list[int]] | None:
-    """Split ``binary:TAU:I,J,...`` into TAU and the favored indices.
-
-    Returns None when the spec is not a binary allocation at all.
-    """
-    text = spec.strip()
-    if not text.startswith("binary:"):
-        return None
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(
-            f"binary allocation must look like binary:TAU:I,J,... got {spec!r}"
-        )
-    try:
-        tau = float(parts[1])
-        favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"could not parse binary allocation {spec!r}") from None
-    return tau, favored
-
-
 def _check_shape(bounds: DataBounds, shape: tuple[int, int]) -> None:
     if shape != (bounds.num_features, bounds.num_samples):
         raise ConfigError(
@@ -429,11 +428,30 @@ def _check_shape(bounds: DataBounds, shape: tuple[int, int]) -> None:
         )
 
 
-def audit_bounds(x: np.ndarray, bounds: DataBounds) -> None:
-    """Check a loaded dataset against its declared shape and range; a NaN
-    cell fails the range check."""
+def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
+                  num_direction: int | None = None):
+    """Check a loaded dataset against its declared shape and range, each
+    cell once, and return the direction data :func:`plan_releases` takes.
+
+    The direction data are the first ``num_direction`` records (all by
+    default). With ``dp:F`` directions their :class:`AuditedGram` is their
+    audit and is returned, and only the other records are checked again;
+    otherwise the records are returned as they are. A NaN cell fails the
+    range check, and a violation names the range of all of ``x``.
+    """
     _check_shape(bounds, x.shape)
-    check_within_bounds(x, bounds.lo, bounds.hi)
+    lo, hi = bounds.lo, bounds.hi
+    if parse_directions_source(directions_source)[0] != "dp":
+        check_within_bounds(x, lo, hi)
+        return x[:, :num_direction]
+    try:
+        gram = AuditedGram.of(x[:, :num_direction], lo, hi)
+        if gram.num_samples < x.shape[1]:
+            check_within_bounds(x[:, num_direction:], lo, hi)
+    except ContractViolationError:
+        check_within_bounds(x, lo, hi)  # raises, naming the whole range
+        raise
+    return gram
 
 
 def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
@@ -447,7 +465,7 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     elif isinstance(data, AuditedGram):
         gram = data
     else:
-        _check_shape(bounds, data.shape)  # before the audit, as audit_bounds does
+        _check_shape(bounds, data.shape)  # before the audit, as audit_records does
         gram = AuditedGram.of(data, bounds.lo, bounds.hi)
     _check_shape(bounds, (gram.num_features, gram.num_samples))
     gram.check_box(bounds.lo, bounds.hi)
@@ -589,12 +607,13 @@ def _trial_chunks(cfg: ExperimentConfig, plan):
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
+    n_train = int(round(_TRAIN_FRACTION * cfg.bounds.num_samples))
+    train_data = audit_records(x, cfg.bounds, cfg.directions_source, n_train)
     num_rows, num_records = x.shape
     if num_rows < 2:
         raise ConfigError(
             "regression needs at least one feature column plus the target column"
         )
-    n_train = int(round(_TRAIN_FRACTION * num_records))
     if not 1 <= n_train < num_records:
         raise ConfigError(
             f"a {_TRAIN_FRACTION} training share leaves no valid split of "
@@ -604,7 +623,7 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
     (plan,) = plan_releases(cfg.mechanism, identity_query(train_bounds), train,
                             cfg.privacy, [cfg.theta_spec], cfg.directions_source,
-                            train_bounds, train)
+                            train_bounds, train_data)
     values = []
     for chunk in _trial_chunks(cfg, plan):
         for noisy in chunk:
@@ -659,8 +678,8 @@ def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> Eval
 
 def _run_ablation(cfg: ExperimentConfig, gram: AuditedGram) -> list[EvalReport]:
     num_features = gram.num_features
-    binary = _binary_parts(cfg.theta_spec)
-    if binary is None:
+    binary = parse_theta_grammar(cfg.theta_spec)
+    if not isinstance(binary, tuple):
         raise ConfigError(
             "the ablation experiment needs a binary allocation "
             f"(binary:TAU:I,J,...), got {cfg.theta_spec!r}"
@@ -711,7 +730,6 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
         # the Gram matrix is both the audit and the reference covariance
         return _run_covest(cfg, x, _audited_gram(cfg, x))
-    audit_bounds(x, cfg.bounds)
     if cfg.experiment is Experiment.REGRESSION:
         return _run_regression(cfg, x)
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")

@@ -62,8 +62,6 @@ from .errors import (
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
 from .sampling import (  # noqa: F401
     RandomStream,
-    color_noise,
-    color_with_roots,
     sample_mvg,
     sample_standard_matrix,
 )
@@ -296,28 +294,11 @@ class ReleasePlan(_TwoStepPlan):
         by this plan's design, plus the value.
 
         ``bases`` replaces the design's row basis (and column basis, if
-        equi-modal) when it is not ``None``. A standard side, or a fixed
-        basis that is exactly the identity, scales ``noise`` in place, so
-        the caller hands over the array. A unimodal column side has unit
-        singular values on the standard basis (:func:`release_spectrum`
-        builds it so), so its columns are left as drawn.
+        equi-modal) when it is not ``None``. The design may scale ``noise``
+        in place, so the caller hands over the array.
         """
-        # the basis check decided which fixed bases are exact identities
-        design = self.design
-        basis_sigma, basis_psi = design.color_bases
-        unimodal = self.budget.mode is BudgetMode.UNIMODAL
-        if bases is not None:
-            basis_sigma = bases
-            if not unimodal:
-                basis_psi = bases
-        root = design.root_sigma
-        if unimodal:
-            root_psi = None
-        elif design.lambda_psi is design.lambda_sigma:
-            root_psi = root  # one lambda on both sides, as release_spectrum builds it
-        else:
-            root_psi = np.sqrt(design.lambda_psi)
-        output = color_with_roots(noise, basis_sigma, root, basis_psi, root_psi)
+        equimodal = self.budget.mode is BudgetMode.EQUI_MODAL
+        output = self.design.color(noise, bases, bases if equimodal else None)
         output += self.value
         return output
 
@@ -737,9 +718,7 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         in_event = norms_sq <= radius_sq
         if not np.any(in_event):
             continue
-        outputs = color_noise(draws[in_event], design.basis_sigma,
-                              design.lambda_sigma, design.basis_psi,
-                              design.lambda_psi)
+        outputs = design.color(draws[in_event])
         outputs += f_x1
         traces = 2.0 * np.einsum("tij,ij->t", outputs, coupling) + const_term
         inside += int(in_event.sum())

@@ -1,14 +1,7 @@
 """Seeded sampling of matrix-valued Gaussian noise.
 
-A sample from the zero-mean matrix Gaussian with row covariance Sigma and
-column covariance Psi is produced by the affine transform
-``Z = B_sigma @ N @ B_psi.T`` of an i.i.d. standard-normal matrix N, where
-each factor is a side's basis scaled by the square roots of its singular
-values, ``B = W diag(sqrt(lambda))``, so that ``B @ B.T`` is that side's
-covariance. The vectorized covariance of Z is the Kronecker product of Psi
-and Sigma. A side stored as the standard basis has the diagonal factor
-``diag(sqrt(lambda))``, so it is applied by scaling rows or columns: O(mn)
-instead of a dense matrix product.
+A sample is a draw of i.i.d. standard normals colored by a design's
+:meth:`~mvgdp.design.NoiseDesign.color`.
 
 The generator is NumPy's PCG64 with its standard-normal transform; a given
 seed reproduces the same sample sequence bit for bit within one NumPy
@@ -193,58 +186,6 @@ def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:
     Consumes exactly m*n standard-normal draws from ``stream``. With identity
     covariances the transform is exact, so the output equals the raw
     standard-normal matrix for the same seed.
-
-    A side with a supplied basis W costs a dense product with
-    ``W diag(sqrt(lambda))``; a standard side, or a basis that is exactly
-    the identity, scales the rows (or columns) by ``sqrt(lambda)`` in place.
-    The scaling gives the same bits as the product with the diagonal factor,
-    whose other terms are exact zeros. With identity or standard rows the
-    draw costs O(mn) time and memory; a dense row basis adds O(m^2 n) time
-    and one more m x n array.
+    The draw is colored by :meth:`NoiseDesign.color`.
     """
-    basis_sigma, basis_psi = design.color_bases
-    return color_noise(sample_standard_matrix(stream, design.m, design.n),
-                       basis_sigma, design.lambda_sigma,
-                       basis_psi, design.lambda_psi)
-
-
-def color_noise(noise: np.ndarray, basis_sigma, lambda_sigma: np.ndarray,
-                basis_psi, lambda_psi: np.ndarray | None) -> np.ndarray:
-    """Map standard-normal draws to design noise, B_sigma @ N @ B_psi.T.
-
-    Each side is its basis, or ``None`` for the standard basis, and its
-    singular values, as :class:`NoiseDesign` stores them. ``lambda_psi`` may
-    also be ``None``, with ``basis_psi`` ``None``, for a unit column side,
-    which leaves the columns as they are. ``noise`` is one m x n matrix or a
-    stack (..., m, n); a standard side scales it in place, so the caller
-    hands over the array. A basis may be a stack matching the noise stack,
-    one per matrix; each matrix gets the bits of its own product. When both
-    sides are the same basis and singular-value objects, as in an equi-modal
-    design, the factor ``basis * sqrt(lambda)`` is computed once.
-
-    With standard rows the coloring costs O(mn) time and writes only into
-    ``noise``; a dense row basis adds O(m^2 n) time and a new m x n array.
-    """
-    root_sigma = root_psi = np.sqrt(lambda_sigma)
-    if lambda_psi is not lambda_sigma:
-        root_psi = None if lambda_psi is None else np.sqrt(lambda_psi)
-    return color_with_roots(noise, basis_sigma, root_sigma, basis_psi, root_psi)
-
-
-def color_with_roots(noise: np.ndarray, basis_sigma, root_sigma: np.ndarray,
-                     basis_psi, root_psi: np.ndarray | None) -> np.ndarray:
-    """:func:`color_noise` given each side's ``sqrt(lambda)`` instead of its
-    singular values, for a caller that holds the roots already."""
-    shared = basis_psi is basis_sigma and root_psi is root_sigma
-    if basis_sigma is None:
-        noise *= root_sigma[:, np.newaxis]
-    else:
-        factor_sigma = basis_sigma * root_sigma
-        noise = factor_sigma @ noise
-    if root_psi is None:
-        return noise
-    if basis_psi is None:
-        noise *= root_psi
-        return noise
-    factor_psi = factor_sigma if shared else basis_psi * root_psi
-    return noise @ np.swapaxes(factor_psi, -1, -2)
+    return design.color(sample_standard_matrix(stream, design.m, design.n))

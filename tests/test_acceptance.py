@@ -44,7 +44,6 @@ from mvgdp import (
     zeta,
 )
 from mvgdp.cli import main
-from mvgdp.sampling import color_noise
 from oracles import dense_covariances
 
 
@@ -124,8 +123,7 @@ def test_criterion_03_sampler_distribution():
         design = NoiseDesign(w_s, rng.uniform(0.4, 1.2, m),
                              w_p, rng.uniform(0.4, 1.2, n))
         draws = RandomStream(1000 + i).standard_normal((trials, m, n))
-        z = color_noise(draws, design.basis_sigma, design.lambda_sigma,
-                        design.basis_psi, design.lambda_psi)
+        z = design.color(draws)
         vecs = z.transpose(0, 2, 1).reshape(trials, m * n)
         empirical = vecs.T @ vecs / trials
         sigma, psi = dense_covariances(design)

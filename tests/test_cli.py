@@ -219,6 +219,15 @@ class TestPerturbCommand:
         err = capsys.readouterr().err
         assert "seed must fit in 64 unsigned bits" in err and "missing.csv" not in err
 
+    def test_a_bad_allocation_is_reported_before_the_input_is_read(self, tmp_path,
+                                                                   capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["perturb", "--input", missing, "--query", "identity",
+                     "--epsilon", "1", "--lo", "-1", "--hi", "1", "--theta", "bogus",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "could not parse allocation 'bogus'" in err and "missing.csv" not in err
+
 
 def csv_bytes(matrix):
     return "".join(",".join(repr(float(v)) for v in row) + "\n"
@@ -362,6 +371,19 @@ class TestBenchCommand:
             err = capfdbinary.readouterr().err.decode()
             assert message in err and "missing.csv" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--theta", "bogus"], "could not parse allocation 'bogus'"),
+        (["--favored", "x"], "could not parse binary allocation 'binary:0.9:x'"),
+    ], ids=["theta", "favored"])
+    def test_a_bad_allocation_is_reported_before_the_input_is_read(
+            self, tmp_path, capfdbinary, flags, message):
+        missing = str(tmp_path / "missing.csv")
+        args = ["bench", "--experiment", "firstpc", "--input", missing,
+                "--mechanism", "mvg-equi", "--epsilon", "1", *flags]
+        assert main(args) == 2
+        err = capfdbinary.readouterr().err.decode()
+        assert message in err and "missing.csv" not in err
+
     @pytest.mark.parametrize("mechanism", [kind.value for kind, row
                                            in harness._MECHANISMS.items()
                                            if not row.mvg])
@@ -379,18 +401,24 @@ class TestBenchCommand:
         err = capfdbinary.readouterr().err.decode()
         assert message in err and "missing.csv" not in err
 
-    @pytest.mark.parametrize("args", [
-        ["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
-         "--trials", "3", "--directions", "dp:0.2"],
-        ["bench", "--experiment", "ablation", "--mechanism", "mvg-equi",
-         "--trials", "3", "--directions", "dp:0.2", "--favored", "0"],
-        ["bench", "--experiment", "covest", "--mechanism", "mvg-uni",
-         "--trials", "3", "--directions", "dp:0.2"],
-        ["perturb", "--query", "covariance", "--directions", "dp:0.2",
-         "--theta", "binary:0.9:0"],
-    ], ids=["firstpc", "ablation", "covest", "perturb"])
+    @pytest.mark.parametrize("args, checked", [
+        (["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
+          "--trials", "3", "--directions", "dp:0.2"], [(200, 3)]),
+        (["bench", "--experiment", "ablation", "--mechanism", "mvg-equi",
+          "--trials", "3", "--directions", "dp:0.2", "--favored", "0"], [(200, 3)]),
+        (["bench", "--experiment", "covest", "--mechanism", "mvg-uni",
+          "--trials", "3", "--directions", "dp:0.2"], [(200, 3)]),
+        # the training records' Gram matrix, then the 56 test records
+        (["bench", "--experiment", "regression", "--mechanism", "mvg-uni",
+          "--trials", "3", "--directions", "dp:0.2"], [(144, 3), (3, 56)]),
+        (["perturb", "--query", "covariance", "--directions", "dp:0.2",
+          "--theta", "binary:0.9:0"], [(200, 3)]),
+        (["perturb", "--query", "identity", "--directions", "dp:0.2",
+          "--theta", "binary:0.9:0"], [(200, 3)]),
+    ], ids=["firstpc", "ablation", "covest", "regression", "perturb",
+            "perturb-identity"])
     def test_audits_and_multiplies_the_dataset_once(self, tmp_path, sign_data,
-                                                    monkeypatch, args):
+                                                    monkeypatch, args, checked):
         data = write_dataset(tmp_path, sign_data)
         audits, grams = [], []
 
@@ -409,7 +437,8 @@ class TestBenchCommand:
         out = ["--out", str(tmp_path / "o.csv")] if args[0] == "perturb" else []
         assert main(args + ["--input", data, "--epsilon", "1", "--lo", "-1",
                             "--hi", "1", *out]) == 0
-        assert audits == [(200, 3)]
+        # every one of the dataset's 600 cells is checked exactly once
+        assert audits == checked
         assert len(grams) == 1
 
     @pytest.mark.parametrize("experiment", ["firstpc", "ablation"])

@@ -13,7 +13,7 @@ from mvgdp import (
     sample_standard_matrix,
     zeta,
 )
-from mvgdp.sampling import color_noise, seed_state_words
+from mvgdp.sampling import seed_state_words
 from oracles import dense_covariances, dense_release
 
 
@@ -218,10 +218,26 @@ class TestColorNoise:
         w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         lam = rng.uniform(0.4, 1.2, 3)
         noise = rng.standard_normal((2, 3, 5))
+        w_psi = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         for basis in (None, w):
-            unit = color_noise(noise.copy(), basis, lam, None, None)
-            ones = color_noise(noise.copy(), basis, lam, None, np.ones(5))
-            assert unit.tobytes() == ones.tobytes()
+            design = NoiseDesign(basis, lam, None, np.ones(5))
+            assert design.root_psi is None
+            colored = design.color(noise.copy())
+            expected = (noise * np.sqrt(lam)[:, np.newaxis] if basis is None
+                        else (w * np.sqrt(lam)) @ noise)
+            assert colored.tobytes() == expected.tobytes()
+            # a basis on a unit side multiplies unscaled: W * sqrt(1.0) is W
+            rotated = design.with_bases(basis, w_psi).color(noise.copy())
+            assert rotated.tobytes() == (expected @ w_psi.T).tobytes()
+
+    def test_a_standard_side_off_unit_is_scaled(self):
+        rng = np.random.default_rng(10)
+        lam = rng.uniform(0.4, 1.2, 3)
+        design = NoiseDesign(None, lam, None, np.full(5, 4.0))
+        assert design.root_psi.tobytes() == np.full(5, 2.0).tobytes()
+        noise = rng.standard_normal((2, 3, 5))
+        expected = noise * np.sqrt(lam)[:, np.newaxis] * 2.0
+        assert design.color(noise.copy()).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("standard", [False, True])
     def test_one_side_for_both_gives_the_bits_of_two(self, standard):
@@ -230,10 +246,24 @@ class TestColorNoise:
         w = None if standard else np.linalg.qr(rng.standard_normal((4, 4)))[0]
         lam = rng.uniform(0.4, 1.2, 4)
         noise = rng.standard_normal((3, 4, 4))
-        shared = color_noise(noise.copy(), w, lam, w, lam)
-        apart = color_noise(noise.copy(), w, lam, None if standard else w.copy(),
-                            lam.copy())
-        assert shared.tobytes() == apart.tobytes()
+        shared = NoiseDesign(w, lam, w, lam)
+        assert shared.root_psi is shared.root_sigma
+        apart = NoiseDesign(w, lam, None if standard else w.copy(), lam.copy())
+        assert apart.root_psi is not apart.root_sigma
+        assert shared.color(noise.copy()).tobytes() == \
+            apart.color(noise.copy()).tobytes()
+
+    def test_drawn_bases_replace_the_design_bases(self):
+        rng = np.random.default_rng(12)
+        lam = rng.uniform(0.4, 1.2, 3)
+        bases = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                          for _ in range(2)])
+        noise = rng.standard_normal((2, 3, 3))
+        spectrum = NoiseDesign(None, lam, None, lam)
+        colored = spectrum.color(noise.copy(), bases, bases)
+        for t in range(2):
+            own = NoiseDesign(bases[t], lam, bases[t], lam)
+            assert colored[t].tobytes() == own.color(noise[t].copy()).tobytes()
 
 
 class TestSampleMvg:
@@ -302,8 +332,7 @@ class TestSampleMvg:
         stream = RandomStream(1000)
         trials = 100_000
         draws = stream.standard_normal((trials, 2, 2))
-        z = color_noise(draws, design.basis_sigma, design.lambda_sigma,
-                        design.basis_psi, design.lambda_psi)
+        z = design.color(draws)
         vecs = z.transpose(0, 2, 1).reshape(trials, 4)  # column-stacking vec
         assert np.max(np.abs(vecs.mean(axis=0))) < 0.02  # zero mean
         empirical = vecs.T @ vecs / trials
@@ -335,8 +364,7 @@ class TestSampleMvg:
         def empirical_cov(dsn, transpose, seed):
             stream = RandomStream(seed)
             draws = stream.standard_normal((trials, dsn.m, dsn.n))
-            z = color_noise(draws, dsn.basis_sigma, dsn.lambda_sigma,
-                            dsn.basis_psi, dsn.lambda_psi)
+            z = dsn.color(draws)
             if transpose:
                 z = z.transpose(0, 2, 1)
             flat = z.transpose(0, 2, 1).reshape(trials, -1)

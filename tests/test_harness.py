@@ -45,7 +45,7 @@ from mvgdp import (
 from mvgdp import budget, harness, mechanisms
 from mvgdp.harness import read_csv_gram
 from mvgdp.mechanisms import plan_directions_dp, trials_per_chunk
-from mvgdp.sensitivity import AuditedGram
+from mvgdp.sensitivity import AuditedGram, check_within_bounds
 
 
 def write(tmp_path, name, text):
@@ -680,6 +680,23 @@ class TestRunExperiment:
                           Experiment.FIRST_PC)
         with pytest.raises(ContractViolationError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("directions", ["standard", "dp:0.2"])
+    @pytest.mark.parametrize("record", [3, 45], ids=["train", "test"])
+    def test_a_regression_audit_names_the_whole_range(self, tmp_path, directions,
+                                                      record):
+        # with dp:F the training records are audited by their Gram matrix
+        # and the test records apart, but a violation reads as one check
+        path, x = regression_dataset(tmp_path)
+        x[1, record] = 1.5
+        cfg = base_config(path, DataBounds(4, x.shape[1], 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION,
+                          directions_source=directions)
+        with pytest.raises(ContractViolationError) as whole:
+            check_within_bounds(x, 0.0, 1.0)
+        with pytest.raises(ContractViolationError) as run:
+            run_experiment(cfg, data=x)
+        assert str(run.value) == str(whole.value)
 
     def test_shape_mismatch_is_config_error(self, tmp_path):
         path, data = covariance_dataset(tmp_path)

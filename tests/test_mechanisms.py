@@ -40,7 +40,6 @@ from mvgdp import design as design_module
 from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
-from mvgdp.sampling import color_noise
 from oracles import dense_covariances, dense_release, scaled_release
 
 
@@ -212,8 +211,7 @@ class TestUnimodal:
         trials = 20_000
         draws = RandomStream(99).standard_normal((trials, 2, 3))
         design = result.design
-        noise = color_noise(draws, design.basis_sigma, design.lambda_sigma,
-                            design.basis_psi, design.lambda_psi)
+        noise = design.color(draws)
         empirical = noise.reshape(trials, -1).var(axis=0)
         assert np.allclose(empirical, per_direction, rtol=0.06)
 
@@ -915,3 +913,52 @@ class TestReleaseSpectrumMemo:
         assert lam_psi.shape == (n,) and lam_psi.strides == (0,)
         assert np.all(lam_psi == 1.0)
         assert spectrum.design.basis_sigma is None and spectrum.design.basis_psi is None
+
+
+class TestOneColoringPath:
+    """Every MVG draw is colored by ``NoiseDesign.color``."""
+
+    P = PrivacyParams(1.0, 0.05)
+
+    @staticmethod
+    def count_colors(monkeypatch):
+        calls = []
+        color = NoiseDesign.color
+
+        def counted(self, noise, basis_sigma=None, basis_psi=None):
+            calls.append((noise.shape, basis_sigma is None, basis_psi is None))
+            return color(self, noise, basis_sigma, basis_psi)
+
+        monkeypatch.setattr(NoiseDesign, "color", counted)
+        return calls
+
+    def test_sample_mvg(self, monkeypatch):
+        calls = self.count_colors(monkeypatch)
+        sample_mvg(RandomStream(0), NoiseDesign(None, np.ones(2), None, np.ones(3)))
+        assert calls == [((2, 3), True, True)]
+
+    @pytest.mark.parametrize("plan_fn, equimodal", [(plan_unimodal, False),
+                                                    (plan_equimodal, True)])
+    @pytest.mark.parametrize("drawn", [False, True], ids=["fixed", "dp"])
+    def test_release_plan_draw(self, monkeypatch, plan_fn, equimodal, drawn):
+        rng = np.random.default_rng(3)
+        data = rng.uniform(-1, 1, (3, 60))
+        w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        if drawn:
+            w = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
+                                   bounds=DataBounds(3, 60, -1.0, 1.0))
+        plan = plan_fn(np.zeros((3, 3)), unit_query(3, 3), self.P,
+                       PrecisionAllocation.uniform(3), w)
+        calls = self.count_colors(monkeypatch)
+        plan.draw([RandomStream(s) for s in range(4)])
+        # drawn bases replace the row side, and the column side if equi-modal
+        assert calls == [((4, 3, 3), not drawn, not (drawn and equimodal))]
+
+    def test_verify_characteristic(self, monkeypatch):
+        q = QuerySpec(3, 4, sensitivity=1.0, gamma=2.0)
+        design = mvg_unimodal(np.zeros((3, 4)), q, self.P,
+                              PrecisionAllocation.uniform(3), np.eye(3),
+                              RandomStream(0)).design
+        calls = self.count_colors(monkeypatch)
+        mvg_verify_characteristic(q, self.P, design, 50, RandomStream(1))
+        assert len(calls) == 1 and calls[0][0][1:] == (3, 4)
