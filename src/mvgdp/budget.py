@@ -91,7 +91,8 @@ class QuerySpec:
             datasets differing in one record.
         gamma: supremum of the query's Frobenius norm over all admissible
             datasets.
-        kind: query family, informational only.
+        kind: query family. The mechanisms ignore it; the harness's Laplace
+            baseline picks the covariance or identity L1 sensitivity by it.
     """
 
     m: int

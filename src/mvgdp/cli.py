@@ -40,6 +40,7 @@ from .harness import (
     MechanismKind,
     ReportFormat,
     audit_records,
+    check_experiment_options,
     check_mechanism_options,
     check_run_options,
     covariance_query,
@@ -173,6 +174,7 @@ def _cmd_bench(args) -> int:
     mechanism = MechanismKind(args.mechanism)
     check_mechanism_options(mechanism, [theta_spec], args.directions)
     experiment = Experiment(args.experiment)
+    check_experiment_options(experiment, theta_spec)
     data, bounds, privacy = _read_dataset(args,
                                           records=experiment not in GRAM_EXPERIMENTS)
     cfg = ExperimentConfig(

@@ -1,4 +1,4 @@
-"""Experiment orchestration: CSV ingestion, trial loops, report emission.
+"""Experiment orchestration: CSV ingestion, the trial loop, report emission.
 
 Datasets on disk follow the usual rows-are-records convention; they are
 transposed on load so that, in memory, columns are the records. Three
@@ -17,25 +17,19 @@ experiment archetypes are provided plus a direction-ablation sweep:
   one report per arm.
 
 A run plans once and then only draws: the dataset is audited against the
-declared bounds once, and :func:`plan_releases` returns
-the mechanism's own plan from :mod:`mechanisms`: the validated query value
-with, for a baseline, its noise scale, or for MVG a :class:`ReleasePlan`
-(the budget, the allocation, the directions and the one privacy-condition
-check; for ``dp:F`` directions also the direction data's audit and
-covariance). A baseline takes no allocation but ``uniform``. The trials are
-then drawn in chunks, each one stack of at most ``mechanisms.CHUNK_ENTRIES``
-entries per temporary: the plan draws the chunk's releases as one (T, m, n)
-stack, and the first-PC metric eigendecomposes the stack with one batched
-``eigh`` and scores it with one batched product against a top eigenvalue
-taken once per run.
-
-A first-PC run takes a list of arms, one per allocation: the ablation
-passes three and firstpc one. :func:`plan_releases` plans every arm over
-one shared directions plan, so the run draws each chunk's noise once
-(``draw_noise``: streams, normals, and ``dp:F`` bases) and every arm colors
-its own copy of it (``color``). Trial t of every arm thus releases from the
-draws of stream seed + t, and each arm's report equals a one-arm run with
-its allocation bit for bit.
+declared bounds once, and :func:`plan_releases` returns the mechanism's own
+plan from :mod:`mechanisms` for each arm, one per allocation (for MVG a
+:class:`ReleasePlan`, holding the budget, the directions and the one
+privacy-condition check). The ablation has three arms and every other
+experiment one; a baseline takes no allocation but ``uniform``. Every
+experiment then runs one trial loop: each chunk of trials, one stack of at
+most ``mechanisms.CHUNK_ENTRIES`` entries per temporary, has its noise drawn
+once (``draw_noise``: streams, normals, and ``dp:F`` bases), every arm
+colors it (``color``; all but the last arm a copy) into a (T, m, n) stack
+of releases, and the experiment's metric scores the stack. Trial t of every
+arm thus releases from the draws of stream seed + t, and each arm's report
+equals a one-arm run with its allocation bit for bit. The first-PC metric
+scores a stack with one batched ``eigh`` and one batched product.
 
 First-PC runs and ablations release the covariance query and derive
 ``dp:F`` directions, and both need only the Gram matrix X X^T. They read
@@ -81,6 +75,7 @@ from .errors import ConfigError, ContractViolationError, FormatError, is_count
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
+    _binary_favored,
     derive_directions_dp,
     mvg_equimodal,
     mvg_unimodal,
@@ -155,6 +150,10 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.experiment, Experiment):
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not isinstance(self.mechanism, MechanismKind):
+            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
         check_run_options(self.trials, self.seed, self.ridge_reg)
         # as Python ints, so seed + t cannot overflow a numpy integer
         object.__setattr__(self, "trials", int(self.trials))
@@ -168,8 +167,19 @@ def check_run_options(trials, seed, ridge_reg) -> None:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not is_count(seed) or not 0 <= seed < _SEED_MOD:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not ridge_reg > 0:
-        raise ConfigError(f"ridge_reg must be positive, got {ridge_reg}")
+    if not 0 < ridge_reg < math.inf:
+        raise ConfigError(f"ridge_reg must be positive and finite, got {ridge_reg}")
+
+
+def check_experiment_options(experiment: Experiment, theta_spec: str) -> None:
+    """Reject an allocation the experiment cannot run, before the dataset is
+    read: the ablation sweeps a binary allocation's favored set."""
+    if (experiment is Experiment.DIRECTION_ABLATION
+            and not isinstance(parse_theta_grammar(theta_spec), tuple)):
+        raise ConfigError(
+            "the ablation experiment needs a binary allocation "
+            f"(binary:TAU:I,J,...), got {theta_spec!r}"
+        )
 
 
 # A line whose cells are all empty once stripped: nothing but whitespace,
@@ -358,7 +368,8 @@ def parse_theta_grammar(spec: str):
 
     Grammar: ``uniform`` | ``binary:TAU:I,J,...`` | explicit comma-separated
     shares such as ``0.4,0.4,0.1,0.1``. Returns ``None`` for ``uniform``, a
-    binary allocation's (TAU, favored indices), or the list of shares.
+    binary allocation's (TAU, sorted favored indices) after the checks that
+    need no m, or the list of shares.
     """
     text = spec.strip()
     if text == "uniform":
@@ -374,7 +385,7 @@ def parse_theta_grammar(spec: str):
             favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
         except ValueError:
             raise ConfigError(f"could not parse binary allocation {text!r}") from None
-        return tau, favored
+        return tau, _binary_favored(tau, favored)
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError:
@@ -590,20 +601,27 @@ def _trial_streams(cfg: ExperimentConfig):
             yield RandomStream.from_state_words(seed, words)
 
 
-def _trial_noise(cfg: ExperimentConfig, plan):
-    """The run's draws in trial order: each is one ``plan.draw_noise`` over
-    the next ``trials_per_chunk`` trials' streams."""
-    per_chunk = trials_per_chunk(*plan.value.shape)
+def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
+              bounds: DataBounds, direction_data, arms: list[tuple[str, str]],
+              score) -> list[EvalReport]:
+    """One report per arm, a (metric name, allocation spec) pair, over
+    ``cfg.trials`` releases of ``value``: each chunk's noise is drawn once,
+    every arm but the last colors a copy of it, and the last takes it over.
+    ``score`` maps a chunk's (T, m, n) stack of releases to its T values."""
+    plans = plan_releases(cfg.mechanism, q, value, cfg.privacy,
+                          [spec for _, spec in arms], cfg.directions_source,
+                          bounds, direction_data)
+    per_chunk = trials_per_chunk(q.m, q.n)
     streams = _trial_streams(cfg)
+    values = [[] for _ in arms]
     for _ in range(0, cfg.trials, per_chunk):
-        yield plan.draw_noise(list(itertools.islice(streams, per_chunk)))
-
-
-def _trial_chunks(cfg: ExperimentConfig, plan):
-    """The run's releases in trial order, as (T, m, n) stacks: each is one
-    ``plan.draw`` over the next ``trials_per_chunk`` trials' streams."""
-    for noise in _trial_noise(cfg, plan):
-        yield plan.color(*noise)
+        noise, *rest = plans[0].draw_noise(list(itertools.islice(streams, per_chunk)))
+        for arm, (plan, arm_values) in enumerate(zip(plans, values)):
+            # coloring may scale the noise in place; the last arm takes it over
+            own = noise if arm == len(plans) - 1 else noise.copy()
+            arm_values.append(score(plan.color(own, *rest)))
+    return [mean_ci95(np.concatenate(arm_values), name)
+            for (name, _), arm_values in zip(arms, values)]
 
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
@@ -621,38 +639,22 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
         )
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
-    (plan,) = plan_releases(cfg.mechanism, identity_query(train_bounds), train,
-                            cfg.privacy, [cfg.theta_spec], cfg.directions_source,
-                            train_bounds, train_data)
-    values = []
-    for chunk in _trial_chunks(cfg, plan):
-        for noisy in chunk:
-            values.append(ridge_regression_rmse(
-                (noisy[:-1], noisy[-1]), (test[:-1], test[-1]), cfg.ridge_reg
-            ))
-    return mean_ci95(values, "RMSE")
+    return _run_arms(
+        cfg, identity_query(train_bounds), train, train_bounds, train_data,
+        [("RMSE", cfg.theta_spec)],
+        lambda stack: [ridge_regression_rmse((noisy[:-1], noisy[-1]),
+                                             (test[:-1], test[-1]), cfg.ridge_reg)
+                       for noisy in stack])[0]
 
 
 def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
                  arms: list[tuple[str, str]]) -> list[EvalReport]:
-    """One report per arm, a (metric name, allocation spec) pair.
-
-    Each chunk's noise is drawn once, and every arm colors its own copy of
-    it, so trial t of every arm releases from the draws of stream seed + t.
-    """
+    """One report per arm, a (metric name, allocation spec) pair, each
+    scoring the top direction of every release by its captured-variance gap."""
     s_bar = gram.gram / gram.num_samples
     gap = DeltaRho(s_bar)
-    plans = plan_releases(cfg.mechanism, covariance_query(cfg.bounds), s_bar,
-                          cfg.privacy, [spec for _, spec in arms],
-                          cfg.directions_source, cfg.bounds, gram)
-    values = [[] for _ in arms]
-    for noise, *rest in _trial_noise(cfg, plans[0]):
-        for arm, (plan, arm_values) in enumerate(zip(plans, values)):
-            # coloring may scale the noise in place; the last arm takes it over
-            own = noise if arm == len(plans) - 1 else noise.copy()
-            arm_values.append(gap(_top_directions(plan.color(own, *rest))))
-    return [mean_ci95(np.concatenate(arm_values), name)
-            for (name, _), arm_values in zip(arms, values)]
+    return _run_arms(cfg, covariance_query(cfg.bounds), s_bar, cfg.bounds, gram, arms,
+                     lambda stack: gap(_top_directions(stack)))
 
 
 def _top_directions(noisy: np.ndarray) -> np.ndarray:
@@ -667,35 +669,20 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> EvalReport:
     num_records = x.shape[1]
     s_bar = gram.gram / num_records
-    (plan,) = plan_releases(cfg.mechanism, identity_query(cfg.bounds), x, cfg.privacy,
-                            [cfg.theta_spec], cfg.directions_source, cfg.bounds, gram)
-    values = []
-    for chunk in _trial_chunks(cfg, plan):
-        for noisy in chunk:
-            values.append(rss(noisy @ noisy.T / num_records, s_bar))
-    return mean_ci95(values, "RSS")
+    return _run_arms(
+        cfg, identity_query(cfg.bounds), x, cfg.bounds, gram, [("RSS", cfg.theta_spec)],
+        lambda stack: [rss(noisy @ noisy.T / num_records, s_bar) for noisy in stack])[0]
 
 
-def _run_ablation(cfg: ExperimentConfig, gram: AuditedGram) -> list[EvalReport]:
-    num_features = gram.num_features
-    binary = parse_theta_grammar(cfg.theta_spec)
-    if not isinstance(binary, tuple):
-        raise ConfigError(
-            "the ablation experiment needs a binary allocation "
-            f"(binary:TAU:I,J,...), got {cfg.theta_spec!r}"
-        )
-    tau, favored = binary
-    favored = sorted(set(favored))
-    complement = [i for i in range(num_features) if i not in favored]
-    if not complement:
-        raise ConfigError("favored set covers every direction; nothing to ablate")
-    return _run_firstpc(cfg, gram, [
-        (f"delta_rho[favored={'+'.join(map(str, favored))}]",
-         f"binary:{tau}:{','.join(map(str, favored))}"),
-        (f"delta_rho[complement={'+'.join(map(str, complement))}]",
-         f"binary:{tau}:{','.join(map(str, complement))}"),
-        ("delta_rho[uniform]", "uniform"),
-    ])
+def _ablation_arms(theta_spec: str, m: int) -> list[tuple[str, str]]:
+    """The ablation's three arms, as (metric name, allocation spec) pairs:
+    the binary allocation's favored set, its complement, and uniform."""
+    tau, favored = parse_theta_grammar(theta_spec)
+    complement = [i for i in range(m) if i not in favored]
+    return [(f"delta_rho[{role}={'+'.join(map(str, indices))}]",
+             f"binary:{tau}:{','.join(map(str, indices))}")
+            for role, indices in (("favored", favored), ("complement", complement))
+            ] + [("delta_rho[uniform]", "uniform")]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -703,24 +690,26 @@ def run_experiment(cfg: ExperimentConfig,
                    ) -> EvalReport | list[EvalReport]:
     """Run one configured experiment end to end.
 
-    Loads the dataset (unless ``data`` already holds it, as
-    :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), audits it
-    once against the declared bounds (aborting before any sampling on a
-    violation), runs the trial loop with per-trial seeds seed, seed+1, ...,
-    and aggregates the metric. The ablation experiment returns one report per
-    direction arm; the others return a single report.
+    Checks the allocation against the experiment, loads the dataset (unless
+    ``data`` already holds it, as :func:`load_csv_matrix` returns it for
+    ``cfg.dataset_path``), audits it once against the declared bounds
+    (aborting before any sampling on a violation), runs the trial loop with
+    per-trial seeds seed, seed+1, ..., and aggregates the metric. The
+    ablation experiment returns one report per direction arm; the others
+    return a single report.
 
     The experiments in ``GRAM_EXPERIMENTS`` use only X X^T: they read the
     file with :func:`read_csv_gram` and never hold X, and ``data`` may also
     be the :class:`AuditedGram` that returns. Regression and covariance
     estimation release X itself and need the records.
     """
+    check_experiment_options(cfg.experiment, cfg.theta_spec)
     if cfg.experiment in GRAM_EXPERIMENTS:
         gram = _audited_gram(cfg, data)
         if cfg.experiment is Experiment.FIRST_PC:
-            (report,) = _run_firstpc(cfg, gram, [("delta_rho", cfg.theta_spec)])
-            return report
-        return _run_ablation(cfg, gram)
+            return _run_firstpc(cfg, gram, [("delta_rho", cfg.theta_spec)])[0]
+        return _run_firstpc(cfg, gram, _ablation_arms(cfg.theta_spec,
+                                                      gram.num_features))
     if isinstance(data, AuditedGram):
         raise ConfigError(
             f"the {cfg.experiment.value} experiment releases the records; a Gram "
@@ -730,9 +719,7 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
         # the Gram matrix is both the audit and the reference covariance
         return _run_covest(cfg, x, _audited_gram(cfg, x))
-    if cfg.experiment is Experiment.REGRESSION:
-        return _run_regression(cfg, x)
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    return _run_regression(cfg, x)
 
 
 def format_significant(x: float, digits: int = 6) -> str:

@@ -140,11 +140,7 @@ class PrecisionAllocation:
             raise AllocationError(
                 f"binary allocation needs at least two directions, got m={m!r}"
             )
-        if not 0.0 < tau < 1.0:
-            raise AllocationError(f"tau must lie in (0, 1), got {tau}")
-        fav = sorted(set(int(i) for i in favored))
-        if not fav:
-            raise AllocationError("favored index set must not be empty")
+        fav = _binary_favored(tau, favored)
         if fav[0] < 0 or fav[-1] >= m:
             raise AllocationError(f"favored indices {fav} out of range [0, {m})")
         if len(fav) >= m:
@@ -152,6 +148,18 @@ class PrecisionAllocation:
         t = np.full(int(m), (1.0 - tau) / (m - len(fav)))
         t[fav] = tau / len(fav)
         return cls(t)
+
+
+def _binary_favored(tau: float, favored) -> list[int]:
+    """The sorted, distinct favored indices of a binary allocation, after its
+    checks that need no m (tau in (0, 1), some index favored), which the
+    harness's allocation grammar makes before a dataset fixes m."""
+    if not 0.0 < tau < 1.0:
+        raise AllocationError(f"tau must lie in (0, 1), got {tau}")
+    fav = sorted(set(int(i) for i in favored))
+    if not fav:
+        raise AllocationError("favored index set must not be empty")
+    return fav
 
 
 @dataclass(frozen=True)

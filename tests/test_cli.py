@@ -356,6 +356,7 @@ class TestBenchCommand:
         ("--trials=0", "trials must be a positive integer"),
         ("--seed=-1", "seed must be an integer in [0, 2^64)"),
         ("--ridge-reg=0", "ridge_reg must be positive"),
+        ("--ridge-reg=inf", "ridge_reg must be positive and finite, got inf"),
         ("--epsilon=-1", "epsilon must be positive"),
         ("--delta=0", "delta must lie in the open interval"),
         ("--directions=dp:half", "could not parse direction budget"),
@@ -374,7 +375,15 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--theta", "bogus"], "could not parse allocation 'bogus'"),
         (["--favored", "x"], "could not parse binary allocation 'binary:0.9:x'"),
-    ], ids=["theta", "favored"])
+        (["--favored", "0", "--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
+        (["--favored", ","], "favored index set must not be empty"),
+        # a later --experiment wins
+        (["--experiment", "ablation"],
+         "needs a binary allocation (binary:TAU:I,J,...), got 'uniform'"),
+        (["--experiment", "ablation", "--theta", "0.5,0.5"],
+         "needs a binary allocation (binary:TAU:I,J,...), got '0.5,0.5'"),
+    ], ids=["theta", "favored", "tau", "empty-favored", "ablation-uniform",
+            "ablation-shares"])
     def test_a_bad_allocation_is_reported_before_the_input_is_read(
             self, tmp_path, capfdbinary, flags, message):
         missing = str(tmp_path / "missing.csv")

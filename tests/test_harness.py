@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvgdp import (
+    AllocationError,
     ConfigError,
     ContractViolationError,
     DataBounds,
@@ -393,6 +395,20 @@ class TestThetaSpecParsing:
         theta = parse_theta_spec("0.4,0.4,0.1,0.1", 4)
         assert np.allclose(theta.theta, [0.4, 0.4, 0.1, 0.1])
 
+    def test_binary_grammar_sorts_the_favored_set(self):
+        assert harness.parse_theta_grammar("binary:0.8:2,0,2") == (0.8, [0, 2])
+
+    @pytest.mark.parametrize("spec, message", [
+        ("binary:1.5:0", "tau must lie in (0, 1), got 1.5"),
+        ("binary:0:0", "tau must lie in (0, 1), got 0.0"),
+        ("binary:nan:0", "tau must lie in (0, 1), got nan"),
+        ("binary:0.9:", "favored index set must not be empty"),
+        ("binary:0.9:,", "favored index set must not be empty"),
+    ])
+    def test_binary_rules_that_need_no_m(self, spec, message):
+        with pytest.raises(AllocationError, match=re.escape(message)):
+            harness.parse_theta_grammar(spec)
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             parse_theta_spec("binary:0.8", 4)
@@ -744,6 +760,22 @@ class TestRunExperiment:
                         MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
                         trials=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("experiment", "firstpc", "unknown experiment 'firstpc'"),
+        ("mechanism", "gauss", "unknown mechanism 'gauss'"),
+        ("ridge_reg", float("inf"), "ridge_reg must be positive and finite, got inf"),
+        ("ridge_reg", float("nan"), "ridge_reg must be positive and finite, got nan"),
+    ])
+    def test_config_rejects_a_bad_field(self, tmp_path, field, value, message):
+        # rejected on construction, so no run reads the (missing) dataset
+        fields = dict(experiment=Experiment.FIRST_PC,
+                      dataset_path=tmp_path / "missing.csv",
+                      bounds=DataBounds(3, 400, -1.0, 1.0),
+                      privacy=PrivacyParams(1.0, 0.01),
+                      mechanism=MechanismKind.MVG_EQUIMODAL)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**{**fields, field: value})
+
 
 @pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda kind: kind.value)
 def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
@@ -832,9 +864,9 @@ class TestAblation:
                          "delta_rho[uniform]"]
 
     def test_requires_binary_spec(self, tmp_path):
-        path, data = covariance_dataset(tmp_path)
-        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
-        cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
+        # rejected before the (missing) dataset is read
+        cfg = base_config(tmp_path / "missing.csv", DataBounds(3, 400, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL,
                           Experiment.DIRECTION_ABLATION, theta_spec="uniform")
         with pytest.raises(ConfigError, match="needs a binary allocation"):
             run_experiment(cfg)
@@ -1056,6 +1088,37 @@ class TestBatchedTrials:
                 cfg, experiment=Experiment.FIRST_PC, theta_spec=spec))
             assert report == dataclasses.replace(one_arm,
                                                  metric_name=report.metric_name)
+
+    @pytest.mark.parametrize("experiment, arms", [(Experiment.FIRST_PC, 1),
+                                                  (Experiment.DIRECTION_ABLATION, 3)],
+                             ids=["one-arm", "ablation"])
+    def test_only_the_last_arm_takes_the_drawn_noise(self, tmp_path, monkeypatch,
+                                                      experiment, arms):
+        drawn, colored = [], []
+        draw_noise = mechanisms.ReleasePlan.draw_noise
+        color = mechanisms.ReleasePlan.color
+
+        def spy_draw_noise(plan, streams):
+            noise = draw_noise(plan, streams)
+            drawn.append(noise[0])
+            return noise
+
+        def spy_color(plan, noise, bases):
+            colored.append(noise)
+            return color(plan, noise, bases)
+
+        monkeypatch.setattr(mechanisms.ReleasePlan, "draw_noise", spy_draw_noise)
+        monkeypatch.setattr(mechanisms.ReleasePlan, "color", spy_color)
+        path, data = covariance_dataset(tmp_path)
+        # 1000 trials of 3 x 3 stacks span three chunks
+        cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, experiment,
+                          theta_spec="binary:0.9:0", trials=1000)
+        run_experiment(cfg)
+        assert len(drawn) == 3 and len(colored) == 3 * arms
+        for chunk, noise in enumerate(drawn):
+            takers = [own is noise for own in colored[chunk * arms:(chunk + 1) * arms]]
+            assert takers == [False] * (arms - 1) + [True]
 
     def test_dp_run_memory_stays_within_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
