@@ -91,8 +91,9 @@ class QuerySpec:
             datasets differing in one record.
         gamma: supremum of the query's Frobenius norm over all admissible
             datasets.
-        kind: query family. The mechanisms ignore it; the harness's Laplace
-            baseline picks the covariance or identity L1 sensitivity by it.
+        kind: query family, a :class:`QueryKind`. The mechanisms ignore it;
+            the harness's Laplace baseline picks the covariance or identity
+            L1 sensitivity by it and rejects any other kind.
     """
 
     m: int
@@ -105,6 +106,8 @@ class QuerySpec:
         for name, value in (("m", self.m), ("n", self.n)):
             if not is_count(value) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.kind, QueryKind):
+            raise DomainError(f"kind must be a QueryKind, got {self.kind!r}")
         for name in ("sensitivity", "gamma"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -33,11 +33,13 @@ scores a stack with one batched ``eigh`` and one batched product.
 
 First-PC runs and ablations release the covariance query and derive
 ``dp:F`` directions, and both need only the Gram matrix X X^T. They read
-the CSV in blocks of ``GRAM_BLOCK_CELLS`` cells, auditing each block and
-adding its product to an :class:`AuditedGram`, so their memory does not
-grow with N. Regression and covariance estimation release X itself and
-parse the CSV in one vectorized pass. Either is skipped when the caller
-hands in what it already read, as the CLI does.
+the CSV in blocks of ``sensitivity.GRAM_BLOCK_CELLS`` cells, auditing each
+block and adding its product to an :class:`AuditedGram`, so their memory
+does not grow with N. Regression and covariance estimation release X itself
+and parse the CSV in one vectorized pass. Either is skipped when the caller
+hands in what it already read, as the CLI does. Records handed in are summed
+in the same blocks (``AuditedGram.of``), so a run from them equals a run
+from the file bit for bit.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t
 (wrapping past 2^64 - 1 to 0), so an identical configuration yields
@@ -60,6 +62,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import sensitivity
 
 # check_condition, derive_directions_dp, mvg_equimodal, mvg_unimodal and
 # delta_rho are not called here (plan_releases plans each run once, through
@@ -210,11 +214,6 @@ class _NonBlankLines:
 _BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row \d+, column (\d+)")
 _RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+)")
 
-# Cells per block when a dataset is read for its Gram matrix: 512 KiB of
-# float64, 4096 records at 16 features.
-GRAM_BLOCK_CELLS = 65536
-
-
 class _GridBlocks:
     """A numeric CSV's data rows, parsed into C-ordered rows x columns blocks.
 
@@ -348,13 +347,14 @@ def load_dense_csv(path) -> np.ndarray:
 def read_csv_gram(path, lo: float, hi: float, has_header: bool = False) -> AuditedGram:
     """Read a dataset CSV (rows are records) for its :class:`AuditedGram`.
 
-    The file is parsed in blocks of ``GRAM_BLOCK_CELLS`` cells, each audited
-    against [lo, hi] and added to X X^T before the next is read, so memory is
-    O(M^2 + block) whatever N is. Parse errors are those of
-    :func:`load_csv_matrix`; an entry outside [lo, hi] raises
+    The file is parsed in blocks of ``sensitivity.GRAM_BLOCK_CELLS`` cells,
+    each audited against [lo, hi] and added to X X^T before the next is
+    read, so memory is O(M^2 + block) whatever N is, and the result equals
+    ``AuditedGram.of`` of the same records bit for bit. Parse errors are
+    those of :func:`load_csv_matrix`; an entry outside [lo, hi] raises
     ContractViolationError naming its file line.
     """
-    blocks = _GridBlocks(path, has_header, GRAM_BLOCK_CELLS)
+    blocks = _GridBlocks(path, has_header, sensitivity.GRAM_BLOCK_CELLS)
     try:
         return AuditedGram(blocks, lo, hi)
     except ContractViolationError as exc:
@@ -497,11 +497,20 @@ def covariance_query(bounds: DataBounds) -> QuerySpec:
                      gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
 
 
+# Laplace noise is calibrated to the L1 sensitivity, a pure-epsilon bound,
+# which is known only for the harness's own two queries.
+_L1_SENSITIVITY = {QueryKind.IDENTITY: identity_sensitivity_l1,
+                   QueryKind.COVARIANCE: covariance_sensitivity_l1}
+
+
 def _plan_laplace(value, q: QuerySpec, privacy: PrivacyParams, bounds: DataBounds):
-    # Laplace noise is calibrated to the L1 sensitivity, a pure-epsilon bound
-    l1 = (covariance_sensitivity_l1 if q.kind is QueryKind.COVARIANCE
-          else identity_sensitivity_l1)(bounds)
-    return plan_laplace(value, q, privacy.epsilon, l1)
+    l1 = _L1_SENSITIVITY.get(q.kind)
+    if l1 is None:
+        raise ConfigError(
+            f"the Laplace baseline needs an identity or covariance query, got a "
+            f"{q.kind.value} query, whose L1 sensitivity is unknown"
+        )
+    return plan_laplace(value, q, privacy.epsilon, l1(bounds))
 
 
 # One row per MechanismKind: a new kind is one planner plus one row. An mvg

@@ -70,6 +70,12 @@ def check_within_bounds(x, lo: float, hi: float) -> None:
         )
 
 
+# Cells per block of records summed into an AuditedGram, whether the records
+# are in memory or read from a file: 512 KiB of float64, 4096 records at 16
+# features.
+GRAM_BLOCK_CELLS = 65536
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class AuditedGram:
     """The Gram matrix X X^T of a dataset whose every entry was checked to
@@ -120,8 +126,23 @@ class AuditedGram:
     @classmethod
     def of(cls, x, lo: float, hi: float) -> "AuditedGram":
         """The audited Gram matrix of an M x N dataset held in memory, records
-        as columns; its ``gram`` is ``x @ x.T`` bit for bit."""
-        return cls([x.T], lo, hi)
+        as columns.
+
+        ``x.T`` is walked in views of ``GRAM_BLOCK_CELLS // M`` records, the
+        blocks ``harness.read_csv_gram`` parses, so each block is audited and
+        multiplied while it is in cache, nothing is copied, and ``gram``
+        equals the Gram matrix read from a CSV of the same records bit for
+        bit. Within one block that is ``x @ x.T`` bit for bit. A violation
+        names the range of all of ``x``.
+        """
+        records = x.T
+        per_block = max(1, GRAM_BLOCK_CELLS // records.shape[1])
+        try:
+            return cls((records[start:start + per_block]
+                        for start in range(0, records.shape[0], per_block)), lo, hi)
+        except ContractViolationError:
+            check_within_bounds(x, lo, hi)  # raises, naming the whole range
+            raise
 
     def check_box(self, lo: float, hi: float) -> None:
         """Raise ConfigError unless this matrix was audited against [lo, hi]."""

@@ -18,6 +18,7 @@ from mvgdp import (
     PrecisionAllocation,
     NoiseDesign,
     PrivacyParams,
+    QueryKind,
     QuerySpec,
     RandomStream,
     ShapeError,
@@ -365,6 +366,13 @@ class TestDomainTypes:
             QuerySpec(1, 1, sensitivity=3.0, gamma=1.0)  # s2 > 2*gamma
         q = QuerySpec(2, 5, sensitivity=1.0, gamma=1.0)
         assert q.r == 2
+
+    def test_query_kind_must_be_a_member(self):
+        # a kind's value is not the kind: "covariance" is not COVARIANCE
+        with pytest.raises(DomainError, match="kind must be a QueryKind"):
+            QuerySpec(3, 3, sensitivity=0.12, gamma=3.0, kind="covariance")
+        q = QuerySpec(3, 3, sensitivity=0.12, gamma=3.0, kind=QueryKind.COVARIANCE)
+        assert q.kind is QueryKind.COVARIANCE
 
     def test_bools_are_not_numbers(self):
         # bool is an int subclass, so True would alias 1 as a budget cache key

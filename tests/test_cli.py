@@ -459,7 +459,7 @@ class TestBenchCommand:
     def test_a_fault_in_a_later_block_names_its_line(
             self, tmp_path, sign_data, monkeypatch, capfdbinary, experiment,
             line, cell, code, message):
-        monkeypatch.setattr(harness, "GRAM_BLOCK_CELLS", 9)  # 3-record blocks
+        monkeypatch.setattr(sensitivity, "GRAM_BLOCK_CELLS", 9)  # 3-record blocks
         data = write_dataset(tmp_path, sign_data)
         with open(data) as handle:
             lines = handle.read().splitlines(keepends=True)

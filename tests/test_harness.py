@@ -44,7 +44,7 @@ from mvgdp import (
     rss,
     run_experiment,
 )
-from mvgdp import budget, harness, mechanisms
+from mvgdp import budget, harness, mechanisms, sensitivity
 from mvgdp.harness import read_csv_gram
 from mvgdp.mechanisms import plan_directions_dp, trials_per_chunk
 from mvgdp.sensitivity import AuditedGram, check_within_bounds
@@ -182,6 +182,16 @@ def csv_text(rows):
     return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
 
 
+def tall_dataset(tmp_path, n_records):
+    # 16 features of falling scale in [-1, 1]; a 4096-record block holds
+    # GRAM_BLOCK_CELLS cells, so 10 000 records span three blocks
+    rng = np.random.default_rng(6)
+    x = np.linspace(1.0, 0.25, 16)[:, None] * rng.uniform(-1.0, 1.0, (16, n_records))
+    path = tmp_path / "tall.csv"
+    np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+    return path, x
+
+
 class TestGramReader:
     """``read_csv_gram`` streams the file in blocks through the parser
     ``load_csv_matrix`` uses; these tests shrink the block so small files
@@ -190,7 +200,7 @@ class TestGramReader:
     @pytest.fixture
     def three_row_blocks(self, monkeypatch):
         # 2-cell rows, so blocks of 3 rows: lines 1-3, 4-6, 7-9, ...
-        monkeypatch.setattr(harness, "GRAM_BLOCK_CELLS", 6)
+        monkeypatch.setattr(sensitivity, "GRAM_BLOCK_CELLS", 6)
 
     def test_gram_of_many_blocks_is_exact_on_integers(self, tmp_path,
                                                       three_row_blocks):
@@ -305,6 +315,44 @@ class TestGramReader:
         product = x @ x.T
         assert np.max(np.abs(gram - product)) <= 1e-12 * np.max(np.abs(product))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_records_in_memory_give_the_streamed_gram_bit_for_bit(self, tmp_path,
+                                                                  order):
+        path, x = tall_dataset(tmp_path, 10000)
+        streamed = read_csv_gram(path, -1.0, 1.0)
+        in_memory = AuditedGram.of(np.asarray(x, order=order), -1.0, 1.0)
+        assert in_memory.gram.tobytes() == streamed.gram.tobytes()
+        assert in_memory.num_samples == streamed.num_samples == 10000
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gram_of_records_in_memory_copies_nothing(self, order):
+        # X takes 16 * 40 000 * 8 B = 5.1 MB, a block of records 512 KiB
+        rng = np.random.default_rng(6)
+        x = np.asarray(rng.uniform(-1.0, 1.0, (16, 40000)), order=order)
+        tracemalloc.start()
+        try:
+            AuditedGram.of(x, -1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sensitivity.GRAM_BLOCK_CELLS * 8
+
+    def test_a_violation_in_a_late_block_names_the_range_of_all_records(self):
+        x = np.random.default_rng(6).uniform(-0.5, 0.5, (16, 50000))
+        x[0, 0], x[3, 49000] = -1.0, 1.5  # in the first and the last block
+        with pytest.raises(ContractViolationError,
+                           match=re.escape("data range [-1, 1.5] escapes")):
+            AuditedGram.of(x, -1.0, 1.0)
+
+    def test_directions_from_the_records_equal_directions_from_the_file(
+            self, tmp_path):
+        path, x = tall_dataset(tmp_path, 10000)
+        bounds = DataBounds(16, 10000, -1.0, 1.0)
+        p = PrivacyParams(0.2, 0.002)
+        plan = plan_directions_dp(read_csv_gram(path, -1.0, 1.0), p, 2, bounds=bounds)
+        drawn = derive_directions_dp(x, p, 2, RandomStream(3), bounds=bounds)
+        assert drawn.tobytes() == plan.draw(RandomStream(3)).tobytes()
+
     def test_audited_gram_needs_an_audit(self):
         with pytest.raises(TypeError):
             AuditedGram(np.eye(2), 2, 5, 0.0, 1.0)
@@ -339,6 +387,20 @@ class TestGramReader:
         assert run_experiment(cfg) == run_experiment(cfg, data=x)
         assert run_experiment(cfg) == run_experiment(cfg, data=gram)
 
+    @pytest.mark.parametrize("experiment, directions", [
+        (Experiment.FIRST_PC, "standard"),
+        (Experiment.FIRST_PC, "dp:0.2"),
+        (Experiment.DIRECTION_ABLATION, "dp:0.2"),
+    ])
+    def test_run_from_many_blocks_equals_run_from_the_records(self, tmp_path,
+                                                               experiment, directions):
+        path, x = tall_dataset(tmp_path, 10000)
+        cfg = base_config(path, DataBounds(16, 10000, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, experiment,
+                          theta_spec="binary:0.9:0,1", directions_source=directions,
+                          trials=5)
+        assert run_experiment(cfg) == run_experiment(cfg, data=x)
+
     def test_records_experiments_reject_a_gram(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         cfg = base_config(path, DataBounds(3, data.shape[1], -1.0, 1.0),
@@ -356,10 +418,7 @@ class TestGramReader:
     def test_firstpc_run_memory_stays_within_blocks(self, tmp_path):
         # at 16 features a 16 x 40 000 dataset spans ten 4096-row blocks;
         # holding X would take 40 000 * 16 * 8 B = 5.1 MB
-        rng = np.random.default_rng(6)
-        x = np.linspace(1.0, 0.25, 16)[:, None] * rng.uniform(-1.0, 1.0, (16, 40000))
-        path = tmp_path / "tall.csv"
-        np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+        path, _ = tall_dataset(tmp_path, 40000)
         cfg = base_config(path, DataBounds(16, 40000, -1.0, 1.0),
                           MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
                           theta_spec="binary:0.9:0,1", directions_source="dp:0.2",
@@ -372,7 +431,7 @@ class TestGramReader:
         finally:
             tracemalloc.stop()
         assert report.trials == 5
-        assert peak - before < 4 * harness.GRAM_BLOCK_CELLS * 8
+        assert peak - before < 4 * sensitivity.GRAM_BLOCK_CELLS * 8
 
 
 class TestLoadDenseCsv:
@@ -801,6 +860,22 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
     with pytest.raises(ShapeError, match=message):
         harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", bounds,
                               np.zeros((3, 100)))
+
+
+def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
+    # its L1 sensitivity is known for the identity and covariance queries
+    # only; any other kind must not borrow the identity query's 6.0
+    bounds = DataBounds(3, 100, -1.0, 1.0)
+    p = PrivacyParams(1.0, 0.01)
+    custom = QuerySpec(3, 3, sensitivity=5.0, gamma=100.0, kind=QueryKind.CUSTOM)
+    with pytest.raises(ConfigError, match="got a custom query"):
+        harness.plan_releases(MechanismKind.LAPLACE_IID, custom, np.zeros((3, 3)), p,
+                              ["uniform"], "standard", bounds, np.zeros((3, 100)))
+    (plan,) = harness.plan_releases(MechanismKind.LAPLACE_IID,
+                                    harness.covariance_query(bounds), np.zeros((3, 3)),
+                                    p, ["uniform"], "standard", bounds,
+                                    np.zeros((3, 100)))
+    assert plan.scale == covariance_sensitivity_l1(bounds) == 0.18
 
 
 def test_standard_directions_plan_the_standard_side():
