@@ -40,8 +40,6 @@ from .harness import (
     MechanismKind,
     ReportFormat,
     audit_records,
-    check_experiment_options,
-    check_mechanism_options,
     check_run_options,
     covariance_query,
     emit_report,
@@ -101,15 +99,12 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _check_dataset_flags(args, theta_spec: str) -> None:
-    """Check the flags of ``perturb`` and ``bench`` that do not depend on the
-    dataset, so a bad one is reported before ``--input`` is read; the
-    allocation's length and indices wait for the dataset's m."""
+def _check_dataset_flags(args) -> None:
+    """Check the privacy and range flags of ``perturb`` and ``bench`` before
+    ``--input`` is read."""
     # a defaulted delta, 1/N, is checked once the dataset fixes N
     PrivacyParams(args.epsilon, 0.5 if args.delta is None else args.delta)
     check_range(args.lo, args.hi)
-    parse_directions_source(args.directions)
-    parse_theta_grammar(theta_spec)
 
 
 def _read_dataset(args, records: bool):
@@ -132,7 +127,9 @@ def _read_dataset(args, records: bool):
 
 
 def _cmd_perturb(args) -> int:
-    _check_dataset_flags(args, args.theta)
+    _check_dataset_flags(args)
+    parse_directions_source(args.directions)
+    parse_theta_grammar(args.theta)
     stream = RandomStream(args.seed)
     data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
@@ -169,12 +166,10 @@ def _cmd_bench(args) -> int:
         theta_spec = f"binary:{tau}:{args.favored}"
     else:
         theta_spec = "uniform"
-    _check_dataset_flags(args, theta_spec)
-    check_run_options(args.trials, args.seed, args.ridge_reg)
-    mechanism = MechanismKind(args.mechanism)
-    check_mechanism_options(mechanism, [theta_spec], args.directions)
-    experiment = Experiment(args.experiment)
-    check_experiment_options(experiment, theta_spec)
+    _check_dataset_flags(args)
+    experiment, mechanism = Experiment(args.experiment), MechanismKind(args.mechanism)
+    check_run_options(experiment, mechanism, theta_spec, args.directions,
+                      args.trials, args.seed, args.ridge_reg)
     data, bounds, privacy = _read_dataset(args,
                                           records=experiment not in GRAM_EXPERIMENTS)
     cfg = ExperimentConfig(

@@ -154,36 +154,35 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.experiment, Experiment):
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not isinstance(self.mechanism, MechanismKind):
-            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
-        check_run_options(self.trials, self.seed, self.ridge_reg)
+        check_run_options(self.experiment, self.mechanism, self.theta_spec,
+                          self.directions_source, self.trials, self.seed, self.ridge_reg)
         # as Python ints, so seed + t cannot overflow a numpy integer
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def check_run_options(trials, seed, ridge_reg) -> None:
-    """The checks :class:`ExperimentConfig` makes of its trial count, seed
-    and ridge penalty, for a caller that has them before the dataset."""
+def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_spec: str,
+                      directions_source: str, trials, seed, ridge_reg) -> None:
+    """Reject every option of a run that needs no dataset to check, as
+    :class:`ExperimentConfig` does on construction; the allocation's length
+    and indices wait for the dataset's m."""
+    if not isinstance(experiment, Experiment):
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    if not isinstance(mechanism, MechanismKind):
+        raise ConfigError(f"unknown mechanism {mechanism!r}")
     if not is_count(trials) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not is_count(seed) or not 0 <= seed < _SEED_MOD:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not 0 < ridge_reg < math.inf:
         raise ConfigError(f"ridge_reg must be positive and finite, got {ridge_reg}")
-
-
-def check_experiment_options(experiment: Experiment, theta_spec: str) -> None:
-    """Reject an allocation the experiment cannot run, before the dataset is
-    read: the ablation sweeps a binary allocation's favored set."""
-    if (experiment is Experiment.DIRECTION_ABLATION
-            and not isinstance(parse_theta_grammar(theta_spec), tuple)):
+    allocation = parse_theta_grammar(theta_spec)
+    if experiment is Experiment.DIRECTION_ABLATION and not isinstance(allocation, tuple):
         raise ConfigError(
             "the ablation experiment needs a binary allocation "
             f"(binary:TAU:I,J,...), got {theta_spec!r}"
         )
+    _mechanism_directions(mechanism, [theta_spec], directions_source)
 
 
 # A line whose cells are all empty once stripped: nothing but whitespace,
@@ -369,7 +368,7 @@ def parse_theta_grammar(spec: str):
     Grammar: ``uniform`` | ``binary:TAU:I,J,...`` | explicit comma-separated
     shares such as ``0.4,0.4,0.1,0.1``. Returns ``None`` for ``uniform``, a
     binary allocation's (TAU, sorted favored indices) after the checks that
-    need no m, or the list of shares.
+    need no m, or the :class:`PrecisionAllocation` of explicit shares.
     """
     text = spec.strip()
     if text == "uniform":
@@ -387,9 +386,10 @@ def parse_theta_grammar(spec: str):
             raise ConfigError(f"could not parse binary allocation {text!r}") from None
         return tau, _binary_favored(tau, favored)
     try:
-        return [float(tok) for tok in text.split(",")]
+        shares = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"could not parse allocation {spec!r}") from None
+    return PrecisionAllocation(shares)
 
 
 def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
@@ -404,7 +404,7 @@ def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
         raise ConfigError(
             f"allocation {spec!r} has {len(shares)} entries, expected {m}"
         )
-    return PrecisionAllocation(np.asarray(shares))
+    return shares
 
 
 def parse_directions_source(source: str):
@@ -477,7 +477,7 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
         gram = data
     else:
         _check_shape(bounds, data.shape)  # before the audit, as audit_records does
-        gram = AuditedGram.of(data, bounds.lo, bounds.hi)
+        return AuditedGram.of(data, bounds.lo, bounds.hi)
     _check_shape(bounds, (gram.num_features, gram.num_samples))
     gram.check_box(bounds.lo, bounds.hi)
     return gram
@@ -528,12 +528,14 @@ _MECHANISMS = {
 }
 
 
-def check_mechanism_options(mechanism: MechanismKind, theta_specs,
-                            directions_source: str) -> None:
-    """Reject the allocations and directions an i.i.d. baseline would ignore."""
+def _mechanism_directions(mechanism: MechanismKind, theta_specs,
+                          directions_source: str):
+    """The parsed directions source, after rejecting the allocations and
+    directions an i.i.d. baseline would ignore."""
+    source = parse_directions_source(directions_source)
     if _MECHANISMS[mechanism].mvg:
-        return
-    if parse_directions_source(directions_source)[0] != "standard":
+        return source
+    if source[0] != "standard":
         raise ConfigError(
             f"directions {directions_source!r} apply only to MVG mechanisms"
         )
@@ -543,6 +545,7 @@ def check_mechanism_options(mechanism: MechanismKind, theta_specs,
                 f"allocation {spec!r} applies only to MVG mechanisms; the "
                 f"{mechanism.value} baseline adds i.i.d. noise"
             )
+    return source
 
 
 def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
@@ -570,10 +573,10 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
             or their :class:`AuditedGram`.
     """
     row = _MECHANISMS[mechanism]
-    check_mechanism_options(mechanism, theta_specs, directions_source)
+    source_tag, source_val = _mechanism_directions(mechanism, theta_specs,
+                                                   directions_source)
     if not row.mvg:
         return [row.plan(value, q, privacy, bounds)] * len(theta_specs)
-    source_tag, source_val = parse_directions_source(directions_source)
     if row.square and q.m != q.n:
         raise ConfigError(
             f"{row.square} needs a square query, but this experiment's "
@@ -699,20 +702,19 @@ def run_experiment(cfg: ExperimentConfig,
                    ) -> EvalReport | list[EvalReport]:
     """Run one configured experiment end to end.
 
-    Checks the allocation against the experiment, loads the dataset (unless
-    ``data`` already holds it, as :func:`load_csv_matrix` returns it for
-    ``cfg.dataset_path``), audits it once against the declared bounds
-    (aborting before any sampling on a violation), runs the trial loop with
-    per-trial seeds seed, seed+1, ..., and aggregates the metric. The
-    ablation experiment returns one report per direction arm; the others
-    return a single report.
+    Loads the dataset (unless ``data`` already holds it, as
+    :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), audits it
+    once against the declared bounds (aborting before any sampling on a
+    violation), runs the trial loop with per-trial seeds seed, seed+1, ...,
+    and aggregates the metric. The ablation experiment returns one report
+    per direction arm; the others return a single report. Every option that
+    needs no dataset was checked when ``cfg`` was built.
 
     The experiments in ``GRAM_EXPERIMENTS`` use only X X^T: they read the
     file with :func:`read_csv_gram` and never hold X, and ``data`` may also
     be the :class:`AuditedGram` that returns. Regression and covariance
     estimation release X itself and need the records.
     """
-    check_experiment_options(cfg.experiment, cfg.theta_spec)
     if cfg.experiment in GRAM_EXPERIMENTS:
         gram = _audited_gram(cfg, data)
         if cfg.experiment is Experiment.FIRST_PC:

@@ -141,7 +141,7 @@ class PrecisionAllocation:
                 f"binary allocation needs at least two directions, got m={m!r}"
             )
         fav = _binary_favored(tau, favored)
-        if fav[0] < 0 or fav[-1] >= m:
+        if fav[-1] >= m:
             raise AllocationError(f"favored indices {fav} out of range [0, {m})")
         if len(fav) >= m:
             raise AllocationError("favored set must leave at least one other direction")
@@ -152,13 +152,15 @@ class PrecisionAllocation:
 
 def _binary_favored(tau: float, favored) -> list[int]:
     """The sorted, distinct favored indices of a binary allocation, after its
-    checks that need no m (tau in (0, 1), some index favored), which the
-    harness's allocation grammar makes before a dataset fixes m."""
+    checks that need no m (tau in (0, 1), some index favored, none negative),
+    which the harness's allocation grammar makes before a dataset fixes m."""
     if not 0.0 < tau < 1.0:
         raise AllocationError(f"tau must lie in (0, 1), got {tau}")
     fav = sorted(set(int(i) for i in favored))
     if not fav:
         raise AllocationError("favored index set must not be empty")
+    if fav[0] < 0:
+        raise AllocationError(f"favored indices {fav} must not be negative")
     return fav
 
 

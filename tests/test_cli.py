@@ -377,13 +377,16 @@ class TestBenchCommand:
         (["--favored", "x"], "could not parse binary allocation 'binary:0.9:x'"),
         (["--favored", "0", "--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
         (["--favored", ","], "favored index set must not be empty"),
+        (["--theta", "0.5,-1,0.5"], "every allocation share must be positive"),
+        (["--theta", "0.5,nan,0.5"], "theta must be finite"),
+        (["--favored", "0,-1"], "favored indices [-1, 0] must not be negative"),
         # a later --experiment wins
         (["--experiment", "ablation"],
          "needs a binary allocation (binary:TAU:I,J,...), got 'uniform'"),
         (["--experiment", "ablation", "--theta", "0.5,0.5"],
          "needs a binary allocation (binary:TAU:I,J,...), got '0.5,0.5'"),
-    ], ids=["theta", "favored", "tau", "empty-favored", "ablation-uniform",
-            "ablation-shares"])
+    ], ids=["theta", "favored", "tau", "empty-favored", "negative-share",
+            "nan-share", "negative-index", "ablation-uniform", "ablation-shares"])
     def test_a_bad_allocation_is_reported_before_the_input_is_read(
             self, tmp_path, capfdbinary, flags, message):
         missing = str(tmp_path / "missing.csv")
@@ -623,13 +626,12 @@ class TestBenchCommand:
                                               capfdbinary, mechanism):
         # a baseline ignores the allocation, so its three arms would be one
         data = write_dataset(tmp_path, sign_data)
-        cfg = ExperimentConfig(
-            experiment=Experiment.DIRECTION_ABLATION, dataset_path=data,
-            bounds=DataBounds(3, 200, -1.0, 1.0), privacy=PrivacyParams(1.0, 0.005),
-            mechanism=MechanismKind(mechanism), theta_spec="binary:0.9:0,1",
-            trials=3)
         with pytest.raises(ConfigError, match="allocation"):
-            harness.run_experiment(cfg)
+            ExperimentConfig(
+                experiment=Experiment.DIRECTION_ABLATION, dataset_path=data,
+                bounds=DataBounds(3, 200, -1.0, 1.0), privacy=PrivacyParams(1.0, 0.005),
+                mechanism=MechanismKind(mechanism), theta_spec="binary:0.9:0,1",
+                trials=3)
         code = main(["bench", "--experiment", "ablation", "--input", data,
                      "--mechanism", mechanism, "--trials", "3", "--epsilon", "1",
                      "--lo", "-1", "--hi", "1", "--favored", "0,1"])

@@ -463,8 +463,19 @@ class TestThetaSpecParsing:
         ("binary:nan:0", "tau must lie in (0, 1), got nan"),
         ("binary:0.9:", "favored index set must not be empty"),
         ("binary:0.9:,", "favored index set must not be empty"),
+        ("binary:0.9:0,-1", "favored indices [-1, 0] must not be negative"),
     ])
     def test_binary_rules_that_need_no_m(self, spec, message):
+        with pytest.raises(AllocationError, match=re.escape(message)):
+            harness.parse_theta_grammar(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0.5,-1,0.5", "every allocation share must be positive"),
+        ("0.5,0,0.5", "every allocation share must be positive"),
+        ("0.5,nan,0.5", "theta must be finite"),
+        ("0.5,inf", "theta must be finite"),
+    ])
+    def test_share_rules_that_need_no_m(self, spec, message):
         with pytest.raises(AllocationError, match=re.escape(message)):
             harness.parse_theta_grammar(spec)
 
@@ -799,18 +810,16 @@ class TestRunExperiment:
         # a baseline adds i.i.d. noise, so an allocation would be ignored
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
-        cfg = base_config(path, bounds, kind, experiment, theta_spec=theta_spec)
         with pytest.raises(ConfigError, match="allocation"):
-            run_experiment(cfg)
+            base_config(path, bounds, kind, experiment, theta_spec=theta_spec)
 
     @pytest.mark.parametrize("kind", BASELINES, ids=lambda kind: kind.value)
     def test_directions_with_baseline_rejected(self, tmp_path, kind):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
-        cfg = base_config(path, bounds, kind, Experiment.FIRST_PC,
-                          directions_source="dp:0.2")
         with pytest.raises(ConfigError, match="MVG"):
-            run_experiment(cfg)
+            base_config(path, bounds, kind, Experiment.FIRST_PC,
+                        directions_source="dp:0.2")
 
     def test_trials_validation(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
@@ -834,6 +843,33 @@ class TestRunExperiment:
                       mechanism=MechanismKind.MVG_EQUIMODAL)
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig(**{**fields, field: value})
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(theta_spec="bogus"), "could not parse allocation 'bogus'"),
+        (dict(directions_source="dp:1.5"), "direction budget fraction must lie in (0, 1)"),
+        (dict(mechanism=MechanismKind.GAUSSIAN_IID, theta_spec="binary:0.9:0"),
+         "allocation 'binary:0.9:0' applies only to MVG"),
+        (dict(mechanism=MechanismKind.LAPLACE_IID, directions_source="dp:0.2"),
+         "directions 'dp:0.2' apply only to MVG"),
+        (dict(experiment=Experiment.DIRECTION_ABLATION),
+         "needs a binary allocation (binary:TAU:I,J,...), got 'uniform'"),
+    ], ids=["allocation", "directions", "baseline-allocation", "baseline-directions",
+            "ablation"])
+    def test_config_rejects_an_option_before_any_read(self, tmp_path, options, message):
+        # the dataset does not exist, so only a check at construction passes
+        fields = dict(experiment=Experiment.FIRST_PC,
+                      dataset_path=tmp_path / "missing.csv",
+                      bounds=DataBounds(3, 400, -1.0, 1.0),
+                      privacy=PrivacyParams(1.0, 0.01),
+                      mechanism=MechanismKind.MVG_EQUIMODAL)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**{**fields, **options})
+
+    def test_a_replaced_option_is_checked(self, tmp_path):
+        cfg = base_config(tmp_path / "missing.csv", DataBounds(3, 400, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC)
+        with pytest.raises(ConfigError, match="could not parse allocation 'bogus'"):
+            dataclasses.replace(cfg, theta_spec="bogus")
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda kind: kind.value)
@@ -876,6 +912,16 @@ def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
                                     p, ["uniform"], "standard", bounds,
                                     np.zeros((3, 100)))
     assert plan.scale == covariance_sensitivity_l1(bounds) == 0.18
+
+
+@pytest.mark.parametrize("kind", BASELINES, ids=lambda kind: kind.value)
+def test_plan_releases_rejects_a_baseline_allocation(kind):
+    # a direct caller has no config, so the planner keeps the baseline rule
+    bounds = DataBounds(3, 100, -1.0, 1.0)
+    with pytest.raises(ConfigError, match="allocation 'binary:0.9:0' applies only"):
+        harness.plan_releases(kind, harness.covariance_query(bounds), np.eye(3) / 4,
+                              PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
+                              "standard", bounds, np.zeros((3, 100)))
 
 
 def test_standard_directions_plan_the_standard_side():
@@ -940,19 +986,17 @@ class TestAblation:
 
     def test_requires_binary_spec(self, tmp_path):
         # rejected before the (missing) dataset is read
-        cfg = base_config(tmp_path / "missing.csv", DataBounds(3, 400, -1.0, 1.0),
-                          MechanismKind.MVG_EQUIMODAL,
-                          Experiment.DIRECTION_ABLATION, theta_spec="uniform")
         with pytest.raises(ConfigError, match="needs a binary allocation"):
-            run_experiment(cfg)
+            base_config(tmp_path / "missing.csv", DataBounds(3, 400, -1.0, 1.0),
+                        MechanismKind.MVG_EQUIMODAL,
+                        Experiment.DIRECTION_ABLATION, theta_spec="uniform")
 
     def test_malformed_binary_spec(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
-        cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
-                          Experiment.DIRECTION_ABLATION, theta_spec="binary:0.9")
         with pytest.raises(ConfigError, match="binary:TAU:I,J"):
-            run_experiment(cfg)
+            base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
+                        Experiment.DIRECTION_ABLATION, theta_spec="binary:0.9")
 
 
 def spread_dataset(tmp_path, m=16, n_records=300, seed=3):
