@@ -194,16 +194,10 @@ def alpha_beta(q: QuerySpec, p: PrivacyParams) -> tuple[float, float]:
 
     alpha = (H_r + H_{r,1/2}) * gamma^2 + 2 * H_r * gamma * s2
     beta  = 2 * (mn)^(1/4) * H_r * s2 * zeta(delta)
+
+    Read from :func:`budget_terms`, so they are computed once per (q, p).
     """
-    h_r, h_r_half = harmonic_numbers(q.r)
-    return _alpha_beta(q, h_r, h_r_half, zeta(p.delta, q.m, q.n))
-
-
-def _alpha_beta(q: QuerySpec, h_r: float, h_r_half: float,
-                z: float) -> tuple[float, float]:
-    alpha = (h_r + h_r_half) * q.gamma ** 2 + 2.0 * h_r * q.gamma * q.sensitivity
-    beta = 2.0 * (q.m * q.n) ** 0.25 * h_r * q.sensitivity * z
-    return alpha, beta
+    return budget_terms(q, p)[3:5]
 
 
 def phi_bound(alpha: float, beta: float, epsilon: float) -> float:
@@ -252,7 +246,8 @@ def budget_terms(q: QuerySpec,
     """
     h_r, h_r_half = harmonic_numbers(q.r)
     z = zeta(p.delta, q.m, q.n)
-    alpha, beta = _alpha_beta(q, h_r, h_r_half, z)
+    alpha = (h_r + h_r_half) * q.gamma ** 2 + 2.0 * h_r * q.gamma * q.sensitivity
+    beta = 2.0 * (q.m * q.n) ** 0.25 * h_r * q.sensitivity * z
     return h_r, h_r_half, z, alpha, beta, phi_bound(alpha, beta, p.epsilon)
 
 

@@ -56,6 +56,7 @@ import enum
 import io
 import itertools
 import math
+import numbers
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -174,8 +175,14 @@ def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_sp
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not is_count(seed) or not 0 <= seed < _SEED_MOD:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if isinstance(ridge_reg, bool) or not isinstance(ridge_reg, numbers.Real):
+        raise ConfigError(f"ridge_reg must be a real number, got {ridge_reg!r}")
     if not 0 < ridge_reg < math.inf:
         raise ConfigError(f"ridge_reg must be positive and finite, got {ridge_reg}")
+    for name, value in (("theta_spec", theta_spec),
+                        ("directions_source", directions_source)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
     allocation = parse_theta_grammar(theta_spec)
     if experiment is Experiment.DIRECTION_ABLATION and not isinstance(allocation, tuple):
         raise ConfigError(
@@ -440,21 +447,21 @@ def _check_shape(bounds: DataBounds, shape: tuple[int, int]) -> None:
 
 
 def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
-                  num_direction: int | None = None):
+                  num_direction: int | None = None) -> AuditedGram | None:
     """Check a loaded dataset against its declared shape and range, each
     cell once, and return the direction data :func:`plan_releases` takes.
 
-    The direction data are the first ``num_direction`` records (all by
-    default). With ``dp:F`` directions their :class:`AuditedGram` is their
-    audit and is returned, and only the other records are checked again;
-    otherwise the records are returned as they are. A NaN cell fails the
-    range check, and a violation names the range of all of ``x``.
+    With ``dp:F`` directions that is the :class:`AuditedGram` of the first
+    ``num_direction`` records (all by default), which is their audit, and
+    only the other records are checked again; otherwise no directions are
+    derived and it is None. A NaN cell fails the range check, and a
+    violation names the range of all of ``x``.
     """
     _check_shape(bounds, x.shape)
     lo, hi = bounds.lo, bounds.hi
     if parse_directions_source(directions_source)[0] != "dp":
         check_within_bounds(x, lo, hi)
-        return x[:, :num_direction]
+        return None
     try:
         gram = AuditedGram.of(x[:, :num_direction], lo, hi)
         if gram.num_samples < x.shape[1]:
@@ -516,12 +523,11 @@ def _plan_laplace(value, q: QuerySpec, privacy: PrivacyParams, bounds: DataBound
 # One row per MechanismKind: a new kind is one planner plus one row. An mvg
 # kind takes an allocation and directions, planned as plan(value, q, privacy,
 # theta, w); a baseline adds i.i.d. noise, planned as plan(value, q, privacy,
-# bounds). ``square`` names the noise that needs a square query.
-_Mechanism = namedtuple("_Mechanism", ["plan", "mvg", "square"], defaults=[None])
+# bounds).
+_Mechanism = namedtuple("_Mechanism", ["plan", "mvg"])
 _MECHANISMS = {
     MechanismKind.MVG_UNIMODAL: _Mechanism(plan_unimodal, mvg=True),
-    MechanismKind.MVG_EQUIMODAL: _Mechanism(plan_equimodal, mvg=True,
-                                            square="equi-modal noise"),
+    MechanismKind.MVG_EQUIMODAL: _Mechanism(plan_equimodal, mvg=True),
     MechanismKind.GAUSSIAN_IID: _Mechanism(
         lambda value, q, privacy, bounds: plan_gaussian(value, q, privacy), mvg=False),
     MechanismKind.LAPLACE_IID: _Mechanism(_plan_laplace, mvg=False),
@@ -550,15 +556,17 @@ def _mechanism_directions(mechanism: MechanismKind, theta_specs,
 
 def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
                   privacy: PrivacyParams, theta_specs, directions_source: str,
-                  bounds: DataBounds, direction_data: np.ndarray | AuditedGram) -> list:
+                  bounds: DataBounds, direction_data: AuditedGram | None) -> list:
     """Plan one mechanism's releases of a query value, one plan per allocation.
 
     Everything a trial does not change is done here, once per run: ``dp:F``
-    splits the budget, and the directions (with ``dp:F`` the direction
-    data's audit and covariance) are planned once and shared, so every plan's
-    ``draw_noise`` draws the same from the same streams and the plans differ
-    only in how they color it. Each is the mechanism's own plan from
-    :mod:`mechanisms`, whose ``draw(streams)`` is the only per-trial step.
+    splits the budget, and the directions (with ``dp:F`` the covariance of
+    the direction data's audited Gram matrix) are planned once and shared,
+    so every plan's ``draw_noise`` draws the same from the same streams and
+    the plans differ only in how they color it. Each is the mechanism's own
+    plan from :mod:`mechanisms`, whose ``draw(streams)`` is the only
+    per-trial step, and makes the mechanism's own checks: equi-modal noise
+    raises ShapeError for a query that is not square.
 
     Args:
         mechanism: which mechanism releases the value.
@@ -568,26 +576,23 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
         theta_specs: the allocations, as :func:`parse_theta_spec` reads
             them; a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
-        bounds: the declared bounds of ``direction_data``.
-        direction_data: the records ``dp:F`` directions are derived from,
-            or their :class:`AuditedGram`.
+        bounds: the declared bounds of the records behind ``value``; a
+            baseline's noise scale may come from them.
+        direction_data: the :class:`AuditedGram` of the records ``dp:F``
+            directions are derived from, audited against its own box, whose
+            range sets the direction noise; None for other directions.
     """
     row = _MECHANISMS[mechanism]
     source_tag, source_val = _mechanism_directions(mechanism, theta_specs,
                                                    directions_source)
     if not row.mvg:
         return [row.plan(value, q, privacy, bounds)] * len(theta_specs)
-    if row.square and q.m != q.n:
-        raise ConfigError(
-            f"{row.square} needs a square query, but this experiment's "
-            f"query is {q.m}x{q.n}"
-        )
     if source_tag == "dp":
         p_directions = PrivacyParams(privacy.epsilon * source_val,
                                      privacy.delta * source_val)
         privacy = PrivacyParams(privacy.epsilon * (1.0 - source_val),
                                 privacy.delta * (1.0 - source_val))
-        w = plan_directions_dp(direction_data, p_directions, q.m, bounds=bounds)
+        w = plan_directions_dp(direction_data, p_directions)
     elif source_tag == "file":
         w = load_dense_csv(source_val)
     else:
@@ -638,7 +643,7 @@ def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     n_train = int(round(_TRAIN_FRACTION * cfg.bounds.num_samples))
-    train_data = audit_records(x, cfg.bounds, cfg.directions_source, n_train)
+    train_gram = audit_records(x, cfg.bounds, cfg.directions_source, n_train)
     num_rows, num_records = x.shape
     if num_rows < 2:
         raise ConfigError(
@@ -652,7 +657,7 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
     return _run_arms(
-        cfg, identity_query(train_bounds), train, train_bounds, train_data,
+        cfg, identity_query(train_bounds), train, train_bounds, train_gram,
         [("RMSE", cfg.theta_spec)],
         lambda stack: [ridge_regression_rmse((noisy[:-1], noisy[-1]),
                                              (test[:-1], test[-1]), cfg.ridge_reg)

@@ -572,8 +572,9 @@ class DirectionsPlan:
 
     Holds the data's sample covariance and the Gaussian-mechanism noise sd
     for the budget slice; :meth:`draw` is the per-release step. Built by
-    :func:`plan_directions_dp`, so the data is audited and its covariance
-    computed once however many releases draw from it.
+    :func:`plan_directions_dp` from the records' :class:`AuditedGram`, so
+    the data is audited and its covariance computed once however many
+    releases draw from it.
     """
 
     covariance: np.ndarray
@@ -610,40 +611,24 @@ class DirectionsPlan:
         return eigvecs
 
 
-def plan_directions_dp(data, p_fraction: PrivacyParams, k: int, *,
-                       bounds: DataBounds) -> DirectionsPlan:
-    """Check the data and fix what every private derivation from it shares.
+def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> DirectionsPlan:
+    """Fix what every private derivation from one dataset shares.
 
-    Takes the arguments of :func:`derive_directions_dp` except the stream,
-    runs the same checks, and returns the plan whose ``draw(stream)`` equals
-    ``derive_directions_dp(data, p_fraction, k, stream, bounds=bounds)`` bit
-    for bit. ``data`` may also be an :class:`AuditedGram` of the records,
-    audited against ``bounds``' own range; it is neither audited nor
-    multiplied again.
+    ``gram`` is the records' :class:`AuditedGram`, built by the audit, so
+    nothing is checked or multiplied again: its own box [lo, hi], M and N
+    give the covariance sensitivity, and the noise always follows the range
+    the data was audited against. ``draw(stream)`` of the plan for
+    ``AuditedGram.of(x, lo, hi)`` equals :func:`derive_directions_dp` of
+    ``x`` over that box bit for bit.
     """
-    if isinstance(data, AuditedGram):
-        gram, shape = data, (data.num_features, data.num_samples)
-    else:
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 2:
-            raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
-        gram, shape = None, x.shape
-    num_features, num_samples = shape
-    if not is_count(k) or k < 1:
-        raise ShapeError(f"k must be a positive integer, got {k!r}")
-    if k > num_features:
-        raise ShapeError(f"k = {k} exceeds the number of features {num_features}")
-    if (bounds.num_features, bounds.num_samples) != shape:
-        raise ShapeError(
-            f"bounds declare {bounds.num_features}x{bounds.num_samples} but the "
-            f"data is {num_features}x{num_samples}"
+    if not isinstance(gram, AuditedGram):
+        raise TypeError(
+            "plan_directions_dp takes the records' AuditedGram, built with "
+            f"AuditedGram.of(x, lo, hi); got {type(gram).__name__}"
         )
-    if gram is None:
-        gram = AuditedGram.of(x, bounds.lo, bounds.hi)
-    else:
-        gram.check_box(bounds.lo, bounds.hi)
-    noise_sd = gaussian_noise_scale(covariance_sensitivity(bounds), p_fraction)
-    return DirectionsPlan(gram.gram / num_samples, noise_sd)
+    box = DataBounds(gram.num_features, gram.num_samples, gram.lo, gram.hi)
+    noise_sd = gaussian_noise_scale(covariance_sensitivity(box), p_fraction)
+    return DirectionsPlan(gram.gram / gram.num_samples, noise_sd)
 
 
 def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
@@ -664,10 +649,24 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
         k: number of leading directions the caller intends to favor; must
             not exceed M.
         stream: random stream for the covariance perturbation.
-        bounds: declared per-entry range; the covariance sensitivity comes
-            from here, never from the data itself.
+        bounds: declared shape and per-entry range; the covariance
+            sensitivity comes from here, never from the data itself.
     """
-    return plan_directions_dp(data, p_fraction, k, bounds=bounds).draw(stream)
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
+    num_features, num_samples = x.shape
+    if not is_count(k) or k < 1:
+        raise ShapeError(f"k must be a positive integer, got {k!r}")
+    if k > num_features:
+        raise ShapeError(f"k = {k} exceeds the number of features {num_features}")
+    if (bounds.num_features, bounds.num_samples) != x.shape:
+        raise ShapeError(
+            f"bounds declare {bounds.num_features}x{bounds.num_samples} but the "
+            f"data is {num_features}x{num_samples}"
+        )
+    gram = AuditedGram.of(x, bounds.lo, bounds.hi)
+    return plan_directions_dp(gram, p_fraction).draw(stream)
 
 
 def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesign,

@@ -34,7 +34,7 @@ from mvgdp import (
     zeta,
 )
 from mvgdp import budget
-from mvgdp.mechanisms import plan_directions_dp
+from mvgdp.mechanisms import derive_directions_dp
 
 
 def harmonic_oracle(r):
@@ -423,10 +423,11 @@ class TestDomainTypes:
                      id="EvalReport.trials"),
         pytest.param(lambda: sample_standard_matrix(RandomStream(0), True, 2),
                      ShapeError, id="sample_standard_matrix"),
-        pytest.param(lambda: plan_directions_dp(np.zeros((2, 3)),
-                                                PrivacyParams(1.0, 0.1), True,
-                                                bounds=DataBounds(2, 3, -1.0, 1.0)),
-                     ShapeError, id="plan_directions_dp.k"),
+        pytest.param(lambda: derive_directions_dp(np.zeros((2, 3)),
+                                                  PrivacyParams(1.0, 0.1), True,
+                                                  RandomStream(0),
+                                                  bounds=DataBounds(2, 3, -1.0, 1.0)),
+                     ShapeError, id="derive_directions_dp.k"),
     ])
     def test_counts_reject_bools(self, build, error):
         with pytest.raises(error):

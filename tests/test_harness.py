@@ -31,6 +31,7 @@ from mvgdp import (
     format_significant,
     gamma_covariance,
     gaussian_iid_baseline,
+    gaussian_noise_scale,
     identity_sensitivity_l1,
     laplace_iid_baseline,
     load_csv_matrix,
@@ -349,7 +350,7 @@ class TestGramReader:
         path, x = tall_dataset(tmp_path, 10000)
         bounds = DataBounds(16, 10000, -1.0, 1.0)
         p = PrivacyParams(0.2, 0.002)
-        plan = plan_directions_dp(read_csv_gram(path, -1.0, 1.0), p, 2, bounds=bounds)
+        plan = plan_directions_dp(read_csv_gram(path, -1.0, 1.0), p)
         drawn = derive_directions_dp(x, p, 2, RandomStream(3), bounds=bounds)
         assert drawn.tobytes() == plan.draw(RandomStream(3)).tobytes()
 
@@ -359,19 +360,27 @@ class TestGramReader:
         with pytest.raises(ContractViolationError):
             AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0)
 
-    def test_plan_directions_dp_takes_the_gram_or_the_records(self, tmp_path):
+    def test_plan_directions_dp_takes_only_the_gram(self, tmp_path):
         _, data = covariance_dataset(tmp_path)
-        bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
         p = PrivacyParams(0.2, 0.002)
-        from_x = plan_directions_dp(data, p, 3, bounds=bounds)
         gram = AuditedGram.of(data, -1.0, 1.0)
-        from_gram = plan_directions_dp(gram, p, 3, bounds=bounds)
-        assert from_x.covariance.tobytes() == from_gram.covariance.tobytes()
-        assert from_x.noise_sd == from_gram.noise_sd
-        with pytest.raises(ConfigError, match="audited against"):
-            plan_directions_dp(AuditedGram.of(data, -2.0, 2.0), p, 3, bounds=bounds)
-        with pytest.raises(ShapeError):
-            plan_directions_dp(gram, p, 3, bounds=DataBounds(3, 7, -1.0, 1.0))
+        plan = plan_directions_dp(gram, p)
+        assert plan.covariance.tobytes() == (gram.gram / data.shape[1]).tobytes()
+        with pytest.raises(TypeError, match=r"AuditedGram\.of\(x, lo, hi\)"):
+            plan_directions_dp(data, p)
+
+    def test_direction_noise_follows_the_grams_own_box(self, tmp_path):
+        # the box the records were audited against sets the sensitivity,
+        # so no declared box can narrow the direction noise
+        _, data = covariance_dataset(tmp_path)
+        p = PrivacyParams(0.2, 0.002)
+        m, n = data.shape
+        sds = [plan_directions_dp(AuditedGram.of(data, lo, hi), p).noise_sd
+               for lo, hi in ((-1.0, 1.0), (-2.0, 2.0))]
+        assert sds == [gaussian_noise_scale(covariance_sensitivity(
+                           DataBounds(m, n, lo, hi)), p)
+                       for lo, hi in ((-1.0, 1.0), (-2.0, 2.0))]
+        assert sds[1] == pytest.approx(4.0 * sds[0])
 
     @pytest.mark.parametrize("experiment", [Experiment.FIRST_PC,
                                             Experiment.DIRECTION_ABLATION])
@@ -797,7 +806,7 @@ class TestRunExperiment:
         bounds = DataBounds(4, x.shape[1], 0.0, 1.0)
         cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
                           Experiment.REGRESSION)
-        with pytest.raises(ConfigError, match="square"):
+        with pytest.raises(ShapeError, match="square"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("kind", BASELINES, ids=lambda kind: kind.value)
@@ -833,6 +842,12 @@ class TestRunExperiment:
         ("mechanism", "gauss", "unknown mechanism 'gauss'"),
         ("ridge_reg", float("inf"), "ridge_reg must be positive and finite, got inf"),
         ("ridge_reg", float("nan"), "ridge_reg must be positive and finite, got nan"),
+        ("ridge_reg", "1", "ridge_reg must be a real number, got '1'"),
+        ("ridge_reg", None, "ridge_reg must be a real number, got None"),
+        ("ridge_reg", True, "ridge_reg must be a real number, got True"),
+        ("theta_spec", None, "theta_spec must be a string, got None"),
+        ("theta_spec", 3, "theta_spec must be a string, got 3"),
+        ("directions_source", None, "directions_source must be a string, got None"),
     ])
     def test_config_rejects_a_bad_field(self, tmp_path, field, value, message):
         # rejected on construction, so no run reads the (missing) dataset
@@ -894,8 +909,7 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
     with pytest.raises(ShapeError, match=message):
         library()
     with pytest.raises(ShapeError, match=message):
-        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", bounds,
-                              np.zeros((3, 100)))
+        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", bounds, None)
 
 
 def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
@@ -906,11 +920,10 @@ def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
     custom = QuerySpec(3, 3, sensitivity=5.0, gamma=100.0, kind=QueryKind.CUSTOM)
     with pytest.raises(ConfigError, match="got a custom query"):
         harness.plan_releases(MechanismKind.LAPLACE_IID, custom, np.zeros((3, 3)), p,
-                              ["uniform"], "standard", bounds, np.zeros((3, 100)))
+                              ["uniform"], "standard", bounds, None)
     (plan,) = harness.plan_releases(MechanismKind.LAPLACE_IID,
                                     harness.covariance_query(bounds), np.zeros((3, 3)),
-                                    p, ["uniform"], "standard", bounds,
-                                    np.zeros((3, 100)))
+                                    p, ["uniform"], "standard", bounds, None)
     assert plan.scale == covariance_sensitivity_l1(bounds) == 0.18
 
 
@@ -921,7 +934,7 @@ def test_plan_releases_rejects_a_baseline_allocation(kind):
     with pytest.raises(ConfigError, match="allocation 'binary:0.9:0' applies only"):
         harness.plan_releases(kind, harness.covariance_query(bounds), np.eye(3) / 4,
                               PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                              "standard", bounds, np.zeros((3, 100)))
+                              "standard", bounds, None)
 
 
 def test_standard_directions_plan_the_standard_side():
@@ -929,7 +942,7 @@ def test_standard_directions_plan_the_standard_side():
     (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
                                     harness.covariance_query(bounds), np.eye(3) / 4,
                                     PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                                    "standard", bounds, np.zeros((3, 100)))
+                                    "standard", bounds, None)
     assert plan.design.basis_sigma is None
     assert plan.design.basis_psi is None
 

@@ -40,6 +40,7 @@ from mvgdp import design as design_module
 from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
+from mvgdp.sensitivity import AuditedGram
 from oracles import dense_covariances, dense_release, scaled_release
 
 
@@ -306,7 +307,7 @@ class TestReleasePlan:
         data = rng.uniform(-1, 1, (3, 60))
         bounds = DataBounds(3, 60, -1.0, 1.0)
         p_dir = PrivacyParams(0.3, 0.01)
-        directions = plan_directions_dp(data, p_dir, 3, bounds=bounds)
+        directions = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0), p_dir)
         q = unit_query(3, 3)
         value = np.diag([0.5, 0.3, 0.1])
         stack = plan_equimodal(value, q, self.p, self.theta, directions).draw(
@@ -319,8 +320,8 @@ class TestReleasePlan:
     def test_drawn_bases_are_checked_for_orthonormality(self, monkeypatch):
         rng = np.random.default_rng(14)
         data = rng.uniform(-1, 1, (3, 60))
-        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
-                                        bounds=DataBounds(3, 60, -1.0, 1.0))
+        directions = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
+                                        PrivacyParams(0.3, 0.01))
         plan = plan_unimodal(np.zeros((3, 4)), unit_query(3, 4), self.p,
                              self.theta, directions)
         monkeypatch.setattr(DirectionsPlan, "bases",
@@ -332,16 +333,16 @@ class TestReleasePlan:
     def test_single_release_rejects_drawn_directions(self, release):
         # its result's design would name the standard basis, not the one drawn
         data = np.random.default_rng(16).uniform(-1, 1, (3, 60))
-        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
-                                        bounds=DataBounds(3, 60, -1.0, 1.0))
+        directions = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
+                                        PrivacyParams(0.3, 0.01))
         with pytest.raises(ConfigError, match="derive_directions_dp"):
             release(np.diag([0.5, 0.3, 0.1]), unit_query(3, 3), self.p, self.theta,
                     directions, RandomStream(0))
 
     def test_directions_must_match_the_query(self):
         data = np.zeros((4, 10))
-        directions = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 4,
-                                        bounds=DataBounds(4, 10, -1.0, 1.0))
+        directions = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
+                                        PrivacyParams(0.3, 0.01))
         with pytest.raises(ShapeError, match="4 features"):
             plan_equimodal(np.zeros((3, 3)), unit_query(3, 3), self.p,
                            self.theta, directions)
@@ -349,8 +350,8 @@ class TestReleasePlan:
     def test_batched_bases_equal_single_draws(self):
         rng = np.random.default_rng(15)
         data = rng.uniform(-1, 1, (5, 40))
-        plan = plan_directions_dp(data, PrivacyParams(0.5, 0.05), 5,
-                                  bounds=DataBounds(5, 40, -1.0, 1.0))
+        plan = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
+                                  PrivacyParams(0.5, 0.05))
         noise = np.stack([RandomStream(s).standard_normal((5, 5)) for s in range(7)])
         bases = plan.bases(noise)
         for s in range(7):
@@ -650,7 +651,7 @@ class TestDeriveDirectionsDp:
         data = rng.uniform(-1, 1, (4, 80))
         bounds = DataBounds(4, 80, -1.0, 1.0)
         p = PrivacyParams(0.4, 0.05)
-        plan = plan_directions_dp(data, p, 2, bounds=bounds)
+        plan = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0), p)
         for seed in (0, 1, 2):
             derived = derive_directions_dp(data, p, 2, RandomStream(seed),
                                            bounds=bounds)
@@ -661,6 +662,18 @@ class TestDeriveDirectionsDp:
         bounds = DataBounds(2, 5, -1.0, 1.0)
         with pytest.raises(ContractViolationError):
             derive_directions_dp(data, PrivacyParams(1.0, 0.1), 2,
+                                 RandomStream(0), bounds=bounds)
+
+    @pytest.mark.parametrize("data, bounds, message", [
+        (np.zeros(6), DataBounds(1, 6, -1.0, 1.0), "2-D matrix, got ndim=1"),
+        (np.zeros((3, 10)), DataBounds(3, 11, -1.0, 1.0),
+         "bounds declare 3x11 but the data is 3x10"),
+        (np.zeros((3, 10)), DataBounds(4, 10, -1.0, 1.0),
+         "bounds declare 4x10 but the data is 3x10"),
+    ], ids=["1-D", "records", "features"])
+    def test_shape_rejected(self, data, bounds, message):
+        with pytest.raises(ShapeError, match=message):
+            derive_directions_dp(data, PrivacyParams(1.0, 0.1), 1,
                                  RandomStream(0), bounds=bounds)
 
 
@@ -945,8 +958,8 @@ class TestOneColoringPath:
         data = rng.uniform(-1, 1, (3, 60))
         w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         if drawn:
-            w = plan_directions_dp(data, PrivacyParams(0.3, 0.01), 3,
-                                   bounds=DataBounds(3, 60, -1.0, 1.0))
+            w = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
+                                   PrivacyParams(0.3, 0.01))
         plan = plan_fn(np.zeros((3, 3)), unit_query(3, 3), self.P,
                        PrecisionAllocation.uniform(3), w)
         calls = self.count_colors(monkeypatch)
