@@ -91,9 +91,11 @@ class QuerySpec:
             datasets differing in one record.
         gamma: supremum of the query's Frobenius norm over all admissible
             datasets.
-        kind: query family, a :class:`QueryKind`. The mechanisms ignore it;
-            the harness's Laplace baseline picks the covariance or identity
-            L1 sensitivity by it and rejects any other kind.
+        kind: query family, a :class:`QueryKind`; a label that only error
+            messages read.
+        l1_sensitivity: worst-case entrywise L1 change over datasets
+            differing in one record, which calibrates the Laplace baseline;
+            None when unknown, as for a custom query.
     """
 
     m: int
@@ -101,6 +103,7 @@ class QuerySpec:
     sensitivity: float
     gamma: float
     kind: QueryKind = QueryKind.CUSTOM
+    l1_sensitivity: float | None = None
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("n", self.n)):
@@ -108,17 +111,18 @@ class QuerySpec:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.kind, QueryKind):
             raise DomainError(f"kind must be a QueryKind, got {self.kind!r}")
-        for name in ("sensitivity", "gamma"):
+        scales = ["sensitivity", "gamma"]
+        if self.l1_sensitivity is not None:  # None stands for unknown
+            scales.append("l1_sensitivity")
+        for name in scales:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             # as float64, since a float32 would share a float64's cache key
             # (it compares equal) but compute other bits
             object.__setattr__(self, name, float(value))
-        if not self.sensitivity > 0:
-            raise DomainError(f"sensitivity must be positive, got {self.sensitivity}")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.sensitivity > 2.0 * self.gamma * (1.0 + _TRIANGLE_RTOL):
             raise DomainError(
                 f"sensitivity {self.sensitivity} exceeds 2*gamma = {2 * self.gamma}; "

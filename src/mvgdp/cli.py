@@ -41,9 +41,7 @@ from .harness import (
     ReportFormat,
     audit_records,
     check_run_options,
-    covariance_query,
     emit_report,
-    identity_query,
     load_csv_matrix,
     load_dense_csv,
     parse_directions_source,
@@ -53,7 +51,7 @@ from .harness import (
     run_experiment,
 )
 from .sampling import RandomStream, sample_mvg
-from .sensitivity import DataBounds, check_range
+from .sensitivity import DataBounds, check_range, covariance_query, identity_query
 
 
 def _write_csv(path: str, matrix: np.ndarray) -> None:
@@ -139,7 +137,7 @@ def _cmd_perturb(args) -> int:
         q, value = covariance_query(bounds), data.gram / bounds.num_samples
         mechanism = MechanismKind.MVG_EQUIMODAL
     (plan,) = plan_releases(mechanism, q, value, p, [args.theta], args.directions,
-                            bounds, direction_data=data)
+                            direction_data=data)
     output = plan.draw([stream])[0]
     if args.query == "identity":
         _write_csv(args.out, output.T)  # back to rows-as-records

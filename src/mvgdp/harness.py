@@ -72,7 +72,6 @@ from . import sensitivity
 # because perfbench/tracing.py patches them here.
 from .budget import (  # noqa: F401
     PrivacyParams,
-    QueryKind,
     QuerySpec,
     check_condition,
 )
@@ -104,12 +103,8 @@ from .sensitivity import (
     AuditedGram,
     DataBounds,
     check_within_bounds,
-    covariance_sensitivity,
-    covariance_sensitivity_l1,
-    gamma_covariance,
-    gamma_identity,
-    identity_sensitivity,
-    identity_sensitivity_l1,
+    covariance_query,
+    identity_query,
 )
 
 _SEED_MOD = 2 ** 64
@@ -155,6 +150,11 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
+        for name, kind in (("bounds", DataBounds), ("privacy", PrivacyParams),
+                           ("csv_has_header", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         check_run_options(self.experiment, self.mechanism, self.theta_spec,
                           self.directions_source, self.trials, self.seed, self.ridge_reg)
         # as Python ints, so seed + t cannot overflow a numpy integer
@@ -490,47 +490,17 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     return gram
 
 
-def identity_query(bounds: DataBounds) -> QuerySpec:
-    """The identity query on a dataset with the given bounds."""
-    return QuerySpec(bounds.num_features, bounds.num_samples,
-                     sensitivity=identity_sensitivity(bounds),
-                     gamma=gamma_identity(bounds), kind=QueryKind.IDENTITY)
-
-
-def covariance_query(bounds: DataBounds) -> QuerySpec:
-    """The covariance query X X^T / N on a dataset with the given bounds."""
-    return QuerySpec(bounds.num_features, bounds.num_features,
-                     sensitivity=covariance_sensitivity(bounds),
-                     gamma=gamma_covariance(bounds), kind=QueryKind.COVARIANCE)
-
-
-# Laplace noise is calibrated to the L1 sensitivity, a pure-epsilon bound,
-# which is known only for the harness's own two queries.
-_L1_SENSITIVITY = {QueryKind.IDENTITY: identity_sensitivity_l1,
-                   QueryKind.COVARIANCE: covariance_sensitivity_l1}
-
-
-def _plan_laplace(value, q: QuerySpec, privacy: PrivacyParams, bounds: DataBounds):
-    l1 = _L1_SENSITIVITY.get(q.kind)
-    if l1 is None:
-        raise ConfigError(
-            f"the Laplace baseline needs an identity or covariance query, got a "
-            f"{q.kind.value} query, whose L1 sensitivity is unknown"
-        )
-    return plan_laplace(value, q, privacy.epsilon, l1(bounds))
-
-
 # One row per MechanismKind: a new kind is one planner plus one row. An mvg
 # kind takes an allocation and directions, planned as plan(value, q, privacy,
-# theta, w); a baseline adds i.i.d. noise, planned as plan(value, q, privacy,
-# bounds).
+# theta, w); a baseline adds i.i.d. noise scaled from the query spec, planned
+# as plan(value, q, privacy).
 _Mechanism = namedtuple("_Mechanism", ["plan", "mvg"])
 _MECHANISMS = {
     MechanismKind.MVG_UNIMODAL: _Mechanism(plan_unimodal, mvg=True),
     MechanismKind.MVG_EQUIMODAL: _Mechanism(plan_equimodal, mvg=True),
-    MechanismKind.GAUSSIAN_IID: _Mechanism(
-        lambda value, q, privacy, bounds: plan_gaussian(value, q, privacy), mvg=False),
-    MechanismKind.LAPLACE_IID: _Mechanism(_plan_laplace, mvg=False),
+    MechanismKind.GAUSSIAN_IID: _Mechanism(plan_gaussian, mvg=False),
+    MechanismKind.LAPLACE_IID: _Mechanism(
+        lambda value, q, privacy: plan_laplace(value, q, privacy.epsilon), mvg=False),
 }
 
 
@@ -556,7 +526,7 @@ def _mechanism_directions(mechanism: MechanismKind, theta_specs,
 
 def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
                   privacy: PrivacyParams, theta_specs, directions_source: str,
-                  bounds: DataBounds, direction_data: AuditedGram | None) -> list:
+                  direction_data: AuditedGram | None) -> list:
     """Plan one mechanism's releases of a query value, one plan per allocation.
 
     Everything a trial does not change is done here, once per run: ``dp:F``
@@ -570,14 +540,12 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
 
     Args:
         mechanism: which mechanism releases the value.
-        q: the query spec.
+        q: the query spec; a baseline's noise scale comes from it alone.
         value: the query value released by every trial.
         privacy: the whole (epsilon, delta) budget of one release.
         theta_specs: the allocations, as :func:`parse_theta_spec` reads
             them; a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
-        bounds: the declared bounds of the records behind ``value``; a
-            baseline's noise scale may come from them.
         direction_data: the :class:`AuditedGram` of the records ``dp:F``
             directions are derived from, audited against its own box, whose
             range sets the direction noise; None for other directions.
@@ -586,7 +554,7 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
     source_tag, source_val = _mechanism_directions(mechanism, theta_specs,
                                                    directions_source)
     if not row.mvg:
-        return [row.plan(value, q, privacy, bounds)] * len(theta_specs)
+        return [row.plan(value, q, privacy)] * len(theta_specs)
     if source_tag == "dp":
         p_directions = PrivacyParams(privacy.epsilon * source_val,
                                      privacy.delta * source_val)
@@ -619,15 +587,14 @@ def _trial_streams(cfg: ExperimentConfig):
 
 
 def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
-              bounds: DataBounds, direction_data, arms: list[tuple[str, str]],
-              score) -> list[EvalReport]:
+              direction_data, arms: list[tuple[str, str]], score) -> list[EvalReport]:
     """One report per arm, a (metric name, allocation spec) pair, over
     ``cfg.trials`` releases of ``value``: each chunk's noise is drawn once,
     every arm but the last colors a copy of it, and the last takes it over.
     ``score`` maps a chunk's (T, m, n) stack of releases to its T values."""
     plans = plan_releases(cfg.mechanism, q, value, cfg.privacy,
                           [spec for _, spec in arms], cfg.directions_source,
-                          bounds, direction_data)
+                          direction_data)
     per_chunk = trials_per_chunk(q.m, q.n)
     streams = _trial_streams(cfg)
     values = [[] for _ in arms]
@@ -657,7 +624,7 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     train, test = x[:, :n_train], x[:, n_train:]
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
     return _run_arms(
-        cfg, identity_query(train_bounds), train, train_bounds, train_gram,
+        cfg, identity_query(train_bounds), train, train_gram,
         [("RMSE", cfg.theta_spec)],
         lambda stack: [ridge_regression_rmse((noisy[:-1], noisy[-1]),
                                              (test[:-1], test[-1]), cfg.ridge_reg)
@@ -670,7 +637,7 @@ def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
     scoring the top direction of every release by its captured-variance gap."""
     s_bar = gram.gram / gram.num_samples
     gap = DeltaRho(s_bar)
-    return _run_arms(cfg, covariance_query(cfg.bounds), s_bar, cfg.bounds, gram, arms,
+    return _run_arms(cfg, covariance_query(cfg.bounds), s_bar, gram, arms,
                      lambda stack: gap(_top_directions(stack)))
 
 
@@ -687,7 +654,7 @@ def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> Eval
     num_records = x.shape[1]
     s_bar = gram.gram / num_records
     return _run_arms(
-        cfg, identity_query(cfg.bounds), x, cfg.bounds, gram, [("RSS", cfg.theta_spec)],
+        cfg, identity_query(cfg.bounds), x, gram, [("RSS", cfg.theta_spec)],
         lambda stack: [rss(noisy @ noisy.T / num_records, s_bar) for noisy in stack])[0]
 
 

@@ -532,16 +532,18 @@ def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> GaussianPlan:
                         gaussian_noise_scale(q.sensitivity, p))
 
 
-def plan_laplace(query_value, q: QuerySpec, epsilon: float,
-                 l1_sensitivity: float) -> LaplacePlan:
+def plan_laplace(query_value, q: QuerySpec, epsilon: float) -> LaplacePlan:
     """Plan classic Laplace releases; takes :func:`laplace_iid_baseline`'s
     arguments except the stream."""
     value = _check_shape(query_value, q)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if not (math.isfinite(l1_sensitivity) and l1_sensitivity > 0):
-        raise DomainError(f"l1_sensitivity must be positive, got {l1_sensitivity}")
-    return LaplacePlan(value, l1_sensitivity / epsilon)
+    if q.l1_sensitivity is None:
+        raise ConfigError(
+            f"the Laplace baseline is calibrated to the L1 sensitivity but got a "
+            f"{q.kind.value} query, whose L1 sensitivity is unknown"
+        )
+    return LaplacePlan(value, q.l1_sensitivity / epsilon)
 
 
 def gaussian_iid_baseline(query_value, q: QuerySpec, p: PrivacyParams,
@@ -556,14 +558,14 @@ def gaussian_iid_baseline(query_value, q: QuerySpec, p: PrivacyParams,
 
 
 def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
-                         l1_sensitivity: float, stream: RandomStream) -> np.ndarray:
-    """Classic Laplace mechanism: i.i.d. noise with scale l1_sensitivity / epsilon.
+                         stream: RandomStream) -> np.ndarray:
+    """Classic Laplace mechanism: i.i.d. noise with scale
+    ``q.l1_sensitivity / epsilon``.
 
-    The L1 sensitivity is a separate input because it is a different quantity
-    from the Frobenius sensitivity carried by the query spec. Equivalent to
-    ``plan_laplace(...).draw([stream])[0]``.
+    A query of unknown L1 sensitivity (None) raises ConfigError. Equivalent
+    to ``plan_laplace(...).draw([stream])[0]``.
     """
-    return plan_laplace(query_value, q, epsilon, l1_sensitivity).draw([stream])[0]
+    return plan_laplace(query_value, q, epsilon).draw([stream])[0]
 
 
 @dataclass(frozen=True)

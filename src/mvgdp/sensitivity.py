@@ -3,7 +3,9 @@
 Datasets are M x N matrices whose columns are the records; two datasets are
 neighbors when they differ in exactly one column. Every entry is assumed to
 lie in a declared interval [lo, hi]. All bounds here are worst case over that
-box and never look at the actual private values; only the audit
+box and never look at the actual private values, and
+:func:`identity_query` and :func:`covariance_query` gather them into the
+:class:`QuerySpec` a release is planned from; only the audit
 (:func:`check_within_bounds` and :class:`AuditedGram`) reads the data, to
 check that it lies in the box.
 """
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import QueryKind, QuerySpec
 from .errors import ConfigError, ContractViolationError, DomainError, ShapeError, is_count
 
 
@@ -198,3 +201,17 @@ def covariance_sensitivity_l1(b: DataBounds) -> float:
     """
     c = b.magnitude
     return 2.0 * b.num_features ** 2 * c * c / b.num_samples
+
+
+def identity_query(b: DataBounds) -> QuerySpec:
+    """The identity query f(X) = X on a dataset with bounds ``b``."""
+    return QuerySpec(b.num_features, b.num_samples, sensitivity=identity_sensitivity(b),
+                     gamma=gamma_identity(b), kind=QueryKind.IDENTITY,
+                     l1_sensitivity=identity_sensitivity_l1(b))
+
+
+def covariance_query(b: DataBounds) -> QuerySpec:
+    """The covariance query f(X) = X X^T / N on a dataset with bounds ``b``."""
+    return QuerySpec(b.num_features, b.num_features, sensitivity=covariance_sensitivity(b),
+                     gamma=gamma_covariance(b), kind=QueryKind.COVARIANCE,
+                     l1_sensitivity=covariance_sensitivity_l1(b))

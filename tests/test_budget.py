@@ -364,8 +364,20 @@ class TestDomainTypes:
             QuerySpec(1, 1, sensitivity=1.0, gamma=0.0)
         with pytest.raises(DomainError):
             QuerySpec(1, 1, sensitivity=3.0, gamma=1.0)  # s2 > 2*gamma
+        with pytest.raises(DomainError, match="gamma must be positive and finite"):
+            QuerySpec(1, 1, sensitivity=1.0, gamma=math.inf)
         q = QuerySpec(2, 5, sensitivity=1.0, gamma=1.0)
         assert q.r == 2
+
+    @pytest.mark.parametrize("value", [True, "1", 0, -1.0, float("nan"), float("inf")])
+    def test_l1_sensitivity_must_be_a_positive_finite_real(self, value):
+        with pytest.raises(DomainError, match="l1_sensitivity must be"):
+            QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=value)
+
+    def test_l1_sensitivity_is_a_float_or_unknown(self):
+        assert QuerySpec(2, 2, sensitivity=1.0, gamma=1.0).l1_sensitivity is None
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=3)
+        assert type(q.l1_sensitivity) is float and q.l1_sensitivity == 3.0
 
     def test_query_kind_must_be_a_member(self):
         # a kind's value is not the kind: "covariance" is not COVARIANCE

@@ -57,19 +57,22 @@ def sign_data():
 
 class TestBudgetCommand:
     def test_prints_all_fields(self, capsys):
-        code = main(["budget", "--epsilon", "1", "--delta", str(math.exp(-1)),
-                     "--m", "1", "--n", "1", "--gamma", "1",
-                     "--sensitivity", "1", "--mode", "unimodal"])
-        assert code == 0
-        out = capsys.readouterr().out
-        values = dict(line.split("=", 1) for line in out.strip().splitlines())
-        assert float(values["alpha"]) == pytest.approx(4.0)
-        assert float(values["beta"]) == pytest.approx(10.0)
-        assert float(values["zeta"]) == pytest.approx(5.0)
-        assert float(values["phi_max"]) == pytest.approx(0.18614066163450715)
-        assert float(values["precision_budget"]) == pytest.approx(
-            0.0012005078745576348)
-        assert values["mode"] == "unimodal"
+        # with m = n = 1 the unimodal budget phi^4 / n is the equi-modal
+        # phi^2 squared
+        for mode, budget in (("unimodal", 0.0012005078745576348),
+                             ("equimodal", 0.03464834591373208)):
+            code = main(["budget", "--epsilon", "1", "--delta", str(math.exp(-1)),
+                         "--m", "1", "--n", "1", "--gamma", "1",
+                         "--sensitivity", "1", "--mode", mode])
+            assert code == 0
+            out = capsys.readouterr().out
+            values = dict(line.split("=", 1) for line in out.strip().splitlines())
+            assert float(values["alpha"]) == pytest.approx(4.0)
+            assert float(values["beta"]) == pytest.approx(10.0)
+            assert float(values["zeta"]) == pytest.approx(5.0)
+            assert float(values["phi_max"]) == pytest.approx(0.18614066163450715)
+            assert float(values["precision_budget"]) == pytest.approx(budget)
+            assert values["mode"] == mode
 
     def test_bad_delta_exits_2(self):
         assert main(["budget", "--epsilon", "1", "--delta", "0",
@@ -122,11 +125,15 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert message in err and "missing.csv" not in err
 
-    def test_shape_mismatch_exits_2(self, tmp_path):
-        sigma = write_matrix(tmp_path, np.eye(3), "sigma.csv")
-        psi = write_matrix(tmp_path, np.eye(2), "psi.csv")
-        assert main(["sample", "--m", "2", "--n", "2", "--sigma", sigma,
-                     "--psi", psi, "--out", str(tmp_path / "o.csv")]) == 2
+    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
+        for sigma_size, psi_size, message in (
+                (3, 2, "sigma is (3, 3), expected (2, 2)"),
+                (2, 3, "psi is (3, 3), expected (2, 2)")):
+            sigma = write_matrix(tmp_path, np.eye(sigma_size), "sigma.csv")
+            psi = write_matrix(tmp_path, np.eye(psi_size), "psi.csv")
+            assert main(["sample", "--m", "2", "--n", "2", "--sigma", sigma,
+                         "--psi", psi, "--out", str(tmp_path / "o.csv")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestPerturbCommand:
@@ -538,6 +545,7 @@ class TestBenchCommand:
         ({"trials": "abc"}, "trials"),
         ({"experiment": "bogus"}, "experiment"),
         ({"format": "xml"}, "format"),
+        ('{"trials": 2,', "invalid JSON"),
     ])
     def test_config_bad_value_exits_2_before_the_run(self, tmp_path, sign_data,
                                                      capfdbinary, bad, named):
@@ -549,7 +557,8 @@ class TestBenchCommand:
             bad = {"experiment": "firstpc", "input": data, "mechanism": "mvg-equi",
                    "trials": 2, "epsilon": 1.0, "lo": -1.0, "hi": 1.0, **bad}
         config = tmp_path / "bench.json"
-        config.write_text(json.dumps(bad))
+        # a string is the file's text as it stands
+        config.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         assert main(["bench", "--config", str(config)]) == 2
         captured = capfdbinary.readouterr()
         assert captured.out == b""

@@ -32,7 +32,6 @@ from mvgdp import (
     gamma_covariance,
     gaussian_iid_baseline,
     gaussian_noise_scale,
-    identity_sensitivity_l1,
     laplace_iid_baseline,
     load_csv_matrix,
     load_dense_csv,
@@ -359,6 +358,8 @@ class TestGramReader:
             AuditedGram(np.eye(2), 2, 5, 0.0, 1.0)
         with pytest.raises(ContractViolationError):
             AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0)
+        with pytest.raises(ShapeError, match="at least one block of records"):
+            AuditedGram.of(np.zeros((2, 0)), 0.0, 1.0)
 
     def test_plan_directions_dp_takes_only_the_gram(self, tmp_path):
         _, data = covariance_dataset(tmp_path)
@@ -642,6 +643,17 @@ class TestRunExperiment:
         assert report.trials == 3
         assert np.isfinite(report.mean)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 40), "at least one feature column plus the target column"),
+        ((4, 1), "leaves no valid split of 1 records"),
+    ], ids=["one-row", "one-record"])
+    def test_regression_rejects_a_dataset_it_cannot_split(self, tmp_path, shape,
+                                                          message):
+        cfg = base_config(tmp_path / "unused.csv", DataBounds(*shape, 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, data=np.full(shape, 0.5))
+
     def test_firstpc_runs_with_equimodal(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
@@ -848,6 +860,10 @@ class TestRunExperiment:
         ("theta_spec", None, "theta_spec must be a string, got None"),
         ("theta_spec", 3, "theta_spec must be a string, got 3"),
         ("directions_source", None, "directions_source must be a string, got None"),
+        ("bounds", None, "bounds must be a DataBounds, got None"),
+        ("bounds", (3, 400, -1.0, 1.0), "bounds must be a DataBounds, got (3, 400"),
+        ("privacy", None, "privacy must be a PrivacyParams, got None"),
+        ("csv_has_header", "no", "csv_has_header must be a bool, got 'no'"),
     ])
     def test_config_rejects_a_bad_field(self, tmp_path, field, value, message):
         # rejected on construction, so no run reads the (missing) dataset
@@ -902,28 +918,28 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
                                                            RandomStream(0)),
         MechanismKind.GAUSSIAN_IID: lambda: gaussian_iid_baseline(bad, q, p,
                                                                   RandomStream(0)),
-        MechanismKind.LAPLACE_IID: lambda: laplace_iid_baseline(bad, q, 1.0, 1.0,
+        MechanismKind.LAPLACE_IID: lambda: laplace_iid_baseline(bad, q, 1.0,
                                                                 RandomStream(0)),
     }[kind]
     message = r"query value has shape \(3, 4\), expected \(3, 3\)"
     with pytest.raises(ShapeError, match=message):
         library()
     with pytest.raises(ShapeError, match=message):
-        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", bounds, None)
+        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", None)
 
 
 def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
-    # its L1 sensitivity is known for the identity and covariance queries
-    # only; any other kind must not borrow the identity query's 6.0
+    # the Laplace scale comes from the spec alone: a spec without an L1
+    # sensitivity must not borrow one
     bounds = DataBounds(3, 100, -1.0, 1.0)
     p = PrivacyParams(1.0, 0.01)
     custom = QuerySpec(3, 3, sensitivity=5.0, gamma=100.0, kind=QueryKind.CUSTOM)
     with pytest.raises(ConfigError, match="got a custom query"):
         harness.plan_releases(MechanismKind.LAPLACE_IID, custom, np.zeros((3, 3)), p,
-                              ["uniform"], "standard", bounds, None)
+                              ["uniform"], "standard", None)
     (plan,) = harness.plan_releases(MechanismKind.LAPLACE_IID,
                                     harness.covariance_query(bounds), np.zeros((3, 3)),
-                                    p, ["uniform"], "standard", bounds, None)
+                                    p, ["uniform"], "standard", None)
     assert plan.scale == covariance_sensitivity_l1(bounds) == 0.18
 
 
@@ -934,7 +950,7 @@ def test_plan_releases_rejects_a_baseline_allocation(kind):
     with pytest.raises(ConfigError, match="allocation 'binary:0.9:0' applies only"):
         harness.plan_releases(kind, harness.covariance_query(bounds), np.eye(3) / 4,
                               PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                              "standard", bounds, None)
+                              "standard", None)
 
 
 def test_standard_directions_plan_the_standard_side():
@@ -942,7 +958,7 @@ def test_standard_directions_plan_the_standard_side():
     (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
                                     harness.covariance_query(bounds), np.eye(3) / 4,
                                     PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                                    "standard", bounds, None)
+                                    "standard", None)
     assert plan.design.basis_sigma is None
     assert plan.design.basis_psi is None
 
@@ -1078,10 +1094,9 @@ class TestBatchedTrials:
         else:
             mechanism = MechanismKind.LAPLACE_IID
             theta_spec = "uniform"
-            l1 = covariance_sensitivity_l1(bounds)
 
             def release(s_bar, stream):
-                return laplace_iid_baseline(s_bar, q, 1.0, l1, stream)
+                return laplace_iid_baseline(s_bar, q, 1.0, stream)
         cfg = base_config(path, bounds, mechanism, Experiment.FIRST_PC,
                           theta_spec=theta_spec, directions_source=directions,
                           trials=40)
@@ -1099,12 +1114,11 @@ class TestBatchedTrials:
                           theta_spec=theta_spec, trials=30)
         q = harness.identity_query(bounds)
         theta = parse_theta_spec("binary:0.9:0", 3)
-        l1 = identity_sensitivity_l1(bounds)
         release = {
             "mvg-uni": lambda stream: mvg_unimodal(x, q, self.P, theta, np.eye(3),
                                                    stream).output,
             "gauss": lambda stream: gaussian_iid_baseline(x, q, self.P, stream),
-            "laplace": lambda stream: laplace_iid_baseline(x, q, 1.0, l1, stream),
+            "laplace": lambda stream: laplace_iid_baseline(x, q, 1.0, stream),
         }[mechanism]
         s_bar = x @ x.T / 100
         values = []

@@ -578,26 +578,34 @@ class TestGaussianBaseline:
 
 class TestLaplaceBaseline:
     def test_variance_is_two_b_squared(self):
-        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=1.0)
         trials = 25_000
         stream = RandomStream(17)
         draws = stream.laplace(1.0, (trials, 2, 2))
         empirical = draws.reshape(trials, -1).var(axis=0)
         assert np.allclose(empirical, 2.0, rtol=0.05)
-        out = laplace_iid_baseline(np.zeros((2, 2)), q, 1.0, 1.0, RandomStream(17))
+        out = laplace_iid_baseline(np.zeros((2, 2)), q, 1.0, RandomStream(17))
         assert out.shape == (2, 2)
 
     def test_rejects_bad_inputs(self):
-        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
+        # a non-positive L1 sensitivity is rejected by QuerySpec (test_budget)
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=1.0)
         with pytest.raises(DomainError):
-            laplace_iid_baseline(np.zeros((2, 2)), q, 1.0, 0.0, RandomStream(0))
-        with pytest.raises(DomainError):
-            laplace_iid_baseline(np.zeros((2, 2)), q, 0.0, 1.0, RandomStream(0))
+            laplace_iid_baseline(np.zeros((2, 2)), q, 0.0, RandomStream(0))
+        unknown = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
+        with pytest.raises(ConfigError, match="got a custom query"):
+            laplace_iid_baseline(np.zeros((2, 2)), unknown, 1.0, RandomStream(0))
+
+    def test_releases_a_custom_query_at_its_l1_scale(self):
+        q = QuerySpec(2, 3, sensitivity=1.0, gamma=1.0, l1_sensitivity=3)
+        value = np.arange(6, dtype=float).reshape(2, 3)
+        out = laplace_iid_baseline(value, q, 0.5, RandomStream(3))
+        assert np.array_equal(out, value + RandomStream(3).laplace(6.0, (2, 3)))
 
     def test_determinism(self):
-        q = QuerySpec(2, 3, sensitivity=1.0, gamma=1.0)
-        a = laplace_iid_baseline(np.zeros((2, 3)), q, 0.5, 2.0, RandomStream(3))
-        b = laplace_iid_baseline(np.zeros((2, 3)), q, 0.5, 2.0, RandomStream(3))
+        q = QuerySpec(2, 3, sensitivity=1.0, gamma=1.0, l1_sensitivity=2.0)
+        a = laplace_iid_baseline(np.zeros((2, 3)), q, 0.5, RandomStream(3))
+        b = laplace_iid_baseline(np.zeros((2, 3)), q, 0.5, RandomStream(3))
         assert np.array_equal(a, b)
 
 

@@ -104,6 +104,13 @@ class TestBatchedDeltaRho:
             np.array([[dust, 0.0], [beyond, 0.0], [0.0, 1.0]]))
         assert gaps.tolist() == [0.0, 1.0 - beyond * beyond, 0.5]
 
+    def test_rejects_a_non_unit_or_wrong_length_row(self):
+        gap = DeltaRho(np.diag([1.0, 0.5]))
+        with pytest.raises(ContractViolationError, match="got norm 2.0"):
+            gap(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ShapeError, match="v has length 3, s_bar is 2x2"):
+            gap(np.array([[1.0, 0.0, 0.0]]))
+
 
 class TestRss:
     def test_identical_matrices(self):
@@ -182,8 +189,12 @@ class TestRidgeRegression:
             ridge_regression_rmse((x, y), (x, y), reg=0.0)
         with pytest.raises(ShapeError):
             ridge_regression_rmse((x, np.ones(4)), (x, y), reg=1.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="feature counts differ"):
             ridge_regression_rmse((x, y), (np.ones((3, 3)), y), reg=1.0)
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            ridge_regression_rmse((np.ones(3), y), (x, y), reg=1.0)
+        with pytest.raises(ShapeError, match="test has 3 columns but 2 targets"):
+            ridge_regression_rmse((x, y), (x, np.ones(2)), reg=1.0)
 
 
 class TestEvalReport:
@@ -197,6 +208,10 @@ class TestEvalReport:
         assert report.mean == pytest.approx(mean, rel=1e-12)
         assert report.ci95_half_width == pytest.approx(expected, rel=1e-12)
         assert report.trials == 50
+
+    def test_no_values_are_rejected(self):
+        with pytest.raises(DomainError, match="at least one metric value"):
+            mean_ci95([], "m")
 
     def test_single_trial_has_zero_width(self):
         report = mean_ci95([3.5], "m")

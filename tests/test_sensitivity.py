@@ -6,10 +6,13 @@ import pytest
 from mvgdp import (
     DataBounds,
     DomainError,
+    QueryKind,
+    covariance_query,
     covariance_sensitivity,
     covariance_sensitivity_l1,
     gamma_covariance,
     gamma_identity,
+    identity_query,
     identity_sensitivity,
     identity_sensitivity_l1,
 )
@@ -25,6 +28,9 @@ class TestDataBounds:
             DataBounds(3, 5, 1.0, 1.0)
         with pytest.raises(DomainError):
             DataBounds(3, 5, 2.0, 1.0)
+        for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="bounds must be finite"):
+                DataBounds(3, 5, lo, hi)
 
     def test_magnitude(self):
         assert DataBounds(1, 1, -3.0, 1.0).magnitude == 3.0
@@ -157,3 +163,17 @@ class TestL1Helpers:
             x2[:, rng.integers(0, 25)] = rng.uniform(-1, 1, 3)
             delta = np.abs(x1 @ x1.T - x2 @ x2.T).sum() / 25
             assert delta <= bound * (1 + 1e-12)
+
+
+class TestQueryBuilders:
+    @pytest.mark.parametrize("build, kind, n, formulas", [
+        (identity_query, QueryKind.IDENTITY, 37,
+         (identity_sensitivity, gamma_identity, identity_sensitivity_l1)),
+        (covariance_query, QueryKind.COVARIANCE, 5,
+         (covariance_sensitivity, gamma_covariance, covariance_sensitivity_l1)),
+    ], ids=["identity", "covariance"])
+    def test_spec_carries_the_formulas_bit_for_bit(self, build, kind, n, formulas):
+        b = DataBounds(5, 37, -0.3, 1.7)
+        q = build(b)
+        assert (q.m, q.n, q.kind) == (5, n, kind)
+        assert [q.sensitivity, q.gamma, q.l1_sensitivity] == [f(b) for f in formulas]
