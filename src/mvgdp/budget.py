@@ -16,14 +16,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .design import NoiseDesign
-from .errors import DomainError, ShapeError, is_count
+from .errors import DomainError, ShapeError, is_count, is_real
 
 # Relative slack when comparing the condition's two sides, absorbing
 # floating-point error from eigendecompositions. Saturating designs count
@@ -37,11 +36,6 @@ _TRIANGLE_RTOL = 1e-12
 # (query, privacy, allocation, mode) keys of mechanisms.release_spectrum. A
 # run uses a few, so this only bounds a long-lived caller's memory.
 TERMS_CACHE_SIZE = 256
-
-
-def _is_real(value) -> bool:
-    # a bool is an int to isinstance, and True would alias 1 as a cache key
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class QueryKind(enum.Enum):
@@ -67,12 +61,14 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if not (_is_real(self.epsilon) and math.isfinite(self.epsilon)):
-            raise DomainError(f"epsilon must be a finite number, got {self.epsilon!r}")
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
+            # as float64, for the reason QuerySpec gives
+            object.__setattr__(self, name, float(value))
         if self.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if not (_is_real(self.delta) and math.isfinite(self.delta)):
-            raise DomainError(f"delta must be a finite number, got {self.delta!r}")
         if not 0 < self.delta < 1:
             raise DomainError(
                 f"delta must lie in the open interval (0, 1), got {self.delta}; "
@@ -116,7 +112,7 @@ class QuerySpec:
             scales.append("l1_sensitivity")
         for name in scales:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             # as float64, since a float32 would share a float64's cache key
             # (it compares equal) but compute other bits

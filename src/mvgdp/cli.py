@@ -115,12 +115,11 @@ def _read_dataset(args, records: bool):
     """
     if records:
         data, _ = load_csv_matrix(args.input, args.has_header)
-        num_features, num_samples = data.shape
+        bounds = DataBounds(*data.shape, args.lo, args.hi)
     else:
         data = read_csv_gram(args.input, args.lo, args.hi, args.has_header)
-        num_features, num_samples = data.num_features, data.num_samples
-    bounds = DataBounds(num_features, num_samples, args.lo, args.hi)
-    delta = args.delta if args.delta is not None else 1.0 / num_samples
+        bounds = data.bounds
+    delta = args.delta if args.delta is not None else 1.0 / bounds.num_samples
     return data, bounds, PrivacyParams(args.epsilon, delta)
 
 
@@ -134,7 +133,7 @@ def _cmd_perturb(args) -> int:
         q, value, mechanism = identity_query(bounds), data, MechanismKind.MVG_UNIMODAL
         data = audit_records(data, bounds, args.directions)
     else:
-        q, value = covariance_query(bounds), data.gram / bounds.num_samples
+        q, value = covariance_query(bounds), data.covariance
         mechanism = MechanismKind.MVG_EQUIMODAL
     (plan,) = plan_releases(mechanism, q, value, p, [args.theta], args.directions,
                             direction_data=data)

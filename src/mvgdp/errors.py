@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package, and the one test every
-count argument passes.
+"""Exception hierarchy shared across the package, and the one test each
+that count and real-number arguments pass.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
 with 2, data-contract violations with 3, and internal consistency failures
 (a privacy condition that should hold by construction but does not) with 4.
 """
+
+import numbers
 
 import numpy as np
 
@@ -16,6 +18,12 @@ def is_count(value) -> bool:
     would pass as the count 1 (and share its cache keys).
     """
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's included, and not a bool
+    (see :func:`is_count`)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class MvgdpError(Exception):

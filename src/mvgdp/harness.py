@@ -56,7 +56,6 @@ import enum
 import io
 import itertools
 import math
-import numbers
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -75,7 +74,7 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, ContractViolationError, FormatError, is_count
+from .errors import ConfigError, ContractViolationError, FormatError, is_count, is_real
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -175,7 +174,7 @@ def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_sp
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not is_count(seed) or not 0 <= seed < _SEED_MOD:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if isinstance(ridge_reg, bool) or not isinstance(ridge_reg, numbers.Real):
+    if not is_real(ridge_reg):
         raise ConfigError(f"ridge_reg must be a real number, got {ridge_reg!r}")
     if not 0 < ridge_reg < math.inf:
         raise ConfigError(f"ridge_reg must be positive and finite, got {ridge_reg}")
@@ -437,15 +436,6 @@ def parse_directions_source(source: str):
     return ("file", text)
 
 
-def _check_shape(bounds: DataBounds, shape: tuple[int, int]) -> None:
-    if shape != (bounds.num_features, bounds.num_samples):
-        raise ConfigError(
-            f"declared bounds describe a {bounds.num_features}x"
-            f"{bounds.num_samples} dataset but the file holds {shape[0]}x"
-            f"{shape[1]}"
-        )
-
-
 def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
                   num_direction: int | None = None) -> AuditedGram | None:
     """Check a loaded dataset against its declared shape and range, each
@@ -457,14 +447,14 @@ def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
     derived and it is None. A NaN cell fails the range check, and a
     violation names the range of all of ``x``.
     """
-    _check_shape(bounds, x.shape)
+    bounds.check_shape(x.shape)
     lo, hi = bounds.lo, bounds.hi
     if parse_directions_source(directions_source)[0] != "dp":
         check_within_bounds(x, lo, hi)
         return None
     try:
         gram = AuditedGram.of(x[:, :num_direction], lo, hi)
-        if gram.num_samples < x.shape[1]:
+        if gram.bounds.num_samples < x.shape[1]:
             check_within_bounds(x[:, num_direction:], lo, hi)
     except ContractViolationError:
         check_within_bounds(x, lo, hi)  # raises, naming the whole range
@@ -474,8 +464,8 @@ def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
 
 def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     """The Gram matrix of ``cfg``'s dataset, audited once: ``data`` if it is
-    one (its box must be the declared one), built from ``data`` if it holds
-    the records, and otherwise read from ``cfg.dataset_path`` in blocks."""
+    one (its bounds must be the declared ones), built from ``data`` if it
+    holds the records, and otherwise read from ``cfg.dataset_path``."""
     bounds = cfg.bounds
     if data is None:
         gram = read_csv_gram(cfg.dataset_path, bounds.lo, bounds.hi,
@@ -483,10 +473,13 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     elif isinstance(data, AuditedGram):
         gram = data
     else:
-        _check_shape(bounds, data.shape)  # before the audit, as audit_records does
+        bounds.check_shape(data.shape)  # before the audit, as audit_records does
         return AuditedGram.of(data, bounds.lo, bounds.hi)
-    _check_shape(bounds, (gram.num_features, gram.num_samples))
-    gram.check_box(bounds.lo, bounds.hi)
+    box = gram.bounds
+    bounds.check_shape((box.num_features, box.num_samples))
+    if box != bounds:  # the shapes agree, so the ranges differ
+        raise ConfigError(f"the Gram matrix was audited against [{box.lo}, {box.hi}] "
+                          f"but the bounds declare [{bounds.lo}, {bounds.hi}]")
     return gram
 
 
@@ -635,7 +628,7 @@ def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
                  arms: list[tuple[str, str]]) -> list[EvalReport]:
     """One report per arm, a (metric name, allocation spec) pair, each
     scoring the top direction of every release by its captured-variance gap."""
-    s_bar = gram.gram / gram.num_samples
+    s_bar = gram.covariance
     gap = DeltaRho(s_bar)
     return _run_arms(cfg, covariance_query(cfg.bounds), s_bar, gram, arms,
                      lambda stack: gap(_top_directions(stack)))
@@ -652,7 +645,7 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
 
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> EvalReport:
     num_records = x.shape[1]
-    s_bar = gram.gram / num_records
+    s_bar = gram.covariance
     return _run_arms(
         cfg, identity_query(cfg.bounds), x, gram, [("RSS", cfg.theta_spec)],
         lambda stack: [rss(noisy @ noisy.T / num_records, s_bar) for noisy in stack])[0]
@@ -692,7 +685,7 @@ def run_experiment(cfg: ExperimentConfig,
         if cfg.experiment is Experiment.FIRST_PC:
             return _run_firstpc(cfg, gram, [("delta_rho", cfg.theta_spec)])[0]
         return _run_firstpc(cfg, gram, _ablation_arms(cfg.theta_spec,
-                                                      gram.num_features))
+                                                      cfg.bounds.num_features))
     if isinstance(data, AuditedGram):
         raise ConfigError(
             f"the {cfg.experiment.value} experiment releases the records; a Gram "

@@ -65,7 +65,7 @@ from .sampling import (  # noqa: F401
     sample_mvg,
     sample_standard_matrix,
 )
-from .sensitivity import AuditedGram, DataBounds, covariance_sensitivity
+from .sensitivity import AuditedGram, DataBounds, covariance_query
 
 # Floor applied to allocation entries so no direction's noise variance is
 # numerically infinite.
@@ -617,9 +617,9 @@ def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> Directio
     """Fix what every private derivation from one dataset shares.
 
     ``gram`` is the records' :class:`AuditedGram`, built by the audit, so
-    nothing is checked or multiplied again: its own box [lo, hi], M and N
-    give the covariance sensitivity, and the noise always follows the range
-    the data was audited against. ``draw(stream)`` of the plan for
+    nothing is checked or multiplied again: the covariance query over its
+    own ``bounds`` gives the sensitivity, and the noise always follows the
+    range the data was audited against. ``draw(stream)`` of the plan for
     ``AuditedGram.of(x, lo, hi)`` equals :func:`derive_directions_dp` of
     ``x`` over that box bit for bit.
     """
@@ -628,9 +628,8 @@ def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> Directio
             "plan_directions_dp takes the records' AuditedGram, built with "
             f"AuditedGram.of(x, lo, hi); got {type(gram).__name__}"
         )
-    box = DataBounds(gram.num_features, gram.num_samples, gram.lo, gram.hi)
-    noise_sd = gaussian_noise_scale(covariance_sensitivity(box), p_fraction)
-    return DirectionsPlan(gram.gram / gram.num_samples, noise_sd)
+    noise_sd = gaussian_noise_scale(covariance_query(gram.bounds).sensitivity, p_fraction)
+    return DirectionsPlan(gram.covariance, noise_sd)
 
 
 def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
@@ -657,16 +656,11 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
-    num_features, num_samples = x.shape
     if not is_count(k) or k < 1:
         raise ShapeError(f"k must be a positive integer, got {k!r}")
-    if k > num_features:
-        raise ShapeError(f"k = {k} exceeds the number of features {num_features}")
-    if (bounds.num_features, bounds.num_samples) != x.shape:
-        raise ShapeError(
-            f"bounds declare {bounds.num_features}x{bounds.num_samples} but the "
-            f"data is {num_features}x{num_samples}"
-        )
+    if k > x.shape[0]:
+        raise ShapeError(f"k = {k} exceeds the number of features {x.shape[0]}")
+    bounds.check_shape(x.shape)
     gram = AuditedGram.of(x, bounds.lo, bounds.hi)
     return plan_directions_dp(gram, p_fraction).draw(stream)
 

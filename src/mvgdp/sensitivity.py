@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import QueryKind, QuerySpec
-from .errors import ConfigError, ContractViolationError, DomainError, ShapeError, is_count
+from .errors import ContractViolationError, DomainError, ShapeError, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,19 @@ class DataBounds:
         """Largest absolute entry value admitted by the range."""
         return max(abs(self.lo), abs(self.hi))
 
+    def check_shape(self, shape: tuple[int, ...]) -> None:
+        """Raise ShapeError unless ``shape`` is the declared M x N."""
+        if tuple(shape) != (self.num_features, self.num_samples):
+            raise ShapeError(
+                f"bounds declare {self.num_features}x{self.num_samples} but the "
+                f"data is {'x'.join(map(str, shape))}"
+            )
+
 
 def check_range(lo: float, hi: float) -> None:
-    """Raise DomainError unless [lo, hi] is a finite range with lo < hi."""
+    """Raise DomainError unless [lo, hi] is a finite real range with lo < hi."""
+    if not (is_real(lo) and is_real(hi)):
+        raise DomainError(f"bounds must be real numbers, got [{lo!r}, {hi!r}]")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
@@ -92,15 +102,12 @@ class AuditedGram:
 
     Attributes:
         gram: X X^T, unnormalized and read-only.
-        num_features, num_samples: M and N of the dataset.
-        lo, hi: the range every entry was checked against.
+        bounds: the dataset's M and N, counted from its records, and the
+            range [lo, hi] every entry was checked against.
     """
 
     gram: np.ndarray
-    num_features: int
-    num_samples: int
-    lo: float
-    hi: float
+    bounds: DataBounds
 
     def __init__(self, record_blocks, lo: float, hi: float):
         """Audit and sum ``record_blocks``, an iterable of (records, M)
@@ -122,9 +129,8 @@ class AuditedGram:
         if gram is None:
             raise ShapeError("a Gram matrix needs at least one block of records")
         gram.flags.writeable = False
-        for name, value in (("gram", gram), ("num_features", gram.shape[0]),
-                            ("num_samples", num_samples), ("lo", lo), ("hi", hi)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "bounds", DataBounds(gram.shape[0], num_samples, lo, hi))
 
     @classmethod
     def of(cls, x, lo: float, hi: float) -> "AuditedGram":
@@ -138,6 +144,8 @@ class AuditedGram:
         bit. Within one block that is ``x @ x.T`` bit for bit. A violation
         names the range of all of ``x``.
         """
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ShapeError(f"records must be M x N with M >= 1, got shape {x.shape}")
         records = x.T
         per_block = max(1, GRAM_BLOCK_CELLS // records.shape[1])
         try:
@@ -147,13 +155,10 @@ class AuditedGram:
             check_within_bounds(x, lo, hi)  # raises, naming the whole range
             raise
 
-    def check_box(self, lo: float, hi: float) -> None:
-        """Raise ConfigError unless this matrix was audited against [lo, hi]."""
-        if (self.lo, self.hi) != (lo, hi):
-            raise ConfigError(
-                f"the Gram matrix was audited against [{self.lo}, {self.hi}] but "
-                f"the bounds declare [{lo}, {hi}]"
-            )
+    @property
+    def covariance(self) -> np.ndarray:
+        """X X^T / N, the value of the covariance query."""
+        return self.gram / self.bounds.num_samples
 
 
 def identity_sensitivity(b: DataBounds) -> float:

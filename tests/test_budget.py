@@ -354,6 +354,15 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             PrivacyParams(1.0, 1.0)
         PrivacyParams(1.0, 1.0 / 2021)  # delta = 1/N style values are fine
+        for epsilon in ("1", None):
+            with pytest.raises(DomainError, match="epsilon must be a finite number"):
+                PrivacyParams(epsilon, 0.1)
+        # numpy reals are accepted as QuerySpec accepts them, and stored as
+        # float64 for the reason test_query_scale_is_stored_as_float64 gives
+        for epsilon in (np.int64(1), np.float32(1.0)):
+            p = PrivacyParams(epsilon, np.float32(0.01))
+            assert type(p.epsilon) is float and type(p.delta) is float
+            assert p.epsilon == 1.0 and p.delta == float(np.float32(0.01))
 
     def test_query_spec_validation(self):
         with pytest.raises(DomainError):

@@ -209,7 +209,7 @@ class TestGramReader:
         gram = read_csv_gram(path, -3.0, 3.0)
         x = np.array(rows, dtype=float).T
         assert np.array_equal(gram.gram, x @ x.T)
-        assert (gram.num_features, gram.num_samples, gram.lo, gram.hi) == (2, 10, -3.0, 3.0)
+        assert gram.bounds == DataBounds(2, 10, -3.0, 3.0)
         assert not gram.gram.flags.writeable
 
     @pytest.mark.parametrize("line", [2, 4, 8])
@@ -261,7 +261,7 @@ class TestGramReader:
         path = write(tmp_path, "d.csv", text)
         gram = read_csv_gram(path, -3.0, 3.0)
         x = np.array(rows, dtype=float).T
-        assert gram.num_samples == 7
+        assert gram.bounds.num_samples == 7
         assert np.array_equal(gram.gram, x @ x.T)
 
     def test_byte_order_mark_and_header(self, tmp_path, three_row_blocks):
@@ -293,7 +293,7 @@ class TestGramReader:
         path = write(tmp_path, "d.csv", csv_text(integer_rows(9)) + tail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert read_csv_gram(path, -3.0, 3.0).num_samples == 9
+            assert read_csv_gram(path, -3.0, 3.0).bounds.num_samples == 9
 
     def test_one_block_is_one_product_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -322,7 +322,7 @@ class TestGramReader:
         streamed = read_csv_gram(path, -1.0, 1.0)
         in_memory = AuditedGram.of(np.asarray(x, order=order), -1.0, 1.0)
         assert in_memory.gram.tobytes() == streamed.gram.tobytes()
-        assert in_memory.num_samples == streamed.num_samples == 10000
+        assert in_memory.bounds.num_samples == streamed.bounds.num_samples == 10000
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_gram_of_records_in_memory_copies_nothing(self, order):
@@ -360,6 +360,9 @@ class TestGramReader:
             AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0)
         with pytest.raises(ShapeError, match="at least one block of records"):
             AuditedGram.of(np.zeros((2, 0)), 0.0, 1.0)
+        for x in (np.zeros(5), np.zeros((0, 5))):
+            with pytest.raises(ShapeError, match="must be M x N with M >= 1"):
+                AuditedGram.of(x, 0.0, 1.0)
 
     def test_plan_directions_dp_takes_only_the_gram(self, tmp_path):
         _, data = covariance_dataset(tmp_path)
@@ -810,8 +813,20 @@ class TestRunExperiment:
         bounds = DataBounds(5, 17, -1.0, 1.0)
         cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
                           Experiment.FIRST_PC)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("source", ["file", "records", "gram"])
+    def test_every_input_meets_one_shape_check(self, tmp_path, source):
+        path, x = covariance_dataset(tmp_path)
+        cfg = base_config(path, DataBounds(3, 17, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC)
+        data = {"file": None, "records": x,
+                "gram": read_csv_gram(path, -1.0, 1.0)}[source]
+        with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
+            run_experiment(cfg, data=data)
+        with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
+            harness.audit_records(x, cfg.bounds, "standard")
 
     def test_equimodal_on_rectangular_query_rejected(self, tmp_path):
         path, x = regression_dataset(tmp_path)

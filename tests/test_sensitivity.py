@@ -7,6 +7,7 @@ from mvgdp import (
     DataBounds,
     DomainError,
     QueryKind,
+    ShapeError,
     covariance_query,
     covariance_sensitivity,
     covariance_sensitivity_l1,
@@ -31,6 +32,19 @@ class TestDataBounds:
         for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="bounds must be finite"):
                 DataBounds(3, 5, lo, hi)
+        # a bool is not a number here either, and a string is no number at all
+        for lo, hi in ((True, 2.0), (0.0, np.True_), ("0", "1")):
+            with pytest.raises(DomainError, match="bounds must be real numbers"):
+                DataBounds(4, 10, lo, hi)
+        assert DataBounds(4, 10, np.int64(0), np.float32(1.0)).magnitude == 1.0
+
+    def test_check_shape(self):
+        bounds = DataBounds(3, 5, 0.0, 1.0)
+        bounds.check_shape((3, 5))
+        for shape, shown in (((5, 3), "5x3"), ((3, 5, 1), "3x5x1"), ((15,), "15")):
+            with pytest.raises(ShapeError,
+                               match=f"bounds declare 3x5 but the data is {shown}$"):
+                bounds.check_shape(shape)
 
     def test_magnitude(self):
         assert DataBounds(1, 1, -3.0, 1.0).magnitude == 3.0

@@ -4,9 +4,12 @@
 import. The benchmark's smoke test is not part of this suite, so without
 these tests a renamed or deleted name (an import kept only for the tracer,
 or a design attribute it sizes) would break ``perfbench/run.py --trace 1``
-unnoticed. The tracer is loaded by path and only read.
+unnoticed. The tracer is loaded by path and only read. The same list lets
+every other import be checked for use: a name imported for the tracer alone
+is the only unused import a module may keep.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,7 +20,9 @@ import mvgdp
 from mvgdp import DataBounds, Experiment, ExperimentConfig, MechanismKind, PrivacyParams
 from mvgdp import budget, mechanisms
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "mvgdp"
 
 
 def load_tracing():
@@ -31,6 +36,41 @@ def test_every_patched_name_resolves():
     for layer, module_name, attr, _ in load_tracing().PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{layer}: {module_name}.{attr}"
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names a module's source imports (``__future__`` features aside)
+    and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import a.b" binds a
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_unused_import_is_one_the_tracer_patches():
+    patched = {(module_name, attr) for _, module_name, attr, _ in load_tracing().PATCHES}
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) > 1
+    stray = {}
+    for path in modules:
+        module_name = f"mvgdp.{path.stem}"
+        names = sorted(name for name in unused_imports(path.read_text(encoding="utf-8"))
+                       if (module_name, name) not in patched)
+        if names:
+            stray[module_name] = names
+    assert stray == {}, f"imported and never used: {stray}"
+
+
+def test_an_unused_import_is_found():
+    source = "import os\nimport numpy as np\nfrom .errors import ShapeError\n" \
+             "from .budget import QuerySpec\nnp.eye(2)\nQuerySpec.r\n"
+    assert unused_imports(source) == {"os", "ShapeError"}
 
 
 def test_traced_firstpc_run_counts_design_bytes(tmp_path):
