@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import NoiseDesign
-from .errors import DomainError, ShapeError, is_count, is_real
+from .errors import DomainError, ShapeError, as_count, as_real
 
 # Relative slack when comparing the condition's two sides, absorbing
 # floating-point error from eigendecompositions. Saturating designs count
@@ -61,14 +61,10 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        for name in ("epsilon", "delta"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
-            # as float64, for the reason QuerySpec gives
-            object.__setattr__(self, name, float(value))
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        # as float64, for the reason QuerySpec gives
+        object.__setattr__(self, "epsilon",
+                           as_real(self.epsilon, "epsilon", DomainError, positive=True))
+        object.__setattr__(self, "delta", as_real(self.delta, "delta", DomainError))
         if not 0 < self.delta < 1:
             raise DomainError(
                 f"delta must lie in the open interval (0, 1), got {self.delta}; "
@@ -102,23 +98,18 @@ class QuerySpec:
     l1_sensitivity: float | None = None
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("n", self.n)):
-            if not is_count(value) or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        as_count(self.m, "m", DomainError)
+        as_count(self.n, "n", DomainError)
         if not isinstance(self.kind, QueryKind):
             raise DomainError(f"kind must be a QueryKind, got {self.kind!r}")
         scales = ["sensitivity", "gamma"]
         if self.l1_sensitivity is not None:  # None stands for unknown
             scales.append("l1_sensitivity")
         for name in scales:
-            value = getattr(self, name)
-            if not is_real(value):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
             # as float64, since a float32 would share a float64's cache key
             # (it compares equal) but compute other bits
-            object.__setattr__(self, name, float(value))
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name, DomainError,
+                                                   positive=True))
         if self.sensitivity > 2.0 * self.gamma * (1.0 + _TRIANGLE_RTOL):
             raise DomainError(
                 f"sensitivity {self.sensitivity} exceeds 2*gamma = {2 * self.gamma}; "
@@ -148,10 +139,7 @@ class BudgetReport:
     def __post_init__(self):
         for name in ("h_r", "h_r_half", "zeta", "alpha", "beta", "phi_max",
                      "precision_budget"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"BudgetReport.{name} must be finite and positive, "
-                                  f"got {value}")
+            as_real(getattr(self, name), f"BudgetReport.{name}", DomainError, positive=True)
 
 
 class ConditionCheck(NamedTuple):
@@ -166,9 +154,7 @@ def harmonic_numbers(r: int) -> tuple[float, float]:
     Computed by direct summation; exact enough for any realistic r and keeps
     the values independently checkable.
     """
-    if not is_count(r) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
-    idx = np.arange(1, int(r) + 1, dtype=float)
+    idx = np.arange(1, as_count(r, "r", DomainError) + 1, dtype=float)
     return float(np.sum(1.0 / idx)), float(np.sum(1.0 / np.sqrt(idx)))
 
 
@@ -181,10 +167,7 @@ def zeta(delta: float, m: int, n: int) -> float:
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    for name, value in (("m", m), ("n", n)):
-        if not is_count(value) or value < 1:
-            raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    mn = float(m * n)
+    mn = float(as_count(m, "m", DomainError) * as_count(n, "n", DomainError))
     log_delta = math.log(delta)
     return 2.0 * math.sqrt(-mn * log_delta) - 2.0 * log_delta + mn
 
@@ -208,9 +191,9 @@ def phi_bound(alpha: float, beta: float, epsilon: float) -> float:
     is algebraically identical but avoids the cancellation that otherwise
     destroys precision when beta^2 dominates 8*alpha*epsilon.
     """
-    for name, value in (("alpha", alpha), ("beta", beta), ("epsilon", epsilon)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
+    alpha = as_real(alpha, "alpha", DomainError, positive=True)
+    beta = as_real(beta, "beta", DomainError, positive=True)
+    epsilon = as_real(epsilon, "epsilon", DomainError, positive=True)
     return 4.0 * epsilon / (beta + math.sqrt(beta * beta + 8.0 * alpha * epsilon))
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one test each
+"""Exception hierarchy shared across the package, and the one check each
 that count and real-number arguments pass.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
@@ -6,6 +6,7 @@ with 2, data-contract violations with 3, and internal consistency failures
 (a privacy condition that should hold by construction but does not) with 4.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -24,6 +25,33 @@ def is_real(value) -> bool:
     """Whether ``value`` is a real number, numpy's included, and not a bool
     (see :func:`is_count`)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_count(value, name: str, error: type, minimum: int = 1) -> int:
+    """``value`` as an ``int``, if it is a count (:func:`is_count`) of at
+    least ``minimum``; otherwise raise ``error`` naming it ``name``."""
+    if not is_count(value) or value < minimum:
+        bound = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise error(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str, error: type, positive: bool = False) -> float:
+    """``value`` as a ``float``, if it is a finite real number
+    (:func:`is_real`), and positive too with ``positive``; otherwise raise
+    ``error`` naming it ``name``. An int too large for a float counts as
+    infinite, so it fails that test instead of raising OverflowError."""
+    if type(value) is not float:
+        if not is_real(value):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    low, bound = (0, "positive and finite") if positive else (-math.inf, "finite")
+    if not low < value < math.inf:  # a NaN fails too
+        raise error(f"{name} must be {bound}, got {value}")
+    return value
 
 
 class MvgdpError(Exception):

@@ -56,6 +56,7 @@ import enum
 import io
 import itertools
 import math
+import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, ContractViolationError, FormatError, is_count, is_real
+from .errors import (ConfigError, ContractViolationError, FormatError, as_count, as_real,
+                     is_count)
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -149,11 +151,12 @@ class ExperimentConfig:
     ridge_reg: float = 1.0
 
     def __post_init__(self):
-        for name, kind in (("bounds", DataBounds), ("privacy", PrivacyParams),
-                           ("csv_has_header", bool)):
+        for name, kinds in (("dataset_path", (str, os.PathLike)), ("bounds", (DataBounds,)),
+                            ("privacy", (PrivacyParams,)), ("csv_has_header", (bool,))):
             value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+            if not isinstance(value, kinds):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigError(f"{name} must be a {names}, got {value!r}")
         check_run_options(self.experiment, self.mechanism, self.theta_spec,
                           self.directions_source, self.trials, self.seed, self.ridge_reg)
         # as Python ints, so seed + t cannot overflow a numpy integer
@@ -170,14 +173,10 @@ def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_sp
         raise ConfigError(f"unknown experiment {experiment!r}")
     if not isinstance(mechanism, MechanismKind):
         raise ConfigError(f"unknown mechanism {mechanism!r}")
-    if not is_count(trials) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    as_count(trials, "trials", ConfigError)
     if not is_count(seed) or not 0 <= seed < _SEED_MOD:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not is_real(ridge_reg):
-        raise ConfigError(f"ridge_reg must be a real number, got {ridge_reg!r}")
-    if not 0 < ridge_reg < math.inf:
-        raise ConfigError(f"ridge_reg must be positive and finite, got {ridge_reg}")
+    as_real(ridge_reg, "ridge_reg", ConfigError, positive=True)
     for name, value in (("theta_spec", theta_spec),
                         ("directions_source", directions_source)):
         if not isinstance(value, str):
@@ -727,6 +726,8 @@ def emit_report(report, fmt: ReportFormat = ReportFormat.TEXT) -> bytes:
     trials=100``; CSV output carries a header row plus one row per report.
     Values use six significant digits, so formatting is deterministic.
     """
+    if not isinstance(fmt, ReportFormat):
+        raise ConfigError(f"fmt must be a ReportFormat, got {fmt!r}")
     reports = [report] if isinstance(report, EvalReport) else list(report)
     if fmt is ReportFormat.TEXT:
         lines = [

@@ -57,7 +57,8 @@ from .errors import (
     ContractViolationError,
     DomainError,
     ShapeError,
-    is_count,
+    as_count,
+    as_real,
 )
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
 from .sampling import (  # noqa: F401
@@ -128,24 +129,20 @@ class PrecisionAllocation:
 
     @classmethod
     def uniform(cls, m: int) -> "PrecisionAllocation":
-        if not is_count(m) or m < 1:
-            raise AllocationError(f"m must be a positive integer, got {m!r}")
-        return cls(np.full(int(m), 1.0 / m))
+        m = as_count(m, "m", AllocationError)
+        return cls(np.full(m, 1.0 / m))
 
     @classmethod
     def binary(cls, m: int, tau: float, favored) -> "PrecisionAllocation":
         """Give a fraction tau of the budget equally to the favored direction
         indices and the remainder equally to the rest."""
-        if not is_count(m) or m < 2:
-            raise AllocationError(
-                f"binary allocation needs at least two directions, got m={m!r}"
-            )
+        m = as_count(m, "m", AllocationError, minimum=2)
         fav = _binary_favored(tau, favored)
         if fav[-1] >= m:
             raise AllocationError(f"favored indices {fav} out of range [0, {m})")
         if len(fav) >= m:
             raise AllocationError("favored set must leave at least one other direction")
-        t = np.full(int(m), (1.0 - tau) / (m - len(fav)))
+        t = np.full(m, (1.0 - tau) / (m - len(fav)))
         t[fav] = tau / len(fav)
         return cls(t)
 
@@ -371,6 +368,8 @@ def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
                 f"directions are drawn for {directions.covariance.shape[0]} "
                 f"features but the query has {q.m} rows"
             )
+    elif w_sigma is not None and (shape := np.shape(w_sigma)) != (q.m, q.m):
+        raise ShapeError(f"w_sigma has shape {shape} but the query has {q.m} rows")
     report, design, condition = release_spectrum(q, p, theta, mode)
     if w_sigma is not None:
         design = design.with_bases(
@@ -474,8 +473,7 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
     assumes epsilon <= 1; larger values are accepted with a warning since
     they only appear in vanishing-noise sanity checks.
     """
-    if not (math.isfinite(sensitivity) and sensitivity > 0):
-        raise DomainError(f"sensitivity must be positive, got {sensitivity}")
+    sensitivity = as_real(sensitivity, "sensitivity", DomainError, positive=True)
     if p.epsilon > 1.0:
         warnings.warn(
             f"the classic Gaussian-mechanism bound assumes epsilon <= 1, "
@@ -536,8 +534,7 @@ def plan_laplace(query_value, q: QuerySpec, epsilon: float) -> LaplacePlan:
     """Plan classic Laplace releases; takes :func:`laplace_iid_baseline`'s
     arguments except the stream."""
     value = _check_shape(query_value, q)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    epsilon = as_real(epsilon, "epsilon", DomainError, positive=True)
     if q.l1_sensitivity is None:
         raise ConfigError(
             f"the Laplace baseline is calibrated to the L1 sensitivity but got a "
@@ -656,8 +653,7 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
-    if not is_count(k) or k < 1:
-        raise ShapeError(f"k must be a positive integer, got {k!r}")
+    k = as_count(k, "k", ShapeError)
     if k > x.shape[0]:
         raise ShapeError(f"k = {k} exceeds the number of features {x.shape[0]}")
     bounds.check_shape(x.shape)
@@ -687,8 +683,7 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     so a unimodal design's n x n column side is never built: memory is a
     fixed number of m x n arrays.
     """
-    if not is_count(trials) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    trials = as_count(trials, "trials", DomainError)
     if design.m != q.m or design.n != q.n:
         raise ShapeError(
             f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
@@ -710,7 +705,7 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
 
     inside = 0
     passed = 0
-    remaining = int(trials)
+    remaining = trials
     # draw at most about CHUNK_ENTRIES normals at a time, so memory stays
     # O(mn) for wide queries; batched draws concatenate to the single draw
     # bit for bit, so the rates do not depend on the chunk size

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, ShapeError, is_count
+from .errors import ContractViolationError, DomainError, ShapeError, as_count, as_real
 
 _UNIT_TOL = 1e-8
 _SYMMETRY_TOL = 1e-8
@@ -38,8 +38,7 @@ class EvalReport:
             raise DomainError(
                 f"ci95_half_width must be nonnegative, got {self.ci95_half_width}"
             )
-        if not is_count(self.trials) or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
+        as_count(self.trials, "trials", DomainError)
 
 
 def mean_ci95(values, metric_name: str) -> EvalReport:
@@ -166,8 +165,7 @@ def ridge_regression_rmse(train: tuple, test: tuple, reg: float) -> float:
     No intercept and no feature centering: the evaluator is deliberately
     minimal and identical across every mechanism being compared.
     """
-    if not (math.isfinite(reg) and reg > 0):
-        raise DomainError(f"reg must be positive, got {reg}")
+    reg = as_real(reg, "reg", DomainError, positive=True)
     x_train, y_train = train
     x_test, y_test = test
     x_train = np.asarray(x_train, dtype=float)

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .design import NoiseDesign
-from .errors import DomainError, ShapeError, is_count
+from .errors import DomainError, ShapeError, as_count, is_count
 
 _SEED_MAX = 2 ** 64
 
@@ -174,10 +174,8 @@ def sample_standard_matrix(stream: RandomStream, m: int, n: int,
     place and it is returned; they have the bits of a fresh draw.
     """
     if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
-        for name, value in (("m", m), ("n", n)):
-            if not is_count(value) or value < 1:
-                raise ShapeError(f"{name} must be a positive integer, got {value!r}")
-    return stream.standard_normal((int(m), int(n)), out=out)
+        m, n = as_count(m, "m", ShapeError), as_count(n, "n", ShapeError)
+    return stream.standard_normal((m, n), out=out)
 
 
 def sample_mvg(stream: RandomStream, design: NoiseDesign) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import QueryKind, QuerySpec
-from .errors import ContractViolationError, DomainError, ShapeError, is_count, is_real
+from .errors import ContractViolationError, DomainError, ShapeError, as_count, as_real
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ class DataBounds:
     hi: float
 
     def __post_init__(self):
-        for name, value in (("num_features", self.num_features),
-                            ("num_samples", self.num_samples)):
-            if not is_count(value) or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("num_features", "num_samples"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, DomainError))
         check_range(self.lo, self.hi)
 
     @property
@@ -60,10 +57,8 @@ class DataBounds:
 
 def check_range(lo: float, hi: float) -> None:
     """Raise DomainError unless [lo, hi] is a finite real range with lo < hi."""
-    if not (is_real(lo) and is_real(hi)):
-        raise DomainError(f"bounds must be real numbers, got [{lo!r}, {hi!r}]")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"bounds must be finite, got [{lo}, {hi}]")
+    as_real(lo, "bounds", DomainError)
+    as_real(hi, "bounds", DomainError)
     if not lo < hi:
         raise DomainError(f"lo must be less than hi, got [{lo}, {hi}]")
 

@@ -355,7 +355,7 @@ class TestDomainTypes:
             PrivacyParams(1.0, 1.0)
         PrivacyParams(1.0, 1.0 / 2021)  # delta = 1/N style values are fine
         for epsilon in ("1", None):
-            with pytest.raises(DomainError, match="epsilon must be a finite number"):
+            with pytest.raises(DomainError, match="epsilon must be a real number"):
                 PrivacyParams(epsilon, 0.1)
         # numpy reals are accepted as QuerySpec accepts them, and stored as
         # float64 for the reason test_query_scale_is_stored_as_float64 gives

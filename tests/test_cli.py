@@ -31,6 +31,8 @@ from mvgdp import (
     sample_mvg,
     sensitivity,
 )
+from mvgdp import mechanisms
+from mvgdp.budget import ConditionCheck
 from mvgdp.cli import main
 from mvgdp.sensitivity import check_within_bounds
 
@@ -342,6 +344,29 @@ class TestBenchCommand:
                      "--mechanism", "mvg-equi", "--trials", "2",
                      "--epsilon", "1", "--lo", "0", "--hi", "1"])
         assert code == 2
+
+    def test_a_basis_of_the_wrong_size_exits_2(self, tmp_path, capsys):
+        # 4 features, so a 4 x 4 covariance query, and a 3 x 3 basis
+        data = write_dataset(tmp_path, np.random.default_rng(5).choice([-1.0, 1.0],
+                                                                        size=(4, 50)))
+        basis = write_matrix(tmp_path, np.eye(3), "w3.csv")
+        code = main(["bench", "--experiment", "firstpc", "--input", data,
+                     "--mechanism", "mvg-equi", "--trials", "2", "--epsilon", "1",
+                     "--lo", "-1", "--hi", "1", "--directions", basis])
+        assert code == 2
+        assert "w_sigma has shape (3, 3) but the query has 4 rows" in capsys.readouterr().err
+
+    def test_a_failed_privacy_condition_exits_4(self, tmp_path, sign_data, capfdbinary,
+                                                monkeypatch):
+        # a cached spectrum would skip the check
+        mechanisms.release_spectrum.cache_clear()
+        monkeypatch.setattr(mechanisms, "check_condition",
+                            lambda design, q, p: ConditionCheck(False, 2.0, 1.0))
+        assert main(self.bench_args(write_dataset(tmp_path, sign_data))) == 4
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"mvgdp: internal assertion failed: constructed "
+                                       b"design violates the privacy condition")
 
     def test_bounds_violation_exits_3(self, tmp_path, sign_data):
         data = write_dataset(tmp_path, sign_data)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ class TestNoiseDesign:
             NoiseDesign(np.eye(2), np.ones(2), None, np.ones(0))
         with pytest.raises(ShapeError):
             NoiseDesign(None, [], np.eye(2), np.ones(2))
+        # a basis must be a square matrix with at least one row
+        for basis, message in ((np.ones(2), "w_sigma must be a 2-D matrix, got ndim=1"),
+                               (np.ones((2, 3)), "w_sigma must be square, got (2, 3)"),
+                               (np.zeros((0, 0)), "w_sigma must have at least one row")):
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                NoiseDesign(basis, np.ones(2), None, np.ones(2))
 
     def test_standard_side_reads_as_dense_identity(self):
         lam_p = np.array([2.0, 0.5, 4.0])
@@ -83,6 +90,10 @@ class TestNoiseDesign:
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateDesignError):
             NoiseDesign.from_covariances(singular, np.eye(2))
+
+    def test_from_covariances_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ShapeError, match=re.escape("sigma must be square, got (2, 3)")):
+            NoiseDesign.from_covariances(np.ones((2, 3)), np.eye(2))
 
     def test_from_covariances_rejects_asymmetric(self):
         with pytest.raises(DegenerateDesignError):

@@ -534,6 +534,16 @@ class TestFormatting:
     def test_rounding_carry_keeps_six_digits(self, x, text):
         assert format_significant(x) == text
 
+    @pytest.mark.parametrize("x, text", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                         (-float("inf"), "-inf")])
+    def test_a_non_finite_value_is_named(self, x, text):
+        assert format_significant(x) == text
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", None])
+    def test_a_format_that_is_not_a_report_format_is_rejected(self, fmt):
+        with pytest.raises(ConfigError, match=f"fmt must be a ReportFormat, got {fmt!r}"):
+            emit_report(EvalReport("RMSE", 0.5, 0.0, 1), fmt)
+
     def test_text_report_layout(self):
         report = EvalReport("RMSE", 0.01624, 0.00026, 100)
         out = emit_report(report, ReportFormat.TEXT)
@@ -879,6 +889,8 @@ class TestRunExperiment:
         ("bounds", (3, 400, -1.0, 1.0), "bounds must be a DataBounds, got (3, 400"),
         ("privacy", None, "privacy must be a PrivacyParams, got None"),
         ("csv_has_header", "no", "csv_has_header must be a bool, got 'no'"),
+        ("dataset_path", None, "dataset_path must be a str or PathLike, got None"),
+        ("dataset_path", 3, "dataset_path must be a str or PathLike, got 3"),
     ])
     def test_config_rejects_a_bad_field(self, tmp_path, field, value, message):
         # rejected on construction, so no run reads the (missing) dataset

@@ -60,6 +60,10 @@ class TestPrecisionAllocation:
         with pytest.raises(AllocationError):
             PrecisionAllocation(np.array([-0.1, 1.1]))
 
+    def test_rejects_no_entries(self):
+        with pytest.raises(AllocationError, match="at least one entry"):
+            PrecisionAllocation([])
+
     def test_uniform(self):
         theta = PrecisionAllocation.uniform(4)
         assert np.allclose(theta.theta, 0.25)
@@ -346,6 +350,18 @@ class TestReleasePlan:
         with pytest.raises(ShapeError, match="4 features"):
             plan_equimodal(np.zeros((3, 3)), unit_query(3, 3), self.p,
                            self.theta, directions)
+
+    @pytest.mark.parametrize("release", [mvg_unimodal, mvg_equimodal])
+    @pytest.mark.parametrize("basis", [np.eye(3), np.array([[1.0, 0.0, 0.0],
+                                                            [1.0, 1.0, 0.0],
+                                                            [0.0, 0.0, 1.0]])],
+                             ids=["identity", "not-orthonormal"])
+    def test_a_basis_of_the_wrong_size_is_a_basis_error(self, release, basis):
+        # named before its orthonormality or the allocation's length
+        with pytest.raises(ShapeError,
+                           match=r"w_sigma has shape \(3, 3\) but the query has 4 rows"):
+            release(np.zeros((4, 4)), unit_query(4, 4), self.p,
+                    PrecisionAllocation.uniform(4), basis, RandomStream(0))
 
     def test_batched_bases_equal_single_draws(self):
         rng = np.random.default_rng(15)
@@ -755,6 +771,11 @@ class TestVerifyCharacteristic:
         with pytest.raises(DomainError):
             mvg_verify_characteristic(self.q, self.p, self.design, 0,
                                       RandomStream(0))
+
+    def test_design_must_match_the_query(self):
+        with pytest.raises(ShapeError, match="design is 3x4 but the query is 4x3"):
+            mvg_verify_characteristic(QuerySpec(4, 3, sensitivity=1.0, gamma=2.0),
+                                      self.p, self.design, 10, RandomStream(0))
 
     def test_trace_matches_four_term_oracle(self):
         # recompute the pass rate with the four trace terms written out

@@ -50,6 +50,10 @@ class TestCapturedVariance:
         with pytest.raises(ContractViolationError):
             captured_variance([1.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_rejects_a_direction_of_the_wrong_length(self):
+        with pytest.raises(ShapeError, match="v has length 3, s_bar is 2x2"):
+            captured_variance([1.0, 0.0, 0.0], np.eye(2))
+
 
 class TestDeltaRho:
     def test_top_eigenvector_gives_zero(self):
@@ -152,6 +156,9 @@ class TestRss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             rss(np.eye(2), np.eye(3))
+        with pytest.raises(ShapeError,
+                           match=r"s_tilde must be a square matrix, got shape \(2, 3\)"):
+            rss(np.ones((2, 3)), np.eye(2))
 
 
 class TestRidgeRegression:

@@ -34,7 +34,7 @@ class TestDataBounds:
                 DataBounds(3, 5, lo, hi)
         # a bool is not a number here either, and a string is no number at all
         for lo, hi in ((True, 2.0), (0.0, np.True_), ("0", "1")):
-            with pytest.raises(DomainError, match="bounds must be real numbers"):
+            with pytest.raises(DomainError, match="bounds must be a real number"):
                 DataBounds(4, 10, lo, hi)
         assert DataBounds(4, 10, np.int64(0), np.float32(1.0)).magnitude == 1.0
 
