@@ -7,8 +7,9 @@ Subcommands:
     bench    run a benchmark experiment and print the metric report
 
 Exit codes: 0 success, 2 flag, configuration, format or file (OSError) error, 3
-contract violation (data escaping declared bounds or a false gamma claim), 4
-internal assertion failure (a constructed design failed the privacy condition).
+contract violation (a data cell that is not a number, which no box can clamp),
+4 internal assertion failure (a constructed design failed the privacy
+condition). Data outside ``--lo``/``--hi`` is clamped into that box.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .harness import (
     ExperimentConfig,
     MechanismKind,
     ReportFormat,
-    audit_records,
     check_run_options,
+    clamp_records,
     emit_report,
     load_csv_matrix,
     load_dense_csv,
@@ -109,9 +110,9 @@ def _read_dataset(args, records: bool):
     """The dataset CSV at ``--input``, its bounds and the privacy target,
     with ``--delta`` defaulting to 1/N.
 
-    With ``records`` the dataset is the M x N matrix X, not yet audited;
-    without, it is read in blocks into its :class:`AuditedGram`, audited
-    against ``--lo``/``--hi``, and X is never held.
+    With ``records`` the dataset is the M x N matrix X, not yet clamped;
+    without, it is read in blocks into its :class:`AuditedGram`, clamped
+    into ``--lo``/``--hi``, and X is never held.
     """
     if records:
         data, _ = load_csv_matrix(args.input, args.has_header)
@@ -130,8 +131,8 @@ def _cmd_perturb(args) -> int:
     stream = RandomStream(args.seed)
     data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
-        q, value, mechanism = identity_query(bounds), data, MechanismKind.MVG_UNIMODAL
-        data = audit_records(data, bounds, args.directions)
+        value, data = clamp_records(data, bounds, args.directions)
+        q, mechanism = identity_query(bounds), MechanismKind.MVG_UNIMODAL
     else:
         q, value = covariance_query(bounds), data.covariance
         mechanism = MechanismKind.MVG_EQUIMODAL

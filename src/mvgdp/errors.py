@@ -2,8 +2,10 @@
 that count and real-number arguments pass.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
-with 2, data-contract violations with 3, and internal consistency failures
+with 2, contract violations (a data cell that is not a number, or a query
+value above its declared gamma) with 3, and internal consistency failures
 (a privacy condition that should hold by construction but does not) with 4.
+Data outside its declared box is no error: it is clamped into the box.
 """
 
 import math
@@ -75,7 +77,9 @@ class AllocationError(MvgdpError, ValueError):
 
 
 class ContractViolationError(MvgdpError):
-    """Caller-declared bounds or norms are contradicted by the actual data."""
+    """A value breaks a contract that clamping cannot repair: a data cell
+    that is not a number, a query value whose norm exceeds its declared
+    gamma, or a metric's argument that is not a unit vector or symmetric."""
 
 
 class FormatError(MvgdpError, ValueError):

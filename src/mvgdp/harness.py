@@ -16,9 +16,10 @@ experiment archetypes are provided plus a direction-ablation sweep:
   declared favored set, its complement, and a uniform allocation), emitting
   one report per arm.
 
-A run plans once and then only draws: the dataset is audited against the
-declared bounds once, and :func:`plan_releases` returns the mechanism's own
-plan from :mod:`mechanisms` for each arm, one per allocation (for MVG a
+A run plans once and then only draws: the dataset is clamped into the
+declared bounds once (``sensitivity.clamp``), and :func:`plan_releases`
+returns the mechanism's own plan from :mod:`mechanisms` for each arm, one
+per allocation (for MVG a
 :class:`ReleasePlan`, holding the budget, the directions and the one
 privacy-condition check). The ablation has three arms and every other
 experiment one; a baseline takes no allocation but ``uniform``. Every
@@ -33,13 +34,14 @@ scores a stack with one batched ``eigh`` and one batched product.
 
 First-PC runs and ablations release the covariance query and derive
 ``dp:F`` directions, and both need only the Gram matrix X X^T. They read
-the CSV in blocks of ``sensitivity.GRAM_BLOCK_CELLS`` cells, auditing each
+the CSV in blocks of ``sensitivity.GRAM_BLOCK_CELLS`` cells, clamping each
 block and adding its product to an :class:`AuditedGram`, so their memory
 does not grow with N. Regression and covariance estimation release X itself
-and parse the CSV in one vectorized pass. Either is skipped when the caller
-hands in what it already read, as the CLI does. Records handed in are summed
-in the same blocks (``AuditedGram.of``), so a run from them equals a run
-from the file bit for bit.
+and parse the CSV in one vectorized pass, and :func:`clamp_records` clamps
+X where it enters. Either read is skipped when the caller hands in what it
+already read, as the CLI does. Records handed in are summed in the same
+blocks (``AuditedGram.of``), so a run from them equals a run from the file
+bit for bit.
 
 Runs are deterministic: trial t uses the stream seeded with seed + t
 (wrapping past 2^64 - 1 to 0), so an identical configuration yields
@@ -75,8 +77,7 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import (ConfigError, ContractViolationError, FormatError, as_count, as_real,
-                     is_count)
+from .errors import ConfigError, FormatError, as_count, as_real, is_count
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -103,7 +104,7 @@ from .sampling import RandomStream, seed_state_words
 from .sensitivity import (
     AuditedGram,
     DataBounds,
-    check_within_bounds,
+    clamp,
     covariance_query,
     identity_query,
 )
@@ -233,16 +234,12 @@ class _GridBlocks:
     about ``block_cells`` cells (at least one row) and the file is streamed:
     each later block is parsed after a copy of the first data row, which is
     then dropped, so a row whose width differs from the first row's is
-    reported at its own line, as in one pass over the file. ``block`` and
-    ``block_line`` are the block yielded last and the file line of its first
-    row.
+    reported at its own line, as in one pass over the file.
     """
 
     def __init__(self, path, has_header: bool, block_cells: int | None = None):
         self.path = Path(path)
         self.names: list[str] | None = None
-        self.block: np.ndarray | None = None
-        self.block_line = 0
         self._has_header = has_header
         self._block_cells = block_cells
 
@@ -261,26 +258,24 @@ class _GridBlocks:
             head = next(rows, None)
             if head is None:
                 raise FormatError(f"{path}: no data rows found")
-            self.block_line = lines.line_no
+            head_line = lines.line_no
             if self._block_cells is None:
                 per_block = None
             else:  # sized from the first row's cells; the parse checks them
                 per_block = max(1, self._block_cells // (head.count(",") + 1))
-            self.block = self._parse(lines, [head], per_block, rows)
-            width = self.block.shape[1]
+            block = self._parse(lines, [head], per_block, rows)
+            width = block.shape[1]
             if self.names is not None and width != len(self.names):
                 raise FormatError(
-                    f"{path}: line {self.block_line} has {width} cells, expected "
+                    f"{path}: line {head_line} has {width} cells, expected "
                     f"{len(self.names)}"
                 )
-            yield self.block
+            yield block
             while per_block is not None:
                 first = next(rows, None)
                 if first is None:
                     return
-                self.block_line = lines.line_no
-                self.block = self._parse(lines, [head, first], per_block, rows)[1:]
-                yield self.block
+                yield self._parse(lines, [head, first], per_block, rows)[1:]
 
     def _parse(self, lines: _NonBlankLines, leading: list[str],
                per_block: int | None, rows) -> np.ndarray:
@@ -293,17 +288,6 @@ class _GridBlocks:
                               comments=None, ndmin=2)
         except ValueError as exc:
             raise _located_error(self.path, lines.line_no, exc) from None
-
-    def escaping_line(self, lo: float, hi: float) -> int:
-        """The file line of the first row of ``block`` with an entry outside
-        [lo, hi] (NaN included), found by reading the file again."""
-        inside = ((self.block >= lo) & (self.block <= hi)).all(axis=1)
-        row = int(np.argmin(inside))
-        with open(self.path, encoding="utf-8-sig") as handle:
-            lines = _NonBlankLines(handle)
-            block_rows = (line for line in lines if lines.line_no >= self.block_line)
-            next(itertools.islice(block_rows, row, None))
-            return lines.line_no
 
 
 def _located_error(path: Path, line_no: int, exc: ValueError) -> FormatError:
@@ -352,19 +336,13 @@ def read_csv_gram(path, lo: float, hi: float, has_header: bool = False) -> Audit
     """Read a dataset CSV (rows are records) for its :class:`AuditedGram`.
 
     The file is parsed in blocks of ``sensitivity.GRAM_BLOCK_CELLS`` cells,
-    each audited against [lo, hi] and added to X X^T before the next is
-    read, so memory is O(M^2 + block) whatever N is, and the result equals
+    each clamped into [lo, hi] and added to X X^T before the next is read,
+    so memory is O(M^2 + block) whatever N is, and the result equals
     ``AuditedGram.of`` of the same records bit for bit. Parse errors are
-    those of :func:`load_csv_matrix`; an entry outside [lo, hi] raises
-    ContractViolationError naming its file line.
+    those of :func:`load_csv_matrix`.
     """
-    blocks = _GridBlocks(path, has_header, sensitivity.GRAM_BLOCK_CELLS)
-    try:
-        return AuditedGram(blocks, lo, hi)
-    except ContractViolationError as exc:
-        raise ContractViolationError(
-            f"{blocks.path}: line {blocks.escaping_line(lo, hi)}: {exc}"
-        ) from None
+    return AuditedGram(_GridBlocks(path, has_header, sensitivity.GRAM_BLOCK_CELLS),
+                       lo, hi)
 
 
 def parse_theta_grammar(spec: str):
@@ -435,34 +413,27 @@ def parse_directions_source(source: str):
     return ("file", text)
 
 
-def audit_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
-                  num_direction: int | None = None) -> AuditedGram | None:
-    """Check a loaded dataset against its declared shape and range, each
-    cell once, and return the direction data :func:`plan_releases` takes.
+def clamp_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
+                  num_direction: int | None = None
+                  ) -> tuple[np.ndarray, AuditedGram | None]:
+    """A loaded dataset checked against its declared shape and clamped into
+    its declared range (``sensitivity.clamp``), the one way records that a
+    run releases enter it, and the direction data :func:`plan_releases`
+    takes.
 
     With ``dp:F`` directions that is the :class:`AuditedGram` of the first
-    ``num_direction`` records (all by default), which is their audit, and
-    only the other records are checked again; otherwise no directions are
-    derived and it is None. A NaN cell fails the range check, and a
-    violation names the range of all of ``x``.
+    ``num_direction`` clamped records (all by default); otherwise no
+    directions are derived and it is None.
     """
     bounds.check_shape(x.shape)
-    lo, hi = bounds.lo, bounds.hi
+    x = clamp(x, bounds.lo, bounds.hi)
     if parse_directions_source(directions_source)[0] != "dp":
-        check_within_bounds(x, lo, hi)
-        return None
-    try:
-        gram = AuditedGram.of(x[:, :num_direction], lo, hi)
-        if gram.bounds.num_samples < x.shape[1]:
-            check_within_bounds(x[:, num_direction:], lo, hi)
-    except ContractViolationError:
-        check_within_bounds(x, lo, hi)  # raises, naming the whole range
-        raise
-    return gram
+        return x, None
+    return x, AuditedGram.of(x[:, :num_direction], bounds.lo, bounds.hi)
 
 
 def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
-    """The Gram matrix of ``cfg``'s dataset, audited once: ``data`` if it is
+    """The Gram matrix of ``cfg``'s dataset, clamped once: ``data`` if it is
     one (its bounds must be the declared ones), built from ``data`` if it
     holds the records, and otherwise read from ``cfg.dataset_path``."""
     bounds = cfg.bounds
@@ -472,7 +443,7 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     elif isinstance(data, AuditedGram):
         gram = data
     else:
-        bounds.check_shape(data.shape)  # before the audit, as audit_records does
+        bounds.check_shape(data.shape)  # before the clamp, as clamp_records does
         return AuditedGram.of(data, bounds.lo, bounds.hi)
     box = gram.bounds
     bounds.check_shape((box.num_features, box.num_samples))
@@ -539,7 +510,7 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
             them; a baseline takes only ``uniform``.
         directions_source: ``standard``, ``dp:F`` or a basis CSV path.
         direction_data: the :class:`AuditedGram` of the records ``dp:F``
-            directions are derived from, audited against its own box, whose
+            directions are derived from, clamped into its own box, whose
             range sets the direction noise; None for other directions.
     """
     row = _MECHANISMS[mechanism]
@@ -602,7 +573,7 @@ def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     n_train = int(round(_TRAIN_FRACTION * cfg.bounds.num_samples))
-    train_gram = audit_records(x, cfg.bounds, cfg.directions_source, n_train)
+    x, train_gram = clamp_records(x, cfg.bounds, cfg.directions_source, n_train)
     num_rows, num_records = x.shape
     if num_rows < 2:
         raise ConfigError(
@@ -642,7 +613,10 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(sym)[1][..., -1]
 
 
-def _run_covest(cfg: ExperimentConfig, x: np.ndarray, gram: AuditedGram) -> EvalReport:
+def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
+    x, gram = clamp_records(x, cfg.bounds, cfg.directions_source)
+    if gram is None:  # the Gram matrix is the reference covariance too
+        gram = AuditedGram.of(x, cfg.bounds.lo, cfg.bounds.hi)
     num_records = x.shape[1]
     s_bar = gram.covariance
     return _run_arms(
@@ -667,9 +641,9 @@ def run_experiment(cfg: ExperimentConfig,
     """Run one configured experiment end to end.
 
     Loads the dataset (unless ``data`` already holds it, as
-    :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), audits it
-    once against the declared bounds (aborting before any sampling on a
-    violation), runs the trial loop with per-trial seeds seed, seed+1, ...,
+    :func:`load_csv_matrix` returns it for ``cfg.dataset_path``), clamps it
+    once into the declared bounds (aborting before any sampling on a NaN
+    cell), runs the trial loop with per-trial seeds seed, seed+1, ...,
     and aggregates the metric. The ablation experiment returns one report
     per direction arm; the others return a single report. Every option that
     needs no dataset was checked when ``cfg`` was built.
@@ -692,8 +666,7 @@ def run_experiment(cfg: ExperimentConfig,
         )
     x = load_csv_matrix(cfg.dataset_path, cfg.csv_has_header)[0] if data is None else data
     if cfg.experiment is Experiment.COVARIANCE_ESTIMATION:
-        # the Gram matrix is both the audit and the reference covariance
-        return _run_covest(cfg, x, _audited_gram(cfg, x))
+        return _run_covest(cfg, x)
     return _run_regression(cfg, x)
 
 

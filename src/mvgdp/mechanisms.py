@@ -572,7 +572,7 @@ class DirectionsPlan:
     Holds the data's sample covariance and the Gaussian-mechanism noise sd
     for the budget slice; :meth:`draw` is the per-release step. Built by
     :func:`plan_directions_dp` from the records' :class:`AuditedGram`, so
-    the data is audited and its covariance computed once however many
+    the data is clamped and its covariance computed once however many
     releases draw from it.
     """
 
@@ -613,10 +613,10 @@ class DirectionsPlan:
 def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> DirectionsPlan:
     """Fix what every private derivation from one dataset shares.
 
-    ``gram`` is the records' :class:`AuditedGram`, built by the audit, so
-    nothing is checked or multiplied again: the covariance query over its
+    ``gram`` is the records' :class:`AuditedGram`, built by the clamp, so
+    nothing is clamped or multiplied again: the covariance query over its
     own ``bounds`` gives the sensitivity, and the noise always follows the
-    range the data was audited against. ``draw(stream)`` of the plan for
+    range the data was clamped into. ``draw(stream)`` of the plan for
     ``AuditedGram.of(x, lo, hi)`` equals :func:`derive_directions_dp` of
     ``x`` over that box bit for bit.
     """

@@ -34,7 +34,8 @@ class EvalReport:
     trials: int
 
     def __post_init__(self):
-        if self.ci95_half_width < 0:
+        as_real(self.mean, "mean", DomainError)
+        if as_real(self.ci95_half_width, "ci95_half_width", DomainError) < 0:
             raise DomainError(
                 f"ci95_half_width must be nonnegative, got {self.ci95_half_width}"
             )

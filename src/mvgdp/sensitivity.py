@@ -5,9 +5,10 @@ neighbors when they differ in exactly one column. Every entry is assumed to
 lie in a declared interval [lo, hi]. All bounds here are worst case over that
 box and never look at the actual private values, and
 :func:`identity_query` and :func:`covariance_query` gather them into the
-:class:`QuerySpec` a release is planned from; only the audit
-(:func:`check_within_bounds` and :class:`AuditedGram`) reads the data, to
-check that it lies in the box.
+:class:`QuerySpec` a release is planned from. The bounds hold because every
+record is clamped into the box where it enters (:func:`clamp`, which
+:class:`AuditedGram` applies to each block it sums), so only a cell that
+is not a number can stop a run.
 """
 
 from __future__ import annotations
@@ -63,19 +64,23 @@ def check_range(lo: float, hi: float) -> None:
         raise DomainError(f"lo must be less than hi, got [{lo}, {hi}]")
 
 
-def check_within_bounds(x, lo: float, hi: float) -> None:
-    """Raise ContractViolationError unless every entry of ``x`` lies in
-    [lo, hi].
+def clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``x`` with every entry clamped into [lo, hi], the one box policy.
 
-    Written as ``not (min >= lo and max <= hi)`` so a NaN entry fails: it
-    compares false with both ends.
+    Returns ``x`` itself when every entry already lies in the box, and
+    otherwise ``np.clip(x, lo, hi)``, so an infinity becomes the box's edge.
+    A NaN fails the first test and survives the clip; it raises
+    ContractViolationError, naming neither the value nor where it is.
     """
-    x_lo, x_hi = float(x.min()), float(x.max())
-    if not (x_lo >= lo and x_hi <= hi):
+    if x.min() >= lo and x.max() <= hi:
+        return x
+    clipped = np.clip(x, lo, hi)
+    if np.isnan(clipped).any():
         raise ContractViolationError(
-            f"data range [{x_lo:.6g}, {x_hi:.6g}] escapes the declared bounds "
-            f"[{lo}, {hi}]; sensitivity and gamma claims would be false"
+            "the data holds a cell that is not a number, which no box can clamp; "
+            "sensitivity and gamma claims would be false"
         )
+    return clipped
 
 
 # Cells per block of records summed into an AuditedGram, whether the records
@@ -86,36 +91,36 @@ GRAM_BLOCK_CELLS = 65536
 
 @dataclass(frozen=True, init=False, eq=False)
 class AuditedGram:
-    """The Gram matrix X X^T of a dataset whose every entry was checked to
-    lie in [lo, hi].
+    """The Gram matrix X X^T of a dataset whose every entry was clamped
+    into [lo, hi].
 
-    Building one is the audit: the constructor checks each block of records
-    with :func:`check_within_bounds` as it sums the block's Gram matrix, so
-    an instance cannot exist for data that escapes its box. The covariance
+    The constructor clamps each block of records with :func:`clamp` as it
+    sums the block's Gram matrix, so an instance holds the Gram matrix of
+    data inside its box, whatever the records were. The covariance
     query and private directions need only this m x m matrix, so a dataset
     read in blocks is never held whole.
 
     Attributes:
         gram: X X^T, unnormalized and read-only.
         bounds: the dataset's M and N, counted from its records, and the
-            range [lo, hi] every entry was checked against.
+            range [lo, hi] every entry was clamped into.
     """
 
     gram: np.ndarray
     bounds: DataBounds
 
     def __init__(self, record_blocks, lo: float, hi: float):
-        """Audit and sum ``record_blocks``, an iterable of (records, M)
-        arrays (rows are records), against [lo, hi].
+        """Clamp ``record_blocks``, an iterable of (records, M) arrays
+        (rows are records), into [lo, hi] and sum their Gram matrices.
 
-        One block gives ``block.T @ block`` bit for bit; more blocks give the
-        sum of their products, which can differ from one product over all
-        records in the last bits.
+        One block inside the box gives ``block.T @ block`` bit for bit;
+        more blocks give the sum of their products, which can differ from
+        one product over all records in the last bits.
         """
         check_range(lo, hi)
         gram, num_samples = None, 0
         for block in record_blocks:
-            check_within_bounds(block, lo, hi)
+            block = clamp(block, lo, hi)
             if gram is None:
                 gram = block.T @ block
             else:
@@ -133,22 +138,18 @@ class AuditedGram:
         as columns.
 
         ``x.T`` is walked in views of ``GRAM_BLOCK_CELLS // M`` records, the
-        blocks ``harness.read_csv_gram`` parses, so each block is audited and
-        multiplied while it is in cache, nothing is copied, and ``gram``
-        equals the Gram matrix read from a CSV of the same records bit for
-        bit. Within one block that is ``x @ x.T`` bit for bit. A violation
-        names the range of all of ``x``.
+        blocks ``harness.read_csv_gram`` parses, so each block is clamped and
+        multiplied while it is in cache, nothing inside the box is copied,
+        and ``gram`` equals the Gram matrix read from a CSV of the same
+        records bit for bit. Within one block that is ``x @ x.T`` bit for
+        bit.
         """
         if x.ndim != 2 or x.shape[0] == 0:
             raise ShapeError(f"records must be M x N with M >= 1, got shape {x.shape}")
         records = x.T
         per_block = max(1, GRAM_BLOCK_CELLS // records.shape[1])
-        try:
-            return cls((records[start:start + per_block]
-                        for start in range(0, records.shape[0], per_block)), lo, hi)
-        except ContractViolationError:
-            check_within_bounds(x, lo, hi)  # raises, naming the whole range
-            raise
+        return cls((records[start:start + per_block]
+                    for start in range(0, records.shape[0], per_block)), lo, hi)
 
     @property
     def covariance(self) -> np.ndarray:

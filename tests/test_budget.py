@@ -173,6 +173,17 @@ class TestCheckCondition:
         assert holds
         assert lhs == pytest.approx(rhs_got, rel=1e-9)
 
+    def test_the_slack_is_relative_to_the_rhs(self):
+        q = QuerySpec(1, 1, sensitivity=1.0, gamma=1.0)
+        p = PrivacyParams(1.0, 0.05)
+        rhs = phi_bound(*alpha_beta(q, p), p.epsilon) ** 2
+        # a 1x1 design's lhs is 1 / lambda_sigma
+        at, over = (check_condition(_iid_design(1, 1, 1.0 / (rhs * scale)), q, p)
+                    for scale in (1.0, 1.0 + 1e-6))
+        assert at.holds and at.lhs == pytest.approx(rhs, rel=1e-15)
+        assert not over.holds
+        assert over.lhs == pytest.approx(rhs * (1.0 + 1e-6), rel=1e-15)
+
     def test_tiny_epsilon_fails(self):
         q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
         p = PrivacyParams(1e-6, 0.05)

@@ -34,7 +34,7 @@ from mvgdp import (
 from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.cli import main
-from mvgdp.sensitivity import check_within_bounds
+from mvgdp.sensitivity import clamp
 
 
 def write_dataset(tmp_path, data, name="data.csv"):
@@ -48,6 +48,39 @@ def write_matrix(tmp_path, matrix, name):
     path = tmp_path / name
     np.savetxt(path, np.asarray(matrix), delimiter=",")
     return str(path)
+
+
+# one run of each command that reads a dataset, with dp:F directions so
+# every records run builds a Gram matrix too
+DATASET_RUNS = {
+    "firstpc": ["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
+                "--trials", "3", "--directions", "dp:0.2"],
+    "ablation": ["bench", "--experiment", "ablation", "--mechanism", "mvg-equi",
+                 "--trials", "3", "--directions", "dp:0.2", "--favored", "0"],
+    "covest": ["bench", "--experiment", "covest", "--mechanism", "mvg-uni",
+               "--trials", "3", "--directions", "dp:0.2"],
+    "regression": ["bench", "--experiment", "regression", "--mechanism", "mvg-uni",
+                   "--trials", "3", "--directions", "dp:0.2"],
+    "perturb": ["perturb", "--query", "covariance", "--directions", "dp:0.2",
+                "--theta", "binary:0.9:0"],
+    "perturb-identity": ["perturb", "--query", "identity", "--directions", "dp:0.2",
+                         "--theta", "binary:0.9:0"],
+}
+
+
+def run_on_dataset(tmp_path, capfdbinary, run, data, name="data"):
+    """``DATASET_RUNS[run]`` on ``data`` in the box [-1, 1]: its exit code,
+    its output (bench's stdout, or perturb's output file if it wrote one)
+    and its stderr."""
+    args = DATASET_RUNS[run] + ["--input", write_dataset(tmp_path, data, f"{name}.csv"),
+                                "--epsilon", "1", "--lo", "-1", "--hi", "1"]
+    out = tmp_path / f"{name}.out.csv"
+    if args[0] == "perturb":
+        args += ["--out", str(out)]
+    code = main(args)
+    captured = capfdbinary.readouterr()
+    output = out.read_bytes() if out.exists() else captured.out
+    return code, output, captured.err
 
 
 @pytest.fixture
@@ -170,12 +203,19 @@ class TestPerturbCommand:
                             str(out_explicit)]) == 0
         assert out_default.read_bytes() == out_explicit.read_bytes()
 
-    def test_out_of_bounds_data_exits_3(self, tmp_path, sign_data):
-        data = write_dataset(tmp_path, sign_data)
-        code = main(["perturb", "--input", data, "--query", "identity",
-                     "--epsilon", "1", "--lo", "-0.5", "--hi", "0.5",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 3
+    def test_out_of_bounds_data_is_clamped(self, tmp_path, sign_data, capfdbinary):
+        # two of the three features reach 0.6 and 1, beyond [-0.5, 0.5]
+        outputs = []
+        for name, data in (("raw", sign_data),
+                           ("clipped", np.clip(sign_data, -0.5, 0.5))):
+            out = tmp_path / f"{name}.out.csv"
+            path = write_dataset(tmp_path, data, f"{name}.csv")
+            assert main(["perturb", "--input", path, "--query", "identity",
+                         "--epsilon", "1", "--lo", "-0.5", "--hi", "0.5",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert capfdbinary.readouterr().err == b""
 
     def test_nan_cell_exits_3(self, tmp_path, sign_data):
         data = np.array(sign_data)
@@ -368,12 +408,21 @@ class TestBenchCommand:
         assert captured.err.startswith(b"mvgdp: internal assertion failed: constructed "
                                        b"design violates the privacy condition")
 
-    def test_bounds_violation_exits_3(self, tmp_path, sign_data):
-        data = write_dataset(tmp_path, sign_data)
-        code = main(["bench", "--experiment", "firstpc", "--input", data,
-                     "--mechanism", "mvg-equi", "--trials", "2",
-                     "--epsilon", "1", "--lo", "-0.1", "--hi", "0.1"])
-        assert code == 3
+    @pytest.mark.parametrize("value", [100.0, -np.inf])
+    # regression trains on the first 144 of the 200 records
+    @pytest.mark.parametrize("record", [100, 190], ids=["train", "test"])
+    @pytest.mark.parametrize("run", DATASET_RUNS)
+    def test_a_cell_outside_the_box_runs_as_the_clipped_data(
+            self, tmp_path, sign_data, monkeypatch, capfdbinary, run, record, value):
+        monkeypatch.setattr(sensitivity, "GRAM_BLOCK_CELLS", 9)  # 3-record blocks
+        data = np.array(sign_data)
+        data[1, record] = value
+        raw = run_on_dataset(tmp_path, capfdbinary, run, data, "raw")
+        clipped = run_on_dataset(tmp_path, capfdbinary, run, np.clip(data, -1.0, 1.0),
+                                 "clipped")
+        assert raw[0] == 0 and raw[1] != b""
+        assert raw == clipped  # the same output, and no data value on stderr
+        assert raw[2] == b""
 
     def test_nan_cell_exits_3(self, tmp_path, sign_data, capfdbinary):
         data = np.array(sign_data)
@@ -445,30 +494,25 @@ class TestBenchCommand:
         err = capfdbinary.readouterr().err.decode()
         assert message in err and "missing.csv" not in err
 
-    @pytest.mark.parametrize("args, checked", [
-        (["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi",
-          "--trials", "3", "--directions", "dp:0.2"], [(200, 3)]),
-        (["bench", "--experiment", "ablation", "--mechanism", "mvg-equi",
-          "--trials", "3", "--directions", "dp:0.2", "--favored", "0"], [(200, 3)]),
-        (["bench", "--experiment", "covest", "--mechanism", "mvg-uni",
-          "--trials", "3", "--directions", "dp:0.2"], [(200, 3)]),
-        # the training records' Gram matrix, then the 56 test records
-        (["bench", "--experiment", "regression", "--mechanism", "mvg-uni",
-          "--trials", "3", "--directions", "dp:0.2"], [(144, 3), (3, 56)]),
-        (["perturb", "--query", "covariance", "--directions", "dp:0.2",
-          "--theta", "binary:0.9:0"], [(200, 3)]),
-        (["perturb", "--query", "identity", "--directions", "dp:0.2",
-          "--theta", "binary:0.9:0"], [(200, 3)]),
-    ], ids=["firstpc", "ablation", "covest", "regression", "perturb",
+    @pytest.mark.parametrize("run, clamped", [
+        ("firstpc", [(200, 3)]),
+        ("ablation", [(200, 3)]),
+        ("perturb", [(200, 3)]),
+        # X where it enters, then the records its Gram matrix sums: the
+        # training records for regression, all of them otherwise
+        ("covest", [(3, 200), (200, 3)]),
+        ("regression", [(3, 200), (144, 3)]),
+        ("perturb-identity", [(3, 200), (200, 3)]),
+    ], ids=["firstpc", "ablation", "perturb", "covest", "regression",
             "perturb-identity"])
-    def test_audits_and_multiplies_the_dataset_once(self, tmp_path, sign_data,
-                                                    monkeypatch, args, checked):
-        data = write_dataset(tmp_path, sign_data)
-        audits, grams = [], []
+    def test_clamps_and_multiplies_the_dataset_once(self, tmp_path, sign_data,
+                                                    monkeypatch, capfdbinary, run,
+                                                    clamped):
+        seen, grams = [], []
 
-        def counting_audit(x, lo, hi):
-            audits.append(x.shape)
-            return check_within_bounds(x, lo, hi)
+        def counting_clamp(x, lo, hi):
+            seen.append(x.shape)
+            return clamp(x, lo, hi)
 
         def counting_init(self, *args, **kwargs):
             grams.append(args)
@@ -476,20 +520,29 @@ class TestBenchCommand:
 
         gram_init = sensitivity.AuditedGram.__init__
         for module in (sensitivity, harness):
-            monkeypatch.setattr(module, "check_within_bounds", counting_audit)
+            monkeypatch.setattr(module, "clamp", counting_clamp)
         monkeypatch.setattr(sensitivity.AuditedGram, "__init__", counting_init)
-        out = ["--out", str(tmp_path / "o.csv")] if args[0] == "perturb" else []
-        assert main(args + ["--input", data, "--epsilon", "1", "--lo", "-1",
-                            "--hi", "1", *out]) == 0
-        # every one of the dataset's 600 cells is checked exactly once
-        assert audits == checked
+        assert run_on_dataset(tmp_path, capfdbinary, run, sign_data)[0] == 0
+        # a Gram-only run touches each of the dataset's 600 cells once
+        assert seen == clamped
         assert len(grams) == 1
+
+    @pytest.mark.parametrize("run", DATASET_RUNS)
+    def test_a_nan_in_a_later_block_names_no_value_or_line(
+            self, tmp_path, sign_data, monkeypatch, capfdbinary, run):
+        monkeypatch.setattr(sensitivity, "GRAM_BLOCK_CELLS", 9)  # 3-record blocks
+        data = np.array(sign_data)
+        data[1, 190] = np.nan
+        code, out, err = run_on_dataset(tmp_path, capfdbinary, run, data)
+        assert (code, out) == (3, b"")
+        assert err.startswith(b"mvgdp: contract violation: the data holds a cell "
+                              b"that is not a number")
+        assert b"nan" not in err.lower() and b"line" not in err and b"191" not in err
 
     @pytest.mark.parametrize("experiment", ["firstpc", "ablation"])
     @pytest.mark.parametrize("line, cell, code, message", [
         (9, "1,2,x", 2, "non-numeric cell at line 9, column 3: 'x'"),
         (9, "1,2", 2, "line 9 has 2 cells, expected 3"),
-        (9, "1,2,nan", 3, "line 9: data range [nan, nan]"),
     ])
     def test_a_fault_in_a_later_block_names_its_line(
             self, tmp_path, sign_data, monkeypatch, capfdbinary, experiment,

@@ -47,7 +47,7 @@ from mvgdp import (
 from mvgdp import budget, harness, mechanisms, sensitivity
 from mvgdp.harness import read_csv_gram
 from mvgdp.mechanisms import plan_directions_dp, trials_per_chunk
-from mvgdp.sensitivity import AuditedGram, check_within_bounds
+from mvgdp.sensitivity import AuditedGram
 
 
 def write(tmp_path, name, text):
@@ -236,21 +236,27 @@ class TestGramReader:
         with pytest.raises(FormatError, match="line 4 has 3 cells, expected 2"):
             read_csv_gram(path, -3.0, 3.0)
 
-    def test_nan_in_a_later_block_names_its_line(self, tmp_path, three_row_blocks):
+    def test_nan_in_a_later_block_names_no_value_or_line(self, tmp_path,
+                                                         three_row_blocks):
         lines = csv_text(integer_rows(10)).splitlines(keepends=True)
         lines[7] = "1,nan\n"
-        # blank lines before and inside the block shift every file line
-        text = "\n,,\n" + "".join(lines[:6]) + " \n" + "".join(lines[6:])
-        path = write(tmp_path, "d.csv", text)
-        with pytest.raises(ContractViolationError, match="line 11: data range"):
-            read_csv_gram(path, -3.0, 3.0)
-
-    def test_value_outside_the_box_names_its_line(self, tmp_path, three_row_blocks):
-        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
-        lines[4] = "1,3.5\n"
         path = write(tmp_path, "d.csv", "".join(lines))
-        with pytest.raises(ContractViolationError, match="line 5: data range"):
+        with pytest.raises(ContractViolationError,
+                           match="^the data holds a cell that is not a number") as info:
             read_csv_gram(path, -3.0, 3.0)
+        message = str(info.value)
+        assert "nan" not in message.lower() and "line" not in message
+        assert "8" not in message and "d.csv" not in message
+
+    @pytest.mark.parametrize("cell", ["3.5", "inf", "-inf"])
+    def test_value_outside_the_box_is_clamped(self, tmp_path, three_row_blocks, cell):
+        lines = csv_text(integer_rows(10)).splitlines(keepends=True)
+        lines[4] = f"1,{cell}\n"
+        gram = read_csv_gram(write(tmp_path, "d.csv", "".join(lines)), -3.0, 3.0)
+        lines[4] = f"1,{float(np.clip(float(cell), -3.0, 3.0))!r}\n"
+        clipped = read_csv_gram(write(tmp_path, "c.csv", "".join(lines)), -3.0, 3.0)
+        assert gram.gram.tobytes() == clipped.gram.tobytes()
+        assert gram.bounds == clipped.bounds == DataBounds(2, 10, -3.0, 3.0)
 
     def test_blank_lines_across_a_block_boundary_are_skipped(self, tmp_path,
                                                              three_row_blocks):
@@ -337,12 +343,13 @@ class TestGramReader:
             tracemalloc.stop()
         assert peak < 4 * sensitivity.GRAM_BLOCK_CELLS * 8
 
-    def test_a_violation_in_a_late_block_names_the_range_of_all_records(self):
+    def test_records_outside_the_box_in_a_late_block_are_clamped(self):
         x = np.random.default_rng(6).uniform(-0.5, 0.5, (16, 50000))
-        x[0, 0], x[3, 49000] = -1.0, 1.5  # in the first and the last block
-        with pytest.raises(ContractViolationError,
-                           match=re.escape("data range [-1, 1.5] escapes")):
-            AuditedGram.of(x, -1.0, 1.0)
+        x[0, 0], x[3, 49000] = -np.inf, 1.5  # in the first and the last block
+        gram = AuditedGram.of(x, -1.0, 1.0)
+        clipped = AuditedGram.of(np.clip(x, -1.0, 1.0), -1.0, 1.0)
+        assert gram.gram.tobytes() == clipped.gram.tobytes()
+        assert x[3, 49000] == 1.5  # the caller's records are not written
 
     def test_directions_from_the_records_equal_directions_from_the_file(
             self, tmp_path):
@@ -356,8 +363,11 @@ class TestGramReader:
     def test_audited_gram_needs_an_audit(self):
         with pytest.raises(TypeError):
             AuditedGram(np.eye(2), 2, 5, 0.0, 1.0)
-        with pytest.raises(ContractViolationError):
-            AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0)
+        # every 2.0 is clamped to 1.0, and a NaN cannot be
+        assert np.array_equal(AuditedGram.of(np.full((2, 3), 2.0), 0.0, 1.0).gram,
+                              np.full((2, 2), 3.0))
+        with pytest.raises(ContractViolationError, match="not a number"):
+            AuditedGram.of(np.full((2, 3), np.nan), 0.0, 1.0)
         with pytest.raises(ShapeError, match="at least one block of records"):
             AuditedGram.of(np.zeros((2, 0)), 0.0, 1.0)
         for x in (np.zeros(5), np.zeros((0, 5))):
@@ -786,37 +796,36 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "read_csv_gram", no_load)
         assert run_experiment(cfg, data=x) == expected
 
-    def test_nan_cell_fails_the_bounds_audit(self, tmp_path):
+    def test_nan_cell_aborts_naming_no_value(self, tmp_path):
         path = write(tmp_path, "nan.csv", "0.5,0.1\nnan,0.2\n0.3,0.4\n")
         cfg = base_config(path, DataBounds(2, 3, 0.0, 1.0),
                           MechanismKind.GAUSSIAN_IID, Experiment.FIRST_PC)
-        with pytest.raises(ContractViolationError, match="nan"):
+        with pytest.raises(ContractViolationError, match="not a number") as info:
             run_experiment(cfg)
+        assert "nan" not in str(info.value).lower() and "line" not in str(info.value)
 
-    def test_bounds_audit_aborts(self, tmp_path):
+    def test_records_outside_the_box_are_clamped(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
         bounds = DataBounds(3, data.shape[1], -0.5, 0.5)  # data escapes this box
         cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
                           Experiment.FIRST_PC)
-        with pytest.raises(ContractViolationError):
-            run_experiment(cfg)
+        clipped = np.clip(data, -0.5, 0.5)
+        assert run_experiment(cfg) == run_experiment(cfg, data=clipped)
+        assert run_experiment(cfg, data=data) == run_experiment(cfg, data=clipped)
 
     @pytest.mark.parametrize("directions", ["standard", "dp:0.2"])
     @pytest.mark.parametrize("record", [3, 45], ids=["train", "test"])
-    def test_a_regression_audit_names_the_whole_range(self, tmp_path, directions,
-                                                      record):
-        # with dp:F the training records are audited by their Gram matrix
-        # and the test records apart, but a violation reads as one check
+    def test_a_regression_clamps_its_train_and_test_records(self, tmp_path,
+                                                            directions, record):
         path, x = regression_dataset(tmp_path)
         x[1, record] = 1.5
         cfg = base_config(path, DataBounds(4, x.shape[1], 0.0, 1.0),
                           MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION,
                           directions_source=directions)
-        with pytest.raises(ContractViolationError) as whole:
-            check_within_bounds(x, 0.0, 1.0)
-        with pytest.raises(ContractViolationError) as run:
-            run_experiment(cfg, data=x)
-        assert str(run.value) == str(whole.value)
+        clipped = run_experiment(cfg, data=np.clip(x, 0.0, 1.0))
+        assert run_experiment(cfg, data=x) == clipped
+        x[1, record] = 1.0
+        assert run_experiment(cfg, data=x) == clipped
 
     def test_shape_mismatch_is_config_error(self, tmp_path):
         path, data = covariance_dataset(tmp_path)
@@ -836,7 +845,7 @@ class TestRunExperiment:
         with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
             run_experiment(cfg, data=data)
         with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
-            harness.audit_records(x, cfg.bounds, "standard")
+            harness.clamp_records(x, cfg.bounds, "standard")
 
     def test_equimodal_on_rectangular_query_rejected(self, tmp_path):
         path, x = regression_dataset(tmp_path)

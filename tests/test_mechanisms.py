@@ -681,12 +681,13 @@ class TestDeriveDirectionsDp:
                                            bounds=bounds)
             assert np.array_equal(plan.draw(RandomStream(seed)), derived)
 
-    def test_out_of_bounds_data_rejected(self):
-        data = np.full((2, 5), 3.0)
+    def test_out_of_bounds_data_is_clamped(self):
+        data = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 5))
         bounds = DataBounds(2, 5, -1.0, 1.0)
-        with pytest.raises(ContractViolationError):
-            derive_directions_dp(data, PrivacyParams(1.0, 0.1), 2,
-                                 RandomStream(0), bounds=bounds)
+        derived = [derive_directions_dp(x, PrivacyParams(1.0, 0.1), 2,
+                                        RandomStream(0), bounds=bounds)
+                   for x in (data, np.clip(data, -1.0, 1.0))]
+        assert derived[0].tobytes() == derived[1].tobytes()
 
     @pytest.mark.parametrize("data, bounds, message", [
         (np.zeros(6), DataBounds(1, 6, -1.0, 1.0), "2-D matrix, got ndim=1"),

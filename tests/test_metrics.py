@@ -230,3 +230,16 @@ class TestEvalReport:
             EvalReport("m", 1.0, -0.1, 10)
         with pytest.raises(DomainError):
             EvalReport("m", 1.0, 0.1, 0)
+
+    @pytest.mark.parametrize("mean, half, message", [
+        (1.0, math.nan, "ci95_half_width must be finite, got nan"),
+        (1.0, math.inf, "ci95_half_width must be finite, got inf"),
+        (1.0, "1", "ci95_half_width must be a real number, got '1'"),
+        (math.nan, 0.1, "mean must be finite, got nan"),
+        ("1", 0.1, "mean must be a real number, got '1'"),
+        (None, 0.1, "mean must be a real number, got None"),
+    ])
+    def test_mean_and_width_are_finite_reals(self, mean, half, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            EvalReport("m", mean, half, 10)
+        assert EvalReport("m", -2.0, 0.0, 1).ci95_half_width == 0.0

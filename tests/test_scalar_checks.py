@@ -1,9 +1,12 @@
-"""Every count and real-number argument passes one check each.
+"""Every count and real-number argument passes one check each, and data
+meets its box in one place.
 
 ``errors.as_count`` and ``errors.as_real`` are the only checks of a scalar
 argument: the per-site tests below give each real scalar an int too large
-for a float, a bool and a string, and the guard at the end fails if a
-module tests a scalar by hand with ``is_count`` or ``is_real``.
+for a float, a bool and a string, and a guard fails if a module tests a
+scalar by hand with ``is_count`` or ``is_real``. ``sensitivity.clamp`` is
+the only code that compares data with a box: the last guard fails if
+another module compares anything with ``lo`` or ``hi``.
 """
 
 import ast
@@ -220,3 +223,37 @@ def test_a_check_by_hand_is_found():
         ("budget", "scale.inner", "is_real", "x"),
         ("budget", "scale", "is_count", "m"),
     }
+
+
+def box_comparisons(source: str) -> set[str]:
+    """The source of each comparison in a module's source that has ``lo``
+    or ``hi``, as a name or an attribute, as an operand."""
+    def is_box_end(operand):
+        return (isinstance(operand, ast.Name) and operand.id in ("lo", "hi")
+                or isinstance(operand, ast.Attribute) and operand.attr in ("lo", "hi"))
+
+    return {ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(is_box_end(operand) for operand in (node.left, *node.comparators))}
+
+
+def test_only_sensitivity_compares_with_the_box():
+    found = {path.stem: box_comparisons(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert len(found) > 1
+    elsewhere = {stem: compares for stem, compares in found.items()
+                 if compares and stem != "sensitivity"}
+    assert elsewhere == {}, "clamp records into their box with sensitivity.clamp"
+    # the walk finds clamp's own test, so an empty result is not a blind one
+    assert {"x.min() >= lo", "x.max() <= hi"} <= found["sensitivity"]
+
+
+def test_a_comparison_with_the_box_is_found():
+    planted = (
+        "def escaping_row(self, lo, hi):\n"
+        "    inside = ((self.block >= lo) & (self.block <= hi)).all(axis=1)\n"
+        "    if x.max() > bounds.hi or lo_count < 2:\n"
+        "        return int(np.argmin(inside))\n"
+    )
+    assert box_comparisons(planted) == {"self.block >= lo", "self.block <= hi",
+                                        "x.max() > bounds.hi"}

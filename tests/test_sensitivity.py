@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mvgdp import (
+    ContractViolationError,
     DataBounds,
     DomainError,
     QueryKind,
@@ -17,6 +19,7 @@ from mvgdp import (
     identity_sensitivity,
     identity_sensitivity_l1,
 )
+from mvgdp.sensitivity import clamp
 
 
 class TestDataBounds:
@@ -191,3 +194,66 @@ class TestQueryBuilders:
         q = build(b)
         assert (q.m, q.n, q.kind) == (5, n, kind)
         assert [q.sensitivity, q.gamma, q.l1_sensitivity] == [f(b) for f in formulas]
+
+
+class TestFormulasAgainstCornerOracle:
+    """The six formulas against the bounds they are derived from, worked
+    out over the corners of the box [-1, 3]. There the largest magnitude
+    c = 3 is neither 1 nor the half range 2, so a formula that drops c,
+    divides by it or takes the range for it gives another value."""
+
+    b = DataBounds(3, 4, -1.0, 3.0)
+
+    def corners(self):
+        # every record whose entries are all at an end of the box
+        return np.array(list(itertools.product((self.b.lo, self.b.hi),
+                                               repeat=self.b.num_features)))
+
+    def test_identity_formulas(self):
+        corners = self.corners()
+        # replacing one record moves one column from one corner to another
+        moves = corners[:, np.newaxis, :] - corners[np.newaxis, :, :]
+        assert identity_sensitivity(self.b) == pytest.approx(
+            np.linalg.norm(moves, axis=-1).max(), rel=1e-12)
+        assert identity_sensitivity_l1(self.b) == pytest.approx(
+            np.abs(moves).sum(axis=-1).max(), rel=1e-12)
+        # the largest X repeats the largest corner in every column
+        top = corners[np.argmax(np.linalg.norm(corners, axis=1))]
+        largest = np.repeat(top[:, np.newaxis], self.b.num_samples, axis=1)
+        assert gamma_identity(self.b) == pytest.approx(np.linalg.norm(largest),
+                                                       rel=1e-12)
+
+    def test_covariance_formulas(self):
+        n = self.b.num_samples
+        terms = [np.outer(x, x) for x in self.corners()]
+        largest_l2 = max(np.linalg.norm(t) for t in terms)
+        largest_l1 = max(np.abs(t).sum() for t in terms)
+        # X X^T / N of constant columns is one term, and one record's
+        # replacement moves the query by at most two terms over N
+        assert gamma_covariance(self.b) == pytest.approx(largest_l2, rel=1e-12)
+        assert covariance_sensitivity(self.b) == pytest.approx(2 * largest_l2 / n,
+                                                               rel=1e-12)
+        assert covariance_sensitivity_l1(self.b) == pytest.approx(2 * largest_l1 / n,
+                                                                  rel=1e-12)
+
+
+class TestClamp:
+    def test_records_inside_the_box_are_returned_themselves(self):
+        x = np.array([[-1.0, 0.5], [3.0, 0.0]])
+        assert clamp(x, -1.0, 3.0) is x
+
+    def test_records_outside_are_clipped_and_infinities_go_to_the_edges(self):
+        x = np.array([[-2.0, np.inf], [-np.inf, 4.0], [0.5, 3.0]])
+        clamped = clamp(x, -1.0, 3.0)
+        assert clamped.tolist() == [[-1.0, 3.0], [-1.0, 3.0], [0.5, 3.0]]
+        assert clamped.tobytes() == np.clip(x, -1.0, 3.0).tobytes()
+        assert x[0, 0] == -2.0  # the caller's array is not written
+
+    @pytest.mark.parametrize("x", [np.array([[np.nan]]),
+                                   np.array([[0.0, np.nan, 5.0]]),
+                                   np.array([[np.inf], [np.nan]])])
+    def test_a_nan_raises_naming_no_value(self, x):
+        with pytest.raises(ContractViolationError,
+                           match="^the data holds a cell that is not a number") as info:
+            clamp(x, -1.0, 3.0)
+        assert "nan" not in str(info.value).lower()
