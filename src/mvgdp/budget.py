@@ -229,9 +229,11 @@ def budget_terms(q: QuerySpec,
     """
     h_r, h_r_half = harmonic_numbers(q.r)
     z = zeta(p.delta, q.m, q.n)
-    alpha = (h_r + h_r_half) * q.gamma ** 2 + 2.0 * h_r * q.gamma * q.sensitivity
+    # gamma * gamma overflows to inf, which phi_bound rejects; ** would raise
+    alpha = (h_r + h_r_half) * (q.gamma * q.gamma) + 2.0 * h_r * q.gamma * q.sensitivity
     beta = 2.0 * (q.m * q.n) ** 0.25 * h_r * q.sensitivity * z
-    return h_r, h_r_half, z, alpha, beta, phi_bound(alpha, beta, p.epsilon)
+    phi = as_real(phi_bound(alpha, beta, p.epsilon), "phi_max", DomainError, positive=True)
+    return h_r, h_r_half, z, alpha, beta, phi
 
 
 def _report(q: QuerySpec, p: PrivacyParams, mode: BudgetMode) -> BudgetReport:

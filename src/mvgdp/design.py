@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesignError, ShapeError
+from .errors import DegenerateDesignError, ShapeError, symmetry_fault
 
 ORTHONORMALITY_TOL = 1e-8
 EIGENVALUE_FLOOR = 1e-12
@@ -277,11 +277,8 @@ def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     mat = _as_matrix(cov, name)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be square, got {mat.shape}")
-    sym_dev = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    if sym_dev > ORTHONORMALITY_TOL:
-        raise DegenerateDesignError(
-            f"{name} is not symmetric: max |A - A^T| = {sym_dev:.3e}"
-        )
+    if fault := symmetry_fault(mat, name):
+        raise DegenerateDesignError(fault)
     eigvals, eigvecs = np.linalg.eigh((mat + mat.T) / 2.0)
     if np.any(eigvals < EIGENVALUE_FLOOR):
         raise DegenerateDesignError(

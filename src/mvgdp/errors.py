@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one check each
-that count and real-number arguments pass.
+"""Exception hierarchy shared across the package, and the one check each of
+a count, a real number, a symmetric matrix and a unit vector.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
 with 2, contract violations (a data cell that is not a number, or a query
@@ -54,6 +54,29 @@ def as_real(value, name: str, error: type, positive: bool = False) -> float:
     if not low < value < math.inf:  # a NaN fails too
         raise error(f"{name} must be {bound}, got {value}")
     return value
+
+
+SYMMETRY_TOL = UNIT_TOL = 1e-8
+
+
+def symmetry_fault(mat: np.ndarray, name: str) -> str | None:
+    """Why the square float array ``mat``, named ``name``, is not finite and
+    symmetric within ``SYMMETRY_TOL``, or ``None``. Finiteness is tested
+    first, so no inf - inf warns; A - A^T is exactly antisymmetric, so its
+    largest entry is the largest deviation."""
+    if not np.isfinite(mat).all():
+        return f"{name} has an entry that is not finite"
+    dev = float((mat - mat.T).max(initial=0.0))
+    return (f"{name} deviates from symmetry by {dev:.3e}, beyond {SYMMETRY_TOL:.0e}"
+            if dev > SYMMETRY_TOL else None)
+
+
+def unit_norm_fault(vs: np.ndarray) -> str | None:
+    """Why a row of the 2-D float array ``vs`` is not a unit vector within
+    ``UNIT_TOL``, or ``None``; a NaN or infinite norm fails."""
+    norms = np.linalg.norm(vs, axis=1)
+    bad = norms[~(np.abs(norms - 1.0) <= UNIT_TOL)]
+    return f"v must be a unit vector, got norm {float(bad[0])!r}" if bad.size else None
 
 
 class MvgdpError(Exception):

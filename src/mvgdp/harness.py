@@ -100,7 +100,7 @@ from .metrics import (  # noqa: F401
     ridge_regression_rmse,
     rss,
 )
-from .sampling import RandomStream, seed_state_words
+from .sampling import SEED_BOUND, RandomStream, seed_state_words
 from .sensitivity import (
     AuditedGram,
     DataBounds,
@@ -108,8 +108,6 @@ from .sensitivity import (
     covariance_query,
     identity_query,
 )
-
-_SEED_MOD = 2 ** 64
 
 # The regression experiment trains on this leading share of the records,
 # the paper's 248 of Liver's 345.
@@ -175,7 +173,7 @@ def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_sp
     if not isinstance(mechanism, MechanismKind):
         raise ConfigError(f"unknown mechanism {mechanism!r}")
     as_count(trials, "trials", ConfigError)
-    if not is_count(seed) or not 0 <= seed < _SEED_MOD:
+    if not is_count(seed) or not 0 <= seed < SEED_BOUND:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     as_real(ridge_reg, "ridge_reg", ConfigError, positive=True)
     for name, value in (("theta_spec", theta_spec),
@@ -543,7 +541,7 @@ def _trial_streams(cfg: ExperimentConfig):
     for start in range(0, cfg.trials, block):
         count = min(block, cfg.trials - start)
         # uint64 arithmetic wraps seed + t past 2^64 - 1 to 0
-        seeds = np.uint64((cfg.seed + start) % _SEED_MOD) + np.arange(count,
+        seeds = np.uint64((cfg.seed + start) % SEED_BOUND) + np.arange(count,
                                                                       dtype=np.uint64)
         for seed, words in zip(seeds.tolist(), seed_state_words(seeds)):
             yield RandomStream.from_state_words(seed, words)

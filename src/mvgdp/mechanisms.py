@@ -59,6 +59,7 @@ from .errors import (
     ShapeError,
     as_count,
     as_real,
+    symmetry_fault,
 )
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
 from .sampling import (  # noqa: F401
@@ -74,8 +75,6 @@ THETA_FLOOR = 1e-6
 
 # Relative slack on the caller's Frobenius-norm claim for the query value.
 GAMMA_RTOL = 1e-9
-
-_SYMMETRY_TOL = 1e-8
 
 # Entries of the largest stack a batched draw builds: 4096 float64, 32 KiB
 # per temporary, well under glibc malloc's 128 KiB mmap threshold. Larger
@@ -398,20 +397,15 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
     may also be a :class:`DirectionsPlan`, from which each trial draws its
     own basis for both sides.
     """
-    if q.m != q.n:
-        raise ShapeError(f"equi-modal noise needs a square query, got {q.m}x{q.n}")
     value = _validate_query_value(query_value, q)
-    # equal bytes, as in a computed covariance, tell exact symmetry at once;
-    # a - b is exactly -(b - a), so the largest entry is the largest deviation
-    if value.tobytes() != value.T.tobytes():
-        asym = float((value - value.T).max())
-        if asym > _SYMMETRY_TOL:
-            warnings.warn(
-                f"equi-modal noise is recommended for symmetric queries; the "
-                f"query value deviates from symmetry by {asym:.3e}",
-                stacklevel=2,
-            )
-    return _plan(value, q, p, theta, BudgetMode.EQUI_MODAL, w_sigma)
+    # the budget raises ShapeError for a query that is not square
+    plan = _plan(value, q, p, theta, BudgetMode.EQUI_MODAL, w_sigma)
+    # equal bytes, as in a computed covariance, tell exact symmetry at once
+    if value.tobytes() != value.T.tobytes() and (
+            fault := symmetry_fault(value, "the query value")):
+        warnings.warn(f"equi-modal noise is recommended for symmetric queries; {fault}",
+                      stacklevel=2)
+    return plan
 
 
 def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
@@ -480,7 +474,8 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
             f"got epsilon = {p.epsilon}",
             stacklevel=2,
         )
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / p.delta)) / p.epsilon
+    return as_real(sensitivity * math.sqrt(2.0 * math.log(1.25 / p.delta)) / p.epsilon,
+                   "the Gaussian noise scale", DomainError, positive=True)
 
 
 @dataclass(frozen=True)
@@ -540,7 +535,8 @@ def plan_laplace(query_value, q: QuerySpec, epsilon: float) -> LaplacePlan:
             f"the Laplace baseline is calibrated to the L1 sensitivity but got a "
             f"{q.kind.value} query, whose L1 sensitivity is unknown"
         )
-    return LaplacePlan(value, q.l1_sensitivity / epsilon)
+    return LaplacePlan(value, as_real(q.l1_sensitivity / epsilon, "the Laplace scale",
+                                      DomainError, positive=True))
 
 
 def gaussian_iid_baseline(query_value, q: QuerySpec, p: PrivacyParams,

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, ShapeError, as_count, as_real
+from .errors import (ContractViolationError, DomainError, ShapeError, as_count, as_real,
+                     symmetry_fault, unit_norm_fault)
 
-_UNIT_TOL = 1e-8
-_SYMMETRY_TOL = 1e-8
 # Negative gap values above this threshold are floating-point dust and clamp
 # to zero; anything more negative is reported as-is.
 _NEGATIVE_DUST = -1e-10
@@ -64,29 +63,25 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if dev > _SYMMETRY_TOL:
-        raise ContractViolationError(
-            f"{name} deviates from symmetry by {dev:.3e}, beyond {_SYMMETRY_TOL:.0e}"
-        )
+    if fault := symmetry_fault(mat, name):
+        raise ContractViolationError(fault)
     return mat
 
 
-def _check_unit(v) -> np.ndarray:
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ContractViolationError(f"v must be a unit vector, got norm {norm!r}")
-    return vec
+def _captured(vs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """v^T mat v for each unit row v of the (T, m) array ``vs``, from the two
+    stacked products :class:`DeltaRho` describes."""
+    if fault := unit_norm_fault(vs):
+        raise ContractViolationError(fault)
+    if vs.shape[1] != len(mat):
+        raise ShapeError(f"v has length {vs.shape[1]}, s_bar is {len(mat)}x{len(mat)}")
+    return np.matmul(np.matmul(vs[:, np.newaxis, :], mat), vs[:, :, np.newaxis])[:, 0, 0]
 
 
 def captured_variance(v, s_bar) -> float:
     """Variance of s_bar explained by the unit direction v: v^T s_bar v."""
-    vec = _check_unit(v)
-    mat = _check_symmetric(s_bar, "s_bar")
-    if vec.size != mat.shape[0]:
-        raise ShapeError(f"v has length {vec.size}, s_bar is {mat.shape[0]}x{mat.shape[0]}")
-    return float(vec @ mat @ vec)
+    vs = np.asarray(v, dtype=float).reshape(1, -1)
+    return float(_captured(vs, _check_symmetric(s_bar, "s_bar"))[0])
 
 
 def delta_rho(v, s_bar) -> float:
@@ -116,20 +111,7 @@ class DeltaRho:
 
     def __call__(self, vs: np.ndarray) -> np.ndarray:
         """The gap for each row of the (T, m) array ``vs``, as a (T,) array."""
-        mat = self.s_bar
-        norms = np.linalg.norm(vs, axis=1)
-        bad = np.abs(norms - 1.0) > _UNIT_TOL
-        if np.any(bad):
-            raise ContractViolationError(
-                f"v must be a unit vector, got norm {float(norms[bad][0])!r}"
-            )
-        if vs.shape[1] != mat.shape[0]:
-            raise ShapeError(
-                f"v has length {vs.shape[1]}, s_bar is {mat.shape[0]}x{mat.shape[0]}"
-            )
-        rows = vs[:, np.newaxis, :]
-        captured = np.matmul(np.matmul(rows, mat), vs[:, :, np.newaxis])[:, 0, 0]
-        gaps = self.lam1 - captured
+        gaps = self.lam1 - _captured(vs, self.s_bar)
         gaps[(gaps >= _NEGATIVE_DUST) & (gaps < 0.0)] = 0.0
         return gaps
 

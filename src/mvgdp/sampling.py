@@ -25,7 +25,7 @@ import numpy as np
 from .design import NoiseDesign
 from .errors import DomainError, ShapeError, as_count, is_count
 
-_SEED_MAX = 2 ** 64
+SEED_BOUND = 2 ** 64
 
 # numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx,
 # after M. E. O'Neill's seed_seq_fe) and its pool size in 32-bit words
@@ -135,7 +135,7 @@ class RandomStream:
     def __init__(self, seed: int):
         if not is_count(seed):
             raise DomainError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed < _SEED_MAX:
+        if not 0 <= seed < SEED_BOUND:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.seed = int(seed)
         self._generator = np.random.default_rng(self.seed)

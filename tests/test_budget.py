@@ -128,6 +128,25 @@ class TestAlphaBeta:
         assert a2 > a1
         assert b2 == pytest.approx(b1, rel=0)
 
+    @pytest.mark.parametrize("mode", ["unimodal", "equimodal"])
+    def test_a_gamma_whose_square_overflows_is_a_domain_error(self, mode):
+        # gamma squared overflows, and phi_bound rejects the infinite alpha
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1e308)
+        report = {"unimodal": precision_budget_unimodal,
+                  "equimodal": precision_budget_equimodal}[mode]
+        with pytest.raises(DomainError, match="^alpha must be positive and finite, got inf$"):
+            report(q, PrivacyParams(1.0, 0.1))
+
+    def test_a_phi_that_underflows_to_zero_is_a_domain_error(self):
+        # alpha and beta are finite, but 4 * epsilon over beta underflows to
+        # 0.0, which would make a condition's rhs 0.0
+        q = QuerySpec(2, 2, sensitivity=1e10, gamma=1e10)
+        p = PrivacyParams(1e-320, 0.1)
+        with pytest.raises(DomainError, match="^phi_max must be positive and finite, got 0.0$"):
+            budget.budget_terms(q, p)
+        with pytest.raises(DomainError, match="^phi_max must be"):
+            check_condition(NoiseDesign(None, np.ones(2), None, np.ones(2)), q, p)
+
 
 class TestPhiBound:
     def test_quadratic_example(self):

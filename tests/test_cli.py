@@ -114,6 +114,15 @@ class TestBudgetCommand:
                      "--m", "1", "--n", "1", "--gamma", "1",
                      "--sensitivity", "1", "--mode", "unimodal"]) == 2
 
+    def test_a_gamma_whose_square_overflows_exits_2(self, capsys):
+        # every flag is finite, but gamma squared overflows
+        assert main(["budget", "--epsilon", "1", "--delta", "0.1",
+                     "--m", "2", "--n", "2", "--gamma", "1e308",
+                     "--sensitivity", "1", "--mode", "unimodal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mvgdp: error: alpha must be positive and finite, got inf\n"
+
 
 class TestSampleCommand:
     def test_identity_covariances_reproduce_raw_normals(self, tmp_path):
@@ -384,6 +393,22 @@ class TestBenchCommand:
                      "--mechanism", "mvg-equi", "--trials", "2",
                      "--epsilon", "1", "--lo", "0", "--hi", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("experiment", ["firstpc", "covest"])
+    @pytest.mark.parametrize("flag", ["--delta", "--epsilon"])
+    def test_a_gaussian_scale_that_overflows_exits_2(self, tmp_path, sign_data,
+                                                     capfdbinary, experiment, flag):
+        # an infinite sigma must not reach eigh (firstpc) or a NaN report (covest)
+        args = ["bench", "--experiment", experiment, "--input",
+                write_dataset(tmp_path, sign_data), "--mechanism", "gauss",
+                "--trials", "2", "--epsilon", "1", "--delta", "0.1",
+                "--lo", "-1", "--hi", "1"]
+        args[args.index(flag) + 1] = "1e-320"
+        assert main(args) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == (b"mvgdp: error: the Gaussian noise scale must be "
+                                b"positive and finite, got inf\n")
 
     def test_a_basis_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         # 4 features, so a 4 x 4 covariance query, and a 3 x 3 basis

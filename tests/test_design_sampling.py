@@ -63,6 +63,13 @@ class TestNoiseDesign:
             with pytest.raises(ShapeError, match=re.escape(message)):
                 NoiseDesign(basis, np.ones(2), None, np.ones(2))
 
+    def test_a_one_by_one_basis_is_checked_and_colors(self):
+        # [[-1.0]] is orthonormal but not the identity, so it takes the full
+        # check, and it flips the sign of the sqrt(lambda) it scales by
+        design = NoiseDesign(np.array([[-1.0]]), np.array([4.0]), None, np.ones(3))
+        assert design.color_bases[0] is design.basis_sigma
+        assert design.color(np.ones((1, 3))).tolist() == [[-2.0, -2.0, -2.0]]
+
     def test_standard_side_reads_as_dense_identity(self):
         lam_p = np.array([2.0, 0.5, 4.0])
         implicit = NoiseDesign(np.eye(2), np.ones(2), None, lam_p)
@@ -96,9 +103,20 @@ class TestNoiseDesign:
             NoiseDesign.from_covariances(np.ones((2, 3)), np.eye(2))
 
     def test_from_covariances_rejects_asymmetric(self):
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(DegenerateDesignError,
+                           match="^sigma deviates from symmetry by 5.000e-01, beyond 1e-08$"):
             NoiseDesign.from_covariances(np.array([[1.0, 0.5], [0.0, 1.0]]),
                                          np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["sigma", "psi"])
+    def test_from_covariances_rejects_an_entry_that_is_not_finite(self, bad, side):
+        # named as the input's fault, not as an eigenvalue of it
+        cov = np.array([[1.0, 0.0], [0.0, bad]])
+        args = (cov, np.eye(2)) if side == "sigma" else (np.eye(2), cov)
+        with pytest.raises(DegenerateDesignError,
+                           match=f"^{side} has an entry that is not finite$"):
+            NoiseDesign.from_covariances(*args)
 
     def test_reconstruction_symmetry(self):
         # a design's covariances are symmetric, and decomposing them gives

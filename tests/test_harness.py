@@ -666,6 +666,15 @@ class TestRunExperiment:
         assert report.trials == 3
         assert np.isfinite(report.mean)
 
+    def test_a_one_feature_regression_runs(self, tmp_path):
+        # two rows, the feature and the target: the fewest regression takes
+        x = np.random.default_rng(7).uniform(0.0, 1.0, (2, 40))
+        cfg = base_config(tmp_path / "unused.csv", DataBounds(2, 40, 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION)
+        report = run_experiment(cfg, data=x)
+        assert (report.metric_name, report.trials) == ("RMSE", 3)
+        assert np.isfinite(report.mean) and report.mean > 0.0
+
     @pytest.mark.parametrize("shape, message", [
         ((1, 40), "at least one feature column plus the target column"),
         ((4, 1), "leaves no valid split of 1 records"),

@@ -563,6 +563,22 @@ class TestGaussianBaseline:
         with pytest.warns(UserWarning, match="epsilon"):
             gaussian_noise_scale(1.0, PrivacyParams(5.0, 0.05))
 
+    def test_warns_just_above_epsilon_one(self):
+        # fails if the threshold moves from epsilon > 1 to epsilon > 2
+        with pytest.warns(UserWarning, match="assumes epsilon <= 1, got epsilon = 1.5"):
+            gaussian_noise_scale(1.0, PrivacyParams(1.5, 0.05))
+
+    @pytest.mark.parametrize("epsilon, delta", [(1.0, 1e-320), (1e-320, 0.05)])
+    def test_a_scale_that_overflows_is_rejected(self, epsilon, delta):
+        # 1.25 / delta or the quotient by epsilon overflows to inf
+        p = PrivacyParams(epsilon, delta)
+        message = "^the Gaussian noise scale must be positive and finite, got inf$"
+        with pytest.raises(DomainError, match=message):
+            gaussian_noise_scale(1.0, p)
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
+        with pytest.raises(DomainError, match=message):
+            gaussian_iid_baseline(np.zeros((2, 2)), q, p, RandomStream(0))
+
     @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive_sensitivity(self, sensitivity):
         with pytest.raises(DomainError, match="sensitivity must be positive"):
@@ -611,6 +627,15 @@ class TestLaplaceBaseline:
         unknown = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
         with pytest.raises(ConfigError, match="got a custom query"):
             laplace_iid_baseline(np.zeros((2, 2)), unknown, 1.0, RandomStream(0))
+
+    @pytest.mark.parametrize("l1, epsilon, scale", [(1e300, 1e-300, "inf"),
+                                                    (1e-300, 1e300, "0.0")])
+    def test_a_scale_that_is_not_positive_and_finite_is_rejected(self, l1, epsilon,
+                                                                 scale):
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=l1)
+        with pytest.raises(DomainError,
+                           match=f"^the Laplace scale must be positive and finite, got {scale}$"):
+            laplace_iid_baseline(np.zeros((2, 2)), q, epsilon, RandomStream(0))
 
     def test_releases_a_custom_query_at_its_l1_scale(self):
         q = QuerySpec(2, 3, sensitivity=1.0, gamma=1.0, l1_sensitivity=3)

@@ -54,6 +54,11 @@ class TestCapturedVariance:
         with pytest.raises(ShapeError, match="v has length 3, s_bar is 2x2"):
             captured_variance([1.0, 0.0, 0.0], np.eye(2))
 
+    def test_rejects_a_nan_direction(self):
+        # a NaN norm must fail the unit test, not score NaN
+        with pytest.raises(ContractViolationError, match="got norm nan"):
+            captured_variance([math.nan, 0.0], np.eye(2))
+
 
 class TestDeltaRho:
     def test_top_eigenvector_gives_zero(self):
@@ -81,6 +86,17 @@ class TestDeltaRho:
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             assert delta_rho(v, s) >= 0.0
+
+    def test_rejects_a_nan_direction(self):
+        with pytest.raises(ContractViolationError, match="got norm nan"):
+            delta_rho([math.nan, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_an_s_bar_that_is_not_finite(self, bad):
+        # NaN fails no tolerance comparison, so finiteness is tested first
+        with pytest.raises(ContractViolationError,
+                           match="^s_bar has an entry that is not finite$"):
+            DeltaRho(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestBatchedDeltaRho:
@@ -152,6 +168,17 @@ class TestRss:
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         rotated = rss(q @ s_tilde @ q.T, q @ s_bar @ q.T)
         assert rotated == pytest.approx(rss(s_tilde, s_bar), rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["s_tilde", "s_bar"])
+    def test_rejects_a_matrix_that_is_not_finite(self, bad, which):
+        # a NaN must not score 0.0, a perfect estimate, and inf must not warn
+        # on inf - inf (which the suite's warning filter makes an error)
+        matrix = np.array([[bad, 0.0], [0.0, 1.0]])
+        args = (matrix, np.eye(2)) if which == "s_tilde" else (np.eye(2), matrix)
+        with pytest.raises(ContractViolationError,
+                           match=f"^{which} has an entry that is not finite$"):
+            rss(*args)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
