@@ -32,6 +32,8 @@ CONDITION_RTOL = 1e-9
 # Relative slack on sensitivity <= 2*gamma (exact in real arithmetic).
 _TRIANGLE_RTOL = 1e-12
 
+HARMONIC_DIRECT_MAX = 1 << 16  # see harmonic_numbers
+
 # Keys each memo keeps: (QuerySpec, PrivacyParams) pairs here, and the
 # (query, privacy, allocation, mode) keys of mechanisms.release_spectrum. A
 # run uses a few, so this only bounds a long-lived caller's memory.
@@ -151,11 +153,19 @@ class ConditionCheck(NamedTuple):
 def harmonic_numbers(r: int) -> tuple[float, float]:
     """Generalized harmonic numbers (sum of 1/i, sum of 1/sqrt(i)) for i=1..r.
 
-    Computed by direct summation; exact enough for any realistic r and keeps
-    the values independently checkable.
+    Summed term by term up to ``HARMONIC_DIRECT_MAX``; above it, in O(1)
+    memory, by the Euler-Maclaurin expansions ln r + gamma_E + 1/(2r) -
+    1/(12 r^2) and 2 sqrt(r) + zeta(1/2) + 1/(2 sqrt(r)) - 1/(24 r^1.5),
+    whose next terms are below 1e-20 of the sums there.
     """
-    idx = np.arange(1, as_count(r, "r", DomainError) + 1, dtype=float)
-    return float(np.sum(1.0 / idx)), float(np.sum(1.0 / np.sqrt(idx)))
+    r = as_count(r, "r", DomainError)
+    if r <= HARMONIC_DIRECT_MAX:
+        idx = np.arange(1, r + 1, dtype=float)
+        return float(np.sum(1.0 / idx)), float(np.sum(1.0 / np.sqrt(idx)))
+    x = as_real(r, "r", DomainError)
+    root = math.sqrt(x)
+    return (math.log(x) + np.euler_gamma + 0.5 / x - 1.0 / (12.0 * x * x),
+            2.0 * root - 1.4603545088095868 + 0.5 / root - 1.0 / (24.0 * x * root))
 
 
 def zeta(delta: float, m: int, n: int) -> float:
@@ -167,7 +177,8 @@ def zeta(delta: float, m: int, n: int) -> float:
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    mn = float(as_count(m, "m", DomainError) * as_count(n, "n", DomainError))
+    mn = as_real(as_count(m, "m", DomainError) * as_count(n, "n", DomainError),
+                 "m*n", DomainError)
     log_delta = math.log(delta)
     return 2.0 * math.sqrt(-mn * log_delta) - 2.0 * log_delta + mn
 
@@ -232,16 +243,19 @@ def budget_terms(q: QuerySpec,
     # gamma * gamma overflows to inf, which phi_bound rejects; ** would raise
     alpha = (h_r + h_r_half) * (q.gamma * q.gamma) + 2.0 * h_r * q.gamma * q.sensitivity
     beta = 2.0 * (q.m * q.n) ** 0.25 * h_r * q.sensitivity * z
-    phi = as_real(phi_bound(alpha, beta, p.epsilon), "phi_max", DomainError, positive=True)
+    phi = as_real(phi_bound(alpha, beta, p.epsilon), f"phi_max at epsilon={p.epsilon}, "
+                  f"delta={p.delta},", DomainError, positive=True)
     return h_r, h_r_half, z, alpha, beta, phi
 
 
 def _report(q: QuerySpec, p: PrivacyParams, mode: BudgetMode) -> BudgetReport:
     h_r, h_r_half, z, alpha, beta, phi = budget_terms(q, p)
-    if mode is BudgetMode.UNIMODAL:
-        budget = phi ** 4 / q.n
-    else:
-        budget = phi ** 2
+    try:  # a float ** raises OverflowError where * gives inf
+        budget = phi ** 4 / q.n if mode is BudgetMode.UNIMODAL else phi ** 2
+    except OverflowError:
+        budget = math.inf
+    as_real(budget, f"the {mode.value} precision budget at epsilon={p.epsilon}, "
+            f"delta={p.delta},", DomainError, positive=True)
     return BudgetReport(h_r=h_r, h_r_half=h_r_half, zeta=z, alpha=alpha,
                         beta=beta, phi_max=phi, precision_budget=budget,
                         mode=mode)

@@ -19,8 +19,8 @@ values: its basis is written as ``None``. An n x n identity side then costs
 O(n) memory instead of O(n^2), and its diagonal factor is applied by scaling
 rows or columns, O(mn) instead of a dense matrix product. A standard column
 side whose singular values are all exactly 1.0 is left as drawn. A basis
-given as exactly the identity is kept as given, but it is orthonormal by
-inspection and is applied by scaling too, with the bits of the product,
+given as exactly the identity is stored as the standard side, ``None``: it
+is orthonormal by inspection, and scaling gives the bits of its product,
 whose other terms are exact zeros. No dense covariance is ever formed.
 """
 
@@ -74,21 +74,15 @@ def _is_identity(w: np.ndarray) -> bool:
             and w.diagonal().tolist() == [1.0] * m)
 
 
-def _check_side(basis, lam: np.ndarray,
-                side: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Validate one side's basis against its singular values.
-
-    ``None`` stands for the standard basis, which is orthonormal by
-    construction and takes its size from ``lam``. A supplied basis is
-    checked in full, unless it is exactly the identity, which is orthonormal
-    by inspection. Returns the basis and the basis the sampler multiplies
-    by: ``None`` for a standard side or an exact identity, which it scales
-    instead, and the basis itself otherwise.
-    """
+def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
+    """Validate one side's basis against its singular values, and return the
+    basis to store: ``None``, the standard basis, for ``None`` (which takes
+    its size from ``lam``) or an exact identity, both orthonormal by
+    inspection, and otherwise the basis, checked in full."""
     if basis is None:
         if lam.shape[0] < 1:
             raise ShapeError(f"lambda_{side} must have at least one entry")
-        return None, None
+        return None
     w = _as_matrix(basis, f"w_{side}")
     identity = _is_identity(w)
     if not identity:
@@ -97,7 +91,7 @@ def _check_side(basis, lam: np.ndarray,
         raise ShapeError(
             f"lambda_{side} has length {lam.shape[0]}, expected {w.shape[0]}"
         )
-    return w, None if identity else w
+    return None if identity else w
 
 
 def _check_lambda(lam: np.ndarray, name: str) -> None:
@@ -110,37 +104,29 @@ def _check_lambda(lam: np.ndarray, name: str) -> None:
 
 
 def _check_bases(basis_sigma, lam_s: np.ndarray, basis_psi,
-                 lam_p: np.ndarray) -> tuple[tuple, tuple]:
-    """Both sides' (basis, color basis) pairs, from :func:`_check_side`."""
-    side_s = _check_side(basis_sigma, lam_s, "sigma")
+                 lam_p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Both sides' stored bases, from :func:`_check_side`."""
+    stored_s = _check_side(basis_sigma, lam_s, "sigma")
     if basis_psi is basis_sigma and lam_p.shape == lam_s.shape:
         # one basis on both sides, as in an equi-modal design: the psi
         # side's checks are the sigma side's, so they run once
-        return side_s, side_s
-    return side_s, _check_side(basis_psi, lam_p, "psi")
+        return stored_s, stored_s
+    return stored_s, _check_side(basis_psi, lam_p, "psi")
 
 
 @dataclass(frozen=True)
 class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
 
-    Either basis may be ``None``, meaning the standard basis; that side then
-    stores only its singular values and skips the orthonormality check. A
-    basis that is exactly the identity is kept as given, but it too skips
-    the check and is applied by scaling.
-
     Attributes:
         basis_sigma: m x m orthonormal basis of row-noise directions, or
-            ``None`` for the standard basis.
+            ``None`` for the standard basis, given as ``None`` or as exactly
+            the identity; such a side stores only its singular values.
         lambda_sigma: length-m positive singular values of the row covariance
             (the noise variance attached to each row-noise direction).
         basis_psi: n x n orthonormal basis of column-noise directions, or
-            ``None`` for the standard basis.
+            ``None`` as for ``basis_sigma``.
         lambda_psi: length-n positive singular values of the column covariance.
-        color_bases: the (row, column) bases :meth:`color` multiplies by,
-            set when the bases are checked: each side's basis, or ``None``
-            where it is ``None`` or exactly the identity, which it scales
-            instead of multiplying, with the same bits.
         root_sigma, root_psi: each side's ``sqrt(lambda)``, computed once
             when the design is built. ``root_psi`` is ``root_sigma`` when
             ``lambda_psi`` is ``lambda_sigma``, and ``None`` when every entry
@@ -155,7 +141,6 @@ class NoiseDesign:
     lambda_sigma: np.ndarray
     basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
-    color_bases: tuple = field(init=False, repr=False, compare=False)
     root_sigma: np.ndarray = field(init=False, repr=False, compare=False)
     root_psi: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -166,7 +151,7 @@ class NoiseDesign:
             lam_p = lam_s
         else:
             lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
-        side_s, side_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
+        basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
         _check_lambda(lam_s, "lambda_sigma")
         root_s = np.sqrt(lam_s)
         # read-only like a cached design's lambda, which it is shared with; a
@@ -181,13 +166,9 @@ class NoiseDesign:
         else:
             _check_lambda(lam_p, "lambda_psi")
             root_p = np.sqrt(lam_p)
-        self._set(side_s, side_p, {"lambda_sigma": lam_s, "lambda_psi": lam_p,
-                                   "root_sigma": root_s, "root_psi": root_p})
-
-    def _set(self, side_s, side_p, fields) -> None:
         # a frozen dataclass's fields, in one write instead of one per field
-        vars(self).update(fields, basis_sigma=side_s[0], basis_psi=side_p[0],
-                          color_bases=(side_s[1], side_p[1]))
+        vars(self).update(basis_sigma=basis_s, lambda_sigma=lam_s, basis_psi=basis_p,
+                          lambda_psi=lam_p, root_sigma=root_s, root_psi=root_p)
 
     def with_bases(self, basis_sigma, basis_psi) -> "NoiseDesign":
         """This design's singular values on the given bases, each ``None``
@@ -197,10 +178,10 @@ class NoiseDesign:
         values and their roots were checked when this design was built, so
         they are shared as they are, neither copied nor checked again.
         """
-        side_s, side_p = _check_bases(basis_sigma, self.lambda_sigma,
-                                      basis_psi, self.lambda_psi)
+        basis_s, basis_p = _check_bases(basis_sigma, self.lambda_sigma,
+                                        basis_psi, self.lambda_psi)
         design = object.__new__(type(self))
-        design._set(side_s, side_p, vars(self))
+        vars(design).update(vars(self), basis_sigma=basis_s, basis_psi=basis_p)
         return design
 
     def color(self, noise: np.ndarray, basis_sigma=None,
@@ -208,8 +189,8 @@ class NoiseDesign:
         """Map standard normals, one m x n matrix or a (T, m, n) stack, to
         this design's noise B_sigma @ N @ B_psi.T.
 
-        A side uses its ``color_bases`` entry unless a (T, m, m) stack of
-        drawn bases, checked orthonormal, is given in its place; each matrix
+        A side uses its stored basis unless a (T, m, m) stack of drawn
+        bases, checked orthonormal, is given in its place; each matrix
         gets the bits of its own product. A side without a basis is scaled
         in place, so the caller hands over the array, and a column side
         without a root is left as drawn. One basis and root on both sides,
@@ -217,11 +198,8 @@ class NoiseDesign:
         With standard rows the coloring costs O(mn) time and writes only
         into ``noise``; a dense row basis adds O(m^2 n) time and an array.
         """
-        color_sigma, color_psi = self.color_bases
-        if basis_sigma is None:
-            basis_sigma = color_sigma
-        if basis_psi is None:
-            basis_psi = color_psi
+        basis_sigma = self.basis_sigma if basis_sigma is None else basis_sigma
+        basis_psi = self.basis_psi if basis_psi is None else basis_psi
         root_sigma, root_psi = self.root_sigma, self.root_psi
         if basis_sigma is None:
             noise *= root_sigma[:, np.newaxis]
@@ -250,10 +228,8 @@ class NoiseDesign:
 
     @property
     def w_sigma(self) -> np.ndarray:
-        """Dense m x m row basis; an identity is built on each read.
-
-        Read only by the benchmark's tracer; goes with ROADMAP open item 1.
-        """
+        """Dense m x m row basis, an identity built on each read for a
+        standard side; read only by the benchmark's tracer."""
         return np.eye(self.m) if self.basis_sigma is None else self.basis_sigma
 
     @property

@@ -38,18 +38,24 @@ def as_count(value, name: str, error: type, minimum: int = 1) -> int:
     return int(value)
 
 
+def to_float(value) -> float:
+    """``float(value)``, except that an int too large for a float is an
+    infinity of its sign, which a finiteness test rejects, not OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def as_real(value, name: str, error: type, positive: bool = False) -> float:
     """``value`` as a ``float``, if it is a finite real number
     (:func:`is_real`), and positive too with ``positive``; otherwise raise
     ``error`` naming it ``name``. An int too large for a float counts as
-    infinite, so it fails that test instead of raising OverflowError."""
+    infinite (:func:`to_float`), so it fails that test."""
     if type(value) is not float:
         if not is_real(value):
             raise error(f"{name} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf if value > 0 else -math.inf
+        value = to_float(value)
     low, bound = (0, "positive and finite") if positive else (-math.inf, "finite")
     if not low < value < math.inf:  # a NaN fails too
         raise error(f"{name} must be {bound}, got {value}")
@@ -63,18 +69,20 @@ def symmetry_fault(mat: np.ndarray, name: str) -> str | None:
     """Why the square float array ``mat``, named ``name``, is not finite and
     symmetric within ``SYMMETRY_TOL``, or ``None``. Finiteness is tested
     first, so no inf - inf warns; A - A^T is exactly antisymmetric, so its
-    largest entry is the largest deviation."""
+    largest entry is the largest deviation (inf, silently, if it overflows)."""
     if not np.isfinite(mat).all():
         return f"{name} has an entry that is not finite"
-    dev = float((mat - mat.T).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        dev = float((mat - mat.T).max(initial=0.0))
     return (f"{name} deviates from symmetry by {dev:.3e}, beyond {SYMMETRY_TOL:.0e}"
             if dev > SYMMETRY_TOL else None)
 
 
 def unit_norm_fault(vs: np.ndarray) -> str | None:
     """Why a row of the 2-D float array ``vs`` is not a unit vector within
-    ``UNIT_TOL``, or ``None``; a NaN or infinite norm fails."""
-    norms = np.linalg.norm(vs, axis=1)
+    ``UNIT_TOL``, or ``None``; a NaN, infinite or overflowing norm fails."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vs, axis=1)
     bad = norms[~(np.abs(norms - 1.0) <= UNIT_TOL)]
     return f"v must be a unit vector, got norm {float(bad[0])!r}" if bad.size else None
 

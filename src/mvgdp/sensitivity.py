@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import QueryKind, QuerySpec
-from .errors import ContractViolationError, DomainError, ShapeError, as_count, as_real
+from .errors import (ContractViolationError, DomainError, ShapeError, as_count, as_real,
+                     to_float)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ class AuditedGram:
 def identity_sensitivity(b: DataBounds) -> float:
     """L2 sensitivity of f(X) = X: replacing one record moves at most one
     column, each of M entries by at most (hi - lo)."""
-    return (b.hi - b.lo) * math.sqrt(b.num_features)
+    return (b.hi - b.lo) * math.sqrt(to_float(b.num_features))
 
 
 def covariance_sensitivity(b: DataBounds) -> float:
@@ -171,12 +172,12 @@ def covariance_sensitivity(b: DataBounds) -> float:
     c = max(|lo|, |hi|).
     """
     c = b.magnitude
-    return 2.0 * b.num_features * c * c / b.num_samples
+    return 2.0 * to_float(b.num_features) * c * c / to_float(b.num_samples)
 
 
 def gamma_identity(b: DataBounds) -> float:
     """Frobenius-norm bound on f(X) = X over the box: c * sqrt(M * N)."""
-    return b.magnitude * math.sqrt(b.num_features * b.num_samples)
+    return b.magnitude * math.sqrt(to_float(b.num_features * b.num_samples))
 
 
 def gamma_covariance(b: DataBounds) -> float:
@@ -186,12 +187,12 @@ def gamma_covariance(b: DataBounds) -> float:
     such terms keeps the bound: M c^2. Attained by constant +-c columns.
     """
     c = b.magnitude
-    return b.num_features * c * c
+    return to_float(b.num_features) * c * c
 
 
 def identity_sensitivity_l1(b: DataBounds) -> float:
     """Entrywise L1 sensitivity of f(X) = X, for Laplace-style noise."""
-    return (b.hi - b.lo) * b.num_features
+    return (b.hi - b.lo) * to_float(b.num_features)
 
 
 def covariance_sensitivity_l1(b: DataBounds) -> float:
@@ -201,7 +202,7 @@ def covariance_sensitivity_l1(b: DataBounds) -> float:
     terms divided by N gives 2 M^2 c^2 / N.
     """
     c = b.magnitude
-    return 2.0 * b.num_features ** 2 * c * c / b.num_samples
+    return 2.0 * to_float(b.num_features ** 2) * c * c / to_float(b.num_samples)
 
 
 def identity_query(b: DataBounds) -> QuerySpec:

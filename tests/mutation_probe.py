@@ -1,0 +1,231 @@
+"""Mutation probe of the privacy formulas: can tier-1 fail on each change?
+
+Run from anywhere, with the tier-1 requirements installed:
+
+    python tests/mutation_probe.py          # about nine minutes on 2 vCPU
+    python tests/mutation_probe.py --list   # the mutants, without running them
+
+pytest does not collect this file (its name has no ``test_`` prefix), and
+CI does not run it. It copies ``src/``, ``tests/``, ``perfbench/``,
+``README.md`` and ``pyproject.toml`` into a temporary directory and never
+writes to the checkout.
+
+For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
+at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
+(< and <=, > and >=) or a nonzero numeric constant doubled. Each mutant
+replaces its function in the copy, and tier-1 runs on the copy with ``-x``.
+A mutant that tier-1 passes survives. ``EQUIVALENT`` lists the survivors
+expected because the change is invisible to any test, each with its
+reason. The probe exits 1 if any other mutant survives.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors")
+# tier-1's files run in this order, then the rest alphabetically, so a
+# mutant of the formulas usually fails in its own module's tests first
+FIRST = ("test_budget.py", "test_sensitivity.py", "test_mechanisms.py",
+         "test_design_sampling.py")
+# a mutant that hangs counts as killed once this many seconds pass
+MUTANT_TIMEOUT_S = 300
+
+# module -> the functions whose privacy arithmetic is mutated, methods as
+# "Class.method"
+TARGETS = {
+    "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
+               "check_condition", "budget_terms", "_report"],
+    "sensitivity": ["identity_sensitivity", "covariance_sensitivity", "gamma_identity",
+                    "gamma_covariance", "identity_sensitivity_l1",
+                    "covariance_sensitivity_l1"],
+    "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
+                   "_binary_favored", "_validate_query_value", "_directional_lambdas",
+                   "release_spectrum", "gaussian_noise_scale", "plan_laplace",
+                   "plan_directions_dp", "DirectionsPlan.bases"],
+}
+
+_AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
+# (function, change) -> why no test can tell the mutant from the original
+EQUIVALENT = {
+    ("budget.QuerySpec.__post_init__",
+     "`self.sensitivity > 2.0 * self.gamma * (1.0 + _TRIANGLE_RTOL)`: > -> >="):
+        _AT_EQUALITY,
+    ("budget.check_condition", "`lhs <= rhs * (1.0 + CONDITION_RTOL)`: <= -> <"):
+        _AT_EQUALITY,
+    ("mechanisms._validate_query_value",
+     "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
+    ("mechanisms.PrecisionAllocation.__post_init__",
+     "`np.asarray(self.theta, dtype=float).reshape(-1)`: 1 -> 2"):
+        "numpy reads any negative size in reshape as the one unknown dimension",
+    ("mechanisms.gaussian_noise_scale", "`stacklevel=2`: 2 -> 4"):
+        "moves only the source line a warning names",
+    ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: / -> *"):
+        "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
+        "in the same order",
+    ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: 2.0 -> 4.0"):
+        "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
+        "in the same order",
+}
+
+BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+          ast.Pow: ast.Mult}
+COMPARES = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
+           ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+
+
+def find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    scope = tree
+    for part in qualname.split("."):
+        scope = next(node for node in scope.body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     and node.name == part)
+    return scope
+
+
+def walk(node: ast.AST, context: ast.AST):
+    """Each node under ``node`` with the expression that names it in a
+    label: the node itself, or for a constant the node around it (around
+    its sign, if it has one). F-strings are skipped: their arithmetic is
+    message text."""
+    yield node, context
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.JoinedStr):
+            keep = isinstance(node, ast.UnaryOp) and isinstance(child, ast.Constant)
+            yield from walk(child, context if keep else node)
+
+
+def sites(func: ast.FunctionDef):
+    """Each change to the function's body: the node it changes, the
+    expression that names it, the change's description, and a function
+    that applies it to the node."""
+    for stmt in func.body:
+        for node, context in walk(stmt, stmt):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINOPS:
+                new = BINOPS[type(node.op)]
+
+                def swap(n, new=new):
+                    n.op = new()
+                yield node, node, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}", swap
+            elif isinstance(node, ast.Compare):
+                for i, op in enumerate(node.ops):
+                    if type(op) in COMPARES:
+                        new = COMPARES[type(op)]
+
+                        def swap(n, i=i, new=new):
+                            n.ops[i] = new()
+                        yield node, node, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}", swap
+            elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                  and node.value != 0):
+                def double(n):
+                    n.value = n.value * 2
+                yield node, context, f"{node.value!r} -> {node.value * 2!r}", double
+
+
+def mutants(module: str, source: str):
+    """(function, change, mutated module source) for every site of every
+    target function of ``module``. A change names the smallest expression
+    holding it, and an ordinal if that text repeats in the function."""
+    lines = source.splitlines(keepends=True)
+    for qualname in TARGETS[module]:
+        seen = {}
+        count = sum(1 for _ in sites(find_function(ast.parse(source), qualname)))
+        for k in range(count):
+            # a fresh tree per mutant, so each carries one change only
+            func = find_function(ast.parse(source), qualname)
+            node, context, change, apply = list(sites(func))[k]
+            label = f"`{ast.unparse(context)}`: {change}"
+            apply(node)
+            seen[label] = seen.get(label, 0) + 1
+            if seen[label] > 1:
+                label += f" (#{seen[label]})"
+            start = min([d.lineno for d in func.decorator_list] + [func.lineno])
+            body = textwrap.indent(ast.unparse(func), " " * func.col_offset) + "\n"
+            mutated = "".join(lines[:start - 1]) + body + "".join(lines[func.end_lineno:])
+            yield f"{module}.{qualname}", label, mutated
+
+
+def tier1(copy: Path) -> tuple[bool, float]:
+    """Whether tier-1 passes on the copy, and how long it took."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    rest = sorted(path.name for path in (copy / "tests").glob("test_*.py"))
+    files = [f"tests/{name}" for name in [*FIRST, *(n for n in rest if n not in FIRST)]]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, *TIER1, *files], cwd=copy, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=MUTANT_TIMEOUT_S, check=False)
+        passed = done.returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true",
+                        help="print the mutants and exit without running them")
+    args = parser.parse_args(argv)
+    sources = {module: (ROOT / "src" / "mvgdp" / f"{module}.py").read_text(encoding="utf-8")
+               for module in TARGETS}
+    plan = [(module, *m) for module in TARGETS for m in mutants(module, sources[module])]
+    if args.list:
+        for _, function, label, _ in plan:
+            print(f"{function}: {label}")
+        print(f"{len(plan)} mutants")
+        return 0
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mvgdp-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, copy / name)
+        passed, seconds = tier1(copy)
+        if not passed:
+            print("tier-1 fails on the unmutated copy; nothing to probe")
+            return 2
+        print(f"baseline: tier-1 passes in {seconds:.1f} s")
+        survivors = []
+        for module, function, label, mutated in plan:
+            path = copy / "src" / "mvgdp" / f"{module}.py"
+            path.write_text(mutated, encoding="utf-8")
+            passed, seconds = tier1(copy)
+            path.write_text(sources[module], encoding="utf-8")
+            status = "SURVIVED" if passed else "killed"
+            print(f"{status:8} {seconds:5.1f} s  {function}: {label}", flush=True)
+            if passed:
+                survivors.append((function, label))
+
+    unexpected = [s for s in survivors if s not in EQUIVALENT]
+    stale = [s for s in EQUIVALENT if s not in survivors]
+    print(f"\n{len(plan)} mutants, {len(plan) - len(survivors)} killed, "
+          f"{len(survivors)} survived ({len(survivors) - len(unexpected)} expected), "
+          f"{time.perf_counter() - start:.0f} s")
+    for function, label in unexpected:
+        print(f"unexpected survivor: {function}: {label}")
+    for function, label in stale:
+        print(f"listed as equivalent but killed (drop it from EQUIVALENT): "
+              f"{function}: {label}")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +65,49 @@ class TestHarmonicNumbers:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             harmonic_numbers(0)
+
+    def test_the_direct_sums_keep_their_bits_up_to_the_cutoff(self):
+        for r in (1, 7, 1000, budget.HARMONIC_DIRECT_MAX):
+            idx = np.arange(1, r + 1, dtype=float)
+            assert harmonic_numbers(r) == (float(np.sum(1.0 / idx)),
+                                           float(np.sum(1.0 / np.sqrt(idx))))
+
+    def test_the_expansions_meet_the_direct_sums_at_the_cutoff(self):
+        # H_{c+1} comes from the expansions and H_c from the direct sums, the
+        # last of them; the (c+1)-th terms bridge the two
+        c = budget.HARMONIC_DIRECT_MAX
+        direct = harmonic_numbers(c)
+        expanded = harmonic_numbers(c + 1)
+        bridged = (expanded[0] - 1.0 / (c + 1), expanded[1] - 1.0 / math.sqrt(c + 1))
+        assert bridged[0] == pytest.approx(direct[0], rel=1e-12, abs=0)
+        assert bridged[1] == pytest.approx(direct[1], rel=1e-12, abs=0)
+
+    def test_the_expansions_match_the_oracle_above_the_cutoff(self):
+        # tight enough that halving the smallest term kept, 1/(12 r^2) or
+        # 1/(24 r^(3/2)), fails
+        r = 3 * budget.HARMONIC_DIRECT_MAX + 7
+        for got, expect in zip(harmonic_numbers(r), harmonic_oracle(r)):
+            assert got == pytest.approx(expect, rel=1e-14, abs=0)
+
+    def test_a_huge_r_allocates_nothing_of_its_size(self):
+        # 3e9 terms would take 24 GB as one array
+        tracemalloc.start()
+        try:
+            h, hh = harmonic_numbers(3 * 10 ** 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        # the leading terms; the rest are below 1e-20 here
+        assert h == pytest.approx(math.log(3e9) + 0.5772156649015329 + 0.5 / 3e9,
+                                  rel=1e-15)
+        assert hh == pytest.approx(2.0 * math.sqrt(3e9) - 1.4603545088095868
+                                   + 0.5 / math.sqrt(3e9), rel=1e-15)
+
+    def test_an_r_too_large_for_a_float_is_a_domain_error(self):
+        assert math.isfinite(harmonic_numbers(2 ** 1000)[1])
+        with pytest.raises(DomainError, match="^r must be finite, got inf$"):
+            harmonic_numbers(10 ** 400)
 
     def test_monotone_and_half_dominates(self):
         prev = (0.0, 0.0)
@@ -142,10 +187,28 @@ class TestAlphaBeta:
         # 0.0, which would make a condition's rhs 0.0
         q = QuerySpec(2, 2, sensitivity=1e10, gamma=1e10)
         p = PrivacyParams(1e-320, 0.1)
-        with pytest.raises(DomainError, match="^phi_max must be positive and finite, got 0.0$"):
+        with pytest.raises(DomainError, match=r"^phi_max at epsilon=1e-320, delta=0\.1, "
+                                              r"must be positive and finite, got 0\.0$"):
             budget.budget_terms(q, p)
-        with pytest.raises(DomainError, match="^phi_max must be"):
+        with pytest.raises(DomainError, match="^phi_max at epsilon=1e-320"):
             check_condition(NoiseDesign(None, np.ones(2), None, np.ones(2)), q, p)
+
+
+    @pytest.mark.parametrize("mode, epsilon, budget", [
+        ("unimodal", 1e-300, "0.0"), ("equimodal", 1e-300, "0.0"),
+        ("unimodal", 1e300, "inf"), ("equimodal", 1e300, "inf")])
+    def test_a_budget_out_of_range_names_epsilon_and_the_mode(self, mode, epsilon,
+                                                               budget):
+        # phi is positive and finite, but phi^4 / n or phi^2 underflows to 0.0
+        # or overflows, where float ** raises OverflowError
+        q = QuerySpec(2, 2, sensitivity=1e-150, gamma=1e-150) if epsilon > 1 else \
+            QuerySpec(2, 2, sensitivity=1.0, gamma=1.0)
+        report = {"unimodal": precision_budget_unimodal,
+                  "equimodal": precision_budget_equimodal}[mode]
+        message = (f"the {mode} precision budget at epsilon={epsilon}, delta=0.1, "
+                   f"must be positive and finite, got {budget}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            report(q, PrivacyParams(epsilon, 0.1))
 
 
 class TestPhiBound:

@@ -123,6 +123,30 @@ class TestBudgetCommand:
         assert captured.out == ""
         assert captured.err == "mvgdp: error: alpha must be positive and finite, got inf\n"
 
+    @pytest.mark.parametrize("mode", ["unimodal", "equimodal"])
+    def test_counts_past_64_bits_run_in_bounded_memory(self, capsys, mode):
+        # r = 2^64: the harmonic numbers come from their expansions, so
+        # nothing of size r is allocated
+        assert main(["budget", "--epsilon", "1", "--delta", "0.1",
+                     "--m", str(2 ** 64), "--n", str(2 ** 64), "--gamma", "1",
+                     "--sensitivity", "1", "--mode", mode]) == 0
+        values = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.strip().splitlines())
+        assert float(values["h_r"]) == pytest.approx(64 * math.log(2) + 0.5772156649015329)
+        assert 0.0 < float(values["precision_budget"]) < math.inf
+
+    @pytest.mark.parametrize("m, n, message", [
+        ("1" + "0" * 400, "2", "m*n must be finite, got inf"),
+        ("1" + "0" * 400, "1" + "0" * 400, "r must be finite, got inf")],
+        ids=["m", "m and n"])
+    def test_counts_too_large_for_a_float_exit_2(self, capsys, m, n, message):
+        assert main(["budget", "--epsilon", "1", "--delta", "0.1", "--m", m,
+                     "--n", n, "--gamma", "1", "--sensitivity", "1",
+                     "--mode", "unimodal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mvgdp: error: {message}\n"
+
 
 class TestSampleCommand:
     def test_identity_covariances_reproduce_raw_normals(self, tmp_path):
@@ -409,6 +433,21 @@ class TestBenchCommand:
         assert captured.out == b""
         assert captured.err == (b"mvgdp: error: the Gaussian noise scale must be "
                                 b"positive and finite, got inf\n")
+
+    @pytest.mark.parametrize("mechanism, mode", [("mvg-uni", "unimodal"),
+                                                 ("mvg-equi", "equimodal")])
+    def test_a_precision_budget_that_underflows_names_epsilon(
+            self, tmp_path, capfdbinary, mechanism, mode):
+        # phi is positive, but phi^4 / n or phi^2 underflows to 0.0
+        data = write_dataset(tmp_path, np.random.default_rng(4).uniform(0, 1, (3, 50)))
+        assert main(["bench", "--experiment", "firstpc", "--input", data,
+                     "--mechanism", mechanism, "--trials", "2",
+                     "--epsilon", "1e-300", "--delta", "0.1"]) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == (
+            f"mvgdp: error: the {mode} precision budget at epsilon=1e-300, "
+            "delta=0.1, must be positive and finite, got 0.0\n").encode()
 
     def test_a_basis_of_the_wrong_size_exits_2(self, tmp_path, capsys):
         # 4 features, so a 4 x 4 covariance query, and a 3 x 3 basis

@@ -67,7 +67,7 @@ class TestNoiseDesign:
         # [[-1.0]] is orthonormal but not the identity, so it takes the full
         # check, and it flips the sign of the sqrt(lambda) it scales by
         design = NoiseDesign(np.array([[-1.0]]), np.array([4.0]), None, np.ones(3))
-        assert design.color_bases[0] is design.basis_sigma
+        assert design.basis_sigma.tolist() == [[-1.0]]
         assert design.color(np.ones((1, 3))).tolist() == [[-2.0, -2.0, -2.0]]
 
     def test_standard_side_reads_as_dense_identity(self):
@@ -155,8 +155,12 @@ class TestWithBases:
         assert spectrum.root_sigma.tobytes() == np.sqrt(lam).tobytes()
         design = spectrum.with_bases(np.eye(2), None)
         assert design.root_sigma is spectrum.root_sigma
-        assert design.color_bases == (None, None)
-        assert spectrum.basis_sigma is None and design.basis_sigma is not None
+        # an exact identity is stored as the standard side, with its bits
+        assert design.basis_sigma is None and design.basis_psi is None
+        assert np.array_equal(design.w_sigma, np.eye(2))
+        noise = np.random.default_rng(3).standard_normal((2, 3))
+        assert design.color(noise.copy()).tobytes() == \
+            spectrum.color(noise.copy()).tobytes()
 
 
 class TestRandomStream:
@@ -300,7 +304,9 @@ class TestSampleMvg:
         rng = np.random.default_rng(7)
         lam_s, lam_p = rng.uniform(0.4, 1.2, 3), rng.uniform(0.4, 1.2, 5)
         explicit = NoiseDesign(np.eye(3), lam_s, np.eye(5), lam_p)
-        assert explicit.color_bases == (None, None)
+        assert explicit.basis_sigma is None and explicit.basis_psi is None
+        assert np.array_equal(explicit.w_sigma, np.eye(3))
+        assert np.array_equal(explicit.w_psi, np.eye(5))
         standard = NoiseDesign(None, lam_s, None, lam_p)
         z = sample_mvg(RandomStream(8), explicit)
         oracle = dense_release(0.0, explicit, RandomStream(8).standard_normal((3, 5)))

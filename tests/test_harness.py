@@ -482,6 +482,7 @@ class TestThetaSpecParsing:
 
     @pytest.mark.parametrize("spec, message", [
         ("binary:1.5:0", "tau must lie in (0, 1), got 1.5"),
+        ("binary:1:0", "tau must lie in (0, 1), got 1.0"),
         ("binary:0:0", "tau must lie in (0, 1), got 0.0"),
         ("binary:nan:0", "tau must lie in (0, 1), got nan"),
         ("binary:0.9:", "favored index set must not be empty"),

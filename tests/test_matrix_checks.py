@@ -37,6 +37,12 @@ class TestSymmetryFault:
         mat[where] = mat[where[::-1]] = bad
         assert symmetry_fault(mat, "a") == "a has an entry that is not finite"
 
+    def test_an_overflowing_deviation_fails_without_a_warning(self):
+        # 1e308 - (-1e308) overflows to inf
+        mat = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        assert symmetry_fault(mat, "a") == \
+            "a deviates from symmetry by inf, beyond 1e-08"
+
     def test_an_empty_matrix_is_symmetric(self):
         assert symmetry_fault(np.zeros((0, 0)), "a") is None
 
@@ -47,7 +53,8 @@ class TestUnitNormFault:
         assert unit_norm_fault(rows) is None
 
     @pytest.mark.parametrize("row, norm", [([0.0, 2.0], "2.0"), ([math.nan, 0.0], "nan"),
-                                           ([0.0, -math.inf], "inf")])
+                                           ([0.0, -math.inf], "inf"),
+                                           ([1e200, 0.0], "inf")])
     def test_the_first_bad_row_is_named(self, row, norm):
         rows = np.array([[1.0, 0.0], row, [0.0, 3.0]])
         assert unit_norm_fault(rows) == f"v must be a unit vector, got norm {norm}"

@@ -414,15 +414,18 @@ class TestIdentityBasis:
         w = np.eye(q.m)
         checks = self.count_gram_checks(monkeypatch)
         plan = plan_fn(value, q, self.P, theta, w)
-        assert checks == [] and plan.design.color_bases == (None, None)
+        assert checks == []
+        assert plan.design.basis_sigma is None and plan.design.basis_psi is None
         standard = plan_fn(value, q, self.P, theta, None)
         seeds = range(30, 35)
         stack = plan.draw([RandomStream(seed) for seed in seeds])
         for t, seed in enumerate(seeds):
             result = release_fn(value, q, self.P, theta, w, RandomStream(seed))
-            # the result reports the caller's basis, which the oracle multiplies by
-            assert result.design.basis_sigma is w
-            assert result.design.basis_psi is (w if q.m == q.n else None)
+            # the result stores the identity as the standard side, and the
+            # oracle multiplies by the np.eye it reads back
+            assert result.design.basis_sigma is None
+            assert result.design.basis_psi is None
+            assert np.array_equal(result.design.w_sigma, np.eye(q.m))
             oracle = dense_release(value, result.design,
                                    RandomStream(seed).standard_normal(shape))
             assert result.output.tobytes() == oracle.tobytes()
@@ -447,7 +450,7 @@ class TestIdentityBasis:
         checks = self.count_gram_checks(monkeypatch)
         plan = plan_fn(value, q, self.P, theta, w)
         assert checks == ["w_sigma"]
-        assert plan.design.color_bases[0] is w
+        assert plan.design.basis_sigma is w
         result = release_fn(value, q, self.P, theta, w, RandomStream(3))
         oracle = dense_release(value, result.design,
                                RandomStream(3).standard_normal(shape))
@@ -460,7 +463,9 @@ class TestIdentityBasis:
         value, q, theta = self.inputs(*shape)
         w = np.eye(q.m, dtype=int)
         result = release_fn(value, q, self.P, theta, w, RandomStream(3))
-        basis = result.design.basis_sigma
+        # an exact identity once read as floats, so stored as the standard side
+        assert result.design.basis_sigma is None
+        basis = result.design.w_sigma
         assert basis.dtype == np.float64 and np.array_equal(basis, np.eye(q.m))
         oracle = dense_release(value, result.design,
                                RandomStream(3).standard_normal(shape))
@@ -774,6 +779,26 @@ class TestVerifyCharacteristic:
         assert conditional == 1.0 and r1 == 1.0
         assert peak <= 10 * m * n * 8  # a handful of m x n arrays
 
+    def test_an_identity_column_side_is_read_as_the_standard_side(self):
+        # np.eye(n) is stored as the standard side, so no n x n inverse is
+        # formed: a dense one peaked at 64 MB at this width
+        m, n = 4, 2000
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
+        standard = mvg_unimodal(np.zeros((m, n)), q, self.p,
+                                PrecisionAllocation.uniform(m), np.eye(m),
+                                RandomStream(3)).design
+        identity = NoiseDesign(None, standard.lambda_sigma, np.eye(n),
+                               standard.lambda_psi)
+        tracemalloc.start()
+        try:
+            got = mvg_verify_characteristic(q, self.p, identity, 10, RandomStream(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert got == mvg_verify_characteristic(q, self.p, standard, 10,
+                                                RandomStream(4))
+
     def test_standard_sides_match_explicit_identities(self, monkeypatch):
         # off the saturating point the pass rate lies strictly inside (0, 1)
         # and moves with every singular value
@@ -811,13 +836,13 @@ class TestVerifyCharacteristic:
         conditional, r1 = mvg_verify_characteristic(q, p, design, trials,
                                                     RandomStream(5))
         assert design.basis_psi is None
-        u = design.basis_sigma[:, int(np.argmin(design.lambda_sigma))]
+        u = design.w_sigma[:, int(np.argmin(design.lambda_sigma))]
         v = np.eye(q.n)[:, int(np.argmin(design.lambda_psi))]
         f_x1 = q.gamma * np.outer(u, v)
         delta_q = q.sensitivity * np.outer(u, v)
         f_x2 = f_x1 - delta_q
         s_inv, p_inv = (np.linalg.inv(c) for c in dense_covariances(design))
-        b_s = design.basis_sigma * np.sqrt(design.lambda_sigma)
+        b_s = design.w_sigma * np.sqrt(design.lambda_sigma)
         b_p = np.diag(np.sqrt(design.lambda_psi))
         from mvgdp import zeta as zeta_fn
 

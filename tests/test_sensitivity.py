@@ -161,6 +161,13 @@ class TestTriangleInequality:
             assert identity_sensitivity(b) <= 2 * gamma_identity(b) * (1 + 1e-12)
             assert covariance_sensitivity(b) <= 2 * gamma_covariance(b) * (1 + 1e-12)
 
+    def test_a_spec_at_twice_gamma_builds(self):
+        # one record in a symmetric box moves the identity query by its
+        # whole diameter: (hi - lo) sqrt(M) = 2 c sqrt(M) = 2 gamma
+        for m in (1, 3, 7):
+            q = identity_query(DataBounds(m, 1, -1.0, 1.0))
+            assert q.sensitivity == 2.0 * q.gamma
+
 
 class TestL1Helpers:
     def test_identity_l1(self):
@@ -194,6 +201,14 @@ class TestQueryBuilders:
         q = build(b)
         assert (q.m, q.n, q.kind) == (5, n, kind)
         assert [q.sensitivity, q.gamma, q.l1_sensitivity] == [f(b) for f in formulas]
+
+    @pytest.mark.parametrize("build", [identity_query, covariance_query])
+    @pytest.mark.parametrize("shape", [(10 ** 400, 2), (2, 10 ** 400)],
+                             ids=["features", "records"])
+    def test_a_count_too_large_for_a_float_is_a_domain_error(self, build, shape):
+        # the count enters a scale as an infinity, which the spec rejects
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            build(DataBounds(*shape, 0.0, 1.0))
 
 
 class TestFormulasAgainstCornerOracle:
