@@ -208,6 +208,14 @@ def phi_bound(alpha: float, beta: float, epsilon: float) -> float:
     return 4.0 * epsilon / (beta + math.sqrt(beta * beta + 8.0 * alpha * epsilon))
 
 
+def check_design_shape(design: NoiseDesign, q: QuerySpec) -> None:
+    """Raise ShapeError unless the design is the query's m x n."""
+    if design.m != q.m or design.n != q.n:
+        raise ShapeError(
+            f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
+        )
+
+
 def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> ConditionCheck:
     """Evaluate the sufficient privacy condition for a noise design.
 
@@ -217,10 +225,7 @@ def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> Cond
     direction bases never enter. Returns (holds, lhs, rhs) with ``holds``
     true when lhs <= rhs * (1 + 1e-9); exactly saturating designs pass.
     """
-    if design.m != q.m or design.n != q.n:
-        raise ShapeError(
-            f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
-        )
+    check_design_shape(design, q)
     lhs = math.sqrt(float((design.lambda_sigma ** -2.0).sum())) * \
         math.sqrt(float((design.lambda_psi ** -2.0).sum()))
     *_, phi_max = budget_terms(q, p)

@@ -45,6 +45,7 @@ from .budget import (
     PrivacyParams,
     QuerySpec,
     check_condition,
+    check_design_shape,
     precision_budget_equimodal,
     precision_budget_unimodal,
     zeta,
@@ -481,10 +482,15 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
 @dataclass(frozen=True)
 class GaussianPlan(_TwoStepPlan):
     """Classic Gaussian releases of one validated query value: i.i.d. noise
-    of sd ``scale`` on every entry. Built by :func:`plan_gaussian`."""
+    of sd ``scale`` on every entry. Built by :func:`plan_gaussian`; a scale
+    that is not positive and finite is a DomainError."""
 
     value: np.ndarray
     scale: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", as_real(self.scale, "the Gaussian noise scale",
+                                                  DomainError, positive=True))
 
     def draw_noise(self, streams) -> tuple[np.ndarray]:
         """Trial t's m*n standard normals from ``streams[t]`` alone, as one
@@ -501,10 +507,15 @@ class GaussianPlan(_TwoStepPlan):
 @dataclass(frozen=True)
 class LaplacePlan(_TwoStepPlan):
     """Classic Laplace releases of one validated query value: i.i.d. noise
-    of scale ``scale`` on every entry. Built by :func:`plan_laplace`."""
+    of scale ``scale`` on every entry. Built by :func:`plan_laplace`; a
+    scale that is not positive and finite is a DomainError."""
 
     value: np.ndarray
     scale: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", as_real(self.scale, "the Laplace scale",
+                                                  DomainError, positive=True))
 
     def draw_noise(self, streams) -> tuple[np.ndarray]:
         """Trial t's m*n Laplace variates from ``streams[t]`` alone, as one
@@ -535,8 +546,7 @@ def plan_laplace(query_value, q: QuerySpec, epsilon: float) -> LaplacePlan:
             f"the Laplace baseline is calibrated to the L1 sensitivity but got a "
             f"{q.kind.value} query, whose L1 sensitivity is unknown"
         )
-    return LaplacePlan(value, as_real(q.l1_sensitivity / epsilon, "the Laplace scale",
-                                      DomainError, positive=True))
+    return LaplacePlan(value, q.l1_sensitivity / epsilon)
 
 
 def gaussian_iid_baseline(query_value, q: QuerySpec, p: PrivacyParams,
@@ -569,11 +579,16 @@ class DirectionsPlan:
     for the budget slice; :meth:`draw` is the per-release step. Built by
     :func:`plan_directions_dp` from the records' :class:`AuditedGram`, so
     the data is clamped and its covariance computed once however many
-    releases draw from it.
+    releases draw from it. A ``noise_sd`` that is not positive and finite
+    is a DomainError.
     """
 
     covariance: np.ndarray
     noise_sd: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "noise_sd", as_real(self.noise_sd, "noise_sd",
+                                                     DomainError, positive=True))
 
     def draw(self, stream: RandomStream) -> np.ndarray:
         """Perturb the covariance, symmetrize and eigendecompose it.
@@ -675,41 +690,30 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         trials inside the event. Purely diagnostic; a design that violates
         the sufficient condition may still pass, so nothing is asserted here.
 
-    A standard side is read as its singular values and applied by scaling,
-    so a unimodal design's n x n column side is never built: memory is a
-    fixed number of m x n arrays.
+    Every matrix of the pair is a multiple of u v^T, so Sigma^-1 and Psi^-1
+    act on it as 1/lambda_min of their side and no inverse is formed: memory
+    is a few m x n arrays and what :meth:`NoiseDesign.color` forms.
     """
     trials = as_count(trials, "trials", DomainError)
-    if design.m != q.m or design.n != q.n:
-        raise ShapeError(
-            f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
-        )
+    check_design_shape(design, q)
     m, n = q.m, q.n
-    u = _least_noisy_direction(design.basis_sigma, design.lambda_sigma)
-    v = _least_noisy_direction(design.basis_psi, design.lambda_psi)
+    u, lam_u = _least_noisy_direction(design.basis_sigma, design.lambda_sigma)
+    v, lam_v = _least_noisy_direction(design.basis_psi, design.lambda_psi)
     f_x1 = q.gamma * np.outer(u, v)
-    delta_q = q.sensitivity * np.outer(u, v)
-    f_x2 = f_x1 - delta_q
     radius_sq = zeta(p.delta, m, n)
 
     # tr[Psi^-1 A^T Sigma^-1 B] = <A, Sigma^-1 B Psi^-1>; the second trace
     # term equals the first by symmetry of the inverses.
-    coupling = _apply_inverses(design, delta_q)
-    const_term = float(np.vdot(f_x2, _apply_inverses(design, f_x2))
-                       - np.vdot(f_x1, _apply_inverses(design, f_x1)))
-    del delta_q, f_x2
+    coupling = q.sensitivity / lam_u / lam_v * np.outer(u, v)
+    g, g2 = q.gamma, q.gamma - q.sensitivity
+    const_term = g2 * (g2 / lam_u / lam_v) - g * (g / lam_u / lam_v)
 
-    inside = 0
-    passed = 0
-    remaining = trials
-    # draw at most about CHUNK_ENTRIES normals at a time, so memory stays
-    # O(mn) for wide queries; batched draws concatenate to the single draw
-    # bit for bit, so the rates do not depend on the chunk size
-    chunk = max(1, CHUNK_ENTRIES // (m * n))
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        remaining -= batch
-        draws = stream.standard_normal((batch, m, n))
+    inside = passed = 0
+    # batched draws concatenate to the single draw bit for bit, so the
+    # rates do not depend on the chunk size
+    chunk = trials_per_chunk(m, n)
+    for start in range(0, trials, chunk):
+        draws = stream.standard_normal((min(chunk, trials - start), m, n))
         norms_sq = np.einsum("tij,tij->t", draws, draws)
         in_event = norms_sq <= radius_sq
         if not np.any(in_event):
@@ -724,24 +728,12 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
     return conditional, r1_rate
 
 
-def _least_noisy_direction(basis, lam: np.ndarray) -> np.ndarray:
-    """The unit direction of a design side with the smallest singular value."""
+def _least_noisy_direction(basis, lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """The unit direction of a design side with the smallest singular value,
+    and that value."""
     k = int(np.argmin(lam))
     if basis is not None:
-        return basis[:, k]
+        return basis[:, k], float(lam[k])
     direction = np.zeros(lam.shape[0])
     direction[k] = 1.0
-    return direction
-
-
-def _apply_inverses(design: NoiseDesign, a: np.ndarray) -> np.ndarray:
-    """Sigma^-1 @ a @ Psi^-1, scaling instead of multiplying on a standard side."""
-    w_s, lam_s = design.basis_sigma, design.lambda_sigma
-    w_p, lam_p = design.basis_psi, design.lambda_psi
-    if w_s is None:
-        a = a / lam_s[:, np.newaxis]
-    else:
-        a = ((w_s / lam_s) @ w_s.T) @ a
-    if w_p is None:
-        return a / lam_p
-    return a @ ((w_p / lam_p) @ w_p.T)
+    return direction, float(lam[k])

@@ -7,6 +7,13 @@ def _dense_basis(basis, lam):
     return np.eye(lam.shape[0]) if basis is None else basis
 
 
+def dense_bases(design):
+    """The design's row and column bases as dense matrices, with the
+    identity standing in for a standard (``None``) basis."""
+    return (_dense_basis(design.basis_sigma, design.lambda_sigma),
+            _dense_basis(design.basis_psi, design.lambda_psi))
+
+
 def dense_covariances(design):
     """The design's row and column covariances as dense matrices.
 

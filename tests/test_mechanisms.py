@@ -35,13 +35,20 @@ from mvgdp import (
     plan_unimodal,
     sample_mvg,
     sample_standard_matrix,
+    zeta,
 )
 from mvgdp import design as design_module
 from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
-from mvgdp.mechanisms import DirectionsPlan, plan_directions_dp, release_spectrum
+from mvgdp.mechanisms import (
+    DirectionsPlan,
+    GaussianPlan,
+    LaplacePlan,
+    plan_directions_dp,
+    release_spectrum,
+)
 from mvgdp.sensitivity import AuditedGram
-from oracles import dense_covariances, dense_release, scaled_release
+from oracles import dense_bases, dense_covariances, dense_release, scaled_release
 
 
 class TestPrecisionAllocation:
@@ -655,6 +662,23 @@ class TestLaplaceBaseline:
         assert np.array_equal(a, b)
 
 
+class TestPlanScales:
+    """A plan built directly checks its noise scale, as its planner's
+    formula does."""
+
+    @pytest.mark.parametrize("plan, name", [
+        pytest.param(GaussianPlan, "the Gaussian noise scale", id="gaussian"),
+        pytest.param(LaplacePlan, "the Laplace scale", id="laplace"),
+        pytest.param(DirectionsPlan, "noise_sd", id="directions"),
+    ])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_a_scale_that_is_not_positive_and_finite_is_rejected(self, plan, name,
+                                                                 scale):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be positive and finite, got {scale}$"):
+            plan(np.eye(2), scale)
+
+
 class TestDeriveDirectionsDp:
     def test_recovers_dominant_direction(self):
         rng = np.random.default_rng(2)
@@ -824,45 +848,83 @@ class TestVerifyCharacteristic:
                                       RandomStream(0))
 
     def test_design_must_match_the_query(self):
-        with pytest.raises(ShapeError, match="design is 3x4 but the query is 4x3"):
-            mvg_verify_characteristic(QuerySpec(4, 3, sensitivity=1.0, gamma=2.0),
-                                      self.p, self.design, 10, RandomStream(0))
+        # one shape check, shared with the privacy condition
+        q = QuerySpec(4, 3, sensitivity=1.0, gamma=2.0)
+        message = "^design is 3x4 but the query is 4x3$"
+        with pytest.raises(ShapeError, match=message):
+            mvg_verify_characteristic(q, self.p, self.design, 10, RandomStream(0))
+        with pytest.raises(ShapeError, match=message):
+            check_condition(self.design, q, self.p)
 
-    def test_trace_matches_four_term_oracle(self):
-        # recompute the pass rate with the four trace terms written out
-        # literally, sharing the draw sequence with the vectorized path
-        design, q, p = self.design, self.q, self.p
-        trials = 400
-        conditional, r1 = mvg_verify_characteristic(q, p, design, trials,
-                                                    RandomStream(5))
-        assert design.basis_psi is None
-        u = design.w_sigma[:, int(np.argmin(design.lambda_sigma))]
-        v = np.eye(q.n)[:, int(np.argmin(design.lambda_psi))]
+    def test_dense_sides_form_no_inverse(self):
+        # the pair is read through each side's least lambda, so the only
+        # n x n array is the coloring's factor; dense inverses of both sides
+        # peaked at 36 MB at this width
+        m, n = 4, 1500
+        rng = np.random.default_rng(6)
+        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
+        design = NoiseDesign(np.linalg.qr(rng.standard_normal((m, m)))[0],
+                             rng.uniform(0.5, 2.0, m),
+                             np.linalg.qr(rng.standard_normal((n, n)))[0],
+                             rng.uniform(0.5, 2.0, n))
+        tracemalloc.start()
+        try:
+            mvg_verify_characteristic(q, self.p, design, 10, RandomStream(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    @staticmethod
+    def four_term_rates(q, p, design, trials, stream):
+        """The rates with the four trace terms written out literally and
+        dense inverses, drawing one trial at a time."""
+        w_sigma, w_psi = dense_bases(design)
+        u = w_sigma[:, int(np.argmin(design.lambda_sigma))]
+        v = w_psi[:, int(np.argmin(design.lambda_psi))]
         f_x1 = q.gamma * np.outer(u, v)
         delta_q = q.sensitivity * np.outer(u, v)
         f_x2 = f_x1 - delta_q
         s_inv, p_inv = (np.linalg.inv(c) for c in dense_covariances(design))
-        b_s = design.w_sigma * np.sqrt(design.lambda_sigma)
-        b_p = np.diag(np.sqrt(design.lambda_psi))
-        from mvgdp import zeta as zeta_fn
-
-        radius_sq = zeta_fn(p.delta, q.m, q.n)
-        stream = RandomStream(5)
+        radius_sq = zeta(p.delta, q.m, q.n)
         inside = passed = 0
         for _ in range(trials):
             draw = sample_standard_matrix(stream, q.m, q.n)
             if (draw ** 2).sum() > radius_sq:
                 continue
             inside += 1
-            y = f_x1 + b_s @ draw @ b_p.T
+            y = dense_release(f_x1, design, draw)
             trace = (np.trace(p_inv @ y.T @ s_inv @ delta_q)
                      + np.trace(p_inv @ delta_q.T @ s_inv @ y)
                      + np.trace(p_inv @ f_x2.T @ s_inv @ f_x2)
                      - np.trace(p_inv @ f_x1.T @ s_inv @ f_x1))
             if trace <= 2 * p.epsilon:
                 passed += 1
-        assert r1 == inside / trials
-        assert conditional == passed / inside
+        return passed / inside, inside / trials
+
+    def test_trace_matches_four_term_oracle(self):
+        # the saturating design passes every trial; off saturation, on dense
+        # bases with lambda_psi != 1 and at epsilon != 1, the rate lies
+        # strictly inside (0, 1) and moves with every term. 400 trials span
+        # more than one chunk.
+        rng = np.random.default_rng(11)
+        w3, w4 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for k in (3, 4))
+        lam4 = rng.uniform(0.5, 2.0, 4)
+        cases = [
+            (self.q, self.p, self.design),
+            (self.q, PrivacyParams(0.5, 0.05),
+             NoiseDesign(w3, rng.uniform(0.5, 2.0, 3), w4, lam4)),
+            # s2 > gamma, so the neighbour's value has the opposite sign
+            (QuerySpec(4, 4, sensitivity=3.0, gamma=2.0), PrivacyParams(2.0, 0.01),
+             NoiseDesign(w4, lam4, w4, lam4)),
+        ]
+        for k, (q, p, design) in enumerate(cases):
+            got = mvg_verify_characteristic(q, p, design, 400, RandomStream(5))
+            assert got == self.four_term_rates(q, p, design, 400, RandomStream(5)), k
+            if k == 0:
+                assert got[0] == 1.0
+            else:
+                assert 0.0 < got[0] < 1.0, k
 
 
 class TestReleaseSpectrumMemo:
