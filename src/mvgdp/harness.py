@@ -81,7 +81,7 @@ from .errors import ConfigError, FormatError, as_count, as_real, is_count
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
-    _binary_favored,
+    _check_binary,
     derive_directions_dp,
     mvg_equimodal,
     mvg_unimodal,
@@ -365,7 +365,7 @@ def parse_theta_grammar(spec: str):
             favored = [int(tok) for tok in parts[2].split(",") if tok.strip() != ""]
         except ValueError:
             raise ConfigError(f"could not parse binary allocation {text!r}") from None
-        return tau, _binary_favored(tau, favored)
+        return _check_binary(tau, favored)
     try:
         shares = [float(tok) for tok in text.split(",")]
     except ValueError:

@@ -99,7 +99,11 @@ class PrecisionAllocation:
     _shares: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float).reshape(-1)
+        raw = np.asarray(self.theta)
+        # a bool or a string is no share, though float() would take it
+        if raw.dtype.kind not in "iuf":
+            raise AllocationError(f"theta shares must be real numbers, got {self.theta!r}")
+        t = np.asarray(raw, dtype=float).reshape(-1)
         if t.size < 1:
             raise AllocationError("theta must have at least one entry")
         if not np.all(np.isfinite(t)):
@@ -137,7 +141,7 @@ class PrecisionAllocation:
         """Give a fraction tau of the budget equally to the favored direction
         indices and the remainder equally to the rest."""
         m = as_count(m, "m", AllocationError, minimum=2)
-        fav = _binary_favored(tau, favored)
+        tau, fav = _check_binary(tau, favored)
         if fav[-1] >= m:
             raise AllocationError(f"favored indices {fav} out of range [0, {m})")
         if len(fav) >= m:
@@ -147,18 +151,19 @@ class PrecisionAllocation:
         return cls(t)
 
 
-def _binary_favored(tau: float, favored) -> list[int]:
-    """The sorted, distinct favored indices of a binary allocation, after its
-    checks that need no m (tau in (0, 1), some index favored, none negative),
-    which the harness's allocation grammar makes before a dataset fixes m."""
+def _check_binary(tau, favored) -> tuple[float, list[int]]:
+    """A binary allocation's tau, as a float, and its sorted, distinct
+    favored indices, after the checks that need no m (tau in (0, 1), some
+    index favored, each an integer >= 0), which the harness's allocation
+    grammar makes before a dataset fixes m."""
+    tau = as_real(tau, "tau", AllocationError)
     if not 0.0 < tau < 1.0:
         raise AllocationError(f"tau must lie in (0, 1), got {tau}")
-    fav = sorted(set(int(i) for i in favored))
+    fav = sorted({as_count(i, "favored index", AllocationError, minimum=0)
+                  for i in favored})
     if not fav:
         raise AllocationError("favored index set must not be empty")
-    if fav[0] < 0:
-        raise AllocationError(f"favored indices {fav} must not be negative")
-    return fav
+    return tau, fav
 
 
 @dataclass(frozen=True)
@@ -690,21 +695,23 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         trials inside the event. Purely diagnostic; a design that violates
         the sufficient condition may still pass, so nothing is asserted here.
 
-    Every matrix of the pair is a multiple of u v^T, so Sigma^-1 and Psi^-1
-    act on it as 1/lambda_min of their side and no inverse is formed: memory
-    is a few m x n arrays and what :meth:`NoiseDesign.color` forms.
+    Every matrix of the pair is a multiple of u v^T, with u = W_sigma[:, k]
+    and v = W_psi[:, l] the least noisy directions, so Sigma^-1 and Psi^-1
+    act on it as 1/lambda of their side, and the noise enters only through
+    u^T (B_sigma N B_psi^T) v = sqrt(lambda_k lambda_l) N[k, l]. No basis is
+    read and nothing is colored: memory is one chunk of draws.
     """
     trials = as_count(trials, "trials", DomainError)
     check_design_shape(design, q)
     m, n = q.m, q.n
-    u, lam_u = _least_noisy_direction(design.basis_sigma, design.lambda_sigma)
-    v, lam_v = _least_noisy_direction(design.basis_psi, design.lambda_psi)
-    f_x1 = q.gamma * np.outer(u, v)
+    k, l = int(np.argmin(design.lambda_sigma)), int(np.argmin(design.lambda_psi))
+    lam_u, lam_v = float(design.lambda_sigma[k]), float(design.lambda_psi[l])
+    root_u, root_v = math.sqrt(lam_u), math.sqrt(lam_v)
     radius_sq = zeta(p.delta, m, n)
 
     # tr[Psi^-1 A^T Sigma^-1 B] = <A, Sigma^-1 B Psi^-1>; the second trace
     # term equals the first by symmetry of the inverses.
-    coupling = q.sensitivity / lam_u / lam_v * np.outer(u, v)
+    coupling = q.sensitivity / lam_u / lam_v
     g, g2 = q.gamma, q.gamma - q.sensitivity
     const_term = g2 * (g2 / lam_u / lam_v) - g * (g / lam_u / lam_v)
 
@@ -716,24 +723,12 @@ def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesig
         draws = stream.standard_normal((min(chunk, trials - start), m, n))
         norms_sq = np.einsum("tij,tij->t", draws, draws)
         in_event = norms_sq <= radius_sq
-        if not np.any(in_event):
-            continue
-        outputs = design.color(draws[in_event])
-        outputs += f_x1
-        traces = 2.0 * np.einsum("tij,ij->t", outputs, coupling) + const_term
-        inside += int(in_event.sum())
+        # the release's coordinate on u v^T, scaled as the coloring scales
+        # a standard side: rows first, then columns
+        outputs = draws[in_event, k, l] * root_u * root_v + g
+        traces = 2.0 * (outputs * coupling) + const_term
+        inside += outputs.size
         passed += int(np.sum(traces <= 2.0 * p.epsilon))
     r1_rate = inside / trials
     conditional = passed / inside if inside else float("nan")
     return conditional, r1_rate
-
-
-def _least_noisy_direction(basis, lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """The unit direction of a design side with the smallest singular value,
-    and that value."""
-    k = int(np.argmin(lam))
-    if basis is not None:
-        return basis[:, k], float(lam[k])
-    direction = np.zeros(lam.shape[0])
-    direction[k] = 1.0
-    return direction, float(lam[k])

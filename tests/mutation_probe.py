@@ -55,7 +55,7 @@ TARGETS = {
                     "gamma_covariance", "identity_sensitivity_l1",
                     "covariance_sensitivity_l1"],
     "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
-                   "_binary_favored", "_validate_query_value", "_directional_lambdas",
+                   "_check_binary", "_validate_query_value", "_directional_lambdas",
                    "release_spectrum", "gaussian_noise_scale", "plan_laplace",
                    "plan_directions_dp", "DirectionsPlan.bases",
                    "mvg_verify_characteristic"],
@@ -73,7 +73,7 @@ EQUIVALENT = {
     ("mechanisms._validate_query_value",
      "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
     ("mechanisms.PrecisionAllocation.__post_init__",
-     "`np.asarray(self.theta, dtype=float).reshape(-1)`: 1 -> 2"):
+     "`np.asarray(raw, dtype=float).reshape(-1)`: 1 -> 2"):
         "numpy reads any negative size in reshape as the one unknown dimension",
     ("mechanisms.gaussian_noise_scale", "`stacklevel=2`: 2 -> 4"):
         "moves only the source line a warning names",

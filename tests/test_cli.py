@@ -524,7 +524,7 @@ class TestBenchCommand:
         (["--favored", ","], "favored index set must not be empty"),
         (["--theta", "0.5,-1,0.5"], "every allocation share must be positive"),
         (["--theta", "0.5,nan,0.5"], "theta must be finite"),
-        (["--favored", "0,-1"], "favored indices [-1, 0] must not be negative"),
+        (["--favored", "0,-1"], "favored index must be an integer >= 0, got -1"),
         # a later --experiment wins
         (["--experiment", "ablation"],
          "needs a binary allocation (binary:TAU:I,J,...), got 'uniform'"),

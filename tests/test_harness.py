@@ -484,10 +484,10 @@ class TestThetaSpecParsing:
         ("binary:1.5:0", "tau must lie in (0, 1), got 1.5"),
         ("binary:1:0", "tau must lie in (0, 1), got 1.0"),
         ("binary:0:0", "tau must lie in (0, 1), got 0.0"),
-        ("binary:nan:0", "tau must lie in (0, 1), got nan"),
+        ("binary:nan:0", "tau must be finite, got nan"),
         ("binary:0.9:", "favored index set must not be empty"),
         ("binary:0.9:,", "favored index set must not be empty"),
-        ("binary:0.9:0,-1", "favored indices [-1, 0] must not be negative"),
+        ("binary:0.9:0,-1", "favored index must be an integer >= 0, got -1"),
     ])
     def test_binary_rules_that_need_no_m(self, spec, message):
         with pytest.raises(AllocationError, match=re.escape(message)):

@@ -90,6 +90,16 @@ class TestPrecisionAllocation:
             PrecisionAllocation.binary(4, 0.9, [0, 1, 2, 3])
         with pytest.raises(AllocationError):
             PrecisionAllocation.binary(1, 0.9, [0])
+        # a favored index is a count: none of these is taken as index 1
+        for index in (1.5, True, "1"):
+            with pytest.raises(AllocationError,
+                               match="^favored index must be an integer >= 0, got "):
+                PrecisionAllocation.binary(4, 0.9, [index])
+
+    @pytest.mark.parametrize("shares", [["0.5", "0.5"], [True, True], [0.5, None]])
+    def test_rejects_shares_that_are_not_numbers(self, shares):
+        with pytest.raises(AllocationError, match="^theta shares must be real numbers"):
+            PrecisionAllocation(shares)
 
     def test_equal_shares_are_equal_and_hash_alike(self):
         a, b = PrecisionAllocation.uniform(4), PrecisionAllocation.uniform(4)
@@ -857,9 +867,9 @@ class TestVerifyCharacteristic:
             check_condition(self.design, q, self.p)
 
     def test_dense_sides_form_no_inverse(self):
-        # the pair is read through each side's least lambda, so the only
-        # n x n array is the coloring's factor; dense inverses of both sides
-        # peaked at 36 MB at this width
+        # the pair is read through each side's least lambda and nothing is
+        # colored, so no n x n array is formed: dense inverses of both sides
+        # peaked at 36 MB at this width, the coloring's factor at 18 MB
         m, n = 4, 1500
         rng = np.random.default_rng(6)
         q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
@@ -873,7 +883,23 @@ class TestVerifyCharacteristic:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < 10 * m * n * 8  # a handful of m x n arrays
+
+    def test_dense_bases_give_the_standard_rates(self):
+        # the rates read only the singular values: random dense bases on
+        # both sides give the standard design's rates bit for bit, off the
+        # saturating point where the rate lies strictly inside (0, 1)
+        rng = np.random.default_rng(12)
+        lam_s, lam_p = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 4)
+        standard = NoiseDesign(None, lam_s, None, lam_p)
+        dense = NoiseDesign(np.linalg.qr(rng.standard_normal((3, 3)))[0], lam_s,
+                            np.linalg.qr(rng.standard_normal((4, 4)))[0], lam_p)
+        for seed in (1, 2, 3):
+            got = mvg_verify_characteristic(self.q, self.p, dense, 300,
+                                            RandomStream(seed))
+            assert got == mvg_verify_characteristic(self.q, self.p, standard,
+                                                    300, RandomStream(seed))
+            assert 0.0 < got[0] < 1.0
 
     @staticmethod
     def four_term_rates(q, p, design, trials, stream):
@@ -1116,4 +1142,5 @@ class TestOneColoringPath:
                               RandomStream(0)).design
         calls = self.count_colors(monkeypatch)
         mvg_verify_characteristic(q, self.P, design, 50, RandomStream(1))
-        assert len(calls) == 1 and calls[0][0][1:] == (3, 4)
+        # the trace reads one normal per draw, scaled by two singular values
+        assert calls == []

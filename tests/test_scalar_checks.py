@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from mvgdp import (
+    AllocationError,
     BudgetMode,
     BudgetReport,
     ConfigError,
@@ -24,6 +25,7 @@ from mvgdp import (
     Experiment,
     ExperimentConfig,
     MechanismKind,
+    PrecisionAllocation,
     PrivacyParams,
     QuerySpec,
     ShapeError,
@@ -130,6 +132,8 @@ REAL_SITES = [
                             QuerySpec(2, 2, sensitivity=1.0, gamma=1.0,
                                       l1_sensitivity=1.0), v), DomainError),
     ("ridge_regression_rmse", train_test, DomainError),
+    ("PrecisionAllocation.binary.tau", lambda v: PrecisionAllocation.binary(4, v, [0]),
+     AllocationError),
 ]
 
 
@@ -144,7 +148,8 @@ def test_an_int_too_large_for_a_float_is_rejected_by_its_site(call, error):
 
 # the sites that once took True as 1 and raised a bare TypeError for a string
 BARE_SITES = ["gaussian_noise_scale", "plan_laplace", "phi_bound.alpha",
-              "phi_bound.beta", "phi_bound.epsilon", "ridge_regression_rmse"]
+              "phi_bound.beta", "phi_bound.epsilon", "ridge_regression_rmse",
+              "PrecisionAllocation.binary.tau"]
 
 
 @pytest.mark.parametrize("call, error", [site[1:] for site in REAL_SITES
