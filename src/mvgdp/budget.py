@@ -208,14 +208,6 @@ def phi_bound(alpha: float, beta: float, epsilon: float) -> float:
     return 4.0 * epsilon / (beta + math.sqrt(beta * beta + 8.0 * alpha * epsilon))
 
 
-def check_design_shape(design: NoiseDesign, q: QuerySpec) -> None:
-    """Raise ShapeError unless the design is the query's m x n."""
-    if design.m != q.m or design.n != q.n:
-        raise ShapeError(
-            f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}"
-        )
-
-
 def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> ConditionCheck:
     """Evaluate the sufficient privacy condition for a noise design.
 
@@ -224,13 +216,48 @@ def check_condition(design: NoiseDesign, q: QuerySpec, p: PrivacyParams) -> Cond
     squared. The guarantee depends only on the singular values, so the
     direction bases never enter. Returns (holds, lhs, rhs) with ``holds``
     true when lhs <= rhs * (1 + 1e-9); exactly saturating designs pass.
+    A design that is not the query's m x n raises ShapeError.
     """
-    check_design_shape(design, q)
+    if design.m != q.m or design.n != q.n:
+        raise ShapeError(f"design is {design.m}x{design.n} but the query is {q.m}x{q.n}")
     lhs = math.sqrt(float((design.lambda_sigma ** -2.0).sum())) * \
         math.sqrt(float((design.lambda_psi ** -2.0).sum()))
     *_, phi_max = budget_terms(q, p)
     rhs = phi_max ** 2
     return ConditionCheck(lhs <= rhs * (1.0 + CONDITION_RTOL), lhs, rhs)
+
+
+def exact_delta(design: NoiseDesign, sensitivity: float, epsilon: float) -> float:
+    """The exact delta at epsilon of a release with this design's noise.
+
+    A release adds B_sigma N B_psi^T, so it is the Gaussian mechanism with
+    unit noise on the whitened query, whose sensitivity is at most
+    mu = s2 / sqrt(lambda_min(Sigma) * lambda_min(Psi)). That mechanism's
+    least delta at epsilon is Phi(a) - e^eps Phi(-b), with a = mu/2 - eps/mu
+    and b = mu/2 + eps/mu (Balle and Wang, "Improving the Gaussian Mechanism
+    for Differential Privacy", ICML 2018). The result lies in [0, 1] for
+    every positive finite epsilon.
+    """
+    sensitivity = as_real(sensitivity, "sensitivity", DomainError, positive=True)
+    epsilon = as_real(epsilon, "epsilon", DomainError, positive=True)
+    mu = (sensitivity / math.sqrt(float(design.lambda_sigma.min()))
+          / math.sqrt(float(design.lambda_psi.min())))
+    if not mu:  # the whitened sensitivity underflowed: nothing to tell apart
+        return 0.0
+    a, x = mu / 2 - epsilon / mu, (mu / 2 + epsilon / mu) / math.sqrt(2.0)
+    # x^2 >= epsilon, so e^eps is finite while erfc(x) is a normal float
+    if x * x < 700.0:
+        tail = math.exp(epsilon) * math.erfc(x)
+    else:
+        # x^2 - eps = a^2 / 2, so e^eps erfc(x) = e^(-a^2/2) e^(x^2) erfc(x), and
+        # e^(x^2) erfc(x) is Laplace's continued fraction 1 / (sqrt(pi) (x +
+        # (1/2) / (x + 1 / (x + (3/2) / (x + ...))))), converged by 20 terms
+        # at x^2 >= 700
+        fraction = x
+        for k in range(20, 0, -1):
+            fraction = x + k / 2 / fraction
+        tail = math.exp(-a * a / 2) / (fraction * math.sqrt(math.pi))
+    return max((math.erfc(-a / math.sqrt(2.0)) - tail) / 2, 0.0)
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE_SIZE)

@@ -128,7 +128,7 @@ def _cmd_perturb(args) -> int:
     _check_dataset_flags(args)
     parse_directions_source(args.directions)
     parse_theta_grammar(args.theta)
-    stream = RandomStream(args.seed)
+    stream = RandomStream.from_entropy() if args.seed is None else RandomStream(args.seed)
     data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
         value, data = clamp_records(data, bounds, args.directions)
@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform | binary:TAU:I,J,... | explicit shares")
     pt.add_argument("--directions", default="standard",
                     help="standard | PATH | dp:FRACTION")
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=int, default=None,
+                    help="seed the noise to reproduce a run; a release under a "
+                         "known seed is not private (default: fresh OS entropy)")
     pt.add_argument("--out", required=True)
     pt.add_argument("--has-header", action="store_true")
     pt.set_defaults(func=_cmd_perturb)

@@ -19,9 +19,8 @@ check reads only the singular values, which depend on the query spec, the
 privacy target, the allocation and the mode alone, so it runs once per such
 key: :func:`release_spectrum` memoizes the budget, the singular values and
 the verdict, and each plan checks only its value and its basis. I.i.d.
-Gaussian and Laplace baselines, planned and drawn the same way, a
-differentially private direction-derivation helper, and a Monte Carlo
-diagnostic for the underlying trace inequality round out the module.
+Gaussian and Laplace baselines, planned and drawn the same way, and a
+differentially private direction-derivation helper round out the module.
 
 Every function is pure given its inputs and the random stream; concurrent
 calls need distinct streams.
@@ -45,10 +44,8 @@ from .budget import (
     PrivacyParams,
     QuerySpec,
     check_condition,
-    check_design_shape,
     precision_budget_equimodal,
     precision_budget_unimodal,
-    zeta,
 )
 from .design import NoiseDesign, check_orthonormal
 from .errors import (
@@ -168,12 +165,13 @@ def _check_binary(tau, favored) -> tuple[float, list[int]]:
 
 @dataclass(frozen=True)
 class PerturbResult:
-    """A perturbed query value plus everything needed to reproduce it."""
+    """A perturbed query value plus everything needed to reproduce it: the
+    stream's seed, which is None for a stream from OS entropy."""
 
     output: np.ndarray
     design: NoiseDesign
     budget: BudgetReport
-    seed: int
+    seed: int | None
 
 
 def _check_shape(query_value, q: QuerySpec) -> np.ndarray:
@@ -676,59 +674,3 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
     gram = AuditedGram.of(x, bounds.lo, bounds.hi)
     return plan_directions_dp(gram, p_fraction).draw(stream)
 
-
-def mvg_verify_characteristic(q: QuerySpec, p: PrivacyParams, design: NoiseDesign,
-                              trials: int, stream: RandomStream) -> tuple[float, float]:
-    """Monte Carlo check of the trace inequality behind the privacy proof.
-
-    Synthesizes a worst-case neighboring pair: both query values and their
-    difference are rank-one, with Frobenius norms gamma and s2 respectively,
-    aligned with the most precise (least noisy) direction on each side. For
-    each trial a standard-normal matrix is drawn; trials whose squared
-    Frobenius norm stays within zeta(delta) form the conditioning event,
-    which holds with probability at least 1 - delta, and within it the
-    four-term trace expression is compared against 2*epsilon.
-
-    Returns:
-        (conditional_pass_rate, r1_rate): the pass fraction among conditioned
-        trials (NaN if no trial lands inside the event) and the fraction of
-        trials inside the event. Purely diagnostic; a design that violates
-        the sufficient condition may still pass, so nothing is asserted here.
-
-    Every matrix of the pair is a multiple of u v^T, with u = W_sigma[:, k]
-    and v = W_psi[:, l] the least noisy directions, so Sigma^-1 and Psi^-1
-    act on it as 1/lambda of their side, and the noise enters only through
-    u^T (B_sigma N B_psi^T) v = sqrt(lambda_k lambda_l) N[k, l]. No basis is
-    read and nothing is colored: memory is one chunk of draws.
-    """
-    trials = as_count(trials, "trials", DomainError)
-    check_design_shape(design, q)
-    m, n = q.m, q.n
-    k, l = int(np.argmin(design.lambda_sigma)), int(np.argmin(design.lambda_psi))
-    lam_u, lam_v = float(design.lambda_sigma[k]), float(design.lambda_psi[l])
-    root_u, root_v = math.sqrt(lam_u), math.sqrt(lam_v)
-    radius_sq = zeta(p.delta, m, n)
-
-    # tr[Psi^-1 A^T Sigma^-1 B] = <A, Sigma^-1 B Psi^-1>; the second trace
-    # term equals the first by symmetry of the inverses.
-    coupling = q.sensitivity / lam_u / lam_v
-    g, g2 = q.gamma, q.gamma - q.sensitivity
-    const_term = g2 * (g2 / lam_u / lam_v) - g * (g / lam_u / lam_v)
-
-    inside = passed = 0
-    # batched draws concatenate to the single draw bit for bit, so the
-    # rates do not depend on the chunk size
-    chunk = trials_per_chunk(m, n)
-    for start in range(0, trials, chunk):
-        draws = stream.standard_normal((min(chunk, trials - start), m, n))
-        norms_sq = np.einsum("tij,tij->t", draws, draws)
-        in_event = norms_sq <= radius_sq
-        # the release's coordinate on u v^T, scaled as the coloring scales
-        # a standard side: rows first, then columns
-        outputs = draws[in_event, k, l] * root_u * root_v + g
-        traces = 2.0 * (outputs * coupling) + const_term
-        inside += outputs.size
-        passed += int(np.sum(traces <= 2.0 * p.epsilon))
-    r1_rate = inside / trials
-    conditional = passed / inside if inside else float("nan")
-    return conditional, r1_rate

@@ -129,7 +129,9 @@ class RandomStream:
     """A seeded, stateful source of random draws.
 
     Args:
-        seed: unsigned 64-bit integer seeding the generator.
+        seed: unsigned 64-bit integer seeding the generator. Anyone who knows
+            it can redraw the stream; :meth:`from_entropy` builds a stream
+            whose seed is not known.
     """
 
     def __init__(self, seed: int):
@@ -139,6 +141,18 @@ class RandomStream:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.seed = int(seed)
         self._generator = np.random.default_rng(self.seed)
+
+    @classmethod
+    def from_entropy(cls) -> "RandomStream":
+        """A stream seeded from fresh operating-system entropy.
+
+        Its ``seed`` is None: the noise of a release drawn from it cannot be
+        redrawn from public inputs, as it can under a known seed.
+        """
+        stream = cls.__new__(cls)
+        stream.seed = None
+        stream._generator = np.random.default_rng(np.random.SeedSequence())
+        return stream
 
     @classmethod
     def from_state_words(cls, seed: int, words: np.ndarray) -> "RandomStream":

@@ -2,13 +2,14 @@
 
 Run from anywhere, with the tier-1 requirements installed:
 
-    python tests/mutation_probe.py          # about nine minutes on 2 vCPU
+    python tests/mutation_probe.py          # about ten minutes on 2 vCPU
     python tests/mutation_probe.py --list   # the mutants, without running them
+    python tests/mutation_probe.py --only budget.exact_delta   # one function
 
 pytest does not collect this file (its name has no ``test_`` prefix), and
-CI does not run it. It copies ``src/``, ``tests/``, ``perfbench/``,
-``README.md`` and ``pyproject.toml`` into a temporary directory and never
-writes to the checkout.
+CI runs it only with ``--only budget.exact_delta``. It copies ``src/``,
+``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml`` into a
+temporary directory and never writes to the checkout.
 
 For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
 at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
@@ -50,19 +51,17 @@ MUTANT_TIMEOUT_S = 300
 # "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
-               "check_condition", "budget_terms", "_report"],
+               "check_condition", "exact_delta", "budget_terms", "_report"],
     "sensitivity": ["identity_sensitivity", "covariance_sensitivity", "gamma_identity",
                     "gamma_covariance", "identity_sensitivity_l1",
                     "covariance_sensitivity_l1"],
     "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
                    "_check_binary", "_validate_query_value", "_directional_lambdas",
                    "release_spectrum", "gaussian_noise_scale", "plan_laplace",
-                   "plan_directions_dp", "DirectionsPlan.bases",
-                   "mvg_verify_characteristic"],
+                   "plan_directions_dp", "DirectionsPlan.bases"],
 }
 
 _AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
-_CONTINUOUS = "differs only when a continuous random draw lands exactly on the bound"
 # (function, change) -> why no test can tell the mutant from the original
 EQUIVALENT = {
     ("budget.QuerySpec.__post_init__",
@@ -70,6 +69,12 @@ EQUIVALENT = {
         _AT_EQUALITY,
     ("budget.check_condition", "`lhs <= rhs * (1.0 + CONDITION_RTOL)`: <= -> <"):
         _AT_EQUALITY,
+    ("budget.exact_delta", "`x * x < 700.0`: < -> <="):
+        "differs only at x^2 = 700 exactly, where both branches give e^eps erfc(x) "
+        "to rounding",
+    ("budget.exact_delta", "`range(20, 0, -1)`: 20 -> 40"):
+        "the continued fraction has converged by 20 terms at x^2 >= 700, so more "
+        "terms give the same float",
     ("mechanisms._validate_query_value",
      "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
     ("mechanisms.PrecisionAllocation.__post_init__",
@@ -83,10 +88,6 @@ EQUIVALENT = {
     ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: 2.0 -> 4.0"):
         "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
         "in the same order",
-    ("mechanisms.mvg_verify_characteristic", "`norms_sq <= radius_sq`: <= -> <"):
-        _CONTINUOUS,
-    ("mechanisms.mvg_verify_characteristic", "`traces <= 2.0 * p.epsilon`: <= -> <"):
-        _CONTINUOUS,
 }
 
 BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -193,9 +194,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true",
                         help="print the mutants and exit without running them")
+    parser.add_argument("--only", metavar="MODULE.FUNC",
+                        help="mutate only this target function, such as "
+                             "budget.exact_delta")
     args = parser.parse_args(argv)
+    functions = {f"{module}.{name}" for module, names in TARGETS.items() for name in names}
+    if args.only is not None and args.only not in functions:
+        parser.error(f"--only {args.only} is not a target; choose from "
+                     f"{', '.join(sorted(functions))}")
+    probed = functions if args.only is None else {args.only}
     sources = {module: source_of(module) for module in TARGETS}
-    plan = [(module, *m) for module in TARGETS for m in mutants(module, sources[module])]
+    plan = [(module, *m) for module in TARGETS for m in mutants(module, sources[module])
+            if m[0] in probed]
     if args.list:
         for _, function, label, _ in plan:
             print(f"{function}: {label}")
@@ -229,7 +239,7 @@ def main(argv=None) -> int:
                 survivors.append((function, label))
 
     unexpected = [s for s in survivors if s not in EQUIVALENT]
-    stale = [s for s in EQUIVALENT if s not in survivors]
+    stale = [s for s in EQUIVALENT if s[0] in probed and s not in survivors]
     print(f"\n{len(plan)} mutants, {len(plan) - len(survivors)} killed, "
           f"{len(survivors)} survived ({len(survivors) - len(unexpected)} expected), "
           f"{time.perf_counter() - start:.0f} s")

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside pytest's own verdicts.
 """
 
+import dataclasses
 import math
 import time
 
@@ -25,6 +26,7 @@ from mvgdp import (
     check_condition,
     covariance_sensitivity,
     delta_rho,
+    exact_delta,
     gamma_covariance,
     gaussian_iid_baseline,
     gaussian_noise_scale,
@@ -33,7 +35,6 @@ from mvgdp import (
     mean_ci95,
     mvg_equimodal,
     mvg_unimodal,
-    mvg_verify_characteristic,
     parse_theta_spec,
     phi_bound,
     precision_budget_equimodal,
@@ -44,7 +45,7 @@ from mvgdp import (
     zeta,
 )
 from mvgdp.cli import main
-from oracles import dense_covariances
+from oracles import delta_boundary, dense_covariances
 
 
 def record(number, name, ok, detail=""):
@@ -158,19 +159,31 @@ def test_criterion_04_concentration():
 
 
 def test_criterion_05_characteristic_equation():
-    start = time.monotonic()
+    # The saturating design passes the exact Gaussian accountant with room to
+    # spare. Scaling its row variances to put the whitened sensitivity 1% past
+    # the accountant's boundary fails both the accountant and the paper's
+    # condition, and 1% short of it passes the accountant.
     q = QuerySpec(3, 4, sensitivity=1.0, gamma=2.0)
     p = PrivacyParams(1.0, 0.05)
     theta = PrecisionAllocation(np.array([0.6, 0.3, 0.1]))
     design = mvg_unimodal(np.zeros((3, 4)), q, p, theta, np.eye(3),
                           RandomStream(0)).design
-    conditional, r1 = mvg_verify_characteristic(q, p, design, 10_000,
-                                                RandomStream(777))
-    margin = 3 * math.sqrt(p.delta * (1 - p.delta) / 10_000)
-    elapsed = time.monotonic() - start
-    ok = conditional == 1.0 and r1 >= 1 - p.delta - margin and elapsed < 60.0
-    record(5, "characteristic-equation Monte Carlo", ok,
-           f"conditional {conditional}, r1 {r1:.4f}, {elapsed:.2f}s")
+    mu = q.sensitivity / math.sqrt(design.lambda_sigma.min() * design.lambda_psi.min())
+    delta = exact_delta(design, q.sensitivity, p.epsilon)
+    boundary = delta_boundary(p.epsilon, p.delta)
+
+    def scaled(factor):
+        return dataclasses.replace(
+            design, lambda_sigma=design.lambda_sigma * (mu / (factor * boundary)) ** 2)
+
+    past, short = scaled(1.01), scaled(0.99)
+    ok = (delta <= p.delta
+          and exact_delta(past, q.sensitivity, p.epsilon) > p.delta
+          and not check_condition(past, q, p).holds
+          and exact_delta(short, q.sensitivity, p.epsilon) <= p.delta)
+    record(5, "exact accountant on the saturating design", ok,
+           f"Delta {mu:.4g}, exact delta {delta:.3g} <= {p.delta}, "
+           f"boundary at {(boundary / mu) ** 2:.0f}x less row variance")
 
 
 def test_criterion_06_reduction_exactness():

@@ -27,6 +27,7 @@ from mvgdp import (
     alpha_beta,
     check_condition,
     covariance_sensitivity,
+    exact_delta,
     gamma_covariance,
     harmonic_numbers,
     phi_bound,
@@ -36,7 +37,8 @@ from mvgdp import (
     zeta,
 )
 from mvgdp import budget
-from mvgdp.mechanisms import derive_directions_dp
+from mvgdp.mechanisms import derive_directions_dp, release_spectrum
+from oracles import UNIT_DESIGN, delta_boundary, hockey_stick_delta
 
 
 def harmonic_oracle(r):
@@ -292,8 +294,70 @@ class TestCheckCondition:
     def test_dimension_mismatch(self):
         q = QuerySpec(2, 3, sensitivity=1.0, gamma=1.0)
         p = PrivacyParams(1.0, 0.1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^design is 3x3 but the query is 2x3$"):
             check_condition(_iid_design(3, 3), q, p)
+
+
+class TestExactDelta:
+    def test_matches_the_hockey_stick_integral(self):
+        deltas = []
+        for epsilon in (0.1, 1.0, 3.0):
+            for mu in np.geomspace(0.05, 5.0, 25):
+                got = exact_delta(UNIT_DESIGN, mu, epsilon)
+                assert abs(got - hockey_stick_delta(mu, epsilon)) <= 1e-12, (mu, epsilon)
+                deltas.append(got)
+        # the grid spans delta from 0 to nearly 1
+        assert min(deltas) == 0.0 and max(deltas) > 0.9
+
+    def test_an_epsilon_past_exp_overflow_matches_the_integral(self):
+        # e^780 is not a float; x^2 = 780.1 here takes the continued fraction
+        with pytest.raises(OverflowError):
+            math.exp(780.0)
+        got = exact_delta(UNIT_DESIGN, 40.0, 780.0)
+        assert abs(got - hockey_stick_delta(40.0, 780.0, step=1e-4)) <= 1e-12
+        assert 0.6 < got < 0.7
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-3, 1.0, 700.0, 710.0, 1e5, 1e308])
+    def test_every_epsilon_gives_a_delta_in_the_unit_interval(self, epsilon):
+        for mu in (1e-300, 1e-5, 0.1, 1.0, 10.0, 100.0, 1e5, 1e300):
+            got = exact_delta(UNIT_DESIGN, mu, epsilon)
+            assert 0.0 <= got <= 1.0, (mu, got)
+        assert exact_delta(UNIT_DESIGN, 1e300, epsilon) == 1.0
+
+    def test_a_vanishing_sensitivity_gives_zero(self):
+        assert exact_delta(UNIT_DESIGN, 1e-3, 1.0) == 0.0
+        # the whitened sensitivity 5e-324 / 1e300 underflows to exactly 0
+        wide = NoiseDesign(None, np.full(2, 1e300), None, np.full(3, 1e300))
+        assert exact_delta(wide, 5e-324, 1.0) == 0.0
+
+    def test_reads_the_least_singular_value_of_each_side(self):
+        # mu = 0.75 / sqrt(0.25 * 2.25) = 1, exactly
+        design = NoiseDesign(None, np.array([4.0, 0.25, 9.0]), None, np.array([16.0, 2.25]))
+        for epsilon in (0.5, 2.0):
+            assert exact_delta(design, 0.75, epsilon) == exact_delta(UNIT_DESIGN, 1.0, epsilon)
+
+    def test_saturating_designs_pass_and_shrunk_ones_fail(self):
+        # every design that saturates the paper's condition passes the exact
+        # accountant, and the same design with its row variances shrunk to put
+        # the whitened sensitivity 1% past the accountant's boundary fails
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            equimodal = trial % 2 == 1
+            m = int(rng.integers(1, 8))
+            n = m if equimodal else int(rng.integers(1, 8))
+            gamma = float(10 ** rng.uniform(-2, 2))
+            q = QuerySpec(m, n, sensitivity=gamma * rng.uniform(0.01, 2.0), gamma=gamma)
+            p = PrivacyParams(float(10 ** rng.uniform(math.log10(0.05), 1)),
+                              float(10 ** rng.uniform(-8, math.log10(0.3))))
+            theta = PrecisionAllocation(rng.uniform(0.05, 1.0, m))
+            mode = BudgetMode.EQUI_MODAL if equimodal else BudgetMode.UNIMODAL
+            design = release_spectrum(q, p, theta, mode).design
+            assert exact_delta(design, q.sensitivity, p.epsilon) <= p.delta, trial
+            mu = q.sensitivity / math.sqrt(design.lambda_sigma.min() * design.lambda_psi.min())
+            shrink = (mu / (1.01 * delta_boundary(p.epsilon, p.delta))) ** 2
+            planted = NoiseDesign(None, design.lambda_sigma * shrink, None, design.lambda_psi)
+            assert exact_delta(planted, q.sensitivity, p.epsilon) > p.delta, trial
+            assert not check_condition(planted, q, p).holds, trial
 
 
 class TestPrecisionBudgets:

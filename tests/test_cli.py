@@ -17,6 +17,7 @@ from mvgdp import (
     QuerySpec,
     RandomStream,
     cli,
+    covariance_query,
     covariance_sensitivity,
     derive_directions_dp,
     gamma_covariance,
@@ -61,10 +62,11 @@ DATASET_RUNS = {
                "--trials", "3", "--directions", "dp:0.2"],
     "regression": ["bench", "--experiment", "regression", "--mechanism", "mvg-uni",
                    "--trials", "3", "--directions", "dp:0.2"],
+    # seeded, so two runs draw the same noise and compare byte for byte
     "perturb": ["perturb", "--query", "covariance", "--directions", "dp:0.2",
-                "--theta", "binary:0.9:0"],
+                "--theta", "binary:0.9:0", "--seed", "0"],
     "perturb-identity": ["perturb", "--query", "identity", "--directions", "dp:0.2",
-                         "--theta", "binary:0.9:0"],
+                         "--theta", "binary:0.9:0", "--seed", "0"],
 }
 
 
@@ -245,10 +247,37 @@ class TestPerturbCommand:
             path = write_dataset(tmp_path, data, f"{name}.csv")
             assert main(["perturb", "--input", path, "--query", "identity",
                          "--epsilon", "1", "--lo", "-0.5", "--hi", "0.5",
-                         "--out", str(out)]) == 0
+                         "--seed", "0", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert capfdbinary.readouterr().err == b""
+
+    def unseeded_covariance_release(self, tmp_path, data, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["perturb", "--input", write_dataset(tmp_path, data),
+                     "--query", "covariance", "--epsilon", "1", "--lo", "-1",
+                     "--hi", "1", "--theta", "uniform", "--out", str(out)]) == 0
+        return load_dense_csv(out)
+
+    def test_unseeded_runs_draw_different_noise(self, tmp_path, sign_data):
+        first, second = (self.unseeded_covariance_release(tmp_path, sign_data, name)
+                         for name in ("first", "second"))
+        assert not np.array_equal(first, second)
+
+    def test_unseeded_noise_cannot_be_redrawn_and_subtracted(self, tmp_path):
+        # Under a known seed the noise is a function of public inputs: plan
+        # the same release of a zero matrix, draw it from that seed, and the
+        # output minus that draw is X X^T / N to rounding.
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 500))
+        bounds = DataBounds(3, 500, -1.0, 1.0)
+        (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
+                                        covariance_query(bounds), np.zeros((3, 3)),
+                                        PrivacyParams(1.0, 1 / 500), ["uniform"],
+                                        "standard", None)
+        noise = plan.draw([RandomStream(0)])[0]
+        recovered = self.unseeded_covariance_release(tmp_path, x, "cov") - noise
+        # the noise sd is about 5 here, so a recovery would be within 1e-12
+        assert np.abs(recovered - x @ x.T / 500).max() > 1e-3
 
     def test_nan_cell_exits_3(self, tmp_path, sign_data):
         data = np.array(sign_data)

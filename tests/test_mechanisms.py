@@ -29,13 +29,10 @@ from mvgdp import (
     laplace_iid_baseline,
     mvg_equimodal,
     mvg_unimodal,
-    mvg_verify_characteristic,
     phi_bound,
     plan_equimodal,
     plan_unimodal,
     sample_mvg,
-    sample_standard_matrix,
-    zeta,
 )
 from mvgdp import design as design_module
 from mvgdp import mechanisms
@@ -48,7 +45,7 @@ from mvgdp.mechanisms import (
     release_spectrum,
 )
 from mvgdp.sensitivity import AuditedGram
-from oracles import dense_bases, dense_covariances, dense_release, scaled_release
+from oracles import dense_release, scaled_release
 
 
 class TestPrecisionAllocation:
@@ -766,193 +763,6 @@ class TestDeriveDirectionsDp:
                                  RandomStream(0), bounds=bounds)
 
 
-class TestVerifyCharacteristic:
-    def setup_method(self):
-        self.q = QuerySpec(3, 4, sensitivity=1.0, gamma=2.0)
-        self.p = PrivacyParams(1.0, 0.05)
-        theta = PrecisionAllocation(np.array([0.6, 0.3, 0.1]))
-        result = mvg_unimodal(np.zeros((3, 4)), self.q, self.p, theta,
-                              np.eye(3), RandomStream(0))
-        self.design = result.design
-
-    def test_saturating_design_always_passes(self):
-        conditional, r1 = mvg_verify_characteristic(
-            self.q, self.p, self.design, 2000, RandomStream(42))
-        assert conditional == 1.0
-        margin = 3 * math.sqrt(self.p.delta * (1 - self.p.delta) / 2000)
-        assert r1 >= 1 - self.p.delta - margin
-
-    def test_violating_design_reports_without_raising(self):
-        # shrink every direction variance 100x: the condition's left side
-        # inflates 100x past the bound, but the check stays diagnostic
-        bad = NoiseDesign(self.design.basis_sigma, self.design.lambda_sigma / 100.0,
-                          self.design.basis_psi, self.design.lambda_psi)
-        holds, _, _ = check_condition(bad, self.q, self.p)
-        assert not holds
-        conditional, r1 = mvg_verify_characteristic(
-            self.q, self.p, bad, 500, RandomStream(1))
-        assert 0.0 <= conditional <= 1.0
-        assert 0.0 <= r1 <= 1.0
-
-    def test_wide_standard_side_memory_stays_linear(self):
-        # reads the standard column side as its lambda only: one dense
-        # n x n inverse or factor would need 80 GB at this width
-        m, n = 2, 100_000
-        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
-        design = mvg_unimodal(np.zeros((m, n)), q, self.p,
-                              PrecisionAllocation.uniform(m), np.eye(m),
-                              RandomStream(3)).design
-        assert design.basis_psi is None
-        tracemalloc.start()
-        try:
-            conditional, r1 = mvg_verify_characteristic(q, self.p, design, 5,
-                                                        RandomStream(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert conditional == 1.0 and r1 == 1.0
-        assert peak <= 10 * m * n * 8  # a handful of m x n arrays
-
-    def test_an_identity_column_side_is_read_as_the_standard_side(self):
-        # np.eye(n) is stored as the standard side, so no n x n inverse is
-        # formed: a dense one peaked at 64 MB at this width
-        m, n = 4, 2000
-        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
-        standard = mvg_unimodal(np.zeros((m, n)), q, self.p,
-                                PrecisionAllocation.uniform(m), np.eye(m),
-                                RandomStream(3)).design
-        identity = NoiseDesign(None, standard.lambda_sigma, np.eye(n),
-                               standard.lambda_psi)
-        tracemalloc.start()
-        try:
-            got = mvg_verify_characteristic(q, self.p, identity, 10, RandomStream(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-        assert got == mvg_verify_characteristic(q, self.p, standard, 10,
-                                                RandomStream(4))
-
-    def test_standard_sides_match_explicit_identities(self, monkeypatch):
-        # off the saturating point the pass rate lies strictly inside (0, 1)
-        # and moves with every singular value
-        rng = np.random.default_rng(8)
-        lam_s, lam_p = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 4)
-        standard = NoiseDesign(None, lam_s, None, lam_p)
-        explicit = NoiseDesign(np.eye(3), lam_s, np.eye(4), lam_p)
-        for seed in (1, 2):
-            got = mvg_verify_characteristic(self.q, self.p, standard, 300,
-                                            RandomStream(seed))
-            assert got == mvg_verify_characteristic(self.q, self.p, explicit,
-                                                    300, RandomStream(seed))
-            assert 0.0 < got[0] < 1.0
-            # one trial per batch draws the same normals in the same order
-            with monkeypatch.context() as patch:
-                patch.setattr(mechanisms, "CHUNK_ENTRIES", 1)
-                assert mvg_verify_characteristic(self.q, self.p, standard, 300,
-                                                 RandomStream(seed)) == got
-
-    def test_trials_validation(self):
-        with pytest.raises(DomainError):
-            mvg_verify_characteristic(self.q, self.p, self.design, 0,
-                                      RandomStream(0))
-
-    def test_design_must_match_the_query(self):
-        # one shape check, shared with the privacy condition
-        q = QuerySpec(4, 3, sensitivity=1.0, gamma=2.0)
-        message = "^design is 3x4 but the query is 4x3$"
-        with pytest.raises(ShapeError, match=message):
-            mvg_verify_characteristic(q, self.p, self.design, 10, RandomStream(0))
-        with pytest.raises(ShapeError, match=message):
-            check_condition(self.design, q, self.p)
-
-    def test_dense_sides_form_no_inverse(self):
-        # the pair is read through each side's least lambda and nothing is
-        # colored, so no n x n array is formed: dense inverses of both sides
-        # peaked at 36 MB at this width, the coloring's factor at 18 MB
-        m, n = 4, 1500
-        rng = np.random.default_rng(6)
-        q = QuerySpec(m, n, sensitivity=1.0, gamma=2.0)
-        design = NoiseDesign(np.linalg.qr(rng.standard_normal((m, m)))[0],
-                             rng.uniform(0.5, 2.0, m),
-                             np.linalg.qr(rng.standard_normal((n, n)))[0],
-                             rng.uniform(0.5, 2.0, n))
-        tracemalloc.start()
-        try:
-            mvg_verify_characteristic(q, self.p, design, 10, RandomStream(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * m * n * 8  # a handful of m x n arrays
-
-    def test_dense_bases_give_the_standard_rates(self):
-        # the rates read only the singular values: random dense bases on
-        # both sides give the standard design's rates bit for bit, off the
-        # saturating point where the rate lies strictly inside (0, 1)
-        rng = np.random.default_rng(12)
-        lam_s, lam_p = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 4)
-        standard = NoiseDesign(None, lam_s, None, lam_p)
-        dense = NoiseDesign(np.linalg.qr(rng.standard_normal((3, 3)))[0], lam_s,
-                            np.linalg.qr(rng.standard_normal((4, 4)))[0], lam_p)
-        for seed in (1, 2, 3):
-            got = mvg_verify_characteristic(self.q, self.p, dense, 300,
-                                            RandomStream(seed))
-            assert got == mvg_verify_characteristic(self.q, self.p, standard,
-                                                    300, RandomStream(seed))
-            assert 0.0 < got[0] < 1.0
-
-    @staticmethod
-    def four_term_rates(q, p, design, trials, stream):
-        """The rates with the four trace terms written out literally and
-        dense inverses, drawing one trial at a time."""
-        w_sigma, w_psi = dense_bases(design)
-        u = w_sigma[:, int(np.argmin(design.lambda_sigma))]
-        v = w_psi[:, int(np.argmin(design.lambda_psi))]
-        f_x1 = q.gamma * np.outer(u, v)
-        delta_q = q.sensitivity * np.outer(u, v)
-        f_x2 = f_x1 - delta_q
-        s_inv, p_inv = (np.linalg.inv(c) for c in dense_covariances(design))
-        radius_sq = zeta(p.delta, q.m, q.n)
-        inside = passed = 0
-        for _ in range(trials):
-            draw = sample_standard_matrix(stream, q.m, q.n)
-            if (draw ** 2).sum() > radius_sq:
-                continue
-            inside += 1
-            y = dense_release(f_x1, design, draw)
-            trace = (np.trace(p_inv @ y.T @ s_inv @ delta_q)
-                     + np.trace(p_inv @ delta_q.T @ s_inv @ y)
-                     + np.trace(p_inv @ f_x2.T @ s_inv @ f_x2)
-                     - np.trace(p_inv @ f_x1.T @ s_inv @ f_x1))
-            if trace <= 2 * p.epsilon:
-                passed += 1
-        return passed / inside, inside / trials
-
-    def test_trace_matches_four_term_oracle(self):
-        # the saturating design passes every trial; off saturation, on dense
-        # bases with lambda_psi != 1 and at epsilon != 1, the rate lies
-        # strictly inside (0, 1) and moves with every term. 400 trials span
-        # more than one chunk.
-        rng = np.random.default_rng(11)
-        w3, w4 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for k in (3, 4))
-        lam4 = rng.uniform(0.5, 2.0, 4)
-        cases = [
-            (self.q, self.p, self.design),
-            (self.q, PrivacyParams(0.5, 0.05),
-             NoiseDesign(w3, rng.uniform(0.5, 2.0, 3), w4, lam4)),
-            # s2 > gamma, so the neighbour's value has the opposite sign
-            (QuerySpec(4, 4, sensitivity=3.0, gamma=2.0), PrivacyParams(2.0, 0.01),
-             NoiseDesign(w4, lam4, w4, lam4)),
-        ]
-        for k, (q, p, design) in enumerate(cases):
-            got = mvg_verify_characteristic(q, p, design, 400, RandomStream(5))
-            assert got == self.four_term_rates(q, p, design, 400, RandomStream(5)), k
-            if k == 0:
-                assert got[0] == 1.0
-            else:
-                assert 0.0 < got[0] < 1.0, k
-
-
 class TestReleaseSpectrumMemo:
     """An MVG release's budget, singular values and condition check are
     computed once per (query, privacy, allocation, mode)."""
@@ -1134,13 +944,3 @@ class TestOneColoringPath:
         plan.draw([RandomStream(s) for s in range(4)])
         # drawn bases replace the row side, and the column side if equi-modal
         assert calls == [((4, 3, 3), not drawn, not (drawn and equimodal))]
-
-    def test_verify_characteristic(self, monkeypatch):
-        q = QuerySpec(3, 4, sensitivity=1.0, gamma=2.0)
-        design = mvg_unimodal(np.zeros((3, 4)), q, self.P,
-                              PrecisionAllocation.uniform(3), np.eye(3),
-                              RandomStream(0)).design
-        calls = self.count_colors(monkeypatch)
-        mvg_verify_characteristic(q, self.P, design, 50, RandomStream(1))
-        # the trace reads one normal per draw, scaled by two singular values
-        assert calls == []

@@ -29,6 +29,7 @@ from mvgdp import (
     PrivacyParams,
     QuerySpec,
     ShapeError,
+    exact_delta,
     gaussian_noise_scale,
     phi_bound,
     ridge_regression_rmse,
@@ -37,6 +38,7 @@ from mvgdp.errors import as_count, as_real
 from mvgdp.harness import check_run_options
 from mvgdp.mechanisms import plan_laplace
 from mvgdp.sensitivity import check_range
+from oracles import UNIT_DESIGN
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvgdp"
 
@@ -134,6 +136,8 @@ REAL_SITES = [
     ("ridge_regression_rmse", train_test, DomainError),
     ("PrecisionAllocation.binary.tau", lambda v: PrecisionAllocation.binary(4, v, [0]),
      AllocationError),
+    ("exact_delta.sensitivity", lambda v: exact_delta(UNIT_DESIGN, v, 1.0), DomainError),
+    ("exact_delta.epsilon", lambda v: exact_delta(UNIT_DESIGN, 1.0, v), DomainError),
 ]
 
 
@@ -146,10 +150,12 @@ def test_an_int_too_large_for_a_float_is_rejected_by_its_site(call, error):
         call(-HUGE)
 
 
-# the sites that once took True as 1 and raised a bare TypeError for a string
+# the sites that once took True as 1 and raised a bare TypeError for a
+# string, and exact_delta's, which never did
 BARE_SITES = ["gaussian_noise_scale", "plan_laplace", "phi_bound.alpha",
               "phi_bound.beta", "phi_bound.epsilon", "ridge_regression_rmse",
-              "PrecisionAllocation.binary.tau"]
+              "PrecisionAllocation.binary.tau", "exact_delta.sensitivity",
+              "exact_delta.epsilon"]
 
 
 @pytest.mark.parametrize("call, error", [site[1:] for site in REAL_SITES
