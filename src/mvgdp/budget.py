@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,17 +50,24 @@ class BudgetMode(enum.Enum):
     UNIMODAL = "unimodal"
     EQUI_MODAL = "equimodal"
 
+    # a member is its process's one instance and equals only itself, so an
+    # identity hash agrees with equality; enum.Enum.__hash__ would be a
+    # Python call on every release_spectrum lookup
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) privacy target.
 
     delta must lie strictly inside (0, 1): the mechanism's guarantee is of
-    the Gaussian style and has no pure-epsilon (delta = 0) form.
+    the Gaussian style and has no pure-epsilon (delta = 0) form. Its hash
+    is computed once, from the two floats.
     """
 
     epsilon: float
     delta: float
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # as float64, for the reason QuerySpec gives
@@ -73,6 +80,10 @@ class PrivacyParams:
                 "delta = 0 (a pure epsilon-DP guarantee) is not offered by this "
                 "Gaussian-style mechanism"
             )
+        object.__setattr__(self, "_hash", hash((self.epsilon, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,9 @@ class QuerySpec:
         l1_sensitivity: worst-case entrywise L1 change over datasets
             differing in one record, which calibrates the Laplace baseline;
             None when unknown, as for a custom query.
+
+    The hash is computed once, from values whose hashes are the same in
+    every process, so a spec pickled in one process keys another's memos.
     """
 
     m: int
@@ -98,6 +112,7 @@ class QuerySpec:
     gamma: float
     kind: QueryKind = QueryKind.CUSTOM
     l1_sensitivity: float | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         as_count(self.m, "m", DomainError)
@@ -118,6 +133,15 @@ class QuerySpec:
                 "a single-record change cannot move the query further than the "
                 "diameter of its Frobenius ball"
             )
+        # the kind's position, not its str value or its enum hash, and 0.0
+        # for an unknown L1 sensitivity (a known one is positive), not None:
+        # str and None hashes differ between processes
+        object.__setattr__(self, "_hash", hash((
+            self.m, self.n, self.sensitivity, self.gamma, list(QueryKind).index(self.kind),
+            0.0 if self.l1_sensitivity is None else self.l1_sensitivity)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r(self) -> int:

@@ -30,14 +30,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesignError, ShapeError, symmetry_fault
+from .errors import (
+    DegenerateDesignError,
+    DomainError,
+    ShapeError,
+    as_real_array,
+    symmetry_fault,
+)
 
 ORTHONORMALITY_TOL = 1e-8
 EIGENVALUE_FLOOR = 1e-12
 
+# a float64 1.0 and 0.0 in native byte order, the bytes np.eye is made of
+_ONE, _ZERO = np.float64(1.0).tobytes(), bytes(8)
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
+    m = as_real_array(a, f"{name}'s entries", DomainError)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={m.ndim}")
     return m
@@ -62,16 +71,21 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
 
 
 def _is_identity(w: np.ndarray) -> bool:
-    """Whether a 2-D matrix is exactly an m x m identity, m >= 1.
+    """Whether a 2-D float64 matrix is exactly an m x m identity, m >= 1.
 
     It is when it is square, its only nonzeros are its m diagonal entries
     and each is exactly 1.0. A NaN counts as nonzero and equals nothing, so
     a matrix holding one never passes.
     """
     m = w.shape[0]
-    # a list compare, cheaper at small m than a numpy reduction
-    return (w.shape[1] == m >= 1 and np.count_nonzero(w) == m
-            and w.diagonal().tolist() == [1.0] * m)
+    if not w.shape[1] == m >= 1:
+        return False
+    # np.eye(m) itself is 1.0 and then m zeros, m - 1 times, and a last 1.0:
+    # one bytes compare. A -0.0 (an identity still) or a NaN (never one)
+    # has other bytes and goes to the value test, a list compare of the
+    # diagonal, cheaper at small m than a numpy reduction
+    return (w.tobytes() == (_ONE + _ZERO * m) * (m - 1) + _ONE
+            or (np.count_nonzero(w) == m and w.diagonal().tolist() == [1.0] * m))
 
 
 def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
@@ -114,7 +128,7 @@ def _check_bases(basis_sigma, lam_s: np.ndarray, basis_psi,
     return stored_s, _check_side(basis_psi, lam_p, "psi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseDesign:
     """Row and column covariance factors of a matrix-valued Gaussian noise.
 
@@ -135,14 +149,15 @@ class NoiseDesign:
     The privacy condition reads the singular values and :meth:`color`
     colors with ``basis * sqrt(lambda)`` per side. A side's covariance is
     ``(W * lam) @ W.T``, with ``W = np.eye(n)`` for a standard side.
+    Designs are compared and hashed by identity.
     """
 
     basis_sigma: np.ndarray | None
     lambda_sigma: np.ndarray
     basis_psi: np.ndarray | None
     lambda_psi: np.ndarray
-    root_sigma: np.ndarray = field(init=False, repr=False, compare=False)
-    root_psi: np.ndarray | None = field(init=False, repr=False, compare=False)
+    root_sigma: np.ndarray = field(init=False, repr=False)
+    root_psi: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
@@ -176,10 +191,15 @@ class NoiseDesign:
 
         The bases are checked as the constructor checks them. The singular
         values and their roots were checked when this design was built, so
-        they are shared as they are, neither copied nor checked again.
+        they are shared as they are, neither copied nor checked again. When
+        the bases to store are this design's own, as standard or identity
+        bases are for a design with standard sides, the result is this
+        frozen design itself.
         """
         basis_s, basis_p = _check_bases(basis_sigma, self.lambda_sigma,
                                         basis_psi, self.lambda_psi)
+        if basis_s is self.basis_sigma and basis_p is self.basis_psi:
+            return self
         design = object.__new__(type(self))
         vars(design).update(vars(self), basis_sigma=basis_s, basis_psi=basis_p)
         return design

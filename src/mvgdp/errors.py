@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one check each of
-a count, a real number, a symmetric matrix and a unit vector.
+a count, a real number, a real array, a symmetric matrix and a unit vector.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
 with 2, contract violations (a data cell that is not a number, or a query
@@ -60,6 +60,24 @@ def as_real(value, name: str, error: type, positive: bool = False) -> float:
     if not low < value < math.inf:  # a NaN fails too
         raise error(f"{name} must be {bound}, got {value}")
     return value
+
+
+_FLOAT64 = np.dtype(float)  # numpy's one instance of native float64
+
+
+def as_real_array(value, name: str, error: type) -> np.ndarray:
+    """``value`` as a float64 array, if its dtype is an integer or a float
+    one; otherwise raise ``error`` naming ``name`` and the dtype. A bool,
+    complex, string or object array is refused, not cast: a cast would drop
+    an imaginary part or parse text as numbers. A native float64 array is
+    returned as it is, after one dtype read."""
+    array = np.asarray(value)
+    dtype = array.dtype
+    if dtype is _FLOAT64:
+        return array
+    if dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got an array of dtype {dtype}")
+    return array.astype(float)
 
 
 SYMMETRY_TOL = UNIT_TOL = 1e-8

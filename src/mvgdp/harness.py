@@ -77,7 +77,8 @@ from .budget import (  # noqa: F401
     QuerySpec,
     check_condition,
 )
-from .errors import ConfigError, FormatError, as_count, as_real, is_count
+from .errors import (ConfigError, DomainError, FormatError, as_count, as_real, as_real_array,
+                     is_count)
 from .mechanisms import (  # noqa: F401
     CHUNK_ENTRIES,
     PrecisionAllocation,
@@ -421,8 +422,10 @@ def clamp_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
 
     With ``dp:F`` directions that is the :class:`AuditedGram` of the first
     ``num_direction`` clamped records (all by default); otherwise no
-    directions are derived and it is None.
+    directions are derived and it is None. An array that is not of real
+    numbers raises DomainError.
     """
+    x = as_real_array(x, "the records", DomainError)
     bounds.check_shape(x.shape)
     x = clamp(x, bounds.lo, bounds.hi)
     if parse_directions_source(directions_source)[0] != "dp":

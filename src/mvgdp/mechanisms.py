@@ -57,6 +57,7 @@ from .errors import (
     ShapeError,
     as_count,
     as_real,
+    as_real_array,
     symmetry_fault,
 )
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
@@ -96,11 +97,8 @@ class PrecisionAllocation:
     _shares: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.theta)
         # a bool or a string is no share, though float() would take it
-        if raw.dtype.kind not in "iuf":
-            raise AllocationError(f"theta shares must be real numbers, got {self.theta!r}")
-        t = np.asarray(raw, dtype=float).reshape(-1)
+        t = as_real_array(self.theta, "theta shares", AllocationError).reshape(-1)
         if t.size < 1:
             raise AllocationError("theta must have at least one entry")
         if not np.all(np.isfinite(t)):
@@ -163,10 +161,11 @@ def _check_binary(tau, favored) -> tuple[float, list[int]]:
     return tau, fav
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbResult:
     """A perturbed query value plus everything needed to reproduce it: the
-    stream's seed, which is None for a stream from OS entropy."""
+    stream's seed, which is None for a stream from OS entropy. Compared and
+    hashed by identity."""
 
     output: np.ndarray
     design: NoiseDesign
@@ -175,8 +174,9 @@ class PerturbResult:
 
 
 def _check_shape(query_value, q: QuerySpec) -> np.ndarray:
-    """The query value as a float array, if it has the query's m x n shape."""
-    value = np.asarray(query_value, dtype=float)
+    """The query value as a float array, if it holds real numbers and has
+    the query's m x n shape."""
+    value = as_real_array(query_value, "the query value's entries", DomainError)
     if value.shape != (q.m, q.n):
         raise ShapeError(
             f"query value has shape {value.shape}, expected ({q.m}, {q.n})"
@@ -186,9 +186,10 @@ def _check_shape(query_value, q: QuerySpec) -> np.ndarray:
 
 def _validate_query_value(query_value, q: QuerySpec) -> np.ndarray:
     value = _check_shape(query_value, q)
-    # np.linalg.norm's own Frobenius formula, without its dispatch
+    # np.linalg.norm's own Frobenius formula, without its dispatch; ndarray.dot
+    # runs the same dot loop as @, without the matmul gufunc's set-up
     flat = value.ravel("K")
-    fro = math.sqrt(flat @ flat)
+    fro = math.sqrt(flat.dot(flat))
     # written so a NaN norm fails the check too
     if not fro <= q.gamma * (1.0 + GAMMA_RTOL):
         raise ContractViolationError(
@@ -226,10 +227,10 @@ def standard_normal_stacks(streams, shapes) -> list[np.ndarray]:
     trial t consumes exactly what a single release on its stream would.
     Returns one (T, *shape) stack per shape.
     """
-    stacks = [np.empty((len(streams),) + tuple(shape)) for shape in shapes]
+    stacks = [np.empty((len(streams), m, n)) for m, n in shapes]
     for t, stream in enumerate(streams):
-        for stack in stacks:
-            sample_standard_matrix(stream, *stack.shape[1:], out=stack[t])
+        for stack, (m, n) in zip(stacks, shapes):
+            sample_standard_matrix(stream, m, n, out=stack[t])
     return stacks
 
 
@@ -248,7 +249,7 @@ class _TwoStepPlan:
         return self.color(*self.draw_noise(streams))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReleasePlan(_TwoStepPlan):
     """Everything an MVG release fixes before it draws.
 
@@ -377,7 +378,12 @@ def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
     if w_sigma is not None:
         design = design.with_bases(
             w_sigma, w_sigma if mode is BudgetMode.EQUI_MODAL else None)
-    return ReleasePlan(value, q, report, design, condition, directions)
+    # the frozen fields in one write, as NoiseDesign.with_bases does, instead
+    # of the generated __init__'s one object.__setattr__ per field
+    plan = object.__new__(ReleasePlan)
+    vars(plan).update(value=value, query=q, budget=report, design=design,
+                      condition=condition, directions=directions)
+    return plan
 
 
 def plan_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
@@ -420,8 +426,10 @@ def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
             "one with derive_directions_dp, or draw per trial from "
             "plan_unimodal/plan_equimodal"
         )
-    return PerturbResult(output=plan.draw([stream])[0], design=plan.design,
-                         budget=plan.budget, seed=stream.seed)
+    result = object.__new__(PerturbResult)  # as _plan builds its plan
+    vars(result).update(output=plan.draw([stream])[0], design=plan.design,
+                        budget=plan.budget, seed=stream.seed)
+    return result
 
 
 def mvg_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
@@ -482,7 +490,7 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
                    "the Gaussian noise scale", DomainError, positive=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPlan(_TwoStepPlan):
     """Classic Gaussian releases of one validated query value: i.i.d. noise
     of sd ``scale`` on every entry. Built by :func:`plan_gaussian`; a scale
@@ -507,7 +515,7 @@ class GaussianPlan(_TwoStepPlan):
         return noise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacePlan(_TwoStepPlan):
     """Classic Laplace releases of one validated query value: i.i.d. noise
     of scale ``scale`` on every entry. Built by :func:`plan_laplace`; a
@@ -574,7 +582,7 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
     return plan_laplace(query_value, q, epsilon).draw([stream])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionsPlan:
     """The fixed part of a private direction derivation.
 
@@ -664,7 +672,7 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
         bounds: declared shape and per-entry range; the covariance
             sensitivity comes from here, never from the data itself.
     """
-    x = np.asarray(data, dtype=float)
+    x = as_real_array(data, "the records", DomainError)
     if x.ndim != 2:
         raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
     k = as_count(k, "k", ShapeError)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .budget import QueryKind, QuerySpec
 from .errors import (ContractViolationError, DomainError, ShapeError, as_count, as_real,
-                     to_float)
+                     as_real_array, to_float)
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,9 @@ class AuditedGram:
         multiplied while it is in cache, nothing inside the box is copied,
         and ``gram`` equals the Gram matrix read from a CSV of the same
         records bit for bit. Within one block that is ``x @ x.T`` bit for
-        bit.
+        bit. An array that is not of real numbers raises DomainError.
         """
+        x = as_real_array(x, "the records", DomainError)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ShapeError(f"records must be M x N with M >= 1, got shape {x.shape}")
         records = x.T

@@ -78,7 +78,7 @@ EQUIVALENT = {
     ("mechanisms._validate_query_value",
      "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
     ("mechanisms.PrecisionAllocation.__post_init__",
-     "`np.asarray(raw, dtype=float).reshape(-1)`: 1 -> 2"):
+     "`as_real_array(self.theta, 'theta shares', AllocationError).reshape(-1)`: 1 -> 2"):
         "numpy reads any negative size in reshape as the one unknown dimension",
     ("mechanisms.gaussian_noise_scale", "`stacklevel=2`: 2 -> 4"):
         "moves only the source line a warning names",

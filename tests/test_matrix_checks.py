@@ -1,10 +1,12 @@
-"""A matrix's symmetry and a vector's unit norm are each tested in one place.
+"""A matrix's symmetry, a vector's unit norm and an array's dtype are each
+tested in one place.
 
 ``errors.symmetry_fault`` and ``errors.unit_norm_fault`` are those tests,
 and ``SYMMETRY_TOL`` and ``UNIT_TOL`` their one tolerance each. A NaN or
 infinite entry fails them without a RuntimeWarning, which the suite's
 warning filter would turn into an error. A guard fails if another module
-computes a symmetry deviation by hand.
+computes a symmetry deviation by hand. ``errors.as_real_array`` is the
+dtype test of every array that enters the package.
 """
 
 import ast
@@ -14,7 +16,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvgdp.errors import SYMMETRY_TOL, UNIT_TOL, symmetry_fault, unit_norm_fault
+from mvgdp import (
+    DataBounds,
+    DomainError,
+    Experiment,
+    ExperimentConfig,
+    MechanismKind,
+    NoiseDesign,
+    PrecisionAllocation,
+    PrivacyParams,
+    QuerySpec,
+    RandomStream,
+    derive_directions_dp,
+    mvg_equimodal,
+    mvg_unimodal,
+    run_experiment,
+)
+from mvgdp.errors import (
+    SYMMETRY_TOL,
+    UNIT_TOL,
+    as_real_array,
+    symmetry_fault,
+    unit_norm_fault,
+)
+from mvgdp.harness import clamp_records
+from mvgdp.mechanisms import plan_gaussian
+from mvgdp.sensitivity import AuditedGram
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvgdp"
 
@@ -125,3 +152,74 @@ def test_each_tolerance_is_defined_once():
                             if isinstance(target, ast.Name)
                             and target.id.endswith(("SYMMETRY_TOL", "UNIT_TOL"))}
     assert defined == {("errors", "SYMMETRY_TOL"), ("errors", "UNIT_TOL")}
+
+
+class TestAsRealArray:
+    def test_a_float64_array_is_returned_as_it_is(self):
+        x = np.eye(3)
+        assert as_real_array(x, "x", DomainError) is x
+
+    @pytest.mark.parametrize("value", [np.eye(2, dtype=np.int32), np.eye(2, dtype=np.uint8),
+                                       np.eye(2, dtype=np.float32),
+                                       np.eye(2, dtype=">f8"), [[1, 0], [0, 1]]])
+    def test_integers_and_floats_are_read_as_float64(self, value):
+        array = as_real_array(value, "x", DomainError)
+        assert array.dtype == np.float64 and array.dtype.isnative
+        assert array.tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.eye(2) * (1 + 1j), "complex128"), ([["1", "0"], ["0", "1"]], "<U1"),
+        (np.eye(2, dtype=bool), "bool"), ([[1.0, None]], "object"),
+    ], ids=["complex", "str", "bool", "object"])
+    def test_other_dtypes_are_refused_by_name(self, value, dtype):
+        with pytest.raises(DomainError,
+                           match=f"^x must be real numbers, got an array of dtype {dtype}$"):
+            as_real_array(value, "x", DomainError)
+
+
+def release_call(release, basis=False):
+    """A 2 x 2 release of ``v``, the value, or with ``v`` as its basis."""
+    q = QuerySpec(2, 2, sensitivity=1.0, gamma=10.0)
+    p, theta = PrivacyParams(1.0, 0.05), PrecisionAllocation.uniform(2)
+    if basis:
+        return lambda v: release(np.eye(2), q, p, theta, v, RandomStream(0))
+    return lambda v: release(v, q, p, theta, None, RandomStream(0))
+
+
+def records_config(experiment):
+    return ExperimentConfig(
+        experiment=experiment, dataset_path="unused.csv",
+        bounds=DataBounds(2, 2, -2.0, 2.0), privacy=PrivacyParams(1.0, 0.05),
+        mechanism=MechanismKind.MVG_UNIMODAL, trials=1, seed=1)
+
+
+# (site, call taking the 2 x 2 array) for every place an array enters
+ARRAY_SITES = [
+    ("mvg_equimodal value", release_call(mvg_equimodal)),
+    ("mvg_unimodal value", release_call(mvg_unimodal)),
+    ("mvg_equimodal basis", release_call(mvg_equimodal, basis=True)),
+    ("plan_gaussian value",
+     lambda v: plan_gaussian(v, QuerySpec(2, 2, sensitivity=1.0, gamma=10.0),
+                             PrivacyParams(0.5, 0.05))),
+    ("NoiseDesign basis", lambda v: NoiseDesign(v, np.ones(2), None, np.ones(2))),
+    ("NoiseDesign.from_covariances", lambda v: NoiseDesign.from_covariances(v, np.eye(2))),
+    ("derive_directions_dp",
+     lambda v: derive_directions_dp(v, PrivacyParams(0.5, 0.05), 1, RandomStream(0),
+                                    bounds=DataBounds(2, 2, -2.0, 2.0))),
+    ("AuditedGram.of", lambda v: AuditedGram.of(v, -2.0, 2.0)),
+    ("clamp_records", lambda v: clamp_records(v, DataBounds(2, 2, -2.0, 2.0), "standard")),
+    ("run_experiment firstpc",
+     lambda v: run_experiment(records_config(Experiment.FIRST_PC), data=v)),
+    ("run_experiment covest",
+     lambda v: run_experiment(records_config(Experiment.COVARIANCE_ESTIMATION), data=v)),
+]
+
+
+@pytest.mark.parametrize("call", [site[1] for site in ARRAY_SITES],
+                         ids=[site[0] for site in ARRAY_SITES])
+@pytest.mark.parametrize("value", [np.eye(2) * (1 + 1j), np.array([["1", "0"], ["0", "1"]]),
+                                   np.eye(2, dtype=bool)], ids=["complex", "str", "bool"])
+def test_a_non_real_array_is_refused_where_it_enters(call, value):
+    # a cast would release the real part, or parse the text, without a word
+    with pytest.raises(DomainError, match=f"got an array of dtype {value.dtype}$"):
+        call(value)

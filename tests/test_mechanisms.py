@@ -1,12 +1,20 @@
+import copy
 import dataclasses
+import enum
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvgdp
 from mvgdp import (
     AllocationError,
     BudgetMode,
@@ -19,6 +27,7 @@ from mvgdp import (
     NoiseDesign,
     PrecisionAllocation,
     PrivacyParams,
+    QueryKind,
     QuerySpec,
     RandomStream,
     ShapeError,
@@ -41,7 +50,10 @@ from mvgdp.mechanisms import (
     DirectionsPlan,
     GaussianPlan,
     LaplacePlan,
+    ReleasePlan,
     plan_directions_dp,
+    plan_gaussian,
+    plan_laplace,
     release_spectrum,
 )
 from mvgdp.sensitivity import AuditedGram
@@ -904,6 +916,149 @@ class TestReleaseSpectrumMemo:
         assert lam_psi.shape == (n,) and lam_psi.strides == (0,)
         assert np.all(lam_psi == 1.0)
         assert spectrum.design.basis_sigma is None and spectrum.design.basis_psi is None
+
+
+# a spec and a privacy target pickled by a process with its own str hashes
+PICKLE_IN_CHILD = """
+import pickle, sys
+from mvgdp import PrivacyParams, QueryKind, QuerySpec
+specs = (QuerySpec(4, 4, sensitivity=0.5, gamma=3.0, kind=QueryKind.COVARIANCE),
+         QuerySpec(3, 5, sensitivity=1.0, gamma=2.0, kind=QueryKind.IDENTITY,
+                   l1_sensitivity=0.25),
+         PrivacyParams(0.75, 1e-3))
+sys.stdout.buffer.write(pickle.dumps((hash("str probe"), specs)))
+"""
+
+
+class TestSpecHashes:
+    """A spec's hash is computed once, from values that hash alike in every
+    process, so a spec pickled elsewhere keys the same memo entries."""
+
+    def test_a_spec_pickled_in_another_process_hits_the_memo(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(mvgdp.__file__).parents[1]),
+                   PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+        child = subprocess.run([sys.executable, "-c", PICKLE_IN_CHILD], env=env,
+                               capture_output=True, check=True, timeout=60)
+        str_hash, (cov, ident, p) = pickle.loads(child.stdout)
+        assert str_hash != hash("str probe")  # the child's str hashes differ
+        local = (QuerySpec(4, 4, sensitivity=0.5, gamma=3.0, kind=QueryKind.COVARIANCE),
+                 QuerySpec(3, 5, sensitivity=1.0, gamma=2.0, kind=QueryKind.IDENTITY,
+                           l1_sensitivity=0.25),
+                 PrivacyParams(0.75, 1e-3))
+        for pickled, here in zip((cov, ident, p), local):
+            assert pickled == here and hash(pickled) == hash(here)
+        theta = PrecisionAllocation.uniform(4)
+        value = np.diag([1.0, 0.5, 0.25, 0.0])
+        release_spectrum.cache_clear()
+        warm = plan_equimodal(value, local[0], local[2], theta, None)
+        plan = plan_equimodal(value, cov, p, theta, None)
+        assert release_spectrum.cache_info().hits == 1
+        assert plan.design is warm.design
+
+    def test_the_kind_and_an_unknown_l1_sensitivity_enter_the_hash(self):
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=2.0)
+        assert hash(q) == hash(QuerySpec(2, 2, sensitivity=1.0, gamma=2.0))
+        others = [dataclasses.replace(q, kind=QueryKind.IDENTITY),
+                  dataclasses.replace(q, l1_sensitivity=1.0),
+                  dataclasses.replace(q, gamma=3.0)]
+        assert len({hash(q), *map(hash, others)}) == 4
+        assert all(other != q for other in others)
+
+
+class TestPerCallPath:
+    """A warm release builds its plan and result without the dataclass
+    machinery and hashes its memo key without Python-level enum hashing."""
+
+    P = PrivacyParams(1.0, 0.05)
+
+    @staticmethod
+    def generated_code() -> set:
+        """The code of every dataclass-generated __init__ and __hash__ in
+        mvgdp, and of enum.Enum.__hash__."""
+        generated = {enum.Enum.__hash__.__code__}
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("mvgdp"):
+                continue
+            for cls in vars(module).values():
+                if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                    continue
+                for name in ("__init__", "__hash__"):
+                    code = getattr(cls.__dict__.get(name), "__code__", None)
+                    # a hand-written method's code is in its module's file
+                    if code is not None and code.co_filename != sys.modules[
+                            cls.__module__].__file__:
+                        generated.add(code)
+        return generated
+
+    @pytest.mark.parametrize("release_fn, shape", [(mvg_equimodal, (4, 4)),
+                                                   (mvg_unimodal, (4, 6))])
+    @pytest.mark.parametrize("basis", ["identity", "dense", "standard"])
+    def test_a_warm_release_runs_no_generated_init_or_hash(self, release_fn, shape,
+                                                           basis):
+        value, q, theta = TestIdentityBasis.inputs(*shape)
+        w = {"identity": np.eye(4), "standard": None,
+             "dense": np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]}[
+                 basis]
+        release_fn(value, q, self.P, theta, w, RandomStream(0))
+        generated = self.generated_code()
+        # a hand-written hash is told apart from a generated init
+        assert PrecisionAllocation.__hash__.__code__ not in generated
+        assert ReleasePlan.__init__.__code__ in generated
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.append(frame.f_code)
+        sys.setprofile(profile)
+        try:
+            result = release_fn(value, q, self.P, theta, w, RandomStream(0))
+        finally:
+            sys.setprofile(None)
+        assert release_fn.__code__ in called
+        assert [code.co_name for code in called if code in generated] == []
+        assert result.output.tobytes() == \
+            release_fn(value, q, self.P, theta, w, RandomStream(0)).output.tobytes()
+
+    def test_a_plan_and_a_result_hold_every_field_and_stay_frozen(self):
+        value, q, theta = TestIdentityBasis.inputs(4, 4)
+        plan = plan_equimodal(value, q, self.P, theta, np.eye(4))
+        result = mvg_equimodal(value, q, self.P, theta, np.eye(4), RandomStream(0))
+        for obj in (plan, result):
+            assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.design = None
+        assert (plan.value is value, plan.query, plan.directions) == (True, q, None)
+        assert (result.design, result.budget, result.seed) == \
+            (plan.design, plan.budget, 0)
+        assert result.output.tobytes() == plan.draw([RandomStream(0)])[0].tobytes()
+
+
+def release_object(name):
+    """One object of the class ``name``, one of those that hold arrays."""
+    p = PrivacyParams(0.5, 0.05)
+    q = QuerySpec(2, 2, sensitivity=1.0, gamma=10.0, l1_sensitivity=1.0)
+    theta = PrecisionAllocation.uniform(2)
+    return {
+        "PerturbResult": lambda: mvg_equimodal(np.eye(2), q, p, theta, None,
+                                               RandomStream(0)),
+        "ReleasePlan": lambda: plan_equimodal(np.eye(2), q, p, theta, None),
+        "GaussianPlan": lambda: plan_gaussian(np.eye(2), q, p),
+        "LaplacePlan": lambda: plan_laplace(np.eye(2), q, 1.0),
+        "DirectionsPlan": lambda: plan_directions_dp(AuditedGram.of(np.eye(2), -1.0, 1.0),
+                                                     p),
+        "NoiseDesign": lambda: NoiseDesign(None, np.ones(2), None, np.ones(2)),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["PerturbResult", "ReleasePlan", "GaussianPlan",
+                                  "LaplacePlan", "DirectionsPlan", "NoiseDesign"])
+def test_release_objects_compare_and_hash_by_identity(name):
+    obj = release_object(name)
+    twin = copy.copy(obj)
+    assert type(obj).__name__ == name
+    assert obj == obj and obj != twin
+    assert hash(obj) == hash(obj) and {obj: name}[obj] == name
+    assert len({obj, twin}) == 2
 
 
 class TestOneColoringPath:

@@ -18,6 +18,7 @@ import numpy as np
 
 import mvgdp
 from mvgdp import DataBounds, Experiment, ExperimentConfig, MechanismKind, PrivacyParams
+from mvgdp import PrecisionAllocation, QuerySpec, RandomStream
 from mvgdp import budget, mechanisms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +93,17 @@ def test_traced_firstpc_run_counts_design_bytes(tmp_path):
     metrics = tracing.summarize(tracer.spans, tracer.counts)
     assert metrics["design.bytes_computed"] > 0
     assert metrics["design.build_calls"] >= 1
+
+
+def test_traced_release_counts_its_normal_draws():
+    # perfbench --trace 1 reports a release's draws as sampling.normal_draws;
+    # a rework of the draw must leave them visible to it
+    tracing = load_tracing()
+    value = np.diag([1.0, 0.5, 0.25, 0.125])
+    args = (value, QuerySpec(4, 4, sensitivity=1.0, gamma=4.0), PrivacyParams(1.0, 0.01),
+            PrecisionAllocation.uniform(4), np.eye(4))
+    mvgdp.mvg_equimodal(*args, RandomStream(0))  # warm, as a benchmark release is
+    with tracing.Tracer() as tracer:
+        mvgdp.mvg_equimodal(*args, RandomStream(1))
+    metrics = tracing.summarize(tracer.spans, tracer.counts)
+    assert metrics["sampling.normal_draws"] == 16
