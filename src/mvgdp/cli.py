@@ -201,6 +201,8 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
             entries = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
     if not isinstance(entries, dict):
         raise ConfigError(
             f"{path}: config must be a JSON object, got {type(entries).__name__}"

@@ -45,13 +45,6 @@ EIGENVALUE_FLOOR = 1e-12
 _ONE, _ZERO = np.float64(1.0).tobytes(), bytes(8)
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    m = as_real_array(a, f"{name}'s entries", DomainError)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
 def check_orthonormal(w: np.ndarray, name: str) -> None:
     """Check a square basis, or a stack of them shaped (..., m, m), for
     orthonormal columns."""
@@ -97,7 +90,7 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
         if lam.shape[0] < 1:
             raise ShapeError(f"lambda_{side} must have at least one entry")
         return None
-    w = _as_matrix(basis, f"w_{side}")
+    w = as_real_array(basis, f"w_{side}", DomainError, ndim=2)
     identity = _is_identity(w)
     if not identity:
         check_orthonormal(w, f"w_{side}")
@@ -160,12 +153,12 @@ class NoiseDesign:
     root_psi: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        lam_s = np.asarray(self.lambda_sigma, dtype=float).reshape(-1)
+        lam_s = as_real_array(self.lambda_sigma, "lambda_sigma", DomainError, ndim=1)
         if self.lambda_psi is self.lambda_sigma:
             # one object on both sides stays one, so both share one root
             lam_p = lam_s
         else:
-            lam_p = np.asarray(self.lambda_psi, dtype=float).reshape(-1)
+            lam_p = as_real_array(self.lambda_psi, "lambda_psi", DomainError, ndim=1)
         basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
         _check_lambda(lam_s, "lambda_sigma")
         root_s = np.sqrt(lam_s)
@@ -270,7 +263,7 @@ class NoiseDesign:
 
 
 def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
-    mat = _as_matrix(cov, name)
+    mat = as_real_array(cov, name, DomainError, ndim=2)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be square, got {mat.shape}")
     if fault := symmetry_fault(mat, name):

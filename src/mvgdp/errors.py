@@ -65,19 +65,22 @@ def as_real(value, name: str, error: type, positive: bool = False) -> float:
 _FLOAT64 = np.dtype(float)  # numpy's one instance of native float64
 
 
-def as_real_array(value, name: str, error: type) -> np.ndarray:
+def as_real_array(value, name: str, error: type, ndim: int | None = None) -> np.ndarray:
     """``value`` as a float64 array, if its dtype is an integer or a float
     one; otherwise raise ``error`` naming ``name`` and the dtype. A bool,
     complex, string or object array is refused, not cast: a cast would drop
-    an imaginary part or parse text as numbers. A native float64 array is
-    returned as it is, after one dtype read."""
+    an imaginary part or parse text as numbers. An array whose rank is not
+    ``ndim``, if given, raises ShapeError naming ``name`` and its shape. A
+    native float64 array of that rank is returned as it is."""
     array = np.asarray(value)
     dtype = array.dtype
-    if dtype is _FLOAT64:
-        return array
-    if dtype.kind not in "iuf":
-        raise error(f"{name} must be real numbers, got an array of dtype {dtype}")
-    return array.astype(float)
+    if dtype is not _FLOAT64:
+        if dtype.kind not in "iuf":
+            raise error(f"{name} must be real numbers, got an array of dtype {dtype}")
+        array = array.astype(float)
+    if ndim is not None and array.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    return array
 
 
 SYMMETRY_TOL = UNIT_TOL = 1e-8

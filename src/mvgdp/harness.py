@@ -199,7 +199,8 @@ class _NonBlankLines:
     """A text file's lines, skipping blank ones (see ``_BLANK_LINE``).
 
     ``line_no`` is the file line number of the line yielded last, so a
-    parse error raised while that line is consumed can name it.
+    parse error raised while that line is consumed can name it. A file
+    that is not UTF-8 names no line: the text layer decodes ahead of it.
     """
 
     def __init__(self, handle):
@@ -207,12 +208,15 @@ class _NonBlankLines:
         self.line_no = 0
 
     def __iter__(self):
-        for self.line_no, line in enumerate(self._handle, start=1):
-            first = line[0]
-            # the first-character test keeps the regex off ordinary data lines
-            if (first.isspace() or first in ',"') and _BLANK_LINE.fullmatch(line):
-                continue
-            yield line
+        try:
+            for self.line_no, line in enumerate(self._handle, start=1):
+                first = line[0]
+                # the first-character test keeps the regex off ordinary data lines
+                if (first.isspace() or first in ',"') and _BLANK_LINE.fullmatch(line):
+                    continue
+                yield line
+        except UnicodeDecodeError:
+            raise FormatError(f"{self._handle.name}: not UTF-8 text") from None
 
 
 _BAD_CELL = re.compile(r"could not convert string (.*) to float64 at row \d+, column (\d+)")
@@ -285,6 +289,8 @@ class _GridBlocks:
             return np.loadtxt(itertools.chain(leading, itertools.islice(rows, more)),
                               dtype=float, delimiter=",", quotechar='"',
                               comments=None, ndmin=2)
+        except FormatError:  # the lines' own: the file is not UTF-8
+            raise
         except ValueError as exc:
             raise _located_error(self.path, lines.line_no, exc) from None
 

@@ -97,8 +97,7 @@ class PrecisionAllocation:
     _shares: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a bool or a string is no share, though float() would take it
-        t = as_real_array(self.theta, "theta shares", AllocationError).reshape(-1)
+        t = as_real_array(self.theta, "theta shares", AllocationError, ndim=1)
         if t.size < 1:
             raise AllocationError("theta must have at least one entry")
         if not np.all(np.isfinite(t)):
@@ -672,9 +671,7 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
         bounds: declared shape and per-entry range; the covariance
             sensitivity comes from here, never from the data itself.
     """
-    x = as_real_array(data, "the records", DomainError)
-    if x.ndim != 2:
-        raise ShapeError(f"data must be a 2-D matrix, got ndim={x.ndim}")
+    x = as_real_array(data, "the records", DomainError, ndim=2)
     k = as_count(k, "k", ShapeError)
     if k > x.shape[0]:
         raise ShapeError(f"k = {k} exceeds the number of features {x.shape[0]}")

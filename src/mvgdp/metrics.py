@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, DomainError, ShapeError, as_count, as_real,
-                     symmetry_fault, unit_norm_fault)
+                     as_real_array, symmetry_fault, unit_norm_fault)
 
 # Negative gap values above this threshold are floating-point dust and clamp
 # to zero; anything more negative is reported as-is.
@@ -47,7 +47,7 @@ def mean_ci95(values, metric_name: str) -> EvalReport:
     Half-width is 1.96 * sample standard deviation / sqrt(trials); a single
     trial has undefined standard deviation and reports zero width.
     """
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = as_real_array(values, "metric values", DomainError, ndim=1)
     if arr.size < 1:
         raise DomainError("need at least one metric value")
     mean = float(arr.mean())
@@ -60,8 +60,8 @@ def mean_ci95(values, metric_name: str) -> EvalReport:
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(a, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = as_real_array(a, name, DomainError, ndim=2)
+    if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {mat.shape}")
     if fault := symmetry_fault(mat, name):
         raise ContractViolationError(fault)
@@ -80,7 +80,7 @@ def _captured(vs: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def captured_variance(v, s_bar) -> float:
     """Variance of s_bar explained by the unit direction v: v^T s_bar v."""
-    vs = np.asarray(v, dtype=float).reshape(1, -1)
+    vs = as_real_array(v, "v", DomainError, ndim=1)[np.newaxis]
     return float(_captured(vs, _check_symmetric(s_bar, "s_bar"))[0])
 
 
@@ -90,7 +90,7 @@ def delta_rho(v, s_bar) -> float:
     Zero exactly when v spans the top eigenspace; tiny negative values from
     floating-point roundoff clamp to zero.
     """
-    return float(DeltaRho(s_bar)(np.asarray(v, dtype=float).reshape(1, -1))[0])
+    return float(DeltaRho(s_bar)(as_real_array(v, "v", DomainError, ndim=1)[np.newaxis])[0])
 
 
 class DeltaRho:
@@ -151,12 +151,10 @@ def ridge_regression_rmse(train: tuple, test: tuple, reg: float) -> float:
     reg = as_real(reg, "reg", DomainError, positive=True)
     x_train, y_train = train
     x_test, y_test = test
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float).reshape(-1)
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float).reshape(-1)
-    if x_train.ndim != 2 or x_test.ndim != 2:
-        raise ShapeError("feature matrices must be 2-D")
+    x_train = as_real_array(x_train, "the train features", DomainError, ndim=2)
+    y_train = as_real_array(y_train, "the train targets", DomainError, ndim=1)
+    x_test = as_real_array(x_test, "the test features", DomainError, ndim=2)
+    y_test = as_real_array(y_test, "the test targets", DomainError, ndim=1)
     if x_train.shape[1] != y_train.size:
         raise ShapeError(
             f"train has {x_train.shape[1]} columns but {y_train.size} targets"

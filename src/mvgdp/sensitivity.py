@@ -145,8 +145,8 @@ class AuditedGram:
         records bit for bit. Within one block that is ``x @ x.T`` bit for
         bit. An array that is not of real numbers raises DomainError.
         """
-        x = as_real_array(x, "the records", DomainError)
-        if x.ndim != 2 or x.shape[0] == 0:
+        x = as_real_array(x, "the records", DomainError, ndim=2)
+        if x.shape[0] == 0:
             raise ShapeError(f"records must be M x N with M >= 1, got shape {x.shape}")
         records = x.T
         per_block = max(1, GRAM_BLOCK_CELLS // records.shape[1])

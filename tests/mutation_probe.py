@@ -7,7 +7,8 @@ Run from anywhere, with the tier-1 requirements installed:
     python tests/mutation_probe.py --only budget.exact_delta   # one function
 
 pytest does not collect this file (its name has no ``test_`` prefix), and
-CI runs it only with ``--only budget.exact_delta``. It copies ``src/``,
+CI runs it only with ``--only budget.exact_delta`` and ``--only
+design.NoiseDesign.color``. It copies ``src/``,
 ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml`` into a
 temporary directory and never writes to the checkout.
 
@@ -47,8 +48,8 @@ NOT_RUN = ("test_mutation_probe.py",)
 # a mutant that hangs counts as killed once this many seconds pass
 MUTANT_TIMEOUT_S = 300
 
-# module -> the functions whose privacy arithmetic is mutated, methods as
-# "Class.method"
+# module -> the functions whose privacy arithmetic, or noise coloring, is
+# mutated, methods as "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
                "check_condition", "exact_delta", "budget_terms", "_report"],
@@ -58,7 +59,10 @@ TARGETS = {
     "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
                    "_check_binary", "_validate_query_value", "_directional_lambdas",
                    "release_spectrum", "gaussian_noise_scale", "plan_laplace",
-                   "plan_directions_dp", "DirectionsPlan.bases"],
+                   "plan_directions_dp", "DirectionsPlan.bases", "GaussianPlan.color",
+                   "ReleasePlan.color"],
+    "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "_check_lambda",
+               "check_orthonormal", "_is_identity"],
 }
 
 _AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
@@ -77,9 +81,18 @@ EQUIVALENT = {
         "terms give the same float",
     ("mechanisms._validate_query_value",
      "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
-    ("mechanisms.PrecisionAllocation.__post_init__",
-     "`as_real_array(self.theta, 'theta shares', AllocationError).reshape(-1)`: 1 -> 2"):
-        "numpy reads any negative size in reshape as the one unknown dimension",
+    ("design.check_orthonormal", "`w.shape[-1]`: 1 -> 2 (#2)"):
+        "reads the other side of a matrix the square check has passed",
+    ("design.check_orthonormal", "`w.shape[-1]`: 1 -> 2 (#3)"):
+        "reads the other side of a matrix the square check has passed",
+    ("design.check_orthonormal", "`dev <= ORTHONORMALITY_TOL`: <= -> <"):
+        "differs only at a deviation of exactly the tolerance",
+    ("design._is_identity", "`m - 1`: - -> +"):
+        "the bytes compare then fails for every matrix, and the value test gives "
+        "the same verdict",
+    ("design._is_identity", "`m - 1`: 1 -> 2"):
+        "the bytes compare then fails for every matrix, and the value test gives "
+        "the same verdict",
     ("mechanisms.gaussian_noise_scale", "`stacklevel=2`: 2 -> 4"):
         "moves only the source line a warning names",
     ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: / -> *"):

@@ -717,6 +717,7 @@ class TestBenchCommand:
         ({"experiment": "bogus"}, "experiment"),
         ({"format": "xml"}, "format"),
         ('{"trials": 2,', "invalid JSON"),
+        (b'{"trials": 2, "format": "\xe9"}', "not UTF-8 text"),
     ])
     def test_config_bad_value_exits_2_before_the_run(self, tmp_path, sign_data,
                                                      capfdbinary, bad, named):
@@ -728,8 +729,11 @@ class TestBenchCommand:
             bad = {"experiment": "firstpc", "input": data, "mechanism": "mvg-equi",
                    "trials": 2, "epsilon": 1.0, "lo": -1.0, "hi": 1.0, **bad}
         config = tmp_path / "bench.json"
-        # a string is the file's text as it stands
-        config.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        # a string or bytes are the file's text or bytes as they stand
+        if isinstance(bad, bytes):
+            config.write_bytes(bad)
+        else:
+            config.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         assert main(["bench", "--config", str(config)]) == 2
         captured = capfdbinary.readouterr()
         assert captured.out == b""
@@ -829,6 +833,23 @@ def bench_options():
                    if isinstance(a, argparse._SubParsersAction)]
     return [a for a in commands.choices["bench"]._actions
             if a.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--experiment", "firstpc", "--mechanism", "mvg-equi", "--trials", "2",
+     "--epsilon", "1", "--lo", "0", "--hi", "1", "--input"],
+    ["perturb", "--query", "identity", "--epsilon", "1", "--lo", "0", "--hi", "1",
+     "--input"],
+    ["sample", "--m", "2", "--n", "2", "--psi", "unused.csv", "--sigma"],
+], ids=["bench", "perturb", "sample"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfdbinary, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xe9,1\n2,3\n")
+    code = main([*command, str(path), "--out", str(tmp_path / "o.csv")]
+                if command[0] != "bench" else [*command, str(path)])
+    assert code == 2
+    captured = capfdbinary.readouterr()
+    assert captured.err.decode() == f"mvgdp: error: {path}: not UTF-8 text\n"
 
 
 def test_the_mechanism_table_has_one_row_per_bench_choice():

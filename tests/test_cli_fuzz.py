@@ -3,8 +3,9 @@
 Each case starts from a valid argv of one command and replaces one to three
 of its flag values with edge values: zero, negatives, subnormals, values
 that overflow a float, NaN, infinities, counts past 64 bits and text, and
-small edge-case files. ``cli.main`` must return 0, 2, 3 or 4 for each; a
-traceback (an exception escaping ``main``) fails the case. Every value is
+small edge-case files, one of them not UTF-8. ``cli.main`` must return 0,
+2, 3 or 4 for each; a traceback (an exception escaping ``main``) fails the
+case. Every value is
 small enough that no case allocates or loops at scale: no ``--trials`` or
 ``--count`` above 5, and no ``--m``/``--n`` between 10^7 and 2^64.
 """
@@ -52,6 +53,10 @@ def write_files(tmp):
         paths[name] = str(tmp / f"{name}.csv")
         with open(paths[name], "w", encoding="utf-8") as handle:
             handle.write(text)
+    # a Latin-1 e-acute: the file is not UTF-8
+    paths["latin1"] = str(tmp / "latin1.csv")
+    with open(paths["latin1"], "wb") as handle:
+        handle.write(b"0.1,0.2,0.3\n0.2,\xe9,0.5\n")
     paths["missing"] = str(tmp / "missing.csv")
     paths["directory"] = str(tmp)
     return paths

@@ -56,8 +56,13 @@ class TestNoiseDesign:
             NoiseDesign(np.eye(2), np.ones(2), None, np.ones(0))
         with pytest.raises(ShapeError):
             NoiseDesign(None, [], np.eye(2), np.ones(2))
+        # flattened, a 2 x 2 lambda would be four directions
+        for lam_s, lam_p, name in ((np.ones((2, 2)), np.ones(2), "lambda_sigma"),
+                                   (np.ones(2), np.ones((2, 2)), "lambda_psi")):
+            with pytest.raises(ShapeError, match=rf"^{name} must be 1-D, got shape \(2, 2\)$"):
+                NoiseDesign(None, lam_s, None, lam_p)
         # a basis must be a square matrix with at least one row
-        for basis, message in ((np.ones(2), "w_sigma must be a 2-D matrix, got ndim=1"),
+        for basis, message in ((np.ones(2), "w_sigma must be 2-D, got shape (2,)"),
                                (np.ones((2, 3)), "w_sigma must be square, got (2, 3)"),
                                (np.zeros((0, 0)), "w_sigma must have at least one row")):
             with pytest.raises(ShapeError, match=re.escape(message)):
@@ -69,6 +74,13 @@ class TestNoiseDesign:
         design = NoiseDesign(np.array([[-1.0]]), np.array([4.0]), None, np.ones(3))
         assert design.basis_sigma.tolist() == [[-1.0]]
         assert design.color(np.ones((1, 3))).tolist() == [[-2.0, -2.0, -2.0]]
+
+    @pytest.mark.parametrize("identity", [np.eye(1), np.array([[1.0, -0.0], [0.0, 1.0]])],
+                             ids=["1x1", "negative-zero"])
+    def test_an_identity_basis_is_stored_as_the_standard_side(self, identity):
+        m = identity.shape[0]
+        design = NoiseDesign(identity, np.full(m, 4.0), None, np.ones(3))
+        assert design.basis_sigma is None
 
     def test_standard_side_reads_as_dense_identity(self):
         lam_p = np.array([2.0, 0.5, 4.0])

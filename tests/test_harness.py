@@ -108,6 +108,17 @@ class TestLoadCsvMatrix:
         assert names == ["a", "b"]
         assert np.array_equal(matrix, np.array([[1.0], [2.0]]))
 
+    @pytest.mark.parametrize("read", [load_csv_matrix, lambda p: read_csv_gram(p, 0.0, 1.0)],
+                             ids=["whole", "streamed"])
+    @pytest.mark.parametrize("lines", [1, 20_001])
+    def test_a_file_that_is_not_utf8_names_no_line(self, tmp_path, read, lines):
+        # a Latin-1 e-acute on the last line; the text layer decodes ahead
+        # of the parse, so a line number would name some earlier line
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0.5,0.5\n" * (lines - 1) + b"0.5,\xe9\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            read(path)
+
 
 class TestLoaderParity:
     """The vectorized loader against ``float()`` and the file's own lines."""
@@ -370,9 +381,10 @@ class TestGramReader:
             AuditedGram.of(np.full((2, 3), np.nan), 0.0, 1.0)
         with pytest.raises(ShapeError, match="at least one block of records"):
             AuditedGram.of(np.zeros((2, 0)), 0.0, 1.0)
-        for x in (np.zeros(5), np.zeros((0, 5))):
-            with pytest.raises(ShapeError, match="must be M x N with M >= 1"):
-                AuditedGram.of(x, 0.0, 1.0)
+        with pytest.raises(ShapeError, match=r"^the records must be 2-D, got shape \(5,\)$"):
+            AuditedGram.of(np.zeros(5), 0.0, 1.0)
+        with pytest.raises(ShapeError, match="must be M x N with M >= 1"):
+            AuditedGram.of(np.zeros((0, 5)), 0.0, 1.0)
 
     def test_plan_directions_dp_takes_only_the_gram(self, tmp_path):
         _, data = covariance_dataset(tmp_path)

@@ -1,16 +1,18 @@
-"""A matrix's symmetry, a vector's unit norm and an array's dtype are each
-tested in one place.
+"""A matrix's symmetry, a vector's unit norm and an array's dtype and rank
+are each tested in one place.
 
 ``errors.symmetry_fault`` and ``errors.unit_norm_fault`` are those tests,
 and ``SYMMETRY_TOL`` and ``UNIT_TOL`` their one tolerance each. A NaN or
 infinite entry fails them without a RuntimeWarning, which the suite's
 warning filter would turn into an error. A guard fails if another module
 computes a symmetry deviation by hand. ``errors.as_real_array`` is the
-dtype test of every array that enters the package.
+dtype and rank test of every array that enters the package, and a guard
+fails if another module casts an argument to float.
 """
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,15 @@ from mvgdp import (
     PrivacyParams,
     QuerySpec,
     RandomStream,
+    ShapeError,
+    captured_variance,
+    delta_rho,
     derive_directions_dp,
+    mean_ci95,
     mvg_equimodal,
     mvg_unimodal,
+    ridge_regression_rmse,
+    rss,
     run_experiment,
 )
 from mvgdp.errors import (
@@ -41,6 +49,7 @@ from mvgdp.errors import (
 )
 from mvgdp.harness import clamp_records
 from mvgdp.mechanisms import plan_gaussian
+from mvgdp.metrics import DeltaRho
 from mvgdp.sensitivity import AuditedGram
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvgdp"
@@ -143,6 +152,68 @@ def test_a_symmetry_deviation_by_hand_is_found():
         "mat.T - mat"}
 
 
+FLOAT_DTYPE = re.compile(r"float|double|^'f[248]?'$|^'d'$")
+CASTS = ("asarray", "asanyarray", "ascontiguousarray", "array")
+
+
+def is_float_dtype(node) -> bool:
+    """Whether an expression names a float dtype: ``float``, ``np.float64``
+    and the like, or a dtype string such as ``'f8'``."""
+    return bool(FLOAT_DTYPE.search(ast.unparse(node)))
+
+
+def float_casts(source: str) -> set[str]:
+    """The source of each cast to float in a module's source: an array
+    constructor given a float dtype, or ``.astype`` of one. Other calls that
+    take a dtype, such as ``np.arange`` and ``np.loadtxt``, make new arrays
+    and are not casts."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if name in CASTS:
+            dtypes += node.args[1:2]
+        elif name == "astype":
+            dtypes += node.args[:1]
+        else:
+            continue
+        if any(map(is_float_dtype, dtypes)):
+            found.add(ast.unparse(node))
+    return found
+
+
+def test_only_errors_casts_an_argument_to_float():
+    found = {path.stem: float_casts(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert len(found) > 1
+    elsewhere = {stem: casts for stem, casts in found.items()
+                 if casts and stem != "errors"}
+    assert elsewhere == {}, "read an array argument with errors.as_real_array"
+    # the walk finds the helper's own cast, so an empty result is not a
+    # blind one
+    assert found["errors"] == {"array.astype(float)"}
+
+
+def test_a_float_cast_by_hand_is_found():
+    planted = (
+        "a = np.asarray(x, dtype=float)\n"
+        "b = np.array(v, dtype=np.float64).reshape(-1)\n"
+        "c = np.asarray(y, float)\n"
+        "d = y.astype(np.float32)\n"
+        "e = y.astype('f8')\n"
+        "f = np.arange(1, 4, dtype=float)\n"
+        "g = np.loadtxt(rows, dtype=float)\n"
+        "h = np.asarray(seeds, dtype=np.uint64)\n"
+        "i = np.asarray(x)\n"
+    )
+    assert float_casts(planted) == {
+        "np.asarray(x, dtype=float)", "np.array(v, dtype=np.float64)",
+        "np.asarray(y, float)", "y.astype(np.float32)", "y.astype('f8')"}
+
+
 def test_each_tolerance_is_defined_once():
     defined = set()
     for path in PACKAGE.glob("*.py"):
@@ -175,6 +246,23 @@ class TestAsRealArray:
         with pytest.raises(DomainError,
                            match=f"^x must be real numbers, got an array of dtype {dtype}$"):
             as_real_array(value, "x", DomainError)
+
+    def test_a_float64_array_of_the_rank_asked_for_is_returned_as_it_is(self):
+        x = np.ones(3)
+        assert as_real_array(x, "x", DomainError, ndim=1) is x
+
+    @pytest.mark.parametrize("value, ndim, shape", [
+        (np.ones(3), 2, "(3,)"), (np.eye(2), 1, "(2, 2)"), (1.0, 1, "()"),
+        ([[1, 2]], 1, "(1, 2)"),
+    ])
+    def test_another_rank_is_refused_by_shape(self, value, ndim, shape):
+        with pytest.raises(ShapeError,
+                           match=f"^x must be {ndim}-D, got shape {re.escape(shape)}$"):
+            as_real_array(value, "x", DomainError, ndim=ndim)
+
+    def test_the_dtype_is_tested_before_the_rank(self):
+        with pytest.raises(DomainError, match="dtype bool$"):
+            as_real_array(np.eye(2, dtype=bool), "x", DomainError, ndim=1)
 
 
 def release_call(release, basis=False):
@@ -212,6 +300,20 @@ ARRAY_SITES = [
      lambda v: run_experiment(records_config(Experiment.FIRST_PC), data=v)),
     ("run_experiment covest",
      lambda v: run_experiment(records_config(Experiment.COVARIANCE_ESTIMATION), data=v)),
+    ("NoiseDesign lambda_sigma", lambda v: NoiseDesign(None, v, None, np.ones(2))),
+    ("NoiseDesign lambda_psi", lambda v: NoiseDesign(None, np.ones(2), None, v)),
+    ("delta_rho v", lambda v: delta_rho(v, np.eye(2))),
+    ("delta_rho s_bar", lambda v: delta_rho(np.array([1.0, 0.0]), v)),
+    ("captured_variance v", lambda v: captured_variance(v, np.eye(2))),
+    ("captured_variance s_bar", lambda v: captured_variance(np.array([1.0, 0.0]), v)),
+    ("DeltaRho", DeltaRho),
+    ("rss s_tilde", lambda v: rss(v, np.eye(2))),
+    ("rss s_bar", lambda v: rss(np.eye(2), v)),
+    ("ridge_regression_rmse features",
+     lambda v: ridge_regression_rmse((v, np.ones(2)), (np.eye(2), np.ones(2)), 1.0)),
+    ("ridge_regression_rmse targets",
+     lambda v: ridge_regression_rmse((np.eye(2), np.ones(2)), (np.eye(2), v), 1.0)),
+    ("mean_ci95", lambda v: mean_ci95(v, "m")),
 ]
 
 
@@ -223,3 +325,4 @@ def test_a_non_real_array_is_refused_where_it_enters(call, value):
     # a cast would release the real part, or parse the text, without a word
     with pytest.raises(DomainError, match=f"got an array of dtype {value.dtype}$"):
         call(value)
+

@@ -80,6 +80,12 @@ class TestPrecisionAllocation:
         with pytest.raises(AllocationError, match="at least one entry"):
             PrecisionAllocation([])
 
+    def test_rejects_shares_that_are_not_1d(self):
+        # flattened, a 2 x 2 array would be four shares
+        with pytest.raises(ShapeError,
+                           match=r"^theta shares must be 1-D, got shape \(2, 2\)$"):
+            PrecisionAllocation(np.full((2, 2), 0.25))
+
     def test_uniform(self):
         theta = PrecisionAllocation.uniform(4)
         assert np.allclose(theta.theta, 0.25)
@@ -763,7 +769,8 @@ class TestDeriveDirectionsDp:
         assert derived[0].tobytes() == derived[1].tobytes()
 
     @pytest.mark.parametrize("data, bounds, message", [
-        (np.zeros(6), DataBounds(1, 6, -1.0, 1.0), "2-D matrix, got ndim=1"),
+        (np.zeros(6), DataBounds(1, 6, -1.0, 1.0),
+         r"^the records must be 2-D, got shape \(6,\)$"),
         (np.zeros((3, 10)), DataBounds(3, 11, -1.0, 1.0),
          "bounds declare 3x11 but the data is 3x10"),
         (np.zeros((3, 10)), DataBounds(4, 10, -1.0, 1.0),

@@ -53,6 +53,10 @@ class TestCapturedVariance:
     def test_rejects_a_direction_of_the_wrong_length(self):
         with pytest.raises(ShapeError, match="v has length 3, s_bar is 2x2"):
             captured_variance([1.0, 0.0, 0.0], np.eye(2))
+        # flattened, a 2 x 2 v would have s_bar's length 4
+        for score in (captured_variance, delta_rho):
+            with pytest.raises(ShapeError, match=r"^v must be 1-D, got shape \(2, 2\)$"):
+                score(np.full((2, 2), 0.5), np.eye(4))
 
     def test_rejects_a_nan_direction(self):
         # a NaN norm must fail the unit test, not score NaN
@@ -229,6 +233,12 @@ class TestRidgeRegression:
             ridge_regression_rmse((np.ones(3), y), (x, y), reg=1.0)
         with pytest.raises(ShapeError, match="test has 3 columns but 2 targets"):
             ridge_regression_rmse((x, y), (x, np.ones(2)), reg=1.0)
+        # flattened, a 1 x 3 target array would pass as three targets
+        for train, test, name in (((x, y[np.newaxis]), (x, y), "train"),
+                                  ((x, y), (x, y[np.newaxis]), "test")):
+            with pytest.raises(ShapeError,
+                               match=rf"^the {name} targets must be 1-D, got shape \(1, 3\)$"):
+                ridge_regression_rmse(train, test, reg=1.0)
 
 
 class TestEvalReport:
@@ -246,6 +256,11 @@ class TestEvalReport:
     def test_no_values_are_rejected(self):
         with pytest.raises(DomainError, match="at least one metric value"):
             mean_ci95([], "m")
+
+    def test_values_of_another_rank_are_rejected(self):
+        with pytest.raises(ShapeError,
+                           match=r"^metric values must be 1-D, got shape \(2, 2\)$"):
+            mean_ci95(np.ones((2, 2)), "m")
 
     def test_single_trial_has_zero_width(self):
         report = mean_ci95([3.5], "m")
