@@ -196,7 +196,8 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     in ``args``. A scalar becomes ``--key=value``, a boolean ``--key`` or
     ``--no-key``, and ``null`` leaves the option unset.
     """
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops a byte-order mark, as a CSV's is dropped
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             entries = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     ShapeError,
     as_real_array,
+    positive_fault,
     symmetry_fault,
 )
 
@@ -50,8 +51,6 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
     orthonormal columns."""
     if w.shape[-2] != w.shape[-1]:
         raise ShapeError(f"{name} must be square, got {w.shape}")
-    if w.shape[-1] < 1:
-        raise ShapeError(f"{name} must have at least one row")
     gram = np.swapaxes(w, -1, -2) @ w
     gram -= np.eye(w.shape[-1])
     dev = np.abs(gram, out=gram).max()
@@ -64,14 +63,14 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
 
 
 def _is_identity(w: np.ndarray) -> bool:
-    """Whether a 2-D float64 matrix is exactly an m x m identity, m >= 1.
+    """Whether a non-empty 2-D float64 matrix is exactly an m x m identity.
 
     It is when it is square, its only nonzeros are its m diagonal entries
     and each is exactly 1.0. A NaN counts as nonzero and equals nothing, so
     a matrix holding one never passes.
     """
     m = w.shape[0]
-    if not w.shape[1] == m >= 1:
+    if w.shape[1] != m:
         return False
     # np.eye(m) itself is 1.0 and then m zeros, m - 1 times, and a last 1.0:
     # one bytes compare. A -0.0 (an identity still) or a NaN (never one)
@@ -87,8 +86,6 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
     its size from ``lam``) or an exact identity, both orthonormal by
     inspection, and otherwise the basis, checked in full."""
     if basis is None:
-        if lam.shape[0] < 1:
-            raise ShapeError(f"lambda_{side} must have at least one entry")
         return None
     w = as_real_array(basis, f"w_{side}", DomainError, ndim=2)
     identity = _is_identity(w)
@@ -99,15 +96,6 @@ def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
             f"lambda_{side} has length {lam.shape[0]}, expected {w.shape[0]}"
         )
     return None if identity else w
-
-
-def _check_lambda(lam: np.ndarray, name: str) -> None:
-    # min and max propagate NaN, so a NaN fails the first test and -inf or
-    # +inf fails one of the two
-    if not (lam.min() > 0 and lam.max() < np.inf):
-        raise DegenerateDesignError(
-            f"{name} must be strictly positive and finite, got {lam}"
-        )
 
 
 def _check_bases(basis_sigma, lam_s: np.ndarray, basis_psi,
@@ -160,7 +148,8 @@ class NoiseDesign:
         else:
             lam_p = as_real_array(self.lambda_psi, "lambda_psi", DomainError, ndim=1)
         basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
-        _check_lambda(lam_s, "lambda_sigma")
+        if fault := positive_fault(lam_s, "lambda_sigma"):
+            raise DegenerateDesignError(fault)
         root_s = np.sqrt(lam_s)
         # read-only like a cached design's lambda, which it is shared with; a
         # cached design's root_psi is this array or None
@@ -172,7 +161,8 @@ class NoiseDesign:
             # the bits of scaling or multiplying by it
             root_p = None
         else:
-            _check_lambda(lam_p, "lambda_psi")
+            if fault := positive_fault(lam_p, "lambda_psi"):
+                raise DegenerateDesignError(fault)
             root_p = np.sqrt(lam_p)
         # a frozen dataclass's fields, in one write instead of one per field
         vars(self).update(basis_sigma=basis_s, lambda_sigma=lam_s, basis_psi=basis_p,

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the one check each of
-a count, a real number, a real array, a symmetric matrix and a unit vector.
+a count, a real number, a real array, a symmetric matrix, a unit vector and
+an array of positive values.
 
 The CLI maps these onto exit codes: parameter/format/config problems exit
 with 2, contract violations (a data cell that is not a number, or a query
@@ -70,8 +71,9 @@ def as_real_array(value, name: str, error: type, ndim: int | None = None) -> np.
     one; otherwise raise ``error`` naming ``name`` and the dtype. A bool,
     complex, string or object array is refused, not cast: a cast would drop
     an imaginary part or parse text as numbers. An array whose rank is not
-    ``ndim``, if given, raises ShapeError naming ``name`` and its shape. A
-    native float64 array of that rank is returned as it is."""
+    ``ndim``, if given, or that holds no entry raises ShapeError naming
+    ``name`` and its shape: no caller takes an empty array. A native float64
+    array of that rank is returned as it is."""
     array = np.asarray(value)
     dtype = array.dtype
     if dtype is not _FLOAT64:
@@ -80,6 +82,8 @@ def as_real_array(value, name: str, error: type, ndim: int | None = None) -> np.
         array = array.astype(float)
     if ndim is not None and array.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if not array.size:
+        raise ShapeError(f"{name} must hold at least one entry, got shape {array.shape}")
     return array
 
 
@@ -97,6 +101,15 @@ def symmetry_fault(mat: np.ndarray, name: str) -> str | None:
         dev = float((mat - mat.T).max(initial=0.0))
     return (f"{name} deviates from symmetry by {dev:.3e}, beyond {SYMMETRY_TOL:.0e}"
             if dev > SYMMETRY_TOL else None)
+
+
+def positive_fault(values: np.ndarray, name: str) -> str | None:
+    """Why an entry of the non-empty float array ``values``, named ``name``,
+    is not positive and finite, or ``None``. min and max propagate a NaN, so
+    a NaN fails the first test, and -inf or +inf fails one of the two."""
+    if values.min() > 0 and values.max() < np.inf:
+        return None
+    return f"{name} must be positive and finite, got {values}"
 
 
 def unit_norm_fault(vs: np.ndarray) -> str | None:

@@ -450,8 +450,9 @@ def _audited_gram(cfg: ExperimentConfig, data) -> AuditedGram:
     elif isinstance(data, AuditedGram):
         gram = data
     else:
-        bounds.check_shape(data.shape)  # before the clamp, as clamp_records does
-        return AuditedGram.of(data, bounds.lo, bounds.hi)
+        x = as_real_array(data, "the records", DomainError)
+        bounds.check_shape(x.shape)  # before the clamp, as clamp_records does
+        return AuditedGram.of(x, bounds.lo, bounds.hi)
     box = gram.bounds
     bounds.check_shape((box.num_features, box.num_samples))
     if box != bounds:  # the shapes agree, so the ranges differ

@@ -58,6 +58,7 @@ from .errors import (
     as_count,
     as_real,
     as_real_array,
+    positive_fault,
     symmetry_fault,
 )
 # sample_mvg is not called here; perfbench/tracing.py patches the name here.
@@ -98,17 +99,14 @@ class PrecisionAllocation:
 
     def __post_init__(self):
         t = as_real_array(self.theta, "theta shares", AllocationError, ndim=1)
-        if t.size < 1:
-            raise AllocationError("theta must have at least one entry")
-        if not np.all(np.isfinite(t)):
-            raise AllocationError(f"theta must be finite, got {t}")
-        if np.any(t <= 0):
-            raise AllocationError(
-                f"every allocation share must be positive, got {t}; noise is "
-                "required in every direction"
-            )
+        if fault := positive_fault(t, "every allocation share"):
+            raise AllocationError(fault)
         t = np.maximum(t, THETA_FLOOR)
-        t = t / t.sum()
+        with np.errstate(over="ignore"):  # finite shares can sum to inf
+            total = t.sum()
+        if total == np.inf:
+            raise AllocationError(f"theta shares must have a finite sum, got {t}")
+        t = t / total
         t.flags.writeable = False
         object.__setattr__(self, "theta", t)
         # every share is positive and finite, so equal bytes are equal values

@@ -48,8 +48,6 @@ def mean_ci95(values, metric_name: str) -> EvalReport:
     trial has undefined standard deviation and reports zero width.
     """
     arr = as_real_array(values, "metric values", DomainError, ndim=1)
-    if arr.size < 1:
-        raise DomainError("need at least one metric value")
     mean = float(arr.mean())
     if arr.size == 1:
         half = 0.0
@@ -109,8 +107,9 @@ class DeltaRho:
         self.s_bar = _check_symmetric(s_bar, "s_bar")
         self.lam1 = float(np.linalg.eigvalsh(self.s_bar)[-1])
 
-    def __call__(self, vs: np.ndarray) -> np.ndarray:
+    def __call__(self, vs) -> np.ndarray:
         """The gap for each row of the (T, m) array ``vs``, as a (T,) array."""
+        vs = as_real_array(vs, "v", DomainError, ndim=2)
         gaps = self.lam1 - _captured(vs, self.s_bar)
         gaps[(gaps >= _NEGATIVE_DUST) & (gaps < 0.0)] = 0.0
         return gaps

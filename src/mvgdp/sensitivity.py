@@ -146,8 +146,6 @@ class AuditedGram:
         bit. An array that is not of real numbers raises DomainError.
         """
         x = as_real_array(x, "the records", DomainError, ndim=2)
-        if x.shape[0] == 0:
-            raise ShapeError(f"records must be M x N with M >= 1, got shape {x.shape}")
         records = x.T
         per_block = max(1, GRAM_BLOCK_CELLS // records.shape[1])
         return cls((records[start:start + per_block]

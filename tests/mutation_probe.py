@@ -7,10 +7,10 @@ Run from anywhere, with the tier-1 requirements installed:
     python tests/mutation_probe.py --only budget.exact_delta   # one function
 
 pytest does not collect this file (its name has no ``test_`` prefix), and
-CI runs it only with ``--only budget.exact_delta`` and ``--only
-design.NoiseDesign.color``. It copies ``src/``,
-``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml`` into a
-temporary directory and never writes to the checkout.
+CI runs it only with ``--only budget.exact_delta``, ``--only
+design.NoiseDesign.color`` and ``--only errors.positive_fault``. It copies
+``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
+into a temporary directory and never writes to the checkout.
 
 For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
 at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
@@ -48,8 +48,8 @@ NOT_RUN = ("test_mutation_probe.py",)
 # a mutant that hangs counts as killed once this many seconds pass
 MUTANT_TIMEOUT_S = 300
 
-# module -> the functions whose privacy arithmetic, or noise coloring, is
-# mutated, methods as "Class.method"
+# module -> the functions whose privacy arithmetic, noise coloring or
+# positivity test is mutated, methods as "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
                "check_condition", "exact_delta", "budget_terms", "_report"],
@@ -61,8 +61,9 @@ TARGETS = {
                    "release_spectrum", "gaussian_noise_scale", "plan_laplace",
                    "plan_directions_dp", "DirectionsPlan.bases", "GaussianPlan.color",
                    "ReleasePlan.color"],
-    "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "_check_lambda",
-               "check_orthonormal", "_is_identity"],
+    "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "check_orthonormal",
+               "_is_identity"],
+    "errors": ["positive_fault"],
 }
 
 _AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
@@ -82,8 +83,6 @@ EQUIVALENT = {
     ("mechanisms._validate_query_value",
      "`fro <= q.gamma * (1.0 + GAMMA_RTOL)`: <= -> <"): _AT_EQUALITY,
     ("design.check_orthonormal", "`w.shape[-1]`: 1 -> 2 (#2)"):
-        "reads the other side of a matrix the square check has passed",
-    ("design.check_orthonormal", "`w.shape[-1]`: 1 -> 2 (#3)"):
         "reads the other side of a matrix the square check has passed",
     ("design.check_orthonormal", "`dev <= ORTHONORMALITY_TOL`: <= -> <"):
         "differs only at a deviation of exactly the tolerance",

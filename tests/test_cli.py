@@ -552,7 +552,9 @@ class TestBenchCommand:
         (["--favored", "0", "--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
         (["--favored", ","], "favored index set must not be empty"),
         (["--theta", "0.5,-1,0.5"], "every allocation share must be positive"),
-        (["--theta", "0.5,nan,0.5"], "theta must be finite"),
+        (["--theta", "0.5,nan,0.5"], "every allocation share must be positive and finite"),
+        # four shares of 1e308 sum past the largest float
+        (["--theta", "1e308,1e308,1e308,1e308"], "theta shares must have a finite sum"),
         (["--favored", "0,-1"], "favored index must be an integer >= 0, got -1"),
         # a later --experiment wins
         (["--experiment", "ablation"],
@@ -560,7 +562,8 @@ class TestBenchCommand:
         (["--experiment", "ablation", "--theta", "0.5,0.5"],
          "needs a binary allocation (binary:TAU:I,J,...), got '0.5,0.5'"),
     ], ids=["theta", "favored", "tau", "empty-favored", "negative-share",
-            "nan-share", "negative-index", "ablation-uniform", "ablation-shares"])
+            "nan-share", "overflowing-shares", "negative-index", "ablation-uniform",
+            "ablation-shares"])
     def test_a_bad_allocation_is_reported_before_the_input_is_read(
             self, tmp_path, capfdbinary, flags, message):
         missing = str(tmp_path / "missing.csv")
@@ -892,6 +895,14 @@ class TestBenchConfigFile:
         config = self.write_config(tmp_path, {a.dest: None for a in bench_options()})
         assert (self.parsed(monkeypatch, ["bench", "--config", config])
                 == self.parsed(monkeypatch, ["bench"]))
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, monkeypatch):
+        # as in a file saved by an editor that writes one
+        path = tmp_path / "bench.json"
+        path.write_text("\ufeff" + json.dumps({"seed": 3}), encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (self.parsed(monkeypatch, ["bench", "--config", str(path)])
+                == self.parsed(monkeypatch, ["bench", "--seed", "3"]))
 
     def test_command_line_wins(self, tmp_path, monkeypatch):
         config = self.write_config(tmp_path, {"seed": 3, "has_header": True})

@@ -61,10 +61,11 @@ class TestNoiseDesign:
                                    (np.ones(2), np.ones((2, 2)), "lambda_psi")):
             with pytest.raises(ShapeError, match=rf"^{name} must be 1-D, got shape \(2, 2\)$"):
                 NoiseDesign(None, lam_s, None, lam_p)
-        # a basis must be a square matrix with at least one row
+        # a basis must be a square matrix with at least one entry
         for basis, message in ((np.ones(2), "w_sigma must be 2-D, got shape (2,)"),
                                (np.ones((2, 3)), "w_sigma must be square, got (2, 3)"),
-                               (np.zeros((0, 0)), "w_sigma must have at least one row")):
+                               (np.zeros((0, 0)),
+                                "w_sigma must hold at least one entry, got shape (0, 0)")):
             with pytest.raises(ShapeError, match=re.escape(message)):
                 NoiseDesign(basis, np.ones(2), None, np.ones(2))
 

@@ -380,10 +380,14 @@ class TestGramReader:
         with pytest.raises(ContractViolationError, match="not a number"):
             AuditedGram.of(np.full((2, 3), np.nan), 0.0, 1.0)
         with pytest.raises(ShapeError, match="at least one block of records"):
+            AuditedGram(iter([]), 0.0, 1.0)
+        with pytest.raises(ShapeError, match=r"^the records must hold at least one entry, "
+                                             r"got shape \(2, 0\)$"):
             AuditedGram.of(np.zeros((2, 0)), 0.0, 1.0)
         with pytest.raises(ShapeError, match=r"^the records must be 2-D, got shape \(5,\)$"):
             AuditedGram.of(np.zeros(5), 0.0, 1.0)
-        with pytest.raises(ShapeError, match="must be M x N with M >= 1"):
+        with pytest.raises(ShapeError, match=r"^the records must hold at least one entry, "
+                                             r"got shape \(0, 5\)$"):
             AuditedGram.of(np.zeros((0, 5)), 0.0, 1.0)
 
     def test_plan_directions_dp_takes_only_the_gram(self, tmp_path):
@@ -420,6 +424,7 @@ class TestGramReader:
         x, _ = load_csv_matrix(path)
         gram = read_csv_gram(path, -1.0, 1.0)
         assert run_experiment(cfg) == run_experiment(cfg, data=x)
+        assert run_experiment(cfg) == run_experiment(cfg, data=x.tolist())
         assert run_experiment(cfg) == run_experiment(cfg, data=gram)
 
     @pytest.mark.parametrize("experiment, directions", [
@@ -508,8 +513,8 @@ class TestThetaSpecParsing:
     @pytest.mark.parametrize("spec, message", [
         ("0.5,-1,0.5", "every allocation share must be positive"),
         ("0.5,0,0.5", "every allocation share must be positive"),
-        ("0.5,nan,0.5", "theta must be finite"),
-        ("0.5,inf", "theta must be finite"),
+        ("0.5,nan,0.5", "every allocation share must be positive and finite"),
+        ("0.5,inf", "every allocation share must be positive and finite"),
     ])
     def test_share_rules_that_need_no_m(self, spec, message):
         with pytest.raises(AllocationError, match=re.escape(message)):

@@ -1,13 +1,14 @@
-"""A matrix's symmetry, a vector's unit norm and an array's dtype and rank
-are each tested in one place.
+"""A matrix's symmetry, a vector's unit norm, the sign of an array's
+entries and an array's dtype, rank and size are each tested in one place.
 
-``errors.symmetry_fault`` and ``errors.unit_norm_fault`` are those tests,
-and ``SYMMETRY_TOL`` and ``UNIT_TOL`` their one tolerance each. A NaN or
-infinite entry fails them without a RuntimeWarning, which the suite's
-warning filter would turn into an error. A guard fails if another module
-computes a symmetry deviation by hand. ``errors.as_real_array`` is the
-dtype and rank test of every array that enters the package, and a guard
-fails if another module casts an argument to float.
+``errors.symmetry_fault``, ``errors.unit_norm_fault`` and
+``errors.positive_fault`` are the first three tests, and ``SYMMETRY_TOL``
+and ``UNIT_TOL`` their one tolerance each. A NaN or infinite entry fails
+them without a RuntimeWarning, which the suite's warning filter would turn
+into an error. A guard fails if another module computes a symmetry
+deviation by hand. ``errors.as_real_array`` is the dtype, rank and
+emptiness test of every array that enters the package, and a guard fails
+if another module casts an argument to float.
 """
 
 import ast
@@ -43,7 +44,10 @@ from mvgdp import (
 from mvgdp.errors import (
     SYMMETRY_TOL,
     UNIT_TOL,
+    AllocationError,
+    DegenerateDesignError,
     as_real_array,
+    positive_fault,
     symmetry_fault,
     unit_norm_fault,
 )
@@ -94,6 +98,34 @@ class TestUnitNormFault:
     def test_the_first_bad_row_is_named(self, row, norm):
         rows = np.array([[1.0, 0.0], row, [0.0, 3.0]])
         assert unit_norm_fault(rows) == f"v must be a unit vector, got norm {norm}"
+
+
+class TestPositiveFault:
+    @pytest.mark.parametrize("values", [[1.0], [5e-324, 1e308], [1.0, 2.0, 3.0]])
+    def test_positive_finite_entries_pass(self, values):
+        assert positive_fault(np.array(values), "x") is None
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_an_entry_that_is_not_positive_and_finite_fails(self, bad, where):
+        values = np.ones(2)
+        values[where] = bad
+        assert positive_fault(values, "x") == \
+            f"x must be positive and finite, got {values}"
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf])
+    def test_singular_values_and_shares_fail_it_with_their_own_error(self, bad):
+        # at 0 and at inf, the two edges of the test's two comparisons
+        values = np.array([1.0, bad])
+        with pytest.raises(DegenerateDesignError,
+                           match=r"^lambda_sigma must be positive and finite, got "):
+            NoiseDesign(None, values, None, np.ones(2))
+        with pytest.raises(DegenerateDesignError,
+                           match=r"^lambda_psi must be positive and finite, got "):
+            NoiseDesign(None, np.ones(2), None, values)
+        with pytest.raises(AllocationError,
+                           match=r"^every allocation share must be positive and finite, got "):
+            PrecisionAllocation(values)
 
 
 def is_transpose(node) -> bool:
@@ -264,6 +296,19 @@ class TestAsRealArray:
         with pytest.raises(DomainError, match="dtype bool$"):
             as_real_array(np.eye(2, dtype=bool), "x", DomainError, ndim=1)
 
+    @pytest.mark.parametrize("value, ndim, shape", [
+        ([], None, "(0,)"), (np.zeros((0, 0)), 2, "(0, 0)"), (np.zeros((2, 0)), 2, "(2, 0)"),
+        (np.zeros((0, 3), dtype=np.int64), None, "(0, 3)"),
+    ])
+    def test_an_array_without_entries_is_refused_by_shape(self, value, ndim, shape):
+        with pytest.raises(ShapeError, match=rf"^x must hold at least one entry, "
+                                             rf"got shape {re.escape(shape)}$"):
+            as_real_array(value, "x", DomainError, ndim=ndim)
+
+    def test_the_rank_is_tested_before_the_size(self):
+        with pytest.raises(ShapeError, match=r"^x must be 1-D, got shape \(0, 0\)$"):
+            as_real_array(np.zeros((0, 0)), "x", DomainError, ndim=1)
+
 
 def release_call(release, basis=False):
     """A 2 x 2 release of ``v``, the value, or with ``v`` as its basis."""
@@ -281,44 +326,55 @@ def records_config(experiment):
         mechanism=MechanismKind.MVG_UNIMODAL, trials=1, seed=1)
 
 
-# (site, call taking the 2 x 2 array) for every place an array enters
+# (site, call taking the array, the argument's name, its rank) for every
+# place an array enters
 ARRAY_SITES = [
-    ("mvg_equimodal value", release_call(mvg_equimodal)),
-    ("mvg_unimodal value", release_call(mvg_unimodal)),
-    ("mvg_equimodal basis", release_call(mvg_equimodal, basis=True)),
+    ("mvg_equimodal value", release_call(mvg_equimodal), "the query value's entries", 2),
+    ("mvg_unimodal value", release_call(mvg_unimodal), "the query value's entries", 2),
+    ("mvg_equimodal basis", release_call(mvg_equimodal, basis=True), "w_sigma", 2),
     ("plan_gaussian value",
      lambda v: plan_gaussian(v, QuerySpec(2, 2, sensitivity=1.0, gamma=10.0),
-                             PrivacyParams(0.5, 0.05))),
-    ("NoiseDesign basis", lambda v: NoiseDesign(v, np.ones(2), None, np.ones(2))),
-    ("NoiseDesign.from_covariances", lambda v: NoiseDesign.from_covariances(v, np.eye(2))),
+                             PrivacyParams(0.5, 0.05)), "the query value's entries", 2),
+    ("NoiseDesign basis", lambda v: NoiseDesign(v, np.ones(2), None, np.ones(2)),
+     "w_sigma", 2),
+    ("NoiseDesign.from_covariances", lambda v: NoiseDesign.from_covariances(v, np.eye(2)),
+     "sigma", 2),
     ("derive_directions_dp",
      lambda v: derive_directions_dp(v, PrivacyParams(0.5, 0.05), 1, RandomStream(0),
-                                    bounds=DataBounds(2, 2, -2.0, 2.0))),
-    ("AuditedGram.of", lambda v: AuditedGram.of(v, -2.0, 2.0)),
-    ("clamp_records", lambda v: clamp_records(v, DataBounds(2, 2, -2.0, 2.0), "standard")),
+                                    bounds=DataBounds(2, 2, -2.0, 2.0)), "the records", 2),
+    ("AuditedGram.of", lambda v: AuditedGram.of(v, -2.0, 2.0), "the records", 2),
+    ("clamp_records", lambda v: clamp_records(v, DataBounds(2, 2, -2.0, 2.0), "standard"),
+     "the records", 2),
     ("run_experiment firstpc",
-     lambda v: run_experiment(records_config(Experiment.FIRST_PC), data=v)),
+     lambda v: run_experiment(records_config(Experiment.FIRST_PC), data=v), "the records", 2),
     ("run_experiment covest",
-     lambda v: run_experiment(records_config(Experiment.COVARIANCE_ESTIMATION), data=v)),
-    ("NoiseDesign lambda_sigma", lambda v: NoiseDesign(None, v, None, np.ones(2))),
-    ("NoiseDesign lambda_psi", lambda v: NoiseDesign(None, np.ones(2), None, v)),
-    ("delta_rho v", lambda v: delta_rho(v, np.eye(2))),
-    ("delta_rho s_bar", lambda v: delta_rho(np.array([1.0, 0.0]), v)),
-    ("captured_variance v", lambda v: captured_variance(v, np.eye(2))),
-    ("captured_variance s_bar", lambda v: captured_variance(np.array([1.0, 0.0]), v)),
-    ("DeltaRho", DeltaRho),
-    ("rss s_tilde", lambda v: rss(v, np.eye(2))),
-    ("rss s_bar", lambda v: rss(np.eye(2), v)),
+     lambda v: run_experiment(records_config(Experiment.COVARIANCE_ESTIMATION), data=v),
+     "the records", 2),
+    ("NoiseDesign lambda_sigma", lambda v: NoiseDesign(None, v, None, np.ones(2)),
+     "lambda_sigma", 1),
+    ("NoiseDesign lambda_psi", lambda v: NoiseDesign(None, np.ones(2), None, v),
+     "lambda_psi", 1),
+    ("delta_rho v", lambda v: delta_rho(v, np.eye(2)), "v", 1),
+    ("delta_rho s_bar", lambda v: delta_rho(np.array([1.0, 0.0]), v), "s_bar", 2),
+    ("captured_variance v", lambda v: captured_variance(v, np.eye(2)), "v", 1),
+    ("captured_variance s_bar", lambda v: captured_variance(np.array([1.0, 0.0]), v),
+     "s_bar", 2),
+    ("DeltaRho", DeltaRho, "s_bar", 2),
+    ("DeltaRho call", lambda v: DeltaRho(np.eye(2))(v), "v", 2),
+    ("rss s_tilde", lambda v: rss(v, np.eye(2)), "s_tilde", 2),
+    ("rss s_bar", lambda v: rss(np.eye(2), v), "s_bar", 2),
     ("ridge_regression_rmse features",
-     lambda v: ridge_regression_rmse((v, np.ones(2)), (np.eye(2), np.ones(2)), 1.0)),
+     lambda v: ridge_regression_rmse((v, np.ones(2)), (np.eye(2), np.ones(2)), 1.0),
+     "the train features", 2),
     ("ridge_regression_rmse targets",
-     lambda v: ridge_regression_rmse((np.eye(2), np.ones(2)), (np.eye(2), v), 1.0)),
-    ("mean_ci95", lambda v: mean_ci95(v, "m")),
+     lambda v: ridge_regression_rmse((np.eye(2), np.ones(2)), (np.eye(2), v), 1.0),
+     "the test targets", 1),
+    ("mean_ci95", lambda v: mean_ci95(v, "m"), "metric values", 1),
 ]
+SITE_IDS = [site[0] for site in ARRAY_SITES]
 
 
-@pytest.mark.parametrize("call", [site[1] for site in ARRAY_SITES],
-                         ids=[site[0] for site in ARRAY_SITES])
+@pytest.mark.parametrize("call", [site[1] for site in ARRAY_SITES], ids=SITE_IDS)
 @pytest.mark.parametrize("value", [np.eye(2) * (1 + 1j), np.array([["1", "0"], ["0", "1"]]),
                                    np.eye(2, dtype=bool)], ids=["complex", "str", "bool"])
 def test_a_non_real_array_is_refused_where_it_enters(call, value):
@@ -326,3 +382,16 @@ def test_a_non_real_array_is_refused_where_it_enters(call, value):
     with pytest.raises(DomainError, match=f"got an array of dtype {value.dtype}$"):
         call(value)
 
+
+@pytest.mark.parametrize("site, call, name, ndim", ARRAY_SITES, ids=SITE_IDS)
+def test_an_empty_array_is_refused_where_it_enters(site, call, name, ndim):
+    # without the check some of these scored an empty stack as 0.0 or nan,
+    # and others raised numpy's IndexError
+    empty = np.zeros((0,) * ndim)
+    if site == "mvg_equimodal basis":
+        # a basis is measured against the query's rows before it is read
+        message = f"{name} has shape (0, 0) but the query has 2 rows"
+    else:
+        message = f"{name} must hold at least one entry, got shape {empty.shape}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call(empty)

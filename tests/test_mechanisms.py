@@ -76,8 +76,16 @@ class TestPrecisionAllocation:
         with pytest.raises(AllocationError):
             PrecisionAllocation(np.array([-0.1, 1.1]))
 
+    def test_rejects_shares_whose_sum_overflows(self):
+        # divided by an infinite sum, every share would be 0.0
+        with pytest.raises(AllocationError, match=r"^theta shares must have a finite sum, "
+                                                  r"got \[1.e\+308 1.e\+308\]$"):
+            PrecisionAllocation([1e308, 1e308])
+        assert PrecisionAllocation([1e300, 1e300]) == PrecisionAllocation.uniform(2)
+
     def test_rejects_no_entries(self):
-        with pytest.raises(AllocationError, match="at least one entry"):
+        with pytest.raises(ShapeError,
+                           match=r"^theta shares must hold at least one entry, got shape \(0,\)$"):
             PrecisionAllocation([])
 
     def test_rejects_shares_that_are_not_1d(self):
@@ -897,7 +905,7 @@ class TestReleaseSpectrumMemo:
         for name in ("check_condition", "precision_budget_unimodal",
                      "precision_budget_equimodal"):
             counted(mechanisms, name)
-        for name in ("_check_lambda", "check_orthonormal"):
+        for name in ("positive_fault", "check_orthonormal"):
             counted(design_module, name)
         release_fn(value, q, self.P, theta, w, RandomStream(1))
         assert calls["check_condition"] == 1

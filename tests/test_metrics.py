@@ -254,7 +254,8 @@ class TestEvalReport:
         assert report.trials == 50
 
     def test_no_values_are_rejected(self):
-        with pytest.raises(DomainError, match="at least one metric value"):
+        with pytest.raises(ShapeError, match=r"^metric values must hold at least one entry, "
+                                             r"got shape \(0,\)$"):
             mean_ci95([], "m")
 
     def test_values_of_another_rank_are_rejected(self):
