@@ -8,9 +8,10 @@ Run from anywhere, with the tier-1 requirements installed:
 
 pytest does not collect this file (its name has no ``test_`` prefix), and
 CI runs it only with ``--only budget.exact_delta``, ``--only
-design.NoiseDesign.color`` and ``--only errors.positive_fault``. It copies
-``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
-into a temporary directory and never writes to the checkout.
+design.NoiseDesign.color``, ``--only errors.positive_fault`` and ``--only
+harness._trial_streams``. It copies ``src/``, ``tests/``, ``perfbench/``,
+``README.md`` and ``pyproject.toml`` into a temporary directory and never
+writes to the checkout.
 
 For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
 at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
@@ -48,8 +49,9 @@ NOT_RUN = ("test_mutation_probe.py",)
 # a mutant that hangs counts as killed once this many seconds pass
 MUTANT_TIMEOUT_S = 300
 
-# module -> the functions whose privacy arithmetic, noise coloring or
-# positivity test is mutated, methods as "Class.method"
+# module -> the functions whose privacy arithmetic, noise coloring,
+# positivity test, trial seeding or training split is mutated, methods as
+# "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
                "check_condition", "exact_delta", "budget_terms", "_report"],
@@ -64,6 +66,7 @@ TARGETS = {
     "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "check_orthonormal",
                "_is_identity"],
     "errors": ["positive_fault"],
+    "harness": ["_trial_streams", "_run_regression"],
 }
 
 _AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
@@ -100,6 +103,9 @@ EQUIVALENT = {
     ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: 2.0 -> 4.0"):
         "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
         "in the same order",
+    ("harness._trial_streams", "`CHUNK_ENTRIES // 4`: 4 -> 8"):
+        "hashes the same seeds in smaller blocks, so every trial's stream is the "
+        "same",
 }
 
 BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,

@@ -693,6 +693,16 @@ class TestRunExperiment:
         assert (report.metric_name, report.trials) == ("RMSE", 3)
         assert np.isfinite(report.mean) and report.mean > 0.0
 
+    def test_a_regression_trains_on_one_record(self, tmp_path):
+        # N = 2 splits into round(0.72 * 2) = 1 training record and one test
+        # record, the smallest split; N = 1 is refused below
+        x = np.random.default_rng(8).uniform(0.0, 1.0, (3, 2))
+        cfg = base_config(tmp_path / "unused.csv", DataBounds(3, 2, 0.0, 1.0),
+                          MechanismKind.MVG_UNIMODAL, Experiment.REGRESSION)
+        report = run_experiment(cfg, data=x)
+        assert (report.metric_name, report.trials) == ("RMSE", 3)
+        assert np.isfinite(report.mean)
+
     @pytest.mark.parametrize("shape, message", [
         ((1, 40), "at least one feature column plus the target column"),
         ((4, 1), "leaves no valid split of 1 records"),
@@ -782,6 +792,35 @@ class TestRunExperiment:
             cfg = base_config(path, bounds, MechanismKind.MVG_EQUIMODAL,
                               Experiment.FIRST_PC, trials=trials, seed=seed)
             assert run_experiment(cfg) == mean_ci95(values[:trials], "delta_rho")
+
+    def test_trials_past_the_first_seed_block_pair_by_seed(self, tmp_path,
+                                                           monkeypatch):
+        # the streams' seeds are hashed in blocks of CHUNK_ENTRIES // 4 trials,
+        # so trials from 1024 on come from the second block's start seed
+        trials, seed = 1100, 5
+        assert mechanisms.CHUNK_ENTRIES // 4 < trials
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 400))
+        bounds = DataBounds(3, 400, -1.0, 1.0)
+        scored = []
+        original = harness.mean_ci95
+
+        def recording(values, name):
+            scored.append(np.array(values))
+            return original(values, name)
+
+        monkeypatch.setattr(harness, "mean_ci95", recording)
+        cfg = base_config(tmp_path / "unused.csv", bounds, MechanismKind.GAUSSIAN_IID,
+                          Experiment.FIRST_PC, trials=trials, seed=seed)
+        run_experiment(cfg, data=x)
+        s_bar = AuditedGram.of(x, -1.0, 1.0).covariance
+        plan = mechanisms.plan_gaussian(s_bar, harness.covariance_query(bounds),
+                                        cfg.privacy)
+        replayed = []
+        for noisy in plan.draw([RandomStream(seed + t) for t in range(trials)]):
+            _, vecs = np.linalg.eigh((noisy + noisy.T) / 2.0)
+            replayed.append(delta_rho(vecs[:, -1], s_bar))
+        [values] = scored
+        assert np.array_equal(values, replayed)
 
     def test_dp_directions_replay_bit_for_bit(self, tmp_path):
         # the harness plans the directions once per run; each trial must
