@@ -53,8 +53,9 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be square, got {w.shape}")
     gram = np.swapaxes(w, -1, -2) @ w
     gram -= np.eye(w.shape[-1])
-    dev = np.abs(gram, out=gram).max()
-    # written so a NaN deviation fails the check too
+    # an empty stack deviates by nothing; written so a NaN deviation fails
+    # the check too
+    dev = np.abs(gram, out=gram).max(initial=0.0)
     if not dev <= ORTHONORMALITY_TOL:
         raise DegenerateDesignError(
             f"{name} is not orthonormal: max |W^T W - I| = {dev:.3e} "
@@ -252,19 +253,34 @@ class NoiseDesign:
         return cls(w_s, lam_s, w_p, lam_p)
 
 
+def descending_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (T, m) and eigenvectors (T, m, m) of each symmetrized
+    matrix of a stack (T, m, m), from one batched ``eigh``, each matrix's
+    pairs by descending eigenvalue, ties in the order ``eigh`` gives."""
+    sym = stack + np.swapaxes(stack, -1, -2)
+    sym /= 2.0
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    del sym
+    order = np.argsort(-eigvals, axis=-1, kind="stable")
+    # one matrix at a time: np.take_along_axis would build index arrays
+    # four times the stack's size
+    for vals, vecs, columns in zip(eigvals, eigvecs, order):
+        vals[:] = vals[columns]
+        vecs[:] = vecs[:, columns]
+    return eigvals, eigvecs
+
+
 def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     mat = as_real_array(cov, name, DomainError, ndim=2)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be square, got {mat.shape}")
     if fault := symmetry_fault(mat, name):
         raise DegenerateDesignError(fault)
-    eigvals, eigvecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    (eigvals,), (eigvecs,) = descending_eigh(mat[np.newaxis])
     if np.any(eigvals < EIGENVALUE_FLOOR):
         raise DegenerateDesignError(
             f"{name} has eigenvalue {eigvals.min():.3e} below the "
             f"{EIGENVALUE_FLOOR:.0e} floor; design is degenerate"
         )
-    # descending, ties keeping the solver's original order
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvecs[:, order], eigvals[order]
-
+    # the Fortran order a 2-D column gather gives: a product's bits follow it
+    return np.asfortranarray(eigvecs), eigvals

@@ -19,8 +19,9 @@ check reads only the singular values, which depend on the query spec, the
 privacy target, the allocation and the mode alone, so it runs once per such
 key: :func:`release_spectrum` memoizes the budget, the singular values and
 the verdict, and each plan checks only its value and its basis. I.i.d.
-Gaussian and Laplace baselines, planned and drawn the same way, and a
-differentially private direction-derivation helper round out the module.
+Gaussian and Laplace baselines, planned and drawn the same way, round out
+the module; private directions are the Gaussian baseline's release of the
+data's covariance, eigendecomposed.
 
 Every function is pure given its inputs and the random stream; concurrent
 calls need distinct streams.
@@ -32,7 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .budget import (
     precision_budget_equimodal,
     precision_budget_unimodal,
 )
-from .design import NoiseDesign, check_orthonormal
+from .design import NoiseDesign, check_orthonormal, descending_eigh
 from .errors import (
     AllocationError,
     ConditionCheckError,
@@ -364,11 +365,9 @@ def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
     directions = None
     if isinstance(w_sigma, DirectionsPlan):
         directions, w_sigma = w_sigma, None
-        if directions.covariance.shape != (q.m, q.m):
-            raise ShapeError(
-                f"directions are drawn for {directions.covariance.shape[0]} "
-                f"features but the query has {q.m} rows"
-            )
+        if (shape := directions.release.value.shape) != (q.m, q.m):
+            raise ShapeError(f"directions are drawn for {shape[0]} features but "
+                             f"the query has {q.m} rows")
     elif w_sigma is not None and (shape := np.shape(w_sigma)) != (q.m, q.m):
         raise ShapeError(f"w_sigma has shape {shape} but the query has {q.m} rows")
     report, design, condition = release_spectrum(q, p, theta, mode)
@@ -488,53 +487,53 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianPlan(_TwoStepPlan):
-    """Classic Gaussian releases of one validated query value: i.i.d. noise
-    of sd ``scale`` on every entry. Built by :func:`plan_gaussian`; a scale
-    that is not positive and finite is a DomainError."""
+class _IidPlan(_TwoStepPlan):
+    """Releases of one validated query value, each entry the value plus
+    ``scale`` times a standard variate from the subclass's ``draw_noise``.
+    A scale that is not positive and finite is a DomainError."""
+
+    SCALE_NAME: ClassVar[str]
 
     value: np.ndarray
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", as_real(self.scale, "the Gaussian noise scale",
+        object.__setattr__(self, "scale", as_real(self.scale, self.SCALE_NAME,
                                                   DomainError, positive=True))
+
+    def color(self, noise: np.ndarray) -> np.ndarray:
+        """Scale ``noise`` in place by ``scale`` and add the value."""
+        noise *= self.scale
+        noise += self.value
+        return noise
+
+
+class GaussianPlan(_IidPlan):
+    """Classic Gaussian releases: i.i.d. noise of sd ``scale`` on every
+    entry. Built by :func:`plan_gaussian`."""
+
+    SCALE_NAME = "the Gaussian noise scale"
 
     def draw_noise(self, streams) -> tuple[np.ndarray]:
         """Trial t's m*n standard normals from ``streams[t]`` alone, as one
         (T, m, n) stack."""
         return tuple(standard_normal_stacks(streams, [self.value.shape]))
 
-    def color(self, noise: np.ndarray) -> np.ndarray:
-        """Scale ``noise`` in place to sd ``scale`` and add the value."""
-        noise *= self.scale
-        noise += self.value
-        return noise
 
+class LaplacePlan(_IidPlan):
+    """Classic Laplace releases: i.i.d. Laplace noise of scale ``scale`` on
+    every entry. Built by :func:`plan_laplace`."""
 
-@dataclass(frozen=True, eq=False)
-class LaplacePlan(_TwoStepPlan):
-    """Classic Laplace releases of one validated query value: i.i.d. noise
-    of scale ``scale`` on every entry. Built by :func:`plan_laplace`; a
-    scale that is not positive and finite is a DomainError."""
-
-    value: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", as_real(self.scale, "the Laplace scale",
-                                                  DomainError, positive=True))
+    SCALE_NAME = "the Laplace scale"
 
     def draw_noise(self, streams) -> tuple[np.ndarray]:
-        """Trial t's m*n Laplace variates from ``streams[t]`` alone, as one
-        (T, m, n) stack."""
-        return (np.stack([stream.laplace(self.scale, self.value.shape)
-                          for stream in streams]),)
-
-    def color(self, noise: np.ndarray) -> np.ndarray:
-        """Add the value to ``noise`` in place."""
-        noise += self.value
-        return noise
+        """Trial t's m*n unit Laplace variates from ``streams[t]`` alone, as
+        one (T, m, n) stack. numpy draws ``loc +- scale * log(u)``, so with
+        ``loc = 0`` a unit variate times s has the bits of one at scale s."""
+        noise = np.empty((len(streams), *self.value.shape))
+        for t, stream in enumerate(streams):
+            noise[t] = stream.laplace(1.0, self.value.shape)
+        return (noise,)
 
 
 def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> GaussianPlan:
@@ -581,52 +580,35 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
 
 @dataclass(frozen=True, eq=False)
 class DirectionsPlan:
-    """The fixed part of a private direction derivation.
-
-    Holds the data's sample covariance and the Gaussian-mechanism noise sd
-    for the budget slice; :meth:`draw` is the per-release step. Built by
-    :func:`plan_directions_dp` from the records' :class:`AuditedGram`, so
-    the data is clamped and its covariance computed once however many
-    releases draw from it. A ``noise_sd`` that is not positive and finite
-    is a DomainError.
+    """The fixed part of a private direction derivation: ``release``, the
+    :class:`GaussianPlan` of the data's sample covariance, whose draws'
+    eigenbases are the directions. Built by :func:`plan_directions_dp` from
+    the records' :class:`AuditedGram`, so the data is clamped and its
+    covariance computed once however many releases draw from it.
     """
 
-    covariance: np.ndarray
-    noise_sd: float
+    release: GaussianPlan
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_sd", as_real(self.noise_sd, "noise_sd",
-                                                     DomainError, positive=True))
+        if not isinstance(self.release, GaussianPlan):
+            raise TypeError("DirectionsPlan takes the covariance's GaussianPlan, "
+                            f"got {type(self.release).__name__}")
 
     def draw(self, stream: RandomStream) -> np.ndarray:
-        """Perturb the covariance, symmetrize and eigendecompose it.
+        """Release the covariance and eigendecompose it.
 
         Returns the full M x M orthonormal eigenbasis sorted by descending
         eigenvalue. Consumes exactly M*M normal draws from ``stream``.
         """
-        m = self.covariance.shape[0]
-        return self.bases(sample_standard_matrix(stream, m, m)[np.newaxis])[0]
+        return descending_eigh(self.release.draw([stream]))[1][0]
 
     def bases(self, noise: np.ndarray) -> np.ndarray:
         """The eigenbases for a stack (T, M, M) of standard-normal draws.
 
-        Scales ``noise`` in place, so the caller hands over the array. One
-        batched ``eigh`` decomposes the stack, and a stable argsort along
-        the last axis orders each basis's columns by descending eigenvalue;
-        each basis has the bits :meth:`draw` gives for its draw.
+        Scales ``noise`` in place, so the caller hands over the array; each
+        basis has the bits :meth:`draw` gives for its draw.
         """
-        noise *= self.noise_sd
-        noise += self.covariance
-        sym = noise + np.swapaxes(noise, -1, -2)
-        sym /= 2.0
-        eigvals, eigvecs = np.linalg.eigh(sym)
-        del sym
-        order = np.argsort(-eigvals, axis=-1, kind="stable")
-        # one basis at a time: np.take_along_axis would build index arrays
-        # four times the stack's size
-        for vecs, columns in zip(eigvecs, order):
-            vecs[:] = vecs[:, columns]
-        return eigvecs
+        return descending_eigh(self.release.color(noise))[1]
 
 
 def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> DirectionsPlan:
@@ -644,8 +626,8 @@ def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> Directio
             "plan_directions_dp takes the records' AuditedGram, built with "
             f"AuditedGram.of(x, lo, hi); got {type(gram).__name__}"
         )
-    noise_sd = gaussian_noise_scale(covariance_query(gram.bounds).sensitivity, p_fraction)
-    return DirectionsPlan(gram.covariance, noise_sd)
+    return DirectionsPlan(plan_gaussian(gram.covariance, covariance_query(gram.bounds),
+                                        p_fraction))
 
 
 def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,

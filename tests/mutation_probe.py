@@ -2,16 +2,19 @@
 
 Run from anywhere, with the tier-1 requirements installed:
 
-    python tests/mutation_probe.py          # about ten minutes on 2 vCPU
+    python tests/mutation_probe.py          # all targets; many minutes
     python tests/mutation_probe.py --list   # the mutants, without running them
-    python tests/mutation_probe.py --only budget.exact_delta   # one function
+    python tests/mutation_probe.py --only budget.exact_delta errors.positive_fault
 
-pytest does not collect this file (its name has no ``test_`` prefix), and
-CI runs it only with ``--only budget.exact_delta``, ``--only
-design.NoiseDesign.color``, ``--only errors.positive_fault`` and ``--only
-harness._trial_streams``. It copies ``src/``, ``tests/``, ``perfbench/``,
-``README.md`` and ``pyproject.toml`` into a temporary directory and never
-writes to the checkout.
+``--only`` takes one or more target functions; tier-1 runs once unmutated
+as the baseline, however many are named. pytest does not collect this file
+(its name has no ``test_`` prefix), and CI runs it in one step with
+``--only`` and six functions: ``budget.exact_delta``,
+``design.NoiseDesign.color``, ``mechanisms._IidPlan.color``,
+``design.descending_eigh``, ``errors.positive_fault`` and
+``harness._trial_streams``. It copies ``src/``, ``tests/``,
+``perfbench/``, ``README.md`` and ``pyproject.toml`` into a temporary
+directory and never writes to the checkout.
 
 For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
 at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
@@ -50,26 +53,33 @@ NOT_RUN = ("test_mutation_probe.py",)
 MUTANT_TIMEOUT_S = 300
 
 # module -> the functions whose privacy arithmetic, noise coloring,
-# positivity test, trial seeding or training split is mutated, methods as
-# "Class.method"
+# positivity test, trial seeding, utility metrics or record clamping is
+# mutated, methods as "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
                "check_condition", "exact_delta", "budget_terms", "_report"],
     "sensitivity": ["identity_sensitivity", "covariance_sensitivity", "gamma_identity",
                     "gamma_covariance", "identity_sensitivity_l1",
-                    "covariance_sensitivity_l1"],
+                    "covariance_sensitivity_l1", "clamp", "AuditedGram.__init__",
+                    "AuditedGram.of"],
     "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
                    "_check_binary", "_validate_query_value", "_directional_lambdas",
                    "release_spectrum", "gaussian_noise_scale", "plan_laplace",
-                   "plan_directions_dp", "DirectionsPlan.bases", "GaussianPlan.color",
+                   "plan_directions_dp", "DirectionsPlan.bases", "_IidPlan.color",
                    "ReleasePlan.color"],
     "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "check_orthonormal",
-               "_is_identity"],
+               "_is_identity", "descending_eigh"],
     "errors": ["positive_fault"],
-    "harness": ["_trial_streams", "_run_regression"],
+    "harness": ["_trial_streams", "_run_regression", "_top_directions", "_run_arms",
+                "_ablation_arms", "_run_covest", "format_significant"],
+    "metrics": ["mean_ci95", "_captured", "DeltaRho.__init__", "DeltaRho.__call__",
+                "rss", "ridge_regression_rmse"],
+    "sampling": ["seed_state_words", "_hash", "_mix", "_hash_consts"],
 }
 
 _AT_EQUALITY = "differs only when both sides are exactly equal, after the slack"
+_POWER_OF_2 = ("scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
+               "in the same order, and only they are read")
 # (function, change) -> why no test can tell the mutant from the original
 EQUIVALENT = {
     ("budget.QuerySpec.__post_init__",
@@ -97,12 +107,20 @@ EQUIVALENT = {
         "the same verdict",
     ("mechanisms.gaussian_noise_scale", "`stacklevel=2`: 2 -> 4"):
         "moves only the source line a warning names",
-    ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: / -> *"):
-        "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
-        "in the same order",
-    ("mechanisms.DirectionsPlan.bases", "`sym /= 2.0`: 2.0 -> 4.0"):
-        "scaling by a power of 2 is exact, so eigh gives the same eigenvectors "
-        "in the same order",
+    ("harness._top_directions", "`sym /= 2.0`: / -> *"): _POWER_OF_2,
+    ("harness._top_directions", "`sym /= 2.0`: 2.0 -> 4.0"): _POWER_OF_2,
+    ("metrics.DeltaRho.__call__", "`gaps >= _NEGATIVE_DUST`: >= -> >"):
+        "differs only at a gap of exactly the dust threshold, -1e-10",
+    ("metrics.DeltaRho.__call__", "`gaps < 0.0`: < -> <="):
+        "also sets a gap of exactly 0.0 to 0.0",
+    ("sampling.seed_state_words",
+     "`np.asarray(seeds, dtype=np.uint64).reshape(-1)`: 1 -> 2"):
+        "numpy reads a negative size in reshape as the inferred one, so -2 "
+        "flattens as -1 does",
+    ("sensitivity.AuditedGram.of",
+     "`max(1, GRAM_BLOCK_CELLS // records.shape[1])`: 1 -> 2"):
+        "differs only above GRAM_BLOCK_CELLS = 65 536 features, where the Gram "
+        "matrix alone is 34 GB",
     ("harness._trial_streams", "`CHUNK_ENTRIES // 4`: 4 -> 8"):
         "hashes the same seeds in smaller blocks, so every trial's stream is the "
         "same",
@@ -212,17 +230,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true",
                         help="print the mutants and exit without running them")
-    parser.add_argument("--only", metavar="MODULE.FUNC",
-                        help="mutate only this target function, such as "
+    parser.add_argument("--only", metavar="MODULE.FUNC", nargs="+",
+                        help="mutate only these target functions, such as "
                              "budget.exact_delta")
     args = parser.parse_args(argv)
     functions = {f"{module}.{name}" for module, names in TARGETS.items() for name in names}
-    if args.only is not None and args.only not in functions:
-        parser.error(f"--only {args.only} is not a target; choose from "
+    if unknown := sorted(set(args.only or ()) - functions):
+        parser.error(f"--only {' '.join(unknown)}: not a target; choose from "
                      f"{', '.join(sorted(functions))}")
-    probed = functions if args.only is None else {args.only}
-    sources = {module: source_of(module) for module in TARGETS}
-    plan = [(module, *m) for module in TARGETS for m in mutants(module, sources[module])
+    probed = functions if args.only is None else set(args.only)
+    sources = {module: source_of(module) for module in TARGETS
+               if any(function.startswith(f"{module}.") for function in probed)}
+    plan = [(module, *m) for module in sources for m in mutants(module, sources[module])
             if m[0] in probed]
     if args.list:
         for _, function, label, _ in plan:

@@ -14,6 +14,7 @@ from mvgdp import (
     sample_standard_matrix,
     zeta,
 )
+from mvgdp.design import descending_eigh
 from mvgdp.sampling import seed_state_words
 from oracles import dense_covariances, dense_release
 
@@ -142,6 +143,26 @@ class TestNoiseDesign:
             again = NoiseDesign.from_covariances(sigma, psi)
             assert np.allclose(again.lambda_sigma,
                                np.sort(design.lambda_sigma)[::-1], rtol=1e-10)
+
+
+class TestDescendingEigh:
+    def test_ties_keep_the_order_eigh_gives(self):
+        mat = np.diag([2.0, 1.0, 2.0])
+        vals, vecs = np.linalg.eigh(mat)
+        assert vals.tolist() == [1.0, 2.0, 2.0]
+        (sorted_vals,), (sorted_vecs,) = descending_eigh(mat[np.newaxis])
+        assert sorted_vals.tolist() == [2.0, 2.0, 1.0]
+        # the two columns of eigenvalue 2.0 stay in eigh's order
+        assert sorted_vecs.tobytes() == vecs[:, [1, 2, 0]].tobytes()
+
+    def test_each_matrix_is_symmetrized_and_sorted_on_its_own(self):
+        stack = np.random.default_rng(5).standard_normal((4, 3, 3))
+        vals, vecs = descending_eigh(stack)
+        for a, got_vals, got_vecs in zip(stack, vals, vecs):
+            want_vals, want_vecs = np.linalg.eigh((a + a.T) / 2.0)
+            order = np.argsort(-want_vals, kind="stable")
+            assert got_vals.tobytes() == want_vals[order].tobytes()
+            assert got_vecs.tobytes() == want_vecs[:, order].tobytes()
 
 
 class TestWithBases:

@@ -395,7 +395,7 @@ class TestGramReader:
         p = PrivacyParams(0.2, 0.002)
         gram = AuditedGram.of(data, -1.0, 1.0)
         plan = plan_directions_dp(gram, p)
-        assert plan.covariance.tobytes() == (gram.gram / data.shape[1]).tobytes()
+        assert plan.release.value.tobytes() == (gram.gram / data.shape[1]).tobytes()
         with pytest.raises(TypeError, match=r"AuditedGram\.of\(x, lo, hi\)"):
             plan_directions_dp(data, p)
 
@@ -405,7 +405,7 @@ class TestGramReader:
         _, data = covariance_dataset(tmp_path)
         p = PrivacyParams(0.2, 0.002)
         m, n = data.shape
-        sds = [plan_directions_dp(AuditedGram.of(data, lo, hi), p).noise_sd
+        sds = [plan_directions_dp(AuditedGram.of(data, lo, hi), p).release.scale
                for lo, hi in ((-1.0, 1.0), (-2.0, 2.0))]
         assert sds == [gaussian_noise_scale(covariance_sensitivity(
                            DataBounds(m, n, lo, hi)), p)

@@ -46,6 +46,7 @@ from mvgdp import (
 from mvgdp import design as design_module
 from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
+from mvgdp.design import descending_eigh
 from mvgdp.mechanisms import (
     DirectionsPlan,
     GaussianPlan,
@@ -56,7 +57,7 @@ from mvgdp.mechanisms import (
     plan_laplace,
     release_spectrum,
 )
-from mvgdp.sensitivity import AuditedGram
+from mvgdp.sensitivity import AuditedGram, covariance_query
 from oracles import dense_release, scaled_release
 
 
@@ -694,6 +695,16 @@ class TestLaplaceBaseline:
         b = laplace_iid_baseline(np.zeros((2, 3)), q, 0.5, RandomStream(3))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_scaled_unit_variates_have_the_bits_of_a_draw_at_the_scale(self, scale):
+        value = np.arange(12, dtype=float).reshape(3, 4) / 7.0
+        q = QuerySpec(3, 4, sensitivity=1.0, gamma=10.0, l1_sensitivity=scale * 0.5)
+        plan = plan_laplace(value, q, 0.5)
+        for seed in range(3):
+            drawn = plan.draw([RandomStream(seed)])[0]
+            want = value + RandomStream(seed).laplace(scale, value.shape)
+            assert drawn.tobytes() == want.tobytes()
+
 
 class TestPlanScales:
     """A plan built directly checks its noise scale, as its planner's
@@ -702,7 +713,6 @@ class TestPlanScales:
     @pytest.mark.parametrize("plan, name", [
         pytest.param(GaussianPlan, "the Gaussian noise scale", id="gaussian"),
         pytest.param(LaplacePlan, "the Laplace scale", id="laplace"),
-        pytest.param(DirectionsPlan, "noise_sd", id="directions"),
     ])
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_a_scale_that_is_not_positive_and_finite_is_rejected(self, plan, name,
@@ -710,6 +720,11 @@ class TestPlanScales:
         with pytest.raises(DomainError,
                            match=f"^{name} must be positive and finite, got {scale}$"):
             plan(np.eye(2), scale)
+
+    def test_directions_take_only_a_gaussian_plan(self):
+        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=1.0)
+        with pytest.raises(TypeError, match="GaussianPlan, got LaplacePlan$"):
+            DirectionsPlan(plan_laplace(np.eye(2), q, 1.0))
 
 
 class TestDeriveDirectionsDp:
@@ -767,6 +782,20 @@ class TestDeriveDirectionsDp:
             derived = derive_directions_dp(data, p, 2, RandomStream(seed),
                                            bounds=bounds)
             assert np.array_equal(plan.draw(RandomStream(seed)), derived)
+
+    def test_directions_are_the_covariance_gaussian_release_eigendecomposed(self):
+        data = np.random.default_rng(8).uniform(-1, 1, (4, 50))
+        gram = AuditedGram.of(data, -1.0, 1.0)
+        p = PrivacyParams(0.4, 0.05)
+        q = covariance_query(gram.bounds)
+        plan = plan_directions_dp(gram, p)
+        gaussian = plan_gaussian(gram.covariance, q, p)
+        assert plan.release.value.tobytes() == gaussian.value.tobytes()
+        assert plan.release.scale == gaussian.scale
+        for seed in (0, 1, 2):
+            noisy = gaussian_iid_baseline(gram.covariance, q, p, RandomStream(seed))
+            want = descending_eigh(noisy[np.newaxis])[1][0]
+            assert plan.draw(RandomStream(seed)).tobytes() == want.tobytes()
 
     def test_out_of_bounds_data_is_clamped(self):
         data = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 5))
@@ -1074,6 +1103,24 @@ def test_release_objects_compare_and_hash_by_identity(name):
     assert obj == obj and obj != twin
     assert hash(obj) == hash(obj) and {obj: name}[obj] == name
     assert len({obj, twin}) == 2
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplace", "standard", "dense", "dp"])
+def test_every_plan_draws_an_empty_stack_from_no_streams(kind):
+    p = PrivacyParams(0.5, 0.05)
+    q = QuerySpec(3, 4, sensitivity=1.0, gamma=10.0, l1_sensitivity=1.0)
+    value = np.zeros((3, 4))
+    if kind == "gaussian":
+        plan = plan_gaussian(value, q, p)
+    elif kind == "laplace":
+        plan = plan_laplace(value, q, 1.0)
+    else:
+        w = {"standard": lambda: None,
+             "dense": lambda: signed_permutation(3),
+             "dp": lambda: plan_directions_dp(AuditedGram.of(np.eye(3), -1.0, 1.0), p),
+             }[kind]()
+        plan = plan_unimodal(value, q, p, PrecisionAllocation.uniform(3), w)
+    assert plan.draw([]).shape == (0, 3, 4)
 
 
 class TestOneColoringPath:

@@ -10,6 +10,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 PROBE = Path(__file__).resolve().parent / "mutation_probe.py"
 
 
@@ -38,3 +40,23 @@ def test_every_listed_equivalent_is_a_generated_mutant():
     generated = {(function, label) for module in probe.TARGETS
                  for function, label, _ in probe.mutants(module, probe.source_of(module))}
     assert sorted(set(probe.EQUIVALENT) - generated) == []
+
+
+def test_only_lists_exactly_the_named_functions_mutants(capsys):
+    probe = load_probe()
+    named = ["errors.positive_fault", "harness._trial_streams"]
+    expected = [f"{function}: {label}" for module in ("errors", "harness")
+                for function, label, _ in probe.mutants(module, probe.source_of(module))
+                if function in named]
+    assert probe.main(["--list", "--only", *named]) == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert lines == expected and total == f"{len(expected)} mutants"
+    assert {line.split(":")[0] for line in lines} == set(named)
+
+
+def test_only_refuses_a_name_that_is_not_a_target(capsys):
+    probe = load_probe()
+    with pytest.raises(SystemExit) as exit_info:
+        probe.main(["--list", "--only", "errors.positive_fault", "errors.no_such"])
+    assert exit_info.value.code == 2
+    assert "--only errors.no_such: not a target" in capsys.readouterr().err
