@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     MvgdpError,
+    as_count,
 )
 from .harness import (
     GRAM_EXPERIMENTS,
@@ -83,6 +84,8 @@ def _cmd_budget(args) -> int:
 
 def _cmd_sample(args) -> int:
     # the flags first, so a bad one is reported before any file is read
+    as_count(args.m, "m", ConfigError)
+    as_count(args.n, "n", ConfigError)
     if args.count < 1:
         raise ConfigError(f"count must be positive, got {args.count}")
     stream = RandomStream(args.seed)

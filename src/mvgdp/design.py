@@ -82,15 +82,16 @@ def _is_identity(w: np.ndarray) -> bool:
 
 
 def _check_side(basis, lam: np.ndarray, side: str) -> np.ndarray | None:
-    """Validate one side's basis against its singular values, and return the
-    basis to store: ``None``, the standard basis, for ``None`` (which takes
-    its size from ``lam``) or an exact identity, both orthonormal by
-    inspection, and otherwise the basis, checked in full."""
+    """Check one side's basis against its singular values and return the one
+    to store: ``None``, the standard basis, for ``None`` (sized by ``lam``)
+    or an exact identity, and otherwise the basis in C order, checked in
+    full, since a product's bits follow its layout as well as its values."""
     if basis is None:
         return None
     w = as_real_array(basis, f"w_{side}", DomainError, ndim=2)
     identity = _is_identity(w)
     if not identity:
+        w = np.ascontiguousarray(w)
         check_orthonormal(w, f"w_{side}")
     if lam.shape[0] != w.shape[0]:
         raise ShapeError(
@@ -282,5 +283,4 @@ def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
             f"{name} has eigenvalue {eigvals.min():.3e} below the "
             f"{EIGENVALUE_FLOOR:.0e} floor; design is degenerate"
         )
-    # the Fortran order a 2-D column gather gives: a product's bits follow it
-    return np.asfortranarray(eigvecs), eigvals
+    return eigvecs, eigvals

@@ -45,6 +45,7 @@ from .budget import (
     PrivacyParams,
     QuerySpec,
     check_condition,
+    exact_delta,
     precision_budget_equimodal,
     precision_budget_unimodal,
 )
@@ -332,11 +333,12 @@ def release_spectrum(q: QuerySpec, p: PrivacyParams, theta: PrecisionAllocation,
     """The budget, singular values and condition check of every MVG release
     over one (q, p, theta, mode).
 
-    Memoized on that frozen key, so the singular values are validated and
-    the condition checked once per key. A violated condition raises on
-    every call, since an exception is never cached. An entry holds O(m)
-    floats: a unimodal design's unit column side is one read-only 1.0
-    broadcast to n entries.
+    Memoized on that frozen key, so the singular values are validated, the
+    condition checked and the exact delta (:func:`exact_delta`) compared
+    with the target once per key. A violated condition or an exact delta
+    above the target raises on every call, since an exception is never
+    cached. An entry holds O(m) floats: a unimodal design's unit column side
+    is one read-only 1.0 broadcast to n entries.
     """
     _check_allocation(theta, q)
     if mode is BudgetMode.UNIMODAL:
@@ -356,6 +358,12 @@ def release_spectrum(q: QuerySpec, p: PrivacyParams, theta: PrecisionAllocation,
         raise ConditionCheckError(
             f"constructed design violates the privacy condition "
             f"(lhs={condition.lhs:.12g} > rhs={condition.rhs:.12g}); this is a bug"
+        )
+    # the paper's condition is sufficient; the exact accountant must agree
+    if (delta := exact_delta(design, q.sensitivity, p.epsilon)) > p.delta:
+        raise ConditionCheckError(
+            f"constructed design's exact delta {delta:.12g} exceeds the target "
+            f"delta {p.delta:.12g}; this is a bug"
         )
     return ReleaseSpectrum(report, design, condition)
 

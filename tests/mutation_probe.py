@@ -9,12 +9,12 @@ Run from anywhere, with the tier-1 requirements installed:
 ``--only`` takes one or more target functions; tier-1 runs once unmutated
 as the baseline, however many are named. pytest does not collect this file
 (its name has no ``test_`` prefix), and CI runs it in one step with
-``--only`` and six functions: ``budget.exact_delta``,
-``design.NoiseDesign.color``, ``mechanisms._IidPlan.color``,
-``design.descending_eigh``, ``errors.positive_fault`` and
-``harness._trial_streams``. It copies ``src/``, ``tests/``,
-``perfbench/``, ``README.md`` and ``pyproject.toml`` into a temporary
-directory and never writes to the checkout.
+``--only`` and seven functions: ``budget.exact_delta``,
+``mechanisms.release_spectrum``, ``design.NoiseDesign.color``,
+``mechanisms._IidPlan.color``, ``design.descending_eigh``,
+``errors.positive_fault`` and ``harness._trial_streams``. It copies
+``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
+into a temporary directory and never writes to the checkout.
 
 For each function in ``TARGETS`` the stdlib ``ast`` module makes one change
 at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap

@@ -185,6 +185,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--count", "0", "count must be positive"),
         ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+        ("--m", "0", "m must be a positive integer, got 0"),
+        ("--n", "-2", "n must be a positive integer, got -2"),
     ])
     def test_a_bad_flag_is_reported_before_the_files_are_read(
             self, tmp_path, capsys, flag, value, message):
@@ -348,7 +350,7 @@ def csv_bytes(matrix):
 class TestPerturbReplay:
     """``perturb`` output bytes equal a library release with the same seed."""
 
-    def replay(self, path, query, directions):
+    def replay(self, path, query, directions, order="C"):
         x, _ = load_csv_matrix(path)
         m, n = x.shape
         bounds = DataBounds(m, n, -1.0, 1.0)
@@ -371,7 +373,7 @@ class TestPerturbReplay:
                                      m, stream, bounds=bounds)
             p = PrivacyParams(p.epsilon * (1 - f), p.delta * (1 - f))
         else:
-            w = load_dense_csv(directions)
+            w = np.asarray(load_dense_csv(directions), order=order)
         theta = parse_theta_spec("binary:0.9:0,1", m)
         out = release(value, q, p, theta, w, stream).output
         return csv_bytes(out.T if query == "identity" else out)
@@ -391,6 +393,20 @@ class TestPerturbReplay:
                      "--seed", "5", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == self.replay(data, query, directions)
+
+    def test_a_fortran_ordered_basis_releases_the_bytes_of_the_file(self, tmp_path):
+        # 17 features: a size at which a product's last bits can follow
+        # the basis's memory order, not only its values
+        rng = np.random.default_rng(17)
+        data = write_dataset(tmp_path, rng.choice([-1.0, 1.0], size=(17, 200)))
+        basis = np.linalg.qr(rng.standard_normal((17, 17)))[0]
+        directions = write_matrix(tmp_path, basis, "w.csv")
+        out = tmp_path / "o.csv"
+        assert main(["perturb", "--input", data, "--query", "covariance",
+                     "--epsilon", "1", "--lo", "-1", "--hi", "1",
+                     "--theta", "binary:0.9:0,1", "--directions", directions,
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == self.replay(data, "covariance", directions, "F")
 
 
 class TestBenchCommand:
@@ -500,6 +516,16 @@ class TestBenchCommand:
         assert captured.out == b""
         assert captured.err.startswith(b"mvgdp: internal assertion failed: constructed "
                                        b"design violates the privacy condition")
+
+    def test_an_exact_delta_above_the_target_exits_4(self, tmp_path, sign_data,
+                                                     capfdbinary, monkeypatch):
+        mechanisms.release_spectrum.cache_clear()
+        monkeypatch.setattr(mechanisms, "exact_delta", lambda design, s2, eps: 1.0)
+        assert main(self.bench_args(write_dataset(tmp_path, sign_data))) == 4
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"mvgdp: internal assertion failed: constructed "
+                                       b"design's exact delta 1 exceeds the target delta")
 
     @pytest.mark.parametrize("value", [100.0, -np.inf])
     # regression trains on the first 144 of the 200 records

@@ -165,6 +165,28 @@ class TestDescendingEigh:
             assert got_vecs.tobytes() == want_vecs[:, order].tobytes()
 
 
+class TestBasisLayout:
+    """A dense basis is stored in C order, so a product's bits, and with them
+    a release's bytes, follow the basis values, not their memory order."""
+
+    @pytest.mark.parametrize("m", [17, 25, 32, 100])
+    def test_a_fortran_copy_of_a_basis_samples_the_same_bytes(self, m):
+        # sizes at which a Fortran-ordered factor gives other last bits
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal((2, m, m))
+        design = NoiseDesign.from_covariances(a @ a.T + m * np.eye(m),
+                                              b @ b.T + m * np.eye(m))
+        want = sample_mvg(RandomStream(m), design).tobytes()
+        for order in ("C", "F"):
+            w_s, w_p = (np.array(w, order=order) for w in (design.basis_sigma,
+                                                           design.basis_psi))
+            copy = design.with_bases(w_s, w_p)
+            # a C-ordered basis is stored as it is, any other as a C copy
+            assert copy.basis_sigma is w_s or order == "F"
+            assert copy.basis_sigma.flags.c_contiguous
+            assert sample_mvg(RandomStream(m), copy).tobytes() == want, order
+
+
 class TestWithBases:
     def test_checks_the_bases_and_shares_the_singular_values(self):
         lam = np.array([3.0, 2.0])
@@ -280,21 +302,24 @@ class TestSampleStandardMatrix:
 
 
 class TestColorNoise:
-    def test_a_unit_column_side_leaves_the_columns_as_drawn(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_unit_column_side_leaves_the_columns_as_drawn(self, order):
         rng = np.random.default_rng(9)
         w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         lam = rng.uniform(0.4, 1.2, 3)
         noise = rng.standard_normal((2, 3, 5))
         w_psi = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         for basis in (None, w):
-            design = NoiseDesign(basis, lam, None, np.ones(5))
+            given = None if basis is None else np.asarray(basis, order=order)
+            design = NoiseDesign(given, lam, None, np.ones(5))
             assert design.root_psi is None
             colored = design.color(noise.copy())
             expected = (noise * np.sqrt(lam)[:, np.newaxis] if basis is None
                         else (w * np.sqrt(lam)) @ noise)
             assert colored.tobytes() == expected.tobytes()
             # a basis on a unit side multiplies unscaled: W * sqrt(1.0) is W
-            rotated = design.with_bases(basis, w_psi).color(noise.copy())
+            rotated = design.with_bases(
+                given, np.asarray(w_psi, order=order)).color(noise.copy())
             assert rotated.tobytes() == (expected @ w_psi.T).tobytes()
 
     def test_a_standard_side_off_unit_is_scaled(self):
@@ -306,14 +331,16 @@ class TestColorNoise:
         expected = noise * np.sqrt(lam)[:, np.newaxis] * 2.0
         assert design.color(noise.copy()).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("standard", [False, True])
-    def test_one_side_for_both_gives_the_bits_of_two(self, standard):
+    def test_one_side_for_both_gives_the_bits_of_two(self, standard, order):
         # an equi-modal design colors with one factor computed once
         rng = np.random.default_rng(6)
         w = None if standard else np.linalg.qr(rng.standard_normal((4, 4)))[0]
         lam = rng.uniform(0.4, 1.2, 4)
         noise = rng.standard_normal((3, 4, 4))
-        shared = NoiseDesign(w, lam, w, lam)
+        given = None if standard else np.asarray(w, order=order)
+        shared = NoiseDesign(given, lam, given, lam)
         assert shared.root_psi is shared.root_sigma
         apart = NoiseDesign(w, lam, None if standard else w.copy(), lam.copy())
         assert apart.root_psi is not apart.root_sigma
@@ -359,17 +386,20 @@ class TestSampleMvg:
         raw = sample_standard_matrix(RandomStream(5), 2, 3)
         assert np.array_equal(z, 2.0 * raw)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("row_standard, column_standard",
                              [(True, False), (False, True), (True, True)])
     def test_standard_side_bit_identical_to_explicit_identity(
-            self, row_standard, column_standard):
+            self, row_standard, column_standard, order):
         rng = np.random.default_rng(31)
         m, n = 4, 7
         lam_s = rng.uniform(0.1, 9.0, m)
         lam_p = rng.uniform(0.1, 9.0, n)
         w_s = np.eye(m) if row_standard else np.linalg.qr(rng.standard_normal((m, m)))[0]
         w_p = np.eye(n) if column_standard else np.linalg.qr(rng.standard_normal((n, n)))[0]
-        explicit = NoiseDesign(w_s, lam_s, w_p, lam_p)
+        # the implicit design below holds the C-ordered dense sides
+        explicit = NoiseDesign(np.asarray(w_s, order=order), lam_s,
+                               np.asarray(w_p, order=order), lam_p)
         implicit = NoiseDesign(None if row_standard else w_s, lam_s,
                                None if column_standard else w_p, lam_p)
         for seed in (0, 12, 2 ** 40):

@@ -314,6 +314,19 @@ class TestEquimodal:
         assert lhs / rhs == pytest.approx(1.0, abs=1e-9)
         assert lhs == pytest.approx(result.budget.precision_budget, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [17, 25, 32, 100])
+    def test_a_fortran_copy_of_a_basis_releases_the_same_bytes(self, m):
+        # sizes at which a Fortran-ordered factor gives other last bits
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        w = NoiseDesign.from_covariances(a @ a.T + m * np.eye(m), np.eye(1)).basis_sigma
+        value, q = np.zeros((m, m)), unit_query(m, m)
+        theta = PrecisionAllocation.binary(m, 0.9, [0])
+        c_release, f_release = (
+            mvg_equimodal(value, q, self.p, theta, np.array(w, order=order),
+                          RandomStream(m)).output.tobytes() for order in ("C", "F"))
+        assert f_release == c_release
+
 
 class TestReleasePlan:
     """A plan draws a stack of trials; each equals its single release."""
@@ -325,10 +338,12 @@ class TestReleasePlan:
         self.theta = PrecisionAllocation(np.array([0.6, 0.3, 0.1]))
         self.streams = lambda: [RandomStream(40 + t) for t in range(5)]
 
-    def test_unimodal_stack_equals_single_releases(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_unimodal_stack_equals_single_releases(self, order):
         q = unit_query(3, 4)
         value = np.full((3, 4), 0.25)
-        plan = plan_unimodal(value, q, self.p, self.theta, self.w)
+        plan = plan_unimodal(value, q, self.p, self.theta,
+                             np.asarray(self.w, order=order))
         stack = plan.draw(self.streams())
         assert stack.shape == (5, 3, 4)
         for t, stream in enumerate(self.streams()):
@@ -336,10 +351,12 @@ class TestReleasePlan:
             assert np.array_equal(stack[t], single.output)
             assert single.budget == plan.budget
 
-    def test_equimodal_stack_equals_single_releases(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equimodal_stack_equals_single_releases(self, order):
         q = unit_query(3, 3)
         value = np.diag([0.5, 0.3, 0.1])
-        plan = plan_equimodal(value, q, self.p, self.theta, self.w)
+        plan = plan_equimodal(value, q, self.p, self.theta,
+                              np.asarray(self.w, order=order))
         assert plan.condition.holds
         assert plan.condition == check_condition(plan.design, q, self.p)
         stack = plan.draw(self.streams())
@@ -474,11 +491,12 @@ class TestIdentityBasis:
             assert standard.draw([RandomStream(seed)])[0].tobytes() == \
                 oracle.tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
     @pytest.mark.parametrize("near_miss", ["minus identity", "signed permutation",
                                            "tiny off-diagonal", "one ulp below 1"])
     def test_near_misses_are_checked_and_multiplied(
-            self, monkeypatch, plan_fn, release_fn, shape, near_miss):
+            self, monkeypatch, plan_fn, release_fn, shape, near_miss, order):
         value, q, theta = self.inputs(*shape)
         w = {"minus identity": -np.eye(q.m),
              "signed permutation": signed_permutation(q.m),
@@ -488,10 +506,14 @@ class TestIdentityBasis:
             w[0, 1] = 1e-300
         elif near_miss == "one ulp below 1":
             w[2, 2] = 1.0 - 2.0 ** -53
+        w = np.asarray(w, order=order)
         checks = self.count_gram_checks(monkeypatch)
         plan = plan_fn(value, q, self.P, theta, w)
         assert checks == ["w_sigma"]
-        assert plan.design.basis_sigma is w
+        # stored in C order: a C-ordered basis as it is, any other as a copy
+        stored = plan.design.basis_sigma
+        assert stored is w if order == "C" else (
+            stored.flags.c_contiguous and stored.tobytes() == w.tobytes())
         result = release_fn(value, q, self.P, theta, w, RandomStream(3))
         oracle = dense_release(value, result.design,
                                RandomStream(3).standard_normal(shape))
@@ -915,6 +937,28 @@ class TestReleaseSpectrumMemo:
                 plan_equimodal(value, q, self.P, theta, w)
         assert len(checks) == 2
         assert release_spectrum.cache_info().currsize == 0
+
+    def test_an_exact_delta_above_the_target_raises_every_time(self, monkeypatch):
+        value, q, theta, w = self.inputs(4, 4)
+        release_spectrum.cache_clear()
+        calls = []
+        delta = np.nextafter(self.P.delta, 1.0)
+
+        def planted(design, sensitivity, epsilon):
+            calls.append((design.lambda_sigma.tobytes(), sensitivity, epsilon))
+            return delta
+
+        monkeypatch.setattr(mechanisms, "exact_delta", planted)
+        for _ in range(2):
+            with pytest.raises(ConditionCheckError, match="exact delta"):
+                plan_equimodal(value, q, self.P, theta, w)
+        assert release_spectrum.cache_info().currsize == 0
+        # the target itself passes, and a warm key is not checked again
+        delta = self.P.delta
+        for _ in range(2):
+            plan = plan_equimodal(value, q, self.P, theta, w)
+        assert calls == [(plan.design.lambda_sigma.tobytes(), q.sensitivity,
+                          self.P.epsilon)] * 3
 
     @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
     def test_second_release_skips_budget_condition_and_lambda_checks(
