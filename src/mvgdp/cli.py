@@ -129,17 +129,17 @@ def _read_dataset(args, records: bool):
 
 def _cmd_perturb(args) -> int:
     _check_dataset_flags(args)
-    parse_directions_source(args.directions)
-    parse_theta_grammar(args.theta)
+    directions = parse_directions_source(args.directions)
+    allocation = parse_theta_grammar(args.theta)
     stream = RandomStream.from_entropy() if args.seed is None else RandomStream(args.seed)
     data, bounds, p = _read_dataset(args, records=args.query == "identity")
     if args.query == "identity":
-        value, data = clamp_records(data, bounds, args.directions)
+        value, data = clamp_records(data, bounds, directions)
         q, mechanism = identity_query(bounds), MechanismKind.MVG_UNIMODAL
     else:
         q, value = covariance_query(bounds), data.covariance
         mechanism = MechanismKind.MVG_EQUIMODAL
-    (plan,) = plan_releases(mechanism, q, value, p, [args.theta], args.directions,
+    (plan,) = plan_releases(mechanism, q, value, p, [allocation], directions,
                             direction_data=data)
     output = plan.draw([stream])[0]
     if args.query == "identity":
@@ -160,13 +160,10 @@ def _cmd_bench(args) -> int:
                           "with --favored or --tau")
     if args.tau is not None and args.favored is None:
         raise ConfigError("--tau sets the favored directions' share; it needs --favored")
-    if args.theta is not None:
-        theta_spec = args.theta
-    elif args.favored is not None:
+    theta_spec = "uniform" if args.theta is None else args.theta
+    if args.favored is not None:  # not with --theta, as checked above
         tau = 0.9 if args.tau is None else args.tau
         theta_spec = f"binary:{tau}:{args.favored}"
-    else:
-        theta_spec = "uniform"
     _check_dataset_flags(args)
     experiment, mechanism = Experiment(args.experiment), MechanismKind(args.mechanism)
     check_run_options(experiment, mechanism, theta_spec, args.directions,

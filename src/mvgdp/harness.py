@@ -61,7 +61,7 @@ import math
 import os
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +149,10 @@ class ExperimentConfig:
     seed: int = 0
     csv_has_header: bool = False
     ridge_reg: float = 1.0
+    # theta_spec and directions_source as check_run_options parses them
+    allocation: PrecisionAllocation | tuple | None = field(init=False, compare=False,
+                                                           repr=False)
+    directions: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, kinds in (("dataset_path", (str, os.PathLike)), ("bounds", (DataBounds,)),
@@ -157,18 +161,19 @@ class ExperimentConfig:
             if not isinstance(value, kinds):
                 names = " or ".join(kind.__name__ for kind in kinds)
                 raise ConfigError(f"{name} must be a {names}, got {value!r}")
-        check_run_options(self.experiment, self.mechanism, self.theta_spec,
-                          self.directions_source, self.trials, self.seed, self.ridge_reg)
-        # as Python ints, so seed + t cannot overflow a numpy integer
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        allocation, directions = check_run_options(
+            self.experiment, self.mechanism, self.theta_spec, self.directions_source,
+            self.trials, self.seed, self.ridge_reg)
+        # trials and seed as Python ints, so seed + t cannot overflow a numpy integer
+        self.__dict__.update(allocation=allocation, directions=directions,
+                             trials=int(self.trials), seed=int(self.seed))
 
 
 def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_spec: str,
-                      directions_source: str, trials, seed, ridge_reg) -> None:
+                      directions_source: str, trials, seed, ridge_reg) -> tuple:
     """Reject every option of a run that needs no dataset to check, as
-    :class:`ExperimentConfig` does on construction; the allocation's length
-    and indices wait for the dataset's m."""
+    :class:`ExperimentConfig` does on construction, and return the parsed
+    (allocation, directions); the allocation's checks against m wait for data."""
     if not isinstance(experiment, Experiment):
         raise ConfigError(f"unknown experiment {experiment!r}")
     if not isinstance(mechanism, MechanismKind):
@@ -187,7 +192,9 @@ def check_run_options(experiment: Experiment, mechanism: MechanismKind, theta_sp
             "the ablation experiment needs a binary allocation "
             f"(binary:TAU:I,J,...), got {theta_spec!r}"
         )
-    _mechanism_directions(mechanism, [theta_spec], directions_source)
+    directions = parse_directions_source(directions_source)
+    _check_baseline(mechanism, [allocation], directions, ([theta_spec], directions_source))
+    return allocation, directions
 
 
 # A line whose cells are all empty once stripped: nothing but whitespace,
@@ -250,6 +257,8 @@ class _GridBlocks:
         path = self.path
         if not path.exists():
             raise FormatError(f"{path}: file not found")
+        if path.is_dir():  # not is_file(), so a FIFO such as /dev/stdin reads
+            raise FormatError(f"{path}: is a directory, not a CSV file")
         # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
         with open(path, encoding="utf-8-sig") as handle:
             lines = _NonBlankLines(handle)
@@ -381,18 +390,19 @@ def parse_theta_grammar(spec: str):
 
 
 def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
-    """Parse an allocation descriptor (see :func:`parse_theta_grammar`) for
-    m directions, checking its length and indices against m."""
-    shares = parse_theta_grammar(spec)
-    if shares is None:
+    """Parse an allocation descriptor (:func:`parse_theta_grammar`) for m directions."""
+    return _allocation_for(parse_theta_grammar(spec), m)
+
+
+def _allocation_for(allocation, m: int) -> PrecisionAllocation:
+    """A parsed allocation for m directions, its length and indices checked."""
+    if allocation is None:
         return PrecisionAllocation.uniform(m)
-    if isinstance(shares, tuple):
-        return PrecisionAllocation.binary(m, *shares)
-    if len(shares) != m:
-        raise ConfigError(
-            f"allocation {spec!r} has {len(shares)} entries, expected {m}"
-        )
-    return shares
+    if isinstance(allocation, tuple):
+        return PrecisionAllocation.binary(m, *allocation)
+    if len(allocation) != m:
+        raise ConfigError(f"allocation has {len(allocation)} entries, expected {m}")
+    return allocation
 
 
 def parse_directions_source(source: str):
@@ -403,6 +413,8 @@ def parse_directions_source(source: str):
     to a dense CSV holding an orthonormal matrix.
     """
     text = str(source).strip()
+    if not text:
+        raise ConfigError("directions must not be blank")
     if text == "standard":
         return ("standard", None)
     if text.startswith("dp:"):
@@ -418,7 +430,7 @@ def parse_directions_source(source: str):
     return ("file", text)
 
 
-def clamp_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
+def clamp_records(x: np.ndarray, bounds: DataBounds, directions: tuple,
                   num_direction: int | None = None
                   ) -> tuple[np.ndarray, AuditedGram | None]:
     """A loaded dataset checked against its declared shape and clamped into
@@ -434,7 +446,7 @@ def clamp_records(x: np.ndarray, bounds: DataBounds, directions_source: str,
     x = as_real_array(x, "the records", DomainError)
     bounds.check_shape(x.shape)
     x = clamp(x, bounds.lo, bounds.hi)
-    if parse_directions_source(directions_source)[0] != "dp":
+    if directions[0] != "dp":
         return x, None
     return x, AuditedGram.of(x[:, :num_direction], bounds.lo, bounds.hi)
 
@@ -475,28 +487,23 @@ _MECHANISMS = {
 }
 
 
-def _mechanism_directions(mechanism: MechanismKind, theta_specs,
-                          directions_source: str):
-    """The parsed directions source, after rejecting the allocations and
-    directions an i.i.d. baseline would ignore."""
-    source = parse_directions_source(directions_source)
+def _check_baseline(mechanism: MechanismKind, allocations, directions: tuple,
+                    texts: tuple | None = None) -> None:
+    """Reject the parsed allocations and directions an i.i.d. baseline would
+    ignore; an error quotes ``texts``, (allocation texts, directions text), if given."""
     if _MECHANISMS[mechanism].mvg:
-        return source
-    if source[0] != "standard":
-        raise ConfigError(
-            f"directions {directions_source!r} apply only to MVG mechanisms"
-        )
-    for spec in theta_specs:
-        if spec.strip() != "uniform":
-            raise ConfigError(
-                f"allocation {spec!r} applies only to MVG mechanisms; the "
-                f"{mechanism.value} baseline adds i.i.d. noise"
-            )
-    return source
+        return
+    allocation_texts, directions_text = texts or (allocations, directions)
+    if directions[0] != "standard":
+        raise ConfigError(f"directions {directions_text!r} apply only to MVG mechanisms")
+    for allocation, text in zip(allocations, allocation_texts):
+        if allocation is not None:
+            raise ConfigError(f"allocation {text!r} applies only to MVG mechanisms; the "
+                              f"{mechanism.value} baseline adds i.i.d. noise")
 
 
 def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
-                  privacy: PrivacyParams, theta_specs, directions_source: str,
+                  privacy: PrivacyParams, allocations, directions: tuple,
                   direction_data: AuditedGram | None) -> list:
     """Plan one mechanism's releases of a query value, one plan per allocation.
 
@@ -514,18 +521,18 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
         q: the query spec; a baseline's noise scale comes from it alone.
         value: the query value released by every trial.
         privacy: the whole (epsilon, delta) budget of one release.
-        theta_specs: the allocations, as :func:`parse_theta_spec` reads
-            them; a baseline takes only ``uniform``.
-        directions_source: ``standard``, ``dp:F`` or a basis CSV path.
+        allocations: the allocations :func:`parse_theta_grammar` parsed;
+            a baseline takes only ``None``, uniform.
+        directions: the directions :func:`parse_directions_source` parsed.
         direction_data: the :class:`AuditedGram` of the records ``dp:F``
             directions are derived from, clamped into its own box, whose
             range sets the direction noise; None for other directions.
     """
     row = _MECHANISMS[mechanism]
-    source_tag, source_val = _mechanism_directions(mechanism, theta_specs,
-                                                   directions_source)
+    _check_baseline(mechanism, allocations, directions)
     if not row.mvg:
-        return [row.plan(value, q, privacy)] * len(theta_specs)
+        return [row.plan(value, q, privacy)] * len(allocations)
+    source_tag, source_val = directions
     if source_tag == "dp":
         p_directions = PrivacyParams(privacy.epsilon * source_val,
                                      privacy.delta * source_val)
@@ -536,8 +543,8 @@ def plan_releases(mechanism: MechanismKind, q: QuerySpec, value: np.ndarray,
         w = load_dense_csv(source_val)
     else:
         w = None  # the design's standard side
-    return [row.plan(value, q, privacy, parse_theta_spec(spec, q.m), w)
-            for spec in theta_specs]
+    return [row.plan(value, q, privacy, _allocation_for(allocation, q.m), w)
+            for allocation in allocations]
 
 
 def _trial_streams(cfg: ExperimentConfig):
@@ -558,13 +565,13 @@ def _trial_streams(cfg: ExperimentConfig):
 
 
 def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
-              direction_data, arms: list[tuple[str, str]], score) -> list[EvalReport]:
-    """One report per arm, a (metric name, allocation spec) pair, over
+              direction_data, arms: list[tuple], score) -> list[EvalReport]:
+    """One report per arm, a (metric name, parsed allocation) pair, over
     ``cfg.trials`` releases of ``value``: each chunk's noise is drawn once,
     every arm but the last colors a copy of it, and the last takes it over.
     ``score`` maps a chunk's (T, m, n) stack of releases to its T values."""
     plans = plan_releases(cfg.mechanism, q, value, cfg.privacy,
-                          [spec for _, spec in arms], cfg.directions_source,
+                          [allocation for _, allocation in arms], cfg.directions,
                           direction_data)
     per_chunk = trials_per_chunk(q.m, q.n)
     streams = _trial_streams(cfg)
@@ -581,7 +588,7 @@ def _run_arms(cfg: ExperimentConfig, q: QuerySpec, value: np.ndarray,
 
 def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     n_train = int(round(_TRAIN_FRACTION * cfg.bounds.num_samples))
-    x, train_gram = clamp_records(x, cfg.bounds, cfg.directions_source, n_train)
+    x, train_gram = clamp_records(x, cfg.bounds, cfg.directions, n_train)
     num_rows, num_records = x.shape
     if num_rows < 2:
         raise ConfigError(
@@ -596,15 +603,15 @@ def _run_regression(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
     train_bounds = DataBounds(num_rows, n_train, cfg.bounds.lo, cfg.bounds.hi)
     return _run_arms(
         cfg, identity_query(train_bounds), train, train_gram,
-        [("RMSE", cfg.theta_spec)],
+        [("RMSE", cfg.allocation)],
         lambda stack: [ridge_regression_rmse((noisy[:-1], noisy[-1]),
                                              (test[:-1], test[-1]), cfg.ridge_reg)
                        for noisy in stack])[0]
 
 
 def _run_firstpc(cfg: ExperimentConfig, gram: AuditedGram,
-                 arms: list[tuple[str, str]]) -> list[EvalReport]:
-    """One report per arm, a (metric name, allocation spec) pair, each
+                 arms: list[tuple]) -> list[EvalReport]:
+    """One report per arm, a (metric name, parsed allocation) pair, each
     scoring the top direction of every release by its captured-variance gap."""
     s_bar = gram.covariance
     gap = DeltaRho(s_bar)
@@ -622,25 +629,24 @@ def _top_directions(noisy: np.ndarray) -> np.ndarray:
 
 
 def _run_covest(cfg: ExperimentConfig, x: np.ndarray) -> EvalReport:
-    x, gram = clamp_records(x, cfg.bounds, cfg.directions_source)
+    x, gram = clamp_records(x, cfg.bounds, cfg.directions)
     if gram is None:  # the Gram matrix is the reference covariance too
         gram = AuditedGram.of(x, cfg.bounds.lo, cfg.bounds.hi)
     num_records = x.shape[1]
     s_bar = gram.covariance
     return _run_arms(
-        cfg, identity_query(cfg.bounds), x, gram, [("RSS", cfg.theta_spec)],
+        cfg, identity_query(cfg.bounds), x, gram, [("RSS", cfg.allocation)],
         lambda stack: [rss(noisy @ noisy.T / num_records, s_bar) for noisy in stack])[0]
 
 
-def _ablation_arms(theta_spec: str, m: int) -> list[tuple[str, str]]:
-    """The ablation's three arms, as (metric name, allocation spec) pairs:
+def _ablation_arms(allocation: tuple, m: int) -> list[tuple]:
+    """The ablation's three arms, as (metric name, parsed allocation) pairs:
     the binary allocation's favored set, its complement, and uniform."""
-    tau, favored = parse_theta_grammar(theta_spec)
+    tau, favored = allocation
     complement = [i for i in range(m) if i not in favored]
-    return [(f"delta_rho[{role}={'+'.join(map(str, indices))}]",
-             f"binary:{tau}:{','.join(map(str, indices))}")
+    return [(f"delta_rho[{role}={'+'.join(map(str, indices))}]", (tau, indices))
             for role, indices in (("favored", favored), ("complement", complement))
-            ] + [("delta_rho[uniform]", "uniform")]
+            ] + [("delta_rho[uniform]", None)]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -664,8 +670,8 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.experiment in GRAM_EXPERIMENTS:
         gram = _audited_gram(cfg, data)
         if cfg.experiment is Experiment.FIRST_PC:
-            return _run_firstpc(cfg, gram, [("delta_rho", cfg.theta_spec)])[0]
-        return _run_firstpc(cfg, gram, _ablation_arms(cfg.theta_spec,
+            return _run_firstpc(cfg, gram, [("delta_rho", cfg.allocation)])[0]
+        return _run_firstpc(cfg, gram, _ablation_arms(cfg.allocation,
                                                       cfg.bounds.num_features))
     if isinstance(data, AuditedGram):
         raise ConfigError(

@@ -58,12 +58,14 @@ def mean_ci95(values, metric_name: str) -> EvalReport:
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` checked square and symmetric, in C order: a product's bits
+    follow its operands' memory order, so a metric's follow only values."""
     mat = as_real_array(a, name, DomainError, ndim=2)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {mat.shape}")
     if fault := symmetry_fault(mat, name):
         raise ContractViolationError(fault)
-    return mat
+    return np.ascontiguousarray(mat)
 
 
 def _captured(vs: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -154,6 +156,9 @@ def ridge_regression_rmse(train: tuple, test: tuple, reg: float) -> float:
     y_train = as_real_array(y_train, "the train targets", DomainError, ndim=1)
     x_test = as_real_array(x_test, "the test features", DomainError, ndim=2)
     y_test = as_real_array(y_test, "the test targets", DomainError, ndim=1)
+    # in C order, as _check_symmetric's matrix, so the RMSE's bits follow values
+    x_train, y_train, x_test, y_test = (np.ascontiguousarray(a) for a in
+                                        (x_train, y_train, x_test, y_test))
     if x_train.shape[1] != y_train.size:
         raise ShapeError(
             f"train has {x_train.shape[1]} columns but {y_train.size} targets"

@@ -9,10 +9,11 @@ Run from anywhere, with the tier-1 requirements installed:
 ``--only`` takes one or more target functions; tier-1 runs once unmutated
 as the baseline, however many are named. pytest does not collect this file
 (its name has no ``test_`` prefix), and CI runs it in one step with
-``--only`` and seven functions: ``budget.exact_delta``,
+``--only`` and eight functions: ``budget.exact_delta``,
 ``mechanisms.release_spectrum``, ``design.NoiseDesign.color``,
 ``mechanisms._IidPlan.color``, ``design.descending_eigh``,
-``errors.positive_fault`` and ``harness._trial_streams``. It copies
+``errors.positive_fault``, ``harness._trial_streams`` and
+``harness.plan_releases``. It copies
 ``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
 into a temporary directory and never writes to the checkout.
 
@@ -52,9 +53,9 @@ NOT_RUN = ("test_mutation_probe.py",)
 # a mutant that hangs counts as killed once this many seconds pass
 MUTANT_TIMEOUT_S = 300
 
-# module -> the functions whose privacy arithmetic, noise coloring,
-# positivity test, trial seeding, utility metrics or record clamping is
-# mutated, methods as "Class.method"
+# module -> the functions whose privacy arithmetic, budget split, noise
+# coloring, positivity test, trial seeding, utility metrics or record
+# clamping is mutated, methods as "Class.method"
 TARGETS = {
     "budget": ["QuerySpec.__post_init__", "harmonic_numbers", "zeta", "phi_bound",
                "check_condition", "exact_delta", "budget_terms", "_report"],
@@ -70,8 +71,8 @@ TARGETS = {
     "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "check_orthonormal",
                "_is_identity", "descending_eigh"],
     "errors": ["positive_fault"],
-    "harness": ["_trial_streams", "_run_regression", "_top_directions", "_run_arms",
-                "_ablation_arms", "_run_covest", "format_significant"],
+    "harness": ["_trial_streams", "plan_releases", "_run_regression", "_top_directions",
+                "_run_arms", "_ablation_arms", "_run_covest", "format_significant"],
     "metrics": ["mean_ci95", "_captured", "DeltaRho.__init__", "DeltaRho.__call__",
                 "rss", "ridge_regression_rmse"],
     "sampling": ["seed_state_words", "_hash", "_mix", "_hash_consts"],

@@ -274,8 +274,8 @@ class TestPerturbCommand:
         bounds = DataBounds(3, 500, -1.0, 1.0)
         (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
                                         covariance_query(bounds), np.zeros((3, 3)),
-                                        PrivacyParams(1.0, 1 / 500), ["uniform"],
-                                        "standard", None)
+                                        PrivacyParams(1.0, 1 / 500), [None],
+                                        ("standard", None), None)
         noise = plan.draw([RandomStream(0)])[0]
         recovered = self.unseeded_covariance_release(tmp_path, x, "cov") - noise
         # the noise sd is about 5 here, so a recovery would be within 1e-12
@@ -561,6 +561,7 @@ class TestBenchCommand:
         ("--delta=0", "delta must lie in the open interval"),
         ("--directions=dp:half", "could not parse direction budget"),
         ("--directions=dp:1.5", "direction budget fraction must lie in (0, 1)"),
+        ("--directions=", "directions must not be blank"),
         ("--lo=2", "lo must be less than hi"),
     ])
     def test_a_bad_flag_is_reported_before_the_input_is_read(
@@ -879,6 +880,26 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfdbinary, command):
     assert code == 2
     captured = capfdbinary.readouterr()
     assert captured.err.decode() == f"mvgdp: error: {path}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("run, most", [("ablation", 2), ("firstpc", 2), ("covest", 2),
+                                       ("perturb", 1), ("perturb-identity", 1)])
+def test_a_run_parses_its_allocation_and_directions_once(tmp_path, capfdbinary,
+                                                         monkeypatch, sign_data, run, most):
+    # bench parses in its early check and in ExperimentConfig, perturb once
+    # before it reads --input; nothing below them reads option text
+    calls = {"parse_theta_grammar": 0, "parse_directions_source": 0}
+    for name in calls:
+        def counted(text, name=name, original=getattr(harness, name)):
+            calls[name] += 1
+            return original(text)
+
+        for module in (harness, cli):
+            monkeypatch.setattr(module, name, counted)
+    code, _, err = run_on_dataset(tmp_path, capfdbinary, run, sign_data)
+    assert code == 0, err
+    assert 1 <= calls["parse_theta_grammar"] <= most, calls
+    assert 1 <= calls["parse_directions_source"] <= most, calls
 
 
 def test_the_mechanism_table_has_one_row_per_bench_choice():

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -87,6 +89,30 @@ class TestLoadCsvMatrix:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="not found"):
             load_csv_matrix(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("read", [load_csv_matrix, load_dense_csv,
+                                      lambda path: read_csv_gram(path, 0.0, 1.0)],
+                             ids=["records", "dense", "gram"])
+    def test_a_directory_is_a_format_error(self, tmp_path, read):
+        message = f"^{re.escape(str(tmp_path))}: is a directory"
+        with pytest.raises(FormatError, match=message):
+            read(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_is_read(self, tmp_path):
+        # a pipe is not a regular file, and --input /dev/stdin reads one
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("1,2\n3,4\n",))
+        writer.start()
+        try:
+            matrix, _ = load_csv_matrix(path)
+        finally:
+            if writer.is_alive():  # the read failed before it opened the pipe
+                path.open().close()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(matrix, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "d.csv", "1,2\n\n3,4\n")
@@ -911,7 +937,7 @@ class TestRunExperiment:
         with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
             run_experiment(cfg, data=data)
         with pytest.raises(ShapeError, match="bounds declare 3x17 but the data is 3x400$"):
-            harness.clamp_records(x, cfg.bounds, "standard")
+            harness.clamp_records(x, cfg.bounds, ("standard", None))
 
     def test_equimodal_on_rectangular_query_rejected(self, tmp_path):
         path, x = regression_dataset(tmp_path)
@@ -986,8 +1012,9 @@ class TestRunExperiment:
          "directions 'dp:0.2' apply only to MVG"),
         (dict(experiment=Experiment.DIRECTION_ABLATION),
          "needs a binary allocation (binary:TAU:I,J,...), got 'uniform'"),
+        (dict(directions_source="  "), "directions must not be blank"),
     ], ids=["allocation", "directions", "baseline-allocation", "baseline-directions",
-            "ablation"])
+            "ablation", "blank-directions"])
     def test_config_rejects_an_option_before_any_read(self, tmp_path, options, message):
         # the dataset does not exist, so only a check at construction passes
         fields = dict(experiment=Experiment.FIRST_PC,
@@ -1003,6 +1030,20 @@ class TestRunExperiment:
                           MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC)
         with pytest.raises(ConfigError, match="could not parse allocation 'bogus'"):
             dataclasses.replace(cfg, theta_spec="bogus")
+
+    def test_the_parsed_options_are_kept_but_are_not_fields_of_the_run(self, tmp_path):
+        cfg = base_config(tmp_path / "missing.csv", DataBounds(3, 400, -1.0, 1.0),
+                          MechanismKind.MVG_EQUIMODAL, Experiment.FIRST_PC,
+                          theta_spec="binary:0.9:2,0", directions_source=" dp:0.2 ")
+        assert (cfg.allocation, cfg.directions) == ((0.9, [0, 2]), ("dp", 0.2))
+        assert [f.name for f in dataclasses.fields(cfg) if f.init] == [
+            "experiment", "dataset_path", "bounds", "privacy", "mechanism", "theta_spec",
+            "directions_source", "trials", "seed", "csv_has_header", "ridge_reg"]
+        assert "allocation=" not in repr(cfg) and "directions=" not in repr(cfg)
+        replaced = dataclasses.replace(cfg, theta_spec="uniform")
+        assert (replaced.allocation, replaced.directions) == (None, ("dp", 0.2))
+        # a binary allocation holds a list, so hashing it would raise
+        assert hash(cfg) == hash(dataclasses.replace(cfg))
 
 
 @pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda kind: kind.value)
@@ -1027,7 +1068,7 @@ def test_every_mechanism_rejects_a_wrong_shaped_value(kind):
     with pytest.raises(ShapeError, match=message):
         library()
     with pytest.raises(ShapeError, match=message):
-        harness.plan_releases(kind, q, bad, p, ["uniform"], "standard", None)
+        harness.plan_releases(kind, q, bad, p, [None], ("standard", None), None)
 
 
 def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
@@ -1038,10 +1079,10 @@ def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
     custom = QuerySpec(3, 3, sensitivity=5.0, gamma=100.0, kind=QueryKind.CUSTOM)
     with pytest.raises(ConfigError, match="got a custom query"):
         harness.plan_releases(MechanismKind.LAPLACE_IID, custom, np.zeros((3, 3)), p,
-                              ["uniform"], "standard", None)
+                              [None], ("standard", None), None)
     (plan,) = harness.plan_releases(MechanismKind.LAPLACE_IID,
                                     harness.covariance_query(bounds), np.zeros((3, 3)),
-                                    p, ["uniform"], "standard", None)
+                                    p, [None], ("standard", None), None)
     assert plan.scale == covariance_sensitivity_l1(bounds) == 0.18
 
 
@@ -1049,18 +1090,18 @@ def test_laplace_rejects_a_query_of_unknown_l1_sensitivity():
 def test_plan_releases_rejects_a_baseline_allocation(kind):
     # a direct caller has no config, so the planner keeps the baseline rule
     bounds = DataBounds(3, 100, -1.0, 1.0)
-    with pytest.raises(ConfigError, match="allocation 'binary:0.9:0' applies only"):
+    with pytest.raises(ConfigError, match=re.escape("allocation (0.9, [0]) applies only")):
         harness.plan_releases(kind, harness.covariance_query(bounds), np.eye(3) / 4,
-                              PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                              "standard", None)
+                              PrivacyParams(1.0, 0.01), [(0.9, [0])],
+                              ("standard", None), None)
 
 
 def test_standard_directions_plan_the_standard_side():
     bounds = DataBounds(3, 100, -1.0, 1.0)
     (plan,) = harness.plan_releases(MechanismKind.MVG_EQUIMODAL,
                                     harness.covariance_query(bounds), np.eye(3) / 4,
-                                    PrivacyParams(1.0, 0.01), ["binary:0.9:0"],
-                                    "standard", None)
+                                    PrivacyParams(1.0, 0.01), [(0.9, [0])],
+                                    ("standard", None), None)
     assert plan.design.basis_sigma is None
     assert plan.design.basis_psi is None
 
@@ -1073,7 +1114,7 @@ def test_arms_with_one_allocation_report_alike(tmp_path, kind):
     bounds = DataBounds(3, data.shape[1], -1.0, 1.0)
     cfg = base_config(path, bounds, kind, Experiment.FIRST_PC)
     gram = read_csv_gram(path, -1.0, 1.0)
-    first, second = harness._run_firstpc(cfg, gram, [("delta_rho", "uniform")] * 2)
+    first, second = harness._run_firstpc(cfg, gram, [("delta_rho", None)] * 2)
     assert first == second == run_experiment(cfg)
 
 

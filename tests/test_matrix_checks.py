@@ -343,7 +343,8 @@ ARRAY_SITES = [
      lambda v: derive_directions_dp(v, PrivacyParams(0.5, 0.05), 1, RandomStream(0),
                                     bounds=DataBounds(2, 2, -2.0, 2.0)), "the records", 2),
     ("AuditedGram.of", lambda v: AuditedGram.of(v, -2.0, 2.0), "the records", 2),
-    ("clamp_records", lambda v: clamp_records(v, DataBounds(2, 2, -2.0, 2.0), "standard"),
+    ("clamp_records",
+     lambda v: clamp_records(v, DataBounds(2, 2, -2.0, 2.0), ("standard", None)),
      "the records", 2),
     ("run_experiment firstpc",
      lambda v: run_experiment(records_config(Experiment.FIRST_PC), data=v), "the records", 2),

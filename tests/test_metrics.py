@@ -241,6 +241,44 @@ class TestRidgeRegression:
                 ridge_regression_rmse(train, test, reg=1.0)
 
 
+class TestMemoryOrder:
+    """A Fortran-ordered copy of a metric's matrix inputs gives the bits of
+    the C-ordered original: a report's bytes follow values, not layout."""
+
+    SIZES = [*range(2, 40), 64, 100, 130]
+
+    @staticmethod
+    def inputs(m):
+        rng = np.random.default_rng(m)
+        s_bar = random_psd(rng, m)
+        noise = rng.standard_normal((m, m))
+        return rng, s_bar, s_bar + (noise + noise.T) / 10.0
+
+    def test_delta_rho(self):
+        for m in self.SIZES:
+            rng, s_bar, _ = self.inputs(m)
+            vs = rng.standard_normal((4, m))
+            vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+            assert (DeltaRho(np.asfortranarray(s_bar))(vs).tobytes()
+                    == DeltaRho(s_bar)(vs).tobytes()), m
+
+    def test_rss(self):
+        for m in self.SIZES:
+            _, s_bar, s_tilde = self.inputs(m)
+            fortran = rss(np.asfortranarray(s_tilde), np.asfortranarray(s_bar))
+            assert fortran == rss(s_tilde, s_bar), m
+
+    def test_ridge_regression_rmse(self):
+        for m in self.SIZES:
+            rng = self.inputs(m)[0]
+            x_train, y_train = rng.standard_normal((m, 3 * m)), rng.standard_normal(3 * m)
+            x_test, y_test = rng.standard_normal((m, 2 * m)), rng.standard_normal(2 * m)
+            fortran = ridge_regression_rmse((np.asfortranarray(x_train), y_train),
+                                            (np.asfortranarray(x_test), y_test), 1.0)
+            assert fortran == ridge_regression_rmse((x_train, y_train),
+                                                    (x_test, y_test), 1.0), m
+
+
 class TestEvalReport:
     def test_ci_against_brute_force(self):
         rng = np.random.default_rng(9)
