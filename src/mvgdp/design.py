@@ -124,10 +124,10 @@ class NoiseDesign:
         basis_psi: n x n orthonormal basis of column-noise directions, or
             ``None`` as for ``basis_sigma``.
         lambda_psi: length-n positive singular values of the column covariance.
-        root_sigma, root_psi: each side's ``sqrt(lambda)``, computed once
-            when the design is built. ``root_psi`` is ``root_sigma`` when
-            ``lambda_psi`` is ``lambda_sigma``, and ``None`` when every entry
-            of ``lambda_psi`` is exactly 1.0, as on a unimodal column side.
+        root_sigma, root_psi: each side's read-only ``sqrt(lambda)``,
+            computed once when the design is built; ``root_psi`` is ``None``
+            when every entry of ``lambda_psi`` is exactly 1.0, as on a
+            unimodal column side.
 
     The privacy condition reads the singular values and :meth:`color`
     colors with ``basis * sqrt(lambda)`` per side. A side's covariance is
@@ -144,21 +144,15 @@ class NoiseDesign:
 
     def __post_init__(self):
         lam_s = as_real_array(self.lambda_sigma, "lambda_sigma", DomainError, ndim=1)
-        if self.lambda_psi is self.lambda_sigma:
-            # one object on both sides stays one, so both share one root
-            lam_p = lam_s
-        else:
-            lam_p = as_real_array(self.lambda_psi, "lambda_psi", DomainError, ndim=1)
+        lam_p = as_real_array(self.lambda_psi, "lambda_psi", DomainError, ndim=1)
         basis_s, basis_p = _check_bases(self.basis_sigma, lam_s, self.basis_psi, lam_p)
         if fault := positive_fault(lam_s, "lambda_sigma"):
             raise DegenerateDesignError(fault)
         root_s = np.sqrt(lam_s)
-        # read-only like a cached design's lambda, which it is shared with; a
-        # cached design's root_psi is this array or None
+        # read-only like a cached design's lambda, since a design made with
+        # with_bases shares both with the design it is made from
         root_s.flags.writeable = False
-        if lam_p is lam_s:
-            root_p = root_s
-        elif (lam_p == 1.0).all():
+        if (lam_p == 1.0).all():
             # sqrt(1.0) is exactly 1.0, so leaving the side as drawn gives
             # the bits of scaling or multiplying by it
             root_p = None
@@ -166,6 +160,7 @@ class NoiseDesign:
             if fault := positive_fault(lam_p, "lambda_psi"):
                 raise DegenerateDesignError(fault)
             root_p = np.sqrt(lam_p)
+            root_p.flags.writeable = False
         # a frozen dataclass's fields, in one write instead of one per field
         vars(self).update(basis_sigma=basis_s, lambda_sigma=lam_s, basis_psi=basis_p,
                           lambda_psi=lam_p, root_sigma=root_s, root_psi=root_p)
@@ -198,10 +193,9 @@ class NoiseDesign:
         bases, checked orthonormal, is given in its place; each matrix
         gets the bits of its own product. A side without a basis is scaled
         in place, so the caller hands over the array, and a column side
-        without a root is left as drawn. One basis and root on both sides,
-        as in an equi-modal design, forms the factor ``basis * root`` once.
-        With standard rows the coloring costs O(mn) time and writes only
-        into ``noise``; a dense row basis adds O(m^2 n) time and an array.
+        without a root is left as drawn. With standard rows the coloring
+        costs O(mn) time and writes only into ``noise``; a dense row basis
+        adds O(m^2 n) time and an array.
         """
         basis_sigma = self.basis_sigma if basis_sigma is None else basis_sigma
         basis_psi = self.basis_psi if basis_psi is None else basis_psi
@@ -209,18 +203,12 @@ class NoiseDesign:
         if basis_sigma is None:
             noise *= root_sigma[:, np.newaxis]
         else:
-            factor_sigma = basis_sigma * root_sigma
-            noise = factor_sigma @ noise
+            noise = (basis_sigma * root_sigma) @ noise
         if basis_psi is None:
             if root_psi is not None:
                 noise *= root_psi
             return noise
-        if root_psi is None:
-            factor_psi = basis_psi
-        elif basis_psi is basis_sigma and root_psi is root_sigma:
-            factor_psi = factor_sigma
-        else:
-            factor_psi = basis_psi * root_psi
+        factor_psi = basis_psi if root_psi is None else basis_psi * root_psi
         return noise @ np.swapaxes(factor_psi, -1, -2)
 
     @property

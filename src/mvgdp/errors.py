@@ -66,15 +66,26 @@ def as_real(value, name: str, error: type, positive: bool = False) -> float:
 _FLOAT64 = np.dtype(float)  # numpy's one instance of native float64
 
 
+def as_array(value, name: str) -> np.ndarray:
+    """``np.asarray(value)``, except that a ragged sequence, which numpy
+    refuses with a bare ValueError, raises ShapeError naming ``name``."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise ShapeError(f"{name} must be a regular array, got a ragged "
+                         "sequence") from None
+
+
 def as_real_array(value, name: str, error: type, ndim: int | None = None) -> np.ndarray:
     """``value`` as a float64 array, if its dtype is an integer or a float
     one; otherwise raise ``error`` naming ``name`` and the dtype. A bool,
     complex, string or object array is refused, not cast: a cast would drop
-    an imaginary part or parse text as numbers. An array whose rank is not
-    ``ndim``, if given, or that holds no entry raises ShapeError naming
-    ``name`` and its shape: no caller takes an empty array. A native float64
-    array of that rank is returned as it is."""
-    array = np.asarray(value)
+    an imaginary part or parse text as numbers. A ragged sequence raises
+    ShapeError naming ``name`` (:func:`as_array`), and so does an array
+    whose rank is not ``ndim``, if given, or that holds no entry, naming its
+    shape too: no caller takes an empty array. A native float64 array of
+    that rank is returned as it is."""
+    array = as_array(value, name)
     dtype = array.dtype
     if dtype is not _FLOAT64:
         if dtype.kind not in "iuf":

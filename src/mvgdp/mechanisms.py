@@ -57,6 +57,7 @@ from .errors import (
     ContractViolationError,
     DomainError,
     ShapeError,
+    as_array,
     as_count,
     as_real,
     as_real_array,
@@ -79,9 +80,10 @@ THETA_FLOOR = 1e-6
 GAMMA_RTOL = 1e-9
 
 # Entries of the largest stack a batched draw builds: 4096 float64, 32 KiB
-# per temporary, well under glibc malloc's 128 KiB mmap threshold. Larger
-# chunks raised a long dp-directions run's peak RSS in an earlier version;
-# this size keeps a run's working memory to a few hundred KiB.
+# per temporary, so a run's working memory does not grow with its trials.
+# The tests hold a 250-trial dp-directions run's tracemalloc peak to
+# 256 KiB, where one stack of all its trials would take 500 KiB per
+# temporary.
 CHUNK_ENTRIES = 4096
 
 
@@ -267,8 +269,9 @@ class ReleasePlan(_TwoStepPlan):
             ``None`` and only its singular values are used; each trial
             draws its own row basis (and column basis, if equi-modal).
         condition: the privacy condition's check of the design.
-        directions: the private direction derivation the trials draw from,
-            or ``None`` when the bases are fixed.
+        directions: the data's covariance plan from
+            :func:`plan_directions_dp`, whose releases' eigenbases the
+            trials draw, or ``None`` when the bases are fixed.
     """
 
     value: np.ndarray
@@ -276,7 +279,7 @@ class ReleasePlan(_TwoStepPlan):
     budget: BudgetReport
     design: NoiseDesign
     condition: ConditionCheck
-    directions: DirectionsPlan | None = None
+    directions: GaussianPlan | None = None
 
     def draw_noise(self, streams) -> tuple[np.ndarray, np.ndarray | None]:
         """Trial t's draws from ``streams[t]``, in the order a single release
@@ -286,18 +289,24 @@ class ReleasePlan(_TwoStepPlan):
         Returns the (T, m, n) standard-normal stack and, when the directions
         are drawn, the (T, m, m) stack of each trial's row basis (checked
         orthonormal), else ``None``. Every plan over the same query and
-        :class:`DirectionsPlan` draws the same, so plans that differ only in
-        their allocation can color one draw each.
+        directions plan draws the same, so plans that differ only in their
+        allocation can color one draw each.
         """
         m, n = self.query.m, self.query.n
         if self.directions is None:
             (noise,) = standard_normal_stacks(streams, [(m, n)])
             return noise, None
         direction_noise, noise = standard_normal_stacks(streams, [(m, m), (m, n)])
-        bases = self.directions.bases(direction_noise)
+        bases = self.direction_bases(direction_noise)
         del direction_noise
         check_orthonormal(bases, "w_sigma")
         return noise, bases
+
+    def direction_bases(self, noise: np.ndarray) -> np.ndarray:
+        """The eigenbases, by descending eigenvalue, of the covariance
+        releases for a (T, M, M) stack of standard normals, which it scales
+        in place."""
+        return descending_eigh(self.directions.color(noise))[1]
 
     def color(self, noise: np.ndarray, bases: np.ndarray | None) -> np.ndarray:
         """The releases for a :meth:`draw_noise` result: the noise colored
@@ -371,12 +380,13 @@ def release_spectrum(q: QuerySpec, p: PrivacyParams, theta: PrecisionAllocation,
 def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
           theta: PrecisionAllocation, mode: BudgetMode, w_sigma) -> ReleasePlan:
     directions = None
-    if isinstance(w_sigma, DirectionsPlan):
+    if isinstance(w_sigma, GaussianPlan):
         directions, w_sigma = w_sigma, None
-        if (shape := directions.release.value.shape) != (q.m, q.m):
+        if (shape := directions.value.shape) != (q.m, q.m):
             raise ShapeError(f"directions are drawn for {shape[0]} features but "
                              f"the query has {q.m} rows")
-    elif w_sigma is not None and (shape := np.shape(w_sigma)) != (q.m, q.m):
+    elif w_sigma is not None and (
+            shape := as_array(w_sigma, "w_sigma").shape) != (q.m, q.m):
         raise ShapeError(f"w_sigma has shape {shape} but the query has {q.m} rows")
     report, design, condition = release_spectrum(q, p, theta, mode)
     if w_sigma is not None:
@@ -395,8 +405,8 @@ def plan_unimodal(query_value, q: QuerySpec, p: PrivacyParams,
     """Plan row-directional, column-i.i.d. releases of one query value.
 
     Takes :func:`mvg_unimodal`'s arguments except the stream. ``w_sigma``
-    may also be a :class:`DirectionsPlan`, from which each trial draws its
-    own row basis.
+    may also be a directions plan from :func:`plan_directions_dp`, from
+    which each trial draws its own row basis.
     """
     value = _validate_query_value(query_value, q)
     return _plan(value, q, p, theta, BudgetMode.UNIMODAL, w_sigma)
@@ -408,8 +418,8 @@ def plan_equimodal(query_value, q: QuerySpec, p: PrivacyParams,
     column directional noise.
 
     Takes :func:`mvg_equimodal`'s arguments except the stream. ``w_sigma``
-    may also be a :class:`DirectionsPlan`, from which each trial draws its
-    own basis for both sides.
+    may also be a directions plan from :func:`plan_directions_dp`, from
+    which each trial draws its own basis for both sides.
     """
     value = _validate_query_value(query_value, q)
     # the budget raises ShapeError for a query that is not square
@@ -426,8 +436,8 @@ def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
     if plan.directions is not None:
         # the result's design could not name the basis the draw used
         raise ConfigError(
-            "a single release takes a fixed w_sigma, not a DirectionsPlan: draw "
-            "one with derive_directions_dp, or draw per trial from "
+            "a single release takes a fixed w_sigma, not a directions plan: "
+            "draw one with derive_directions_dp, or draw per trial from "
             "plan_unimodal/plan_equimodal"
         )
     result = object.__new__(PerturbResult)  # as _plan builds its plan
@@ -586,56 +596,24 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
     return plan_laplace(query_value, q, epsilon).draw([stream])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DirectionsPlan:
-    """The fixed part of a private direction derivation: ``release``, the
-    :class:`GaussianPlan` of the data's sample covariance, whose draws'
-    eigenbases are the directions. Built by :func:`plan_directions_dp` from
-    the records' :class:`AuditedGram`, so the data is clamped and its
-    covariance computed once however many releases draw from it.
-    """
-
-    release: GaussianPlan
-
-    def __post_init__(self):
-        if not isinstance(self.release, GaussianPlan):
-            raise TypeError("DirectionsPlan takes the covariance's GaussianPlan, "
-                            f"got {type(self.release).__name__}")
-
-    def draw(self, stream: RandomStream) -> np.ndarray:
-        """Release the covariance and eigendecompose it.
-
-        Returns the full M x M orthonormal eigenbasis sorted by descending
-        eigenvalue. Consumes exactly M*M normal draws from ``stream``.
-        """
-        return descending_eigh(self.release.draw([stream]))[1][0]
-
-    def bases(self, noise: np.ndarray) -> np.ndarray:
-        """The eigenbases for a stack (T, M, M) of standard-normal draws.
-
-        Scales ``noise`` in place, so the caller hands over the array; each
-        basis has the bits :meth:`draw` gives for its draw.
-        """
-        return descending_eigh(self.release.color(noise))[1]
-
-
-def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> DirectionsPlan:
-    """Fix what every private derivation from one dataset shares.
+def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> GaussianPlan:
+    """The directions plan: the Gaussian baseline's plan of the data's
+    covariance X X^T / N, whose releases' eigenbases are the directions.
 
     ``gram`` is the records' :class:`AuditedGram`, built by the clamp, so
     nothing is clamped or multiplied again: the covariance query over its
     own ``bounds`` gives the sensitivity, and the noise always follows the
-    range the data was clamped into. ``draw(stream)`` of the plan for
-    ``AuditedGram.of(x, lo, hi)`` equals :func:`derive_directions_dp` of
-    ``x`` over that box bit for bit.
+    range the data was clamped into. Passed as ``w_sigma`` to an MVG plan,
+    it draws each trial's directions. The eigenbasis of ``draw([stream])``
+    of the plan for ``AuditedGram.of(x, lo, hi)`` equals
+    :func:`derive_directions_dp` of ``x`` over that box bit for bit.
     """
     if not isinstance(gram, AuditedGram):
         raise TypeError(
             "plan_directions_dp takes the records' AuditedGram, built with "
             f"AuditedGram.of(x, lo, hi); got {type(gram).__name__}"
         )
-    return DirectionsPlan(plan_gaussian(gram.covariance, covariance_query(gram.bounds),
-                                        p_fraction))
+    return plan_gaussian(gram.covariance, covariance_query(gram.bounds), p_fraction)
 
 
 def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
@@ -665,5 +643,5 @@ def derive_directions_dp(data, p_fraction: PrivacyParams, k: int,
         raise ShapeError(f"k = {k} exceeds the number of features {x.shape[0]}")
     bounds.check_shape(x.shape)
     gram = AuditedGram.of(x, bounds.lo, bounds.hi)
-    return plan_directions_dp(gram, p_fraction).draw(stream)
+    return descending_eigh(plan_directions_dp(gram, p_fraction).draw([stream]))[1][0]
 

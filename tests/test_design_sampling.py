@@ -87,9 +87,12 @@ class TestNoiseDesign:
     def test_standard_side_reads_as_dense_identity(self):
         lam_p = np.array([2.0, 0.5, 4.0])
         implicit = NoiseDesign(np.eye(2), np.ones(2), None, lam_p)
-        assert implicit.basis_psi is None
+        assert implicit.basis_sigma is None and implicit.basis_psi is None
         assert (implicit.m, implicit.n) == (2, 3)
-        assert np.array_equal(implicit.w_psi, np.eye(3))
+        # the oracle multiplies by np.eye(2) and np.eye(3)
+        noise = np.random.default_rng(2).standard_normal((2, 3))
+        assert implicit.color(noise.copy()).tobytes() == \
+            dense_release(0.0, implicit, noise).tobytes()
 
     def test_replace_revalidates(self):
         design = NoiseDesign(np.eye(2), np.ones(2), None, np.ones(3))
@@ -213,10 +216,10 @@ class TestWithBases:
         assert design.root_sigma is spectrum.root_sigma
         # an exact identity is stored as the standard side, with its bits
         assert design.basis_sigma is None and design.basis_psi is None
-        assert np.array_equal(design.w_sigma, np.eye(2))
         noise = np.random.default_rng(3).standard_normal((2, 3))
         assert design.color(noise.copy()).tobytes() == \
-            spectrum.color(noise.copy()).tobytes()
+            spectrum.color(noise.copy()).tobytes() == \
+            dense_release(0.0, design, noise).tobytes()
 
 
 class TestRandomStream:
@@ -327,6 +330,9 @@ class TestColorNoise:
         lam = rng.uniform(0.4, 1.2, 3)
         design = NoiseDesign(None, lam, None, np.full(5, 4.0))
         assert design.root_psi.tobytes() == np.full(5, 2.0).tobytes()
+        # read-only, as a design made with with_bases shares them
+        assert not design.root_sigma.flags.writeable
+        assert not design.root_psi.flags.writeable
         noise = rng.standard_normal((2, 3, 5))
         expected = noise * np.sqrt(lam)[:, np.newaxis] * 2.0
         assert design.color(noise.copy()).tobytes() == expected.tobytes()
@@ -334,16 +340,14 @@ class TestColorNoise:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("standard", [False, True])
     def test_one_side_for_both_gives_the_bits_of_two(self, standard, order):
-        # an equi-modal design colors with one factor computed once
+        # an equi-modal design, one basis and lambda on both sides
         rng = np.random.default_rng(6)
         w = None if standard else np.linalg.qr(rng.standard_normal((4, 4)))[0]
         lam = rng.uniform(0.4, 1.2, 4)
         noise = rng.standard_normal((3, 4, 4))
         given = None if standard else np.asarray(w, order=order)
         shared = NoiseDesign(given, lam, given, lam)
-        assert shared.root_psi is shared.root_sigma
         apart = NoiseDesign(w, lam, None if standard else w.copy(), lam.copy())
-        assert apart.root_psi is not apart.root_sigma
         assert shared.color(noise.copy()).tobytes() == \
             apart.color(noise.copy()).tobytes()
 
@@ -366,10 +370,9 @@ class TestSampleMvg:
         lam_s, lam_p = rng.uniform(0.4, 1.2, 3), rng.uniform(0.4, 1.2, 5)
         explicit = NoiseDesign(np.eye(3), lam_s, np.eye(5), lam_p)
         assert explicit.basis_sigma is None and explicit.basis_psi is None
-        assert np.array_equal(explicit.w_sigma, np.eye(3))
-        assert np.array_equal(explicit.w_psi, np.eye(5))
         standard = NoiseDesign(None, lam_s, None, lam_p)
         z = sample_mvg(RandomStream(8), explicit)
+        # the oracle multiplies by np.eye(3) and np.eye(5)
         oracle = dense_release(0.0, explicit, RandomStream(8).standard_normal((3, 5)))
         assert z.tobytes() == oracle.tobytes()
         assert sample_mvg(RandomStream(8), standard).tobytes() == oracle.tobytes()

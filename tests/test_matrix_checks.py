@@ -309,6 +309,16 @@ class TestAsRealArray:
         with pytest.raises(ShapeError, match=r"^x must be 1-D, got shape \(0, 0\)$"):
             as_real_array(np.zeros((0, 0)), "x", DomainError, ndim=1)
 
+    @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0]]],
+                             ids=["rows", "entries"])
+    def test_a_ragged_sequence_is_refused_by_shape(self, value):
+        # numpy's own refusal is a bare ValueError, which is no MvgdpError
+        with pytest.raises(ShapeError,
+                           match="^x must be a regular array, got a ragged sequence$"):
+            as_real_array(value, "x", DomainError)
+        with pytest.raises(ShapeError, match="^theta shares must be a regular array"):
+            PrecisionAllocation(value)
+
 
 def release_call(release, basis=False):
     """A 2 x 2 release of ``v``, the value, or with ``v`` as its basis."""
@@ -396,3 +406,13 @@ def test_an_empty_array_is_refused_where_it_enters(site, call, name, ndim):
         message = f"{name} must hold at least one entry, got shape {empty.shape}"
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         call(empty)
+
+
+@pytest.mark.parametrize("site, call, name, ndim", ARRAY_SITES, ids=SITE_IDS)
+def test_a_ragged_array_is_refused_where_it_enters(site, call, name, ndim):
+    # numpy refuses a ragged sequence with a bare ValueError
+    ragged = [[1.0, 0.0], [0.0]] if ndim == 2 else [1.0, [0.0]]
+    with pytest.raises(ShapeError,
+                       match=f"^{re.escape(name)} must be a regular array, got a ragged "
+                             "sequence$"):
+        call(ragged)

@@ -24,6 +24,7 @@ from mvgdp import (
     DataBounds,
     DegenerateDesignError,
     DomainError,
+    MvgdpError,
     NoiseDesign,
     PrecisionAllocation,
     PrivacyParams,
@@ -48,7 +49,6 @@ from mvgdp import mechanisms
 from mvgdp.budget import ConditionCheck
 from mvgdp.design import descending_eigh
 from mvgdp.mechanisms import (
-    DirectionsPlan,
     GaussianPlan,
     LaplacePlan,
     ReleasePlan,
@@ -386,7 +386,7 @@ class TestReleasePlan:
                                         PrivacyParams(0.3, 0.01))
         plan = plan_unimodal(np.zeros((3, 4)), unit_query(3, 4), self.p,
                              self.theta, directions)
-        monkeypatch.setattr(DirectionsPlan, "bases",
+        monkeypatch.setattr(ReleasePlan, "direction_bases",
                             lambda self, noise: noise * 1.5)
         with pytest.raises(DegenerateDesignError, match="orthonormal"):
             plan.draw(self.streams())
@@ -409,6 +409,13 @@ class TestReleasePlan:
             plan_equimodal(np.zeros((3, 3)), unit_query(3, 3), self.p,
                            self.theta, directions)
 
+    @pytest.mark.parametrize("plan_fn", [plan_unimodal, plan_equimodal])
+    def test_only_a_gaussian_plan_draws_directions(self, plan_fn):
+        laplace = plan_laplace(np.eye(3), QuerySpec(3, 3, sensitivity=1.0, gamma=2.0,
+                                                    l1_sensitivity=1.0), 1.0)
+        with pytest.raises(MvgdpError, match="w_sigma"):
+            plan_fn(np.zeros((3, 3)), unit_query(3, 3), self.p, self.theta, laplace)
+
     @pytest.mark.parametrize("release", [mvg_unimodal, mvg_equimodal])
     @pytest.mark.parametrize("basis", [np.eye(3), np.array([[1.0, 0.0, 0.0],
                                                             [1.0, 1.0, 0.0],
@@ -427,9 +434,10 @@ class TestReleasePlan:
         plan = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
                                   PrivacyParams(0.5, 0.05))
         noise = np.stack([RandomStream(s).standard_normal((5, 5)) for s in range(7)])
-        bases = plan.bases(noise)
+        bases = descending_eigh(plan.color(noise))[1]
         for s in range(7):
-            assert np.array_equal(bases[s], plan.draw(RandomStream(s)))
+            single = descending_eigh(plan.draw([RandomStream(s)]))[1][0]
+            assert np.array_equal(bases[s], single)
 
 
 def signed_permutation(m):
@@ -480,10 +488,9 @@ class TestIdentityBasis:
         for t, seed in enumerate(seeds):
             result = release_fn(value, q, self.P, theta, w, RandomStream(seed))
             # the result stores the identity as the standard side, and the
-            # oracle multiplies by the np.eye it reads back
+            # oracle multiplies by np.eye on each standard side
             assert result.design.basis_sigma is None
             assert result.design.basis_psi is None
-            assert np.array_equal(result.design.w_sigma, np.eye(q.m))
             oracle = dense_release(value, result.design,
                                    RandomStream(seed).standard_normal(shape))
             assert result.output.tobytes() == oracle.tobytes()
@@ -528,11 +535,11 @@ class TestIdentityBasis:
         result = release_fn(value, q, self.P, theta, w, RandomStream(3))
         # an exact identity once read as floats, so stored as the standard side
         assert result.design.basis_sigma is None
-        basis = result.design.w_sigma
-        assert basis.dtype == np.float64 and np.array_equal(basis, np.eye(q.m))
         oracle = dense_release(value, result.design,
                                RandomStream(3).standard_normal(shape))
         assert result.output.tobytes() == oracle.tobytes()
+        floats = release_fn(value, q, self.P, theta, np.eye(q.m), RandomStream(3))
+        assert result.output.tobytes() == floats.output.tobytes()
 
     @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
     @pytest.mark.parametrize("cell", [(1, 1), (0, 1)])
@@ -743,11 +750,6 @@ class TestPlanScales:
                            match=f"^{name} must be positive and finite, got {scale}$"):
             plan(np.eye(2), scale)
 
-    def test_directions_take_only_a_gaussian_plan(self):
-        q = QuerySpec(2, 2, sensitivity=1.0, gamma=1.0, l1_sensitivity=1.0)
-        with pytest.raises(TypeError, match="GaussianPlan, got LaplacePlan$"):
-            DirectionsPlan(plan_laplace(np.eye(2), q, 1.0))
-
 
 class TestDeriveDirectionsDp:
     def test_recovers_dominant_direction(self):
@@ -803,7 +805,8 @@ class TestDeriveDirectionsDp:
         for seed in (0, 1, 2):
             derived = derive_directions_dp(data, p, 2, RandomStream(seed),
                                            bounds=bounds)
-            assert np.array_equal(plan.draw(RandomStream(seed)), derived)
+            drawn = descending_eigh(plan.draw([RandomStream(seed)]))[1][0]
+            assert np.array_equal(drawn, derived)
 
     def test_directions_are_the_covariance_gaussian_release_eigendecomposed(self):
         data = np.random.default_rng(8).uniform(-1, 1, (4, 50))
@@ -812,12 +815,15 @@ class TestDeriveDirectionsDp:
         q = covariance_query(gram.bounds)
         plan = plan_directions_dp(gram, p)
         gaussian = plan_gaussian(gram.covariance, q, p)
-        assert plan.release.value.tobytes() == gaussian.value.tobytes()
-        assert plan.release.scale == gaussian.scale
+        assert type(plan) is GaussianPlan
+        assert plan.value.tobytes() == gaussian.value.tobytes()
+        assert plan.scale == gaussian.scale
         for seed in (0, 1, 2):
             noisy = gaussian_iid_baseline(gram.covariance, q, p, RandomStream(seed))
             want = descending_eigh(noisy[np.newaxis])[1][0]
-            assert plan.draw(RandomStream(seed)).tobytes() == want.tobytes()
+            derived = derive_directions_dp(data, p, 2, RandomStream(seed),
+                                           bounds=gram.bounds)
+            assert derived.tobytes() == want.tobytes()
 
     def test_out_of_bounds_data_is_clamped(self):
         data = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 5))
@@ -1132,14 +1138,12 @@ def release_object(name):
         "ReleasePlan": lambda: plan_equimodal(np.eye(2), q, p, theta, None),
         "GaussianPlan": lambda: plan_gaussian(np.eye(2), q, p),
         "LaplacePlan": lambda: plan_laplace(np.eye(2), q, 1.0),
-        "DirectionsPlan": lambda: plan_directions_dp(AuditedGram.of(np.eye(2), -1.0, 1.0),
-                                                     p),
         "NoiseDesign": lambda: NoiseDesign(None, np.ones(2), None, np.ones(2)),
     }[name]()
 
 
 @pytest.mark.parametrize("name", ["PerturbResult", "ReleasePlan", "GaussianPlan",
-                                  "LaplacePlan", "DirectionsPlan", "NoiseDesign"])
+                                  "LaplacePlan", "NoiseDesign"])
 def test_release_objects_compare_and_hash_by_identity(name):
     obj = release_object(name)
     twin = copy.copy(obj)
