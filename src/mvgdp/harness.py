@@ -19,9 +19,9 @@ experiment archetypes are provided plus a direction-ablation sweep:
 A run plans once and then only draws: the dataset is clamped into the
 declared bounds once (``sensitivity.clamp``), and :func:`plan_releases`
 returns the mechanism's own plan from :mod:`mechanisms` for each arm, one
-per allocation (for MVG a
-:class:`ReleasePlan`, holding the budget, the directions and the one
-privacy-condition check). The ablation has three arms and every other
+per allocation (for a Gaussian mechanism a :class:`ReleasePlan`, holding
+its design, its calibration and, for MVG, the directions; for Laplace a
+``LaplacePlan``). The ablation has three arms and every other
 experiment one; a baseline takes no allocation but ``uniform``. Every
 experiment then runs one trial loop: each chunk of trials, one stack of at
 most ``mechanisms.CHUNK_ENTRIES`` entries per temporary, has its noise drawn
@@ -391,17 +391,19 @@ def parse_theta_grammar(spec: str):
 
 def parse_theta_spec(spec: str, m: int) -> PrecisionAllocation:
     """Parse an allocation descriptor (:func:`parse_theta_grammar`) for m directions."""
-    return _allocation_for(parse_theta_grammar(spec), m)
+    allocation = _allocation_for(parse_theta_grammar(spec), m)
+    if len(allocation) != m:
+        raise ConfigError(f"allocation has {len(allocation)} entries, expected {m}")
+    return allocation
 
 
 def _allocation_for(allocation, m: int) -> PrecisionAllocation:
-    """A parsed allocation for m directions, its length and indices checked."""
+    """A parsed allocation for m directions, its indices checked; a plan
+    checks its length."""
     if allocation is None:
         return PrecisionAllocation.uniform(m)
     if isinstance(allocation, tuple):
         return PrecisionAllocation.binary(m, *allocation)
-    if len(allocation) != m:
-        raise ConfigError(f"allocation has {len(allocation)} entries, expected {m}")
     return allocation
 
 

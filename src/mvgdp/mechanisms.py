@@ -18,10 +18,11 @@ the privacy condition, and a post-construction check enforces that. The
 check reads only the singular values, which depend on the query spec, the
 privacy target, the allocation and the mode alone, so it runs once per such
 key: :func:`release_spectrum` memoizes the budget, the singular values and
-the verdict, and each plan checks only its value and its basis. I.i.d.
-Gaussian and Laplace baselines, planned and drawn the same way, round out
-the module; private directions are the Gaussian baseline's release of the
-data's covariance, eigendecomposed.
+the verdict, and each plan checks only its value and its basis. The
+Gaussian baseline is a :class:`ReleasePlan` too, with Sigma = sigma^2 I and
+Psi = I, so every Gaussian release, private directions (the baseline's
+release of the data's covariance, eigendecomposed) included, is colored by
+:meth:`NoiseDesign.color`. A Laplace baseline rounds out the module.
 
 Every function is pure given its inputs and the random stream; concurrent
 calls need distinct streams.
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .budget import (
     TERMS_CACHE_SIZE,
     BudgetMode,
     BudgetReport,
-    ConditionCheck,
     PrivacyParams,
     QuerySpec,
     check_condition,
@@ -252,23 +253,26 @@ class _TwoStepPlan:
 
 @dataclass(frozen=True, eq=False)
 class ReleasePlan(_TwoStepPlan):
-    """Everything an MVG release fixes before it draws.
+    """Everything a Gaussian release fixes before it draws.
 
     Built once by :func:`plan_unimodal` or :func:`plan_equimodal`, which
-    validate the query value and the basis and take the budget, the
-    singular values and the privacy condition's verdict from
-    :func:`release_spectrum`. The condition reads only the singular values,
-    q and p, so its one verdict holds for every trial, including trials
-    whose directions are drawn. :meth:`draw` is the per-trial step.
+    validate the query value and the basis and take the design and its
+    calibration (the budget and the privacy condition's verdict) from
+    :func:`release_spectrum`, or by :func:`plan_gaussian`, whose standard
+    design puts sigma^2 on every row and 1 on every column. The condition
+    reads only the singular values, q and p, so its one verdict holds for
+    every trial, including trials whose directions are drawn. :meth:`draw`
+    is the per-trial step.
 
     Attributes:
         value: the validated m x n query value.
         query: the query spec.
-        budget: the precision-budget report.
         design: the noise design. With ``directions`` set, its bases are
             ``None`` and only its singular values are used; each trial
             draws its own row basis (and column basis, if equi-modal).
-        condition: the privacy condition's check of the design.
+        calibration: the name of the rule that set the design, then its
+            numbers: ``(mode, BudgetReport, ConditionCheck)`` for MVG, the
+            mode "unimodal" or "equimodal", or ``("classic", sigma)``.
         directions: the data's covariance plan from
             :func:`plan_directions_dp`, whose releases' eigenbases the
             trials draw, or ``None`` when the bases are fixed.
@@ -276,10 +280,9 @@ class ReleasePlan(_TwoStepPlan):
 
     value: np.ndarray
     query: QuerySpec
-    budget: BudgetReport
     design: NoiseDesign
-    condition: ConditionCheck
-    directions: GaussianPlan | None = None
+    calibration: tuple
+    directions: ReleasePlan | None = None
 
     def draw_noise(self, streams) -> tuple[np.ndarray, np.ndarray | None]:
         """Trial t's draws from ``streams[t]``, in the order a single release
@@ -306,7 +309,7 @@ class ReleasePlan(_TwoStepPlan):
         """The eigenbases, by descending eigenvalue, of the covariance
         releases for a (T, M, M) stack of standard normals, which it scales
         in place."""
-        return descending_eigh(self.directions.color(noise))[1]
+        return descending_eigh(self.directions.color(noise, None))[1]
 
     def color(self, noise: np.ndarray, bases: np.ndarray | None) -> np.ndarray:
         """The releases for a :meth:`draw_noise` result: the noise colored
@@ -316,7 +319,7 @@ class ReleasePlan(_TwoStepPlan):
         equi-modal) when it is not ``None``. The design may scale ``noise``
         in place, so the caller hands over the array.
         """
-        equimodal = self.budget.mode is BudgetMode.EQUI_MODAL
+        equimodal = self.calibration[0] == "equimodal"
         output = self.design.color(noise, bases, bases if equimodal else None)
         output += self.value
         return output
@@ -324,16 +327,15 @@ class ReleasePlan(_TwoStepPlan):
 
 class ReleaseSpectrum(NamedTuple):
     """What an MVG release fixes from its query spec, privacy target,
-    allocation and mode alone: the budget, the singular values and the
-    privacy condition's verdict on them.
+    allocation and mode alone: the singular values, and the budget and the
+    privacy condition's verdict on them as the design's calibration.
 
     ``design`` has standard bases on both sides and read-only singular
     values; a plan attaches its own bases with :meth:`NoiseDesign.with_bases`.
     """
 
-    budget: BudgetReport
     design: NoiseDesign
-    condition: ConditionCheck
+    calibration: tuple
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE_SIZE)
@@ -374,13 +376,18 @@ def release_spectrum(q: QuerySpec, p: PrivacyParams, theta: PrecisionAllocation,
             f"constructed design's exact delta {delta:.12g} exceeds the target "
             f"delta {p.delta:.12g}; this is a bug"
         )
-    return ReleaseSpectrum(report, design, condition)
+    return ReleaseSpectrum(design, (mode.value, report, condition))
 
 
 def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
           theta: PrecisionAllocation, mode: BudgetMode, w_sigma) -> ReleasePlan:
     directions = None
-    if isinstance(w_sigma, GaussianPlan):
+    if isinstance(w_sigma, _TwoStepPlan):
+        if not (isinstance(w_sigma, ReleasePlan) and w_sigma.calibration[0] == "classic"):
+            raise ConfigError(
+                "w_sigma must be a basis or the classic Gaussian plan of "
+                f"plan_directions_dp, got a {type(w_sigma).__name__} of other noise"
+            )
         directions, w_sigma = w_sigma, None
         if (shape := directions.value.shape) != (q.m, q.m):
             raise ShapeError(f"directions are drawn for {shape[0]} features but "
@@ -388,15 +395,15 @@ def _plan(value: np.ndarray, q: QuerySpec, p: PrivacyParams,
     elif w_sigma is not None and (
             shape := as_array(w_sigma, "w_sigma").shape) != (q.m, q.m):
         raise ShapeError(f"w_sigma has shape {shape} but the query has {q.m} rows")
-    report, design, condition = release_spectrum(q, p, theta, mode)
+    design, calibration = release_spectrum(q, p, theta, mode)
     if w_sigma is not None:
         design = design.with_bases(
             w_sigma, w_sigma if mode is BudgetMode.EQUI_MODAL else None)
     # the frozen fields in one write, as NoiseDesign.with_bases does, instead
     # of the generated __init__'s one object.__setattr__ per field
     plan = object.__new__(ReleasePlan)
-    vars(plan).update(value=value, query=q, budget=report, design=design,
-                      condition=condition, directions=directions)
+    vars(plan).update(value=value, query=q, design=design, calibration=calibration,
+                      directions=directions)
     return plan
 
 
@@ -442,7 +449,7 @@ def _release(plan: ReleasePlan, stream: RandomStream) -> PerturbResult:
         )
     result = object.__new__(PerturbResult)  # as _plan builds its plan
     vars(result).update(output=plan.draw([stream])[0], design=plan.design,
-                        budget=plan.budget, seed=stream.seed)
+                        budget=plan.calibration[1], seed=stream.seed)
     return result
 
 
@@ -505,44 +512,18 @@ def gaussian_noise_scale(sensitivity: float, p: PrivacyParams) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _IidPlan(_TwoStepPlan):
-    """Releases of one validated query value, each entry the value plus
-    ``scale`` times a standard variate from the subclass's ``draw_noise``.
-    A scale that is not positive and finite is a DomainError."""
-
-    SCALE_NAME: ClassVar[str]
+class LaplacePlan(_TwoStepPlan):
+    """Classic Laplace releases of one validated query value: i.i.d.
+    Laplace noise of scale ``scale`` on every entry. Built by
+    :func:`plan_laplace`; a scale that is not positive and finite is a
+    DomainError."""
 
     value: np.ndarray
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", as_real(self.scale, self.SCALE_NAME,
+        object.__setattr__(self, "scale", as_real(self.scale, "the Laplace scale",
                                                   DomainError, positive=True))
-
-    def color(self, noise: np.ndarray) -> np.ndarray:
-        """Scale ``noise`` in place by ``scale`` and add the value."""
-        noise *= self.scale
-        noise += self.value
-        return noise
-
-
-class GaussianPlan(_IidPlan):
-    """Classic Gaussian releases: i.i.d. noise of sd ``scale`` on every
-    entry. Built by :func:`plan_gaussian`."""
-
-    SCALE_NAME = "the Gaussian noise scale"
-
-    def draw_noise(self, streams) -> tuple[np.ndarray]:
-        """Trial t's m*n standard normals from ``streams[t]`` alone, as one
-        (T, m, n) stack."""
-        return tuple(standard_normal_stacks(streams, [self.value.shape]))
-
-
-class LaplacePlan(_IidPlan):
-    """Classic Laplace releases: i.i.d. Laplace noise of scale ``scale`` on
-    every entry. Built by :func:`plan_laplace`."""
-
-    SCALE_NAME = "the Laplace scale"
 
     def draw_noise(self, streams) -> tuple[np.ndarray]:
         """Trial t's m*n unit Laplace variates from ``streams[t]`` alone, as
@@ -553,12 +534,25 @@ class LaplacePlan(_IidPlan):
             noise[t] = stream.laplace(1.0, self.value.shape)
         return (noise,)
 
+    def color(self, noise: np.ndarray) -> np.ndarray:
+        """Scale ``noise`` in place by ``scale`` and add the value."""
+        noise *= self.scale
+        noise += self.value
+        return noise
 
-def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> GaussianPlan:
+
+def plan_gaussian(query_value, q: QuerySpec, p: PrivacyParams) -> ReleasePlan:
     """Plan classic Gaussian releases; takes :func:`gaussian_iid_baseline`'s
-    arguments except the stream."""
-    return GaussianPlan(_check_shape(query_value, q),
-                        gaussian_noise_scale(q.sensitivity, p))
+    arguments except the stream. Coloring scales each entry by sqrt(sigma^2),
+    which is sigma exactly when sigma^2 is a normal float, as it must be."""
+    value = _check_shape(query_value, q)
+    sigma = gaussian_noise_scale(q.sensitivity, p)
+    variance = sigma * sigma
+    if not sys.float_info.min <= variance < math.inf:
+        raise DomainError(f"the Gaussian noise scale must have a square that is a "
+                          f"normal float, got {sigma!r}")
+    design = NoiseDesign(None, np.full(q.m, variance), None, np.broadcast_to(1.0, q.n))
+    return ReleasePlan(value, q, design, ("classic", sigma))
 
 
 def plan_laplace(query_value, q: QuerySpec, epsilon: float) -> LaplacePlan:
@@ -596,7 +590,7 @@ def laplace_iid_baseline(query_value, q: QuerySpec, epsilon: float,
     return plan_laplace(query_value, q, epsilon).draw([stream])[0]
 
 
-def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> GaussianPlan:
+def plan_directions_dp(gram: AuditedGram, p_fraction: PrivacyParams) -> ReleasePlan:
     """The directions plan: the Gaussian baseline's plan of the data's
     covariance X X^T / N, whose releases' eigenbases are the directions.
 

@@ -9,11 +9,12 @@ Run from anywhere, with the tier-1 requirements installed:
 ``--only`` takes one or more target functions; tier-1 runs once unmutated
 as the baseline, however many are named. pytest does not collect this file
 (its name has no ``test_`` prefix), and CI runs it in one step with
-``--only`` and nine functions: ``budget.exact_delta``,
-``mechanisms.release_spectrum``, ``design.NoiseDesign.color``,
-``mechanisms._IidPlan.color``, ``design.descending_eigh``,
-``mechanisms.ReleasePlan.direction_bases``, ``errors.positive_fault``,
-``harness._trial_streams`` and ``harness.plan_releases``. It copies
+``--only`` and ten functions: ``budget.exact_delta``,
+``mechanisms.release_spectrum``, ``mechanisms.plan_gaussian``,
+``design.NoiseDesign.color``, ``mechanisms.LaplacePlan.color``,
+``design.descending_eigh``, ``mechanisms.ReleasePlan.direction_bases``,
+``errors.positive_fault``, ``harness._trial_streams`` and
+``harness.plan_releases``. It copies
 ``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
 into a temporary directory and never writes to the checkout.
 
@@ -65,9 +66,9 @@ TARGETS = {
                     "AuditedGram.of"],
     "mechanisms": ["PrecisionAllocation.__post_init__", "PrecisionAllocation.binary",
                    "_check_binary", "_validate_query_value", "_directional_lambdas",
-                   "release_spectrum", "gaussian_noise_scale", "plan_laplace",
-                   "plan_directions_dp", "ReleasePlan.direction_bases", "_IidPlan.color",
-                   "ReleasePlan.color"],
+                   "release_spectrum", "gaussian_noise_scale", "plan_gaussian",
+                   "plan_laplace", "plan_directions_dp", "ReleasePlan.direction_bases",
+                   "LaplacePlan.color", "ReleasePlan.color"],
     "design": ["NoiseDesign.__post_init__", "NoiseDesign.color", "check_orthonormal",
                "_is_identity", "descending_eigh"],
     "errors": ["positive_fault"],

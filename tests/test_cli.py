@@ -600,6 +600,16 @@ class TestBenchCommand:
         err = capfdbinary.readouterr().err.decode()
         assert message in err and "missing.csv" not in err
 
+    def test_shares_of_another_length_are_refused_by_the_plan(self, tmp_path, sign_data,
+                                                              capfdbinary):
+        # the plan's allocation check is the one length check of a run
+        args = ["bench", "--experiment", "firstpc",
+                "--input", write_dataset(tmp_path, sign_data), "--mechanism", "mvg-equi",
+                "--epsilon", "1", "--lo", "-1", "--hi", "1", "--theta", "0.5,0.5"]
+        assert main(args) == 2
+        assert capfdbinary.readouterr().err.decode() == \
+            "mvgdp: error: theta has 2 entries but the query has 3 rows\n"
+
     @pytest.mark.parametrize("mechanism", [kind.value for kind, row
                                            in harness._MECHANISMS.items()
                                            if not row.mvg])

@@ -433,7 +433,7 @@ class TestGramReader:
         _, data = covariance_dataset(tmp_path)
         p = PrivacyParams(0.2, 0.002)
         m, n = data.shape
-        sds = [plan_directions_dp(AuditedGram.of(data, lo, hi), p).scale
+        sds = [plan_directions_dp(AuditedGram.of(data, lo, hi), p).calibration[1]
                for lo, hi in ((-1.0, 1.0), (-2.0, 2.0))]
         assert sds == [gaussian_noise_scale(covariance_sensitivity(
                            DataBounds(m, n, lo, hi)), p)

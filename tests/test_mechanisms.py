@@ -24,7 +24,6 @@ from mvgdp import (
     DataBounds,
     DegenerateDesignError,
     DomainError,
-    MvgdpError,
     NoiseDesign,
     PrecisionAllocation,
     PrivacyParams,
@@ -46,10 +45,9 @@ from mvgdp import (
 )
 from mvgdp import design as design_module
 from mvgdp import mechanisms
-from mvgdp.budget import ConditionCheck
+from mvgdp.budget import ConditionCheck, exact_delta
 from mvgdp.design import descending_eigh
 from mvgdp.mechanisms import (
-    GaussianPlan,
     LaplacePlan,
     ReleasePlan,
     plan_directions_dp,
@@ -349,7 +347,7 @@ class TestReleasePlan:
         for t, stream in enumerate(self.streams()):
             single = mvg_unimodal(value, q, self.p, self.theta, self.w, stream)
             assert np.array_equal(stack[t], single.output)
-            assert single.budget == plan.budget
+            assert single.budget == plan.calibration[1]
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_equimodal_stack_equals_single_releases(self, order):
@@ -357,8 +355,9 @@ class TestReleasePlan:
         value = np.diag([0.5, 0.3, 0.1])
         plan = plan_equimodal(value, q, self.p, self.theta,
                               np.asarray(self.w, order=order))
-        assert plan.condition.holds
-        assert plan.condition == check_condition(plan.design, q, self.p)
+        rule, _, condition = plan.calibration
+        assert rule == "equimodal" and condition.holds
+        assert condition == check_condition(plan.design, q, self.p)
         stack = plan.draw(self.streams())
         for t, stream in enumerate(self.streams()):
             single = mvg_equimodal(value, q, self.p, self.theta, self.w, stream)
@@ -410,11 +409,16 @@ class TestReleasePlan:
                            self.theta, directions)
 
     @pytest.mark.parametrize("plan_fn", [plan_unimodal, plan_equimodal])
-    def test_only_a_gaussian_plan_draws_directions(self, plan_fn):
-        laplace = plan_laplace(np.eye(3), QuerySpec(3, 3, sensitivity=1.0, gamma=2.0,
-                                                    l1_sensitivity=1.0), 1.0)
-        with pytest.raises(MvgdpError, match="w_sigma"):
-            plan_fn(np.zeros((3, 3)), unit_query(3, 3), self.p, self.theta, laplace)
+    @pytest.mark.parametrize("other", ["laplace", "mvg"])
+    def test_only_a_directions_plan_draws_directions(self, plan_fn, other):
+        # an MVG plan is a ReleasePlan too, but not one of the classic rule
+        q = QuerySpec(3, 3, sensitivity=1.0, gamma=2.0, l1_sensitivity=1.0)
+        plan = {"laplace": lambda: plan_laplace(np.eye(3), q, 1.0),
+                "mvg": lambda: plan_equimodal(np.eye(3), q, self.p, self.theta, None),
+                }[other]()
+        with pytest.raises(ConfigError, match="^w_sigma must be a basis or the classic "
+                                              "Gaussian plan of plan_directions_dp"):
+            plan_fn(np.zeros((3, 3)), unit_query(3, 3), self.p, self.theta, plan)
 
     @pytest.mark.parametrize("release", [mvg_unimodal, mvg_equimodal])
     @pytest.mark.parametrize("basis", [np.eye(3), np.array([[1.0, 0.0, 0.0],
@@ -434,7 +438,7 @@ class TestReleasePlan:
         plan = plan_directions_dp(AuditedGram.of(data, -1.0, 1.0),
                                   PrivacyParams(0.5, 0.05))
         noise = np.stack([RandomStream(s).standard_normal((5, 5)) for s in range(7)])
-        bases = descending_eigh(plan.color(noise))[1]
+        bases = descending_eigh(plan.color(noise, None))[1]
         for s in range(7):
             single = descending_eigh(plan.draw([RandomStream(s)]))[1][0]
             assert np.array_equal(bases[s], single)
@@ -671,6 +675,54 @@ class TestGaussianBaseline:
         out = gaussian_iid_baseline(np.zeros((2, 2)), q, p, RandomStream(7))
         assert out.shape == (2, 2)
 
+    # at this target these sensitivities give sigma = 2^-511, whose square
+    # is the least normal float, and the largest sigma whose square is finite
+    EDGES = PrivacyParams(1.0, 0.6)
+    LEAST, MOST = 1.2311708020134365e-154, 1.106633649311243e+154
+
+    @pytest.mark.parametrize("sensitivity, normal", [
+        (LEAST, True), (float(np.nextafter(LEAST, 0.0)), False),
+        (MOST, True), (float(np.nextafter(MOST, math.inf)), False),
+    ], ids=["least", "below-least", "most", "above-most"])
+    def test_a_sigma_whose_square_is_not_a_normal_float_is_rejected(self, sensitivity,
+                                                                    normal):
+        q = QuerySpec(2, 2, sensitivity=sensitivity, gamma=max(1.0, sensitivity))
+        sigma = gaussian_noise_scale(q.sensitivity, self.EDGES)
+        if not normal:
+            with pytest.raises(DomainError, match="^the Gaussian noise scale must have "
+                                                  "a square that is a normal float"):
+                plan_gaussian(np.zeros((2, 2)), q, self.EDGES)
+            return
+        assert sigma in (2.0 ** -511, math.sqrt(sys.float_info.max))
+        plan = plan_gaussian(np.zeros((2, 2)), q, self.EDGES)
+        assert plan.design.root_sigma.tolist() == [sigma, sigma]
+        assert plan.calibration == ("classic", sigma)
+
+    def test_a_plan_is_a_release_plan_over_the_standard_design(self):
+        q = QuerySpec(3, 4, sensitivity=1.0, gamma=1.0)
+        p = PrivacyParams(0.8, 0.02)
+        sigma = gaussian_noise_scale(q.sensitivity, p)
+        plan = plan_gaussian(np.zeros((3, 4)), q, p)
+        design = plan.design
+        assert (type(plan), plan.query, plan.directions) == (ReleasePlan, q, None)
+        assert (design.basis_sigma, design.basis_psi, design.root_psi) == (None,) * 3
+        assert design.lambda_sigma.tolist() == [sigma * sigma] * 3
+        assert design.lambda_psi.tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    def test_the_exact_delta_of_a_plan_is_within_its_target(self, epsilon):
+        # equi-small's geometry: a 4 x 4 covariance query at delta = 1/2000
+        q = QuerySpec(4, 4, sensitivity=0.016, gamma=1.0)
+        p = PrivacyParams(epsilon, 1 / 2000)
+        plan = plan_gaussian(np.zeros((4, 4)), q, p)
+        assert exact_delta(plan.design, q.sensitivity, epsilon) <= p.delta
+        if epsilon >= 0.5:
+            # half the noise exceeds the target, so the accountant can tell;
+            # at epsilon = 0.1 it stays below the target even so
+            _, sigma = plan.calibration
+            planted = NoiseDesign(None, np.full(4, (sigma / 2) ** 2), None, np.ones(4))
+            assert exact_delta(planted, q.sensitivity, epsilon) > p.delta
+
     def test_matches_mvg_special_case(self):
         q = QuerySpec(3, 4, sensitivity=1.0, gamma=1.0)
         p = PrivacyParams(0.8, 0.02)
@@ -736,19 +788,14 @@ class TestLaplaceBaseline:
 
 
 class TestPlanScales:
-    """A plan built directly checks its noise scale, as its planner's
-    formula does."""
+    """A Laplace plan built directly checks its noise scale, as
+    :func:`plan_laplace`'s formula does."""
 
-    @pytest.mark.parametrize("plan, name", [
-        pytest.param(GaussianPlan, "the Gaussian noise scale", id="gaussian"),
-        pytest.param(LaplacePlan, "the Laplace scale", id="laplace"),
-    ])
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
-    def test_a_scale_that_is_not_positive_and_finite_is_rejected(self, plan, name,
-                                                                 scale):
-        with pytest.raises(DomainError,
-                           match=f"^{name} must be positive and finite, got {scale}$"):
-            plan(np.eye(2), scale)
+    def test_a_scale_that_is_not_positive_and_finite_is_rejected(self, scale):
+        with pytest.raises(DomainError, match=f"^the Laplace scale must be positive "
+                                              f"and finite, got {scale}$"):
+            LaplacePlan(np.eye(2), scale)
 
 
 class TestDeriveDirectionsDp:
@@ -815,9 +862,10 @@ class TestDeriveDirectionsDp:
         q = covariance_query(gram.bounds)
         plan = plan_directions_dp(gram, p)
         gaussian = plan_gaussian(gram.covariance, q, p)
-        assert type(plan) is GaussianPlan
+        assert type(plan) is ReleasePlan and plan.directions is None
         assert plan.value.tobytes() == gaussian.value.tobytes()
-        assert plan.scale == gaussian.scale
+        assert plan.design.lambda_sigma.tobytes() == gaussian.design.lambda_sigma.tobytes()
+        assert plan.calibration == gaussian.calibration
         for seed in (0, 1, 2):
             noisy = gaussian_iid_baseline(gram.covariance, q, p, RandomStream(seed))
             want = descending_eigh(noisy[np.newaxis])[1][0]
@@ -873,9 +921,9 @@ class TestReleaseSpectrumMemo:
         arrays = (plan.draw([RandomStream(5)])[0], result.output,
                   plan.design.lambda_sigma, plan.design.lambda_psi,
                   result.design.lambda_sigma, result.design.lambda_psi)
+        _, budget, condition = plan.calibration
         return ([np.ascontiguousarray(a).tobytes() for a in arrays],
-                plan.budget, result.budget,
-                plan.condition.lhs.hex(), plan.condition.rhs.hex())
+                budget, result.budget, condition.lhs.hex(), condition.rhs.hex())
 
     @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
     def test_warm_releases_have_the_bits_of_cold_ones(self, plan_fn, release_fn,
@@ -902,8 +950,8 @@ class TestReleaseSpectrumMemo:
             misses = release_spectrum.cache_info().misses
             plan = plan_fn(value, vq, vp, vtheta, w)
             assert release_spectrum.cache_info().misses == misses + 1
-            assert (plan.condition.rhs, plan.design.lambda_sigma.tobytes()) != \
-                (base.condition.rhs, base.design.lambda_sigma.tobytes())
+            assert (plan.calibration[2].rhs, plan.design.lambda_sigma.tobytes()) != \
+                (base.calibration[2].rhs, base.design.lambda_sigma.tobytes())
 
     def test_the_mode_is_part_of_the_key(self):
         value, q, theta, w = self.inputs(4, 4)
@@ -911,8 +959,10 @@ class TestReleaseSpectrumMemo:
         equi = plan_equimodal(value, q, self.P, theta, w)
         uni = plan_unimodal(value, q, self.P, theta, w)
         assert release_spectrum.cache_info().misses == 2
-        assert uni.budget.mode is BudgetMode.UNIMODAL
-        assert equi.budget.mode is BudgetMode.EQUI_MODAL
+        assert uni.calibration[0] == "unimodal"
+        assert uni.calibration[1].mode is BudgetMode.UNIMODAL
+        assert equi.calibration[0] == "equimodal"
+        assert equi.calibration[1].mode is BudgetMode.EQUI_MODAL
 
     @pytest.mark.parametrize("plan_fn, release_fn, shape", MODES)
     def test_a_result_cannot_change_the_cached_spectrum(self, plan_fn, release_fn,
@@ -1123,7 +1173,7 @@ class TestPerCallPath:
                 obj.design = None
         assert (plan.value is value, plan.query, plan.directions) == (True, q, None)
         assert (result.design, result.budget, result.seed) == \
-            (plan.design, plan.budget, 0)
+            (plan.design, plan.calibration[1], 0)
         assert result.output.tobytes() == plan.draw([RandomStream(0)])[0].tobytes()
 
 
@@ -1136,14 +1186,13 @@ def release_object(name):
         "PerturbResult": lambda: mvg_equimodal(np.eye(2), q, p, theta, None,
                                                RandomStream(0)),
         "ReleasePlan": lambda: plan_equimodal(np.eye(2), q, p, theta, None),
-        "GaussianPlan": lambda: plan_gaussian(np.eye(2), q, p),
         "LaplacePlan": lambda: plan_laplace(np.eye(2), q, 1.0),
         "NoiseDesign": lambda: NoiseDesign(None, np.ones(2), None, np.ones(2)),
     }[name]()
 
 
-@pytest.mark.parametrize("name", ["PerturbResult", "ReleasePlan", "GaussianPlan",
-                                  "LaplacePlan", "NoiseDesign"])
+@pytest.mark.parametrize("name", ["PerturbResult", "ReleasePlan", "LaplacePlan",
+                                  "NoiseDesign"])
 def test_release_objects_compare_and_hash_by_identity(name):
     obj = release_object(name)
     twin = copy.copy(obj)
@@ -1172,7 +1221,8 @@ def test_every_plan_draws_an_empty_stack_from_no_streams(kind):
 
 
 class TestOneColoringPath:
-    """Every MVG draw is colored by ``NoiseDesign.color``."""
+    """Every Gaussian draw, MVG, classic or of the directions, is colored by
+    ``NoiseDesign.color``."""
 
     P = PrivacyParams(1.0, 0.05)
 
@@ -1207,5 +1257,14 @@ class TestOneColoringPath:
                        PrecisionAllocation.uniform(3), w)
         calls = self.count_colors(monkeypatch)
         plan.draw([RandomStream(s) for s in range(4)])
-        # drawn bases replace the row side, and the column side if equi-modal
-        assert calls == [((4, 3, 3), not drawn, not (drawn and equimodal))]
+        # the directions plan colors the covariance noise on its standard
+        # sides first; drawn bases replace the row side, and the column side
+        # if equi-modal
+        assert calls == [((4, 3, 3), True, True)] * drawn + [
+            ((4, 3, 3), not drawn, not (drawn and equimodal))]
+
+    def test_gaussian_plan_draw(self, monkeypatch):
+        plan = plan_gaussian(np.zeros((3, 4)), unit_query(3, 4), self.P)
+        calls = self.count_colors(monkeypatch)
+        plan.draw([RandomStream(s) for s in range(2)])
+        assert calls == [((2, 3, 4), True, True)]
