@@ -2,7 +2,6 @@
 
 Subcommands:
     budget   print the privacy-budget quantities for a query shape
-    sample   draw matrix-Gaussian noise samples given dense covariances
     perturb  privately release a dataset or its covariance
     bench    run a benchmark experiment and print the metric report
 
@@ -27,13 +26,11 @@ from .budget import (
     precision_budget_equimodal,
     precision_budget_unimodal,
 )
-from .design import NoiseDesign
 from .errors import (
     ConditionCheckError,
     ConfigError,
     ContractViolationError,
     MvgdpError,
-    as_count,
 )
 from .harness import (
     GRAM_EXPERIMENTS,
@@ -45,14 +42,13 @@ from .harness import (
     clamp_records,
     emit_report,
     load_csv_matrix,
-    load_dense_csv,
     parse_directions_source,
     parse_theta_grammar,
     plan_releases,
     read_csv_gram,
     run_experiment,
 )
-from .sampling import RandomStream, sample_mvg
+from .sampling import RandomStream
 from .sensitivity import DataBounds, check_range, covariance_query, identity_query
 
 
@@ -79,25 +75,6 @@ def _cmd_budget(args) -> int:
     out.write(f"phi_max={report.phi_max!r}\n")
     out.write(f"precision_budget={report.precision_budget!r}\n")
     out.write(f"mode={report.mode.value}\n")
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    # the flags first, so a bad one is reported before any file is read
-    as_count(args.m, "m", ConfigError)
-    as_count(args.n, "n", ConfigError)
-    if args.count < 1:
-        raise ConfigError(f"count must be positive, got {args.count}")
-    stream = RandomStream(args.seed)
-    sigma = load_dense_csv(args.sigma)
-    psi = load_dense_csv(args.psi)
-    if sigma.shape != (args.m, args.m):
-        raise ConfigError(f"sigma is {sigma.shape}, expected ({args.m}, {args.m})")
-    if psi.shape != (args.n, args.n):
-        raise ConfigError(f"psi is {psi.shape}, expected ({args.n}, {args.n})")
-    design = NoiseDesign.from_covariances(sigma, psi)
-    samples = [sample_mvg(stream, design).reshape(-1) for _ in range(args.count)]
-    _write_csv(args.out, np.asarray(samples))
     return 0
 
 
@@ -248,17 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sensitivity", type=float, required=True)
     b.add_argument("--mode", choices=["unimodal", "equimodal"], required=True)
     b.set_defaults(func=_cmd_budget)
-
-    s = sub.add_parser("sample", help="draw matrix-Gaussian noise samples")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--sigma", required=True, help="dense m x m covariance CSV")
-    s.add_argument("--psi", required=True, help="dense n x n covariance CSV")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=1)
-    s.add_argument("--out", required=True,
-                   help="output CSV, one row-major flattened sample per row")
-    s.set_defaults(func=_cmd_sample)
 
     pt = sub.add_parser("perturb", help="privately release a dataset or covariance")
     pt.add_argument("--input", required=True, help="dataset CSV, rows are records")

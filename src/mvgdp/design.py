@@ -36,11 +36,9 @@ from .errors import (
     ShapeError,
     as_real_array,
     positive_fault,
-    symmetry_fault,
 )
 
 ORTHONORMALITY_TOL = 1e-8
-EIGENVALUE_FLOOR = 1e-12
 
 # a float64 1.0 and 0.0 in native byte order, the bytes np.eye is made of
 _ONE, _ZERO = np.float64(1.0).tobytes(), bytes(8)
@@ -230,17 +228,6 @@ class NoiseDesign:
         """Dense n x n column basis; kept for the tracer like ``w_sigma``."""
         return np.eye(self.n) if self.basis_psi is None else self.basis_psi
 
-    @classmethod
-    def from_covariances(cls, sigma, psi) -> "NoiseDesign":
-        """Build a design from dense symmetric positive-definite covariances.
-
-        Each matrix is eigendecomposed; eigenvalues are sorted in descending
-        order. Eigenvalues below 1e-12 are rejected as degenerate.
-        """
-        w_s, lam_s = _decompose(sigma, "sigma")
-        w_p, lam_p = _decompose(psi, "psi")
-        return cls(w_s, lam_s, w_p, lam_p)
-
 
 def descending_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (T, m) and eigenvectors (T, m, m) of each symmetrized
@@ -257,18 +244,3 @@ def descending_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals[:] = vals[columns]
         vecs[:] = vecs[:, columns]
     return eigvals, eigvecs
-
-
-def _decompose(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
-    mat = as_real_array(cov, name, DomainError, ndim=2)
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"{name} must be square, got {mat.shape}")
-    if fault := symmetry_fault(mat, name):
-        raise DegenerateDesignError(fault)
-    (eigvals,), (eigvecs,) = descending_eigh(mat[np.newaxis])
-    if np.any(eigvals < EIGENVALUE_FLOOR):
-        raise DegenerateDesignError(
-            f"{name} has eigenvalue {eigvals.min():.3e} below the "
-            f"{EIGENVALUE_FLOOR:.0e} floor; design is degenerate"
-        )
-    return eigvecs, eigvals

@@ -9,12 +9,13 @@ Run from anywhere, with the tier-1 requirements installed:
 ``--only`` takes one or more target functions; tier-1 runs once unmutated
 as the baseline, however many are named. pytest does not collect this file
 (its name has no ``test_`` prefix), and CI runs it in one step with
-``--only`` and ten functions: ``budget.exact_delta``,
+``--only`` and twelve functions: ``budget.exact_delta``,
 ``mechanisms.release_spectrum``, ``mechanisms.plan_gaussian``,
 ``design.NoiseDesign.color``, ``mechanisms.LaplacePlan.color``,
 ``design.descending_eigh``, ``mechanisms.ReleasePlan.direction_bases``,
-``errors.positive_fault``, ``harness._trial_streams`` and
-``harness.plan_releases``. It copies
+``errors.positive_fault``, ``harness._trial_streams``,
+``harness.plan_releases``, ``sensitivity.clamp`` and
+``sensitivity.AuditedGram.__init__``. It copies
 ``src/``, ``tests/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
 into a temporary directory and never writes to the checkout.
 
@@ -24,7 +25,10 @@ at a time: an operator swap (+ and -, * and /, ** to *), a comparison swap
 replaces its function in the copy, and tier-1 runs on the copy with ``-x``.
 A mutant that tier-1 passes survives. ``EQUIVALENT`` lists the survivors
 expected because the change is invisible to any test, each with its
-reason. The probe exits 1 if any other mutant survives.
+reason. The probe exits 1 if any other mutant survives. A tier-1 run
+stopped at ``MUTANT_TIMEOUT_S`` is reported as ``TIMEOUT`` and counted
+apart from the kills, since a hang need not be the mutant's doing; the
+summary names the functions to re-run with ``--only``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ FIRST = ("test_budget.py", "test_sensitivity.py", "test_mechanisms.py",
 # checks this file's tables against the source it reads, so in the copy it
 # would fail on every mutant that rewords a listed equivalent's expression
 NOT_RUN = ("test_mutation_probe.py",)
-# a mutant that hangs counts as killed once this many seconds pass
+# a tier-1 run is stopped after this many seconds and reported as timed out
 MUTANT_TIMEOUT_S = 300
 
 # module -> the functions whose privacy arithmetic, budget split, noise
@@ -127,6 +131,9 @@ EQUIVALENT = {
         "hashes the same seeds in smaller blocks, so every trial's stream is the "
         "same",
 }
+
+# how each tier-1 outcome of a mutant is printed
+STATUS = {"passed": "SURVIVED", "failed": "killed", "timed out": "TIMEOUT"}
 
 BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
           ast.Pow: ast.Mult}
@@ -211,8 +218,9 @@ def mutants(module: str, source: str):
             yield f"{module}.{qualname}", label, mutated
 
 
-def tier1(copy: Path) -> tuple[bool, float]:
-    """Whether tier-1 passes on the copy, and how long it took."""
+def tier1(copy: Path) -> tuple[str, float]:
+    """Whether tier-1 "passed", "failed" or "timed out" on the copy, and how
+    long it took."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     rest = sorted(path.name for path in (copy / "tests").glob("test_*.py")
                   if path.name not in NOT_RUN)
@@ -222,10 +230,10 @@ def tier1(copy: Path) -> tuple[bool, float]:
         done = subprocess.run([sys.executable, *TIER1, *files], cwd=copy, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                               timeout=MUTANT_TIMEOUT_S, check=False)
-        passed = done.returncode == 0
+        outcome = "passed" if done.returncode == 0 else "failed"
     except subprocess.TimeoutExpired:
-        passed = False
-    return passed, time.perf_counter() - start
+        outcome = "timed out"
+    return outcome, time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -261,27 +269,31 @@ def main(argv=None) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, copy / name)
-        passed, seconds = tier1(copy)
-        if not passed:
-            print("tier-1 fails on the unmutated copy; nothing to probe")
+        outcome, seconds = tier1(copy)
+        if outcome != "passed":
+            print(f"tier-1 {outcome} on the unmutated copy; nothing to probe")
             return 2
         print(f"baseline: tier-1 passes in {seconds:.1f} s")
-        survivors = []
+        outcomes = {outcome: [] for outcome in STATUS}
         for module, function, label, mutated in plan:
             path = copy / "src" / "mvgdp" / f"{module}.py"
             path.write_text(mutated, encoding="utf-8")
-            passed, seconds = tier1(copy)
+            outcome, seconds = tier1(copy)
             path.write_text(sources[module], encoding="utf-8")
-            status = "SURVIVED" if passed else "killed"
-            print(f"{status:8} {seconds:5.1f} s  {function}: {label}", flush=True)
-            if passed:
-                survivors.append((function, label))
+            print(f"{STATUS[outcome]:8} {seconds:5.1f} s  {function}: {label}", flush=True)
+            outcomes[outcome].append((function, label))
 
+    survivors, killed, timeouts = outcomes.values()
     unexpected = [s for s in survivors if s not in EQUIVALENT]
-    stale = [s for s in EQUIVALENT if s[0] in probed and s not in survivors]
-    print(f"\n{len(plan)} mutants, {len(plan) - len(survivors)} killed, "
+    stale = [s for s in EQUIVALENT if s in killed]
+    print(f"\n{len(plan)} mutants, {len(killed)} killed, {len(timeouts)} timed out, "
           f"{len(survivors)} survived ({len(survivors) - len(unexpected)} expected), "
           f"{time.perf_counter() - start:.0f} s")
+    for function, label in timeouts:
+        print(f"timed out: {function}: {label}")
+    if timeouts:
+        print(f"re-run: python tests/mutation_probe.py --only "
+              f"{' '.join(sorted({function for function, _ in timeouts}))}")
     for function, label in unexpected:
         print(f"unexpected survivor: {function}: {label}")
     for function, label in stale:

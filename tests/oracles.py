@@ -1,11 +1,13 @@
 """Oracles for the tests: dense products built from a design's stored
-fields, and the Gaussian mechanism's exact delta by numerical integration."""
+fields, a covariance's eigenbasis, and the Gaussian mechanism's exact delta
+by numerical integration."""
 
 import math
 
 import numpy as np
 
 from mvgdp import NoiseDesign, exact_delta
+from mvgdp.design import descending_eigh
 
 
 def _dense_basis(basis, lam):
@@ -24,6 +26,13 @@ def dense_covariances(design):
 
     return (side(design.basis_sigma, design.lambda_sigma),
             side(design.basis_psi, design.lambda_psi))
+
+
+def eigenbasis(cov):
+    """A symmetric matrix's eigenvalues and eigenvectors, by descending
+    eigenvalue: one side of a design whose covariance is ``cov``."""
+    (values,), (vectors,) = descending_eigh(np.asarray(cov)[np.newaxis])
+    return values, vectors
 
 
 def dense_release(value, design, noise):

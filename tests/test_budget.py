@@ -284,8 +284,7 @@ class TestCheckCondition:
         baseline = None
         for _ in range(10):
             w = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-            sigma = (w * lam) @ w.T
-            design = NoiseDesign.from_covariances(sigma, np.eye(4))
+            design = NoiseDesign(w, lam, None, np.ones(4))
             _, lhs, _ = check_condition(design, q, p)
             if baseline is None:
                 baseline = lhs

@@ -11,7 +11,6 @@ from mvgdp import (
     Experiment,
     ExperimentConfig,
     MechanismKind,
-    NoiseDesign,
     PrivacyParams,
     QueryKind,
     QuerySpec,
@@ -29,7 +28,6 @@ from mvgdp import (
     mvg_equimodal,
     mvg_unimodal,
     parse_theta_spec,
-    sample_mvg,
     sensitivity,
 )
 from mvgdp import mechanisms
@@ -148,64 +146,6 @@ class TestBudgetCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"mvgdp: error: {message}\n"
-
-
-class TestSampleCommand:
-    def test_identity_covariances_reproduce_raw_normals(self, tmp_path):
-        sigma = write_matrix(tmp_path, np.eye(2), "sigma.csv")
-        psi = write_matrix(tmp_path, np.eye(3), "psi.csv")
-        out = tmp_path / "samples.csv"
-        code = main(["sample", "--m", "2", "--n", "3", "--sigma", sigma,
-                     "--psi", psi, "--seed", "9", "--count", "2",
-                     "--out", str(out)])
-        assert code == 0
-        samples = load_dense_csv(out)
-        assert samples.shape == (2, 6)
-        stream = RandomStream(9)
-        expect0 = stream.standard_normal((2, 3)).reshape(-1)
-        expect1 = stream.standard_normal((2, 3)).reshape(-1)
-        assert np.array_equal(samples[0], expect0)
-        assert np.array_equal(samples[1], expect1)
-
-    def test_general_covariances(self, tmp_path):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 2))
-        sigma_mat = a @ a.T + 0.5 * np.eye(2)
-        sigma = write_matrix(tmp_path, sigma_mat, "sigma.csv")
-        psi = write_matrix(tmp_path, np.eye(2), "psi.csv")
-        out = tmp_path / "samples.csv"
-        assert main(["sample", "--m", "2", "--n", "2", "--sigma", sigma,
-                     "--psi", psi, "--seed", "4", "--count", "1",
-                     "--out", str(out)]) == 0
-        got = load_dense_csv(out).reshape(2, 2)
-        design = NoiseDesign.from_covariances(sigma_mat, np.eye(2))
-        assert np.allclose(got, sample_mvg(RandomStream(4), design),
-                           rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--count", "0", "count must be positive"),
-        ("--seed", "-1", "seed must fit in 64 unsigned bits"),
-        ("--m", "0", "m must be a positive integer, got 0"),
-        ("--n", "-2", "n must be a positive integer, got -2"),
-    ])
-    def test_a_bad_flag_is_reported_before_the_files_are_read(
-            self, tmp_path, capsys, flag, value, message):
-        missing = str(tmp_path / "missing.csv")
-        assert main(["sample", "--m", "2", "--n", "2", "--sigma", missing,
-                     "--psi", missing, flag, value,
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert message in err and "missing.csv" not in err
-
-    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
-        for sigma_size, psi_size, message in (
-                (3, 2, "sigma is (3, 3), expected (2, 2)"),
-                (2, 3, "psi is (3, 3), expected (2, 2)")):
-            sigma = write_matrix(tmp_path, np.eye(sigma_size), "sigma.csv")
-            psi = write_matrix(tmp_path, np.eye(psi_size), "psi.csv")
-            assert main(["sample", "--m", "2", "--n", "2", "--sigma", sigma,
-                         "--psi", psi, "--out", str(tmp_path / "o.csv")]) == 2
-            assert message in capsys.readouterr().err
 
 
 class TestPerturbCommand:
@@ -880,9 +820,13 @@ def bench_options():
      "--epsilon", "1", "--lo", "0", "--hi", "1", "--input"],
     ["perturb", "--query", "identity", "--epsilon", "1", "--lo", "0", "--hi", "1",
      "--input"],
-    ["sample", "--m", "2", "--n", "2", "--psi", "unused.csv", "--sigma"],
-], ids=["bench", "perturb", "sample"])
-def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfdbinary, command):
+    ["perturb", "--query", "identity", "--epsilon", "1", "--lo", "0", "--hi", "1",
+     "--input", "data.csv", "--directions"],
+], ids=["bench", "perturb", "perturb-directions"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfdbinary, monkeypatch, command):
+    # a dataset that reads, so --directions is the file that fails
+    monkeypatch.chdir(tmp_path)
+    write_dataset(tmp_path, np.zeros((3, 4)))
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"\xe9,1\n2,3\n")
     code = main([*command, str(path), "--out", str(tmp_path / "o.csv")]

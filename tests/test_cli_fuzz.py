@@ -6,8 +6,8 @@ that overflow a float, NaN, infinities, counts past 64 bits and text, and
 small edge-case files, one of them not UTF-8. ``cli.main`` must return 0,
 2, 3 or 4 for each; a traceback (an exception escaping ``main``) fails the
 case. Every value is
-small enough that no case allocates or loops at scale: no ``--trials`` or
-``--count`` above 5, and no ``--m``/``--n`` between 10^7 and 2^64.
+small enough that no case allocates or loops at scale: no ``--trials``
+above 5, and no ``--m``/``--n`` between 10^7 and 2^64.
 """
 
 import random
@@ -74,12 +74,6 @@ def commands(paths, out):
             {"--epsilon": REALS, "--delta": REALS, "--m": COUNTS, "--n": COUNTS,
              "--gamma": REALS, "--sensitivity": REALS,
              "--mode": ["unimodal", "equimodal", "text"]}),
-        "sample": (
-            [("--m", "3"), ("--n", "2"), ("--sigma", paths["spd3"]),
-             ("--psi", paths["eye2"]), ("--seed", "0"), ("--count", "2"),
-             ("--out", out)],
-            {"--m": COUNTS, "--n": COUNTS, "--sigma": inputs, "--psi": inputs,
-             "--seed": SEEDS, "--count": SMALL_COUNTS}),
         "perturb": (
             [("--input", paths["data"]), ("--query", "identity"), ("--epsilon", "1"),
              ("--delta", "0.1"), ("--lo", "0"), ("--hi", "1"), ("--theta", "uniform"),

@@ -347,8 +347,6 @@ ARRAY_SITES = [
                              PrivacyParams(0.5, 0.05)), "the query value's entries", 2),
     ("NoiseDesign basis", lambda v: NoiseDesign(v, np.ones(2), None, np.ones(2)),
      "w_sigma", 2),
-    ("NoiseDesign.from_covariances", lambda v: NoiseDesign.from_covariances(v, np.eye(2)),
-     "sigma", 2),
     ("derive_directions_dp",
      lambda v: derive_directions_dp(v, PrivacyParams(0.5, 0.05), 1, RandomStream(0),
                                     bounds=DataBounds(2, 2, -2.0, 2.0)), "the records", 2),

@@ -56,7 +56,7 @@ from mvgdp.mechanisms import (
     release_spectrum,
 )
 from mvgdp.sensitivity import AuditedGram, covariance_query
-from oracles import dense_release, scaled_release
+from oracles import dense_release, eigenbasis, scaled_release
 
 
 class TestPrecisionAllocation:
@@ -317,7 +317,7 @@ class TestEquimodal:
         # sizes at which a Fortran-ordered factor gives other last bits
         rng = np.random.default_rng(m)
         a = rng.standard_normal((m, m))
-        w = NoiseDesign.from_covariances(a @ a.T + m * np.eye(m), np.eye(1)).basis_sigma
+        _, w = eigenbasis(a @ a.T + m * np.eye(m))
         value, q = np.zeros((m, m)), unit_query(m, m)
         theta = PrecisionAllocation.binary(m, 0.9, [0])
         c_release, f_release = (

@@ -3,11 +3,13 @@
 ``tests/mutation_probe.py`` runs for minutes and stays out of tier-1, so a
 renamed target function or a reworded expression would surface only at the
 end of a full run. These tests load it by path and generate its mutants
-with ``ast`` alone, without running any.
+with ``ast`` alone, without running any; the one that runs the probe
+replaces its tier-1 subprocess.
 """
 
 import ast
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,22 @@ def test_only_refuses_a_name_that_is_not_a_target(capsys):
         probe.main(["--list", "--only", "errors.positive_fault", "errors.no_such"])
     assert exit_info.value.code == 2
     assert "--only errors.no_such: not a target" in capsys.readouterr().err
+
+
+def test_a_tier1_run_that_times_out_is_reported_apart_from_the_kills(capsys, monkeypatch):
+    probe = load_probe()
+    runs = []
+
+    def run(args, **kwargs):
+        runs.append(args)
+        if len(runs) == 1:  # the unmutated baseline passes
+            return subprocess.CompletedProcess(args, 0)
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(probe.subprocess, "run", run)
+    assert probe.main(["--only", "errors.positive_fault"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(runs) == 3
+    assert [line.split()[0] for line in lines[1:3]] == ["TIMEOUT", "TIMEOUT"]
+    assert lines[4].startswith("2 mutants, 0 killed, 2 timed out, 0 survived")
+    assert lines[-1] == "re-run: python tests/mutation_probe.py --only errors.positive_fault"
