@@ -49,7 +49,10 @@ def check_orthonormal(w: np.ndarray, name: str) -> None:
     orthonormal columns."""
     if w.shape[-2] != w.shape[-1]:
         raise ShapeError(f"{name} must be square, got {w.shape}")
-    gram = np.swapaxes(w, -1, -2) @ w
+    # an infinite entry makes inf * 0 = nan, which fails the check below
+    # rather than warn
+    with np.errstate(invalid="ignore"):
+        gram = np.swapaxes(w, -1, -2) @ w
     gram -= np.eye(w.shape[-1])
     # an empty stack deviates by nothing; written so a NaN deviation fails
     # the check too

@@ -339,8 +339,7 @@ def load_csv_matrix(path, has_header: bool = False) -> tuple[np.ndarray, list[st
 def load_dense_csv(path) -> np.ndarray:
     """Load a plain numeric matrix CSV without transposition.
 
-    Used for covariance and direction matrices, where file rows are matrix
-    rows.
+    Used for a ``--directions`` basis, whose file rows are matrix rows.
     """
     (grid,) = _GridBlocks(path, has_header=False)
     return grid

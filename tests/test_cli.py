@@ -281,6 +281,31 @@ class TestPerturbCommand:
         err = capsys.readouterr().err
         assert "could not parse allocation 'bogus'" in err and "missing.csv" not in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+         "w_sigma has shape (4, 3) but the query has 3 rows"),
+        (2 * np.eye(3), "w_sigma is not orthonormal: max |W^T W - I| = 3.000e+00 exceeds 1e-08"),
+        ([[1, 0, 0], [0, np.nan, 0], [0, 0, 1]],
+         "w_sigma is not orthonormal: max |W^T W - I| = nan exceeds 1e-08"),
+        ([[1, 0, 0], [0, np.inf, 0], [0, 0, 1]],
+         "w_sigma is not orthonormal: max |W^T W - I| = nan exceeds 1e-08"),
+        ([[1, 0, 0], [0, -np.inf, 0], [0, 0, 1]],
+         "w_sigma is not orthonormal: max |W^T W - I| = nan exceeds 1e-08"),
+    ], ids=["not-square", "not-orthonormal", "nan", "inf", "-inf"])
+    def test_a_directions_file_that_is_not_a_basis_exits_2(self, tmp_path, sign_data,
+                                                           capfdbinary, rows, message):
+        # an entry that is not finite fails the orthonormality check, and
+        # an infinite one does so without a RuntimeWarning on stderr
+        directions = write_matrix(tmp_path, rows, "w.csv")
+        out = tmp_path / "o.csv"
+        assert main(["perturb", "--input", write_dataset(tmp_path, sign_data),
+                     "--query", "covariance", "--epsilon", "1", "--lo", "-1", "--hi", "1",
+                     "--directions", directions, "--out", str(out)]) == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"mvgdp: error: {message}\n".encode()
+        assert not out.exists()
+
 
 def csv_bytes(matrix):
     return "".join(",".join(repr(float(v)) for v in row) + "\n"

@@ -52,7 +52,7 @@ from mvgdp.errors import (
     unit_norm_fault,
 )
 from mvgdp.harness import clamp_records
-from mvgdp.mechanisms import plan_gaussian
+from mvgdp.mechanisms import plan_gaussian, plan_laplace
 from mvgdp.metrics import DeltaRho
 from mvgdp.sensitivity import AuditedGram
 
@@ -345,7 +345,16 @@ ARRAY_SITES = [
     ("plan_gaussian value",
      lambda v: plan_gaussian(v, QuerySpec(2, 2, sensitivity=1.0, gamma=10.0),
                              PrivacyParams(0.5, 0.05)), "the query value's entries", 2),
+    ("plan_laplace value",
+     lambda v: plan_laplace(v, QuerySpec(2, 2, sensitivity=1.0, gamma=10.0,
+                                         l1_sensitivity=2.0), 0.5),
+     "the query value's entries", 2),
     ("NoiseDesign basis", lambda v: NoiseDesign(v, np.ones(2), None, np.ones(2)),
+     "w_sigma", 2),
+    ("NoiseDesign psi basis", lambda v: NoiseDesign(None, np.ones(2), v, np.ones(2)),
+     "w_psi", 2),
+    ("NoiseDesign.with_bases",
+     lambda v: NoiseDesign(None, np.ones(2), None, np.ones(2)).with_bases(v, None),
      "w_sigma", 2),
     ("derive_directions_dp",
      lambda v: derive_directions_dp(v, PrivacyParams(0.5, 0.05), 1, RandomStream(0),
@@ -375,6 +384,12 @@ ARRAY_SITES = [
     ("ridge_regression_rmse features",
      lambda v: ridge_regression_rmse((v, np.ones(2)), (np.eye(2), np.ones(2)), 1.0),
      "the train features", 2),
+    ("ridge_regression_rmse train targets",
+     lambda v: ridge_regression_rmse((np.eye(2), v), (np.eye(2), np.ones(2)), 1.0),
+     "the train targets", 1),
+    ("ridge_regression_rmse test features",
+     lambda v: ridge_regression_rmse((np.eye(2), np.ones(2)), (v, np.ones(2)), 1.0),
+     "the test features", 2),
     ("ridge_regression_rmse targets",
      lambda v: ridge_regression_rmse((np.eye(2), np.ones(2)), (np.eye(2), v), 1.0),
      "the test targets", 1),
